@@ -29,7 +29,6 @@ from .fourslit import (
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
-    naive_x_velocity,
     region_of,
 )
 from .integrator import (
@@ -46,11 +45,9 @@ from .params import (
 )
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
 from .velocity import (
-    VelocityFieldTerms,
     com_closed_form,
     log_gradient_velocity,
     velocity_closed_form,
-    velocity_field_terms,
     velocity_oracle,
 )
 from .wavefunction import (
@@ -87,7 +84,6 @@ __all__ = [
     "StepUnderflowError",
     "Trajectory",
     "TrajectoryStatus",
-    "VelocityFieldTerms",
     "binned_tv_distance",
     "com_closed_form",
     "corrected_four_slit_psi",
@@ -101,7 +97,6 @@ __all__ = [
     "map_trajectory_to_double_slit",
     "naive_four_slit_psi",
     "naive_velocity",
-    "naive_x_velocity",
     "normalization_N",
     "psi_pair",
     "psi_slit",
@@ -113,7 +108,6 @@ __all__ = [
     "scaled_independent_endpoints",
     "sigma_t",
     "velocity_closed_form",
-    "velocity_field_terms",
     "velocity_oracle",
     "__version__",
 ]

@@ -17,17 +17,10 @@ from .errors import NodeProximityError
 # Scaled interference denominator below which the velocity is considered to
 # sit on a node. Bosons only approach zero denominators asymptotically;
 # fermions hit an exact zero on the diagonal y1 = y2.
-DEFAULT_NODE_GUARD = 1e-13
+NODE_GUARD = 1e-13
 
 
-def reduced_velocity(
-    e1: float,
-    e2: float,
-    T: float,
-    beta: float,
-    sign: int,
-    node_guard: float = DEFAULT_NODE_GUARD,
-) -> tuple[float, float]:
+def reduced_velocity(e1: float, e2: float, T: float, beta: float, sign: int) -> tuple[float, float]:
     """Transverse velocities (deta1/dT, deta2/dT) of the pair.
 
     The interference term is evaluated with the dominant exponential factored
@@ -44,9 +37,9 @@ def reduced_velocity(
     # 2 e^{-|u|} (sin(Tu) +- T sinh u) over 2 e^{-|u|} (cos(Tu) +- cosh u)
     num = 2.0 * ex * math.sin(phase) + sign * T * sg * (1.0 - ex2)
     den = 2.0 * ex * math.cos(phase) + sign * (1.0 + ex2)
-    if abs(den) < node_guard:
+    if abs(den) < NODE_GUARD:
         raise NodeProximityError(
-            f"interference denominator {den:.3e} below guard {node_guard:.1e}"
+            f"interference denominator {den:.3e} below guard {NODE_GUARD:.1e}"
         )
     shared = beta * num / (one_t2 * den)
     drift = T / one_t2

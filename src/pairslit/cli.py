@@ -13,7 +13,6 @@ fraction above threshold, or a failed four-slit property check).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import run_ensemble
+from .ensemble import run_ensemble, transport_ensemble
 from .errors import ConfigError, PairslitError
 from .fourslit import (
     SlitRegion,
@@ -33,7 +32,7 @@ from .fourslit import (
     naive_four_slit_psi,
     naive_velocity,
 )
-from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_trajectory
+from .integrator import IntegratorConfig, Trajectory, integrate_trajectory
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .sampling import SamplerConfig
 from .wavefunction import Slit, psi_pair, psi_slit
@@ -54,10 +53,10 @@ _SPEED_FAST = 2.0e7
 _SPEED_SLOW = 2.0e6
 _ABORT_THRESHOLD = 1e-3
 _N_TIMES_TRAJECTORIES = 101
-_CONFIG_VERSION = 1
+_CONFIG_VERSION = 2
 
 _TOP_KEYS = ("config_version", "scenario", "stats", "output_dir", "params", "sampler", "integrator")
-_PARAM_KEYS = ("m", "hbar", "sigma0", "Y", "kx", "ky", "d", "L")
+_PARAM_KEYS = ("m", "hbar", "sigma0", "Y", "kx", "d", "L")
 _SAMPLER_KEYS = ("method", "n_pairs", "seed")
 _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "density_floor")
 
@@ -244,12 +243,10 @@ def _pinned_initials(cfg: ScenarioConfig) -> list[PairConfiguration] | None:
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    cols = traj.as_arrays()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x1", "y1", "x2", "y2", "vy1", "vy2"])
-        for conf, vel in traj.samples:
-            row = (conf.t, conf.x1, conf.y1, conf.x2, conf.y2, vel.vy1, vel.vy2)
-            writer.writerow([f"{v:.15e}" for v in row])
+        np.savetxt(fh, np.column_stack(list(cols.values())), fmt="%.15e", delimiter=",",
+                   newline="\r\n", header=",".join(cols), comments="")
 
 
 def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
@@ -261,7 +258,7 @@ def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
     }
     summary.update(fields)
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -273,64 +270,35 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         return _run_four_slit_check(cfg, out)
 
     t_end = cfg.params.flight_time
-    sample_times = np.linspace(0.0, t_end, _N_TIMES_TRAJECTORIES)
-    sample_times[-1] = t_end
-    fixed = _pinned_initials(cfg)
-    if fixed is not None:
-        trajectories = [
-            integrate_trajectory(c, t_end, cfg.integrator, cfg.stats, cfg.params, sample_times)
-            for c in fixed
-        ]
-        ends = np.array(
-            [
-                (tr.endpoint.y1, tr.endpoint.y2)
-                for tr in trajectories
-                if tr.status is TrajectoryStatus.COMPLETED
-            ]
-        ).reshape(-1, 2)
-        com0 = np.array([0.5 * (c.y1 + c.y2) for c in fixed])
-        aborted = sum(1 for tr in trajectories if tr.status is not TrajectoryStatus.COMPLETED)
-        n_requested = len(fixed)
-        fields = {
-            "n_requested": n_requested,
-            "n_completed": int(ends.shape[0]),
-            "aborted_count": aborted,
-            "same_side_fraction": float(np.mean(ends[:, 0] * ends[:, 1] > 0.0))
-            if len(ends)
-            else math.nan,
-            "delta_y0_estimate": float(np.sqrt(np.mean(com0**2))),
-            "density_distance": None,
-            "density_distance_baseline": None,
-        }
+    if cfg.scenario == "equivariance":
+        sample_times = np.array([0.0, t_end])
     else:
-        times = sample_times if cfg.scenario != "equivariance" else np.array([0.0, t_end])
-        result = run_ensemble(
-            cfg.sampler,
-            cfg.integrator,
-            cfg.stats,
-            cfg.params,
-            t_end,
-            sample_times=times,
-            keep_trajectories=True,
-        )
-        trajectories = list(result.trajectories)
-        aborted = result.aborted_count
-        n_requested = result.n_requested
-        fields = {
-            "n_requested": result.n_requested,
-            "n_completed": result.n_completed,
-            "aborted_count": result.aborted_count,
-            "same_side_fraction": result.same_side_fraction,
-            "delta_y0_estimate": result.delta_y0_estimate,
-            "density_distance": result.density_distance,
-            "density_distance_baseline": result.density_distance_baseline,
-        }
+        sample_times = np.linspace(0.0, t_end, _N_TIMES_TRAJECTORIES)
+        sample_times[-1] = t_end
+    # Pinned initials skip the sampler; everything after sampling is shared.
+    initials = _pinned_initials(cfg)
+    if initials is None:
+        result = run_ensemble(cfg.sampler, cfg.integrator, cfg.stats, cfg.params, t_end,
+                              sample_times=sample_times, keep_trajectories=True)
+    else:
+        result = transport_ensemble(initials, cfg.integrator, cfg.stats, cfg.params, t_end,
+                                    sample_times=sample_times, keep_trajectories=True)
 
-    width = max(3, len(str(len(trajectories) - 1)))
-    for i, traj in enumerate(trajectories):
+    width = max(3, len(str(len(result.trajectories) - 1)))
+    for i, traj in enumerate(result.trajectories):
         _write_trajectory_csv(out / f"trajectory_{i:0{width}d}.csv", traj)
-    _write_summary(out, cfg, fields)
-    print(f"{cfg.scenario}: {fields['n_completed']}/{n_requested} trajectories completed, "
+    same_side = result.same_side_fraction
+    aborted, n_requested = result.aborted_count, result.n_requested
+    _write_summary(out, cfg, {
+        "n_requested": n_requested,
+        "n_completed": result.n_completed,
+        "aborted_count": aborted,
+        "same_side_fraction": None if math.isnan(same_side) else same_side,
+        "delta_y0_estimate": result.delta_y0_estimate,
+        "density_distance": result.density_distance,
+        "density_distance_baseline": result.density_distance_baseline,
+    })
+    print(f"{cfg.scenario}: {result.n_completed}/{n_requested} trajectories completed, "
           f"{aborted} aborted, output in {out}")
     if aborted > _ABORT_THRESHOLD * n_requested:
         print(f"abort fraction {aborted / n_requested:.2%} exceeds {_ABORT_THRESHOLD:.1%}",
@@ -379,20 +347,23 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
     )
 
     # Factorization: the state times the longitudinal factor evaluated at
-    # swapped x-pairs is symmetric (ratio identity without division).
+    # swapped x-pairs is symmetric (ratio identity without division). The
+    # factor's argument is ~1e6 rad, so near its zeros rounding dominates;
+    # redraw unless both factors clear the same 0.1 cut as above.
     worst = 0.0
     for stats in SpinStatistics:
         factor = math.cos if stats is SpinStatistics.BOSON else math.sin
-        for _ in range(20):
+        found = 0
+        while found < 20:
             y1, y2 = rng.uniform(-2 * p.Y, 2 * p.Y, size=2)
             xa, xb, xc, xd = rng.uniform(-3 * s0, 3 * s0, size=4)
             t = float(rng.uniform(0.0, p.flight_time))
-            lhs = naive_four_slit_psi(
-                stats, PairConfiguration(xa, y1, xb, y2, t), p
-            ) * factor(p.kx * (xc - xd))
-            rhs = naive_four_slit_psi(
-                stats, PairConfiguration(xc, y1, xd, y2, t), p
-            ) * factor(p.kx * (xa - xb))
+            f_ab, f_cd = factor(p.kx * (xa - xb)), factor(p.kx * (xc - xd))
+            if min(abs(f_ab), abs(f_cd)) < 0.1:
+                continue
+            found += 1
+            lhs = naive_four_slit_psi(stats, PairConfiguration(xa, y1, xb, y2, t), p) * f_cd
+            rhs = naive_four_slit_psi(stats, PairConfiguration(xc, y1, xd, y2, t), p) * f_ab
             scale = max(abs(lhs), abs(rhs), 1e-300)
             worst = max(worst, abs(lhs - rhs) / scale)
     record(

@@ -9,13 +9,15 @@ what a fresh direct draw of the same size achieves.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_trajectory
-from .params import PhysicalParams, SpinStatistics
+from .errors import StepUnderflowError
+from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .quadrature import gauss_legendre
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
 from .wavefunction import initial_density, initial_density_peak, joint_density_y, sigma_t
@@ -70,15 +72,32 @@ def run_ensemble(
     Seeding is hierarchical: the sampler and the fresh baseline draw used by
     the density-distance comparison consume independent child streams of
     sampler.seed, so results are reproducible and the baseline is not
-    correlated with the ensemble. Initial conditions already below the
-    integrator's density floor are counted as aborted without integration;
-    aborts never fail the batch.
+    correlated with the ensemble.
     """
     root = np.random.SeedSequence(sampler.seed)
     seq_sample, seq_baseline = root.spawn(2)
-    rng_sample = np.random.default_rng(seq_sample)
-    pairs = sample_initial(sampler, stats, p, rng=rng_sample)
+    pairs = sample_initial(sampler, stats, p, rng=np.random.default_rng(seq_sample))
+    return transport_ensemble(pairs, integrator, stats, p, t_end, sample_times,
+                              keep_trajectories, rng=np.random.default_rng(seq_baseline))
 
+
+def transport_ensemble(
+    pairs: Sequence[PairConfiguration],
+    integrator: IntegratorConfig,
+    stats: SpinStatistics,
+    p: PhysicalParams,
+    t_end: float,
+    sample_times=None,
+    keep_trajectories: bool = False,
+    rng: np.random.Generator | None = None,
+) -> EnsembleResult:
+    """Transport and score the given initial pairs.
+
+    Initial conditions already below the integrator's density floor, and
+    pairs whose error control underflows h_min, are counted as aborted
+    without a trajectory; aborts never fail the batch. rng feeds the
+    baseline draw of density_distance.
+    """
     floor = integrator.density_floor * initial_density_peak(stats, p)
     trajectories: list[Trajectory] = []
     endpoints: list[tuple[float, float]] = []
@@ -87,7 +106,11 @@ def run_ensemble(
         if initial_density(c.y1, c.y2, stats, p) < floor:
             aborted += 1
             continue
-        traj = integrate_trajectory(c, t_end, integrator, stats, p, sample_times=sample_times)
+        try:
+            traj = integrate_trajectory(c, t_end, integrator, stats, p, sample_times=sample_times)
+        except StepUnderflowError:
+            aborted += 1
+            continue
         if keep_trajectories:
             trajectories.append(traj)
         if traj.status is TrajectoryStatus.COMPLETED:
@@ -103,16 +126,14 @@ def run_ensemble(
     same_side = float(np.mean(ends[:, 0] * ends[:, 1] > 0.0)) if len(ends) else math.nan
     distance = baseline = None
     if len(ends) >= _TV_MIN_POINTS:
-        distance, baseline = density_distance(
-            ends, stats, p, t_end, rng=np.random.default_rng(seq_baseline)
-        )
+        distance, baseline = density_distance(ends, stats, p, t_end, rng=rng)
 
     return EnsembleResult(
         endpoints=ends,
         same_side_fraction=same_side,
         delta_y0_estimate=float(np.sqrt(np.mean(com**2))),
         aborted_count=aborted,
-        n_requested=sampler.n_pairs,
+        n_requested=len(pairs),
         density_distance=distance,
         density_distance_baseline=baseline,
         trajectories=tuple(trajectories) if keep_trajectories else None,

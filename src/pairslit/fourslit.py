@@ -152,19 +152,6 @@ def corrected_velocity(
     )
 
 
-def naive_x_velocity(
-    c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams
-) -> tuple[float, float]:
-    """Longitudinal velocities of the naive state (m/s); both are zero.
-
-    The naive state factors into a function of x1 - x2 that is real up to a
-    global phase, so the longitudinal guidance velocity vanishes identically.
-    Returned values carry only finite-difference error.
-    """
-    v = naive_velocity(c, stats, p)
-    return v.vx1, v.vx2
-
-
 def map_trajectory_to_double_slit(traj: Trajectory, region: SlitRegion) -> Trajectory:
     """Reflect one longitudinal track, swapping double-slit and four-slit flows.
 

@@ -155,8 +155,6 @@ def integrate_trajectory(
     StepUnderflowError
         If error control would need a step below h_min.
     """
-    if p.ky != 0.0:
-        raise ValueError("trajectory integration requires ky = 0")
     if t_end <= initial.t:
         raise ValueError("t_end must exceed the initial time")
     tau = p.tau

@@ -41,10 +41,8 @@ class PhysicalParams:
     Y : float
         Half the slit separation; packets start centred at +-Y (m).
     kx : float
-        Longitudinal wavenumber (1/m); propagation speed is hbar*kx/m.
-    ky : float
-        Transverse wavenumber (1/m). Carried through the amplitudes; the
-        closed-form velocities and densities require ky = 0.
+        Longitudinal wavenumber (1/m); propagation speed is hbar*kx/m. The mean
+        momentum is purely longitudinal.
     d : float
         Half-separation of the two sources in the facing double-slit setup (m).
     L : float
@@ -56,7 +54,6 @@ class PhysicalParams:
     sigma0: float = 1.0e-6
     Y: float = 5.0e-6
     kx: float = 2.0e7 * ELECTRON_MASS / HBAR
-    ky: float = 0.0
     d: float = 5.0e-6
     L: float = 0.2
 

@@ -68,8 +68,6 @@ def sample_joint_y(
     Raises RejectionStallError if the running acceptance rate falls below
     1e-3 (the envelope no longer covers the density efficiently).
     """
-    if p.ky != 0.0:
-        raise ValueError("sampling requires ky = 0")
     T = t / p.tau
     s2 = 1.0 + T * T
     s = math.sqrt(s2)

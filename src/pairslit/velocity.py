@@ -1,95 +1,34 @@
 """Guidance velocities of the pair: closed form and finite-difference oracle.
 
 The closed form is the imaginary part of the log-gradient of the pair state,
-worked out analytically for ky = 0. The oracle recomputes the same velocities
-by central differences of the full complex amplitude and knows nothing of the
-closed-form algebra, so agreement between the two is a real check.
+worked out analytically for purely longitudinal mean momentum. The oracle
+recomputes the same velocities by central differences of the full complex
+amplitude and knows nothing of the closed-form algebra, so agreement between
+the two is a real check.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from ._kernels import DEFAULT_NODE_GUARD, reduced_velocity
+from ._kernels import reduced_velocity
 from .errors import NodeProximityError
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, joint_density, psi_pair, sigma_t
 
 
-@dataclass(frozen=True)
-class VelocityFieldTerms:
-    """Decomposition of the transverse velocity field at one configuration.
-
-    alpha is the interference wavenumber 2 Y m (y1 - y2) / (hbar^2 t^2 +
-    4 m^2 sigma0^4); f and g are the complex exponents through which the pair
-    state factors as exp(-f) (exp(-g) +- exp(g)) up to x-phases. Each
-    particle's velocity splits into term1, the shared interference part
-    (equal and opposite between the particles), and term2, the single-packet
-    spreading drift.
-    """
-
-    alpha: float
-    f: complex
-    g: complex
-    term1_y1: float
-    term2_y1: float
-    term1_y2: float
-    term2_y2: float
-
-
 def velocity_closed_form(
-    c: PairConfiguration,
-    stats: SpinStatistics,
-    p: PhysicalParams,
-    node_guard: float = DEFAULT_NODE_GUARD,
+    c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams
 ) -> PairVelocity:
     """Closed-form guidance velocity at configuration c (m/s).
 
     Longitudinal motion is the constant drift hbar kx / m for both particles.
-    Requires ky = 0. Raises NodeProximityError when the interference
-    denominator falls below node_guard (for fermions that happens on and near
-    the diagonal y1 = y2, where the state vanishes).
+    Raises NodeProximityError when the scaled interference denominator falls
+    below _kernels.NODE_GUARD (for fermions that happens on and near the diagonal
+    y1 = y2, where the state vanishes).
     """
-    if p.ky != 0.0:
-        raise ValueError("closed-form velocities require ky = 0")
-    w1, w2 = reduced_velocity(
-        c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau, p.beta, stats.sign, node_guard
-    )
+    w1, w2 = reduced_velocity(c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau, p.beta, stats.sign)
     scale = p.sigma0 / p.tau
     vx = p.x_speed
     return PairVelocity(vx, w1 * scale, vx, w2 * scale)
-
-
-def velocity_field_terms(
-    c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams
-) -> VelocityFieldTerms:
-    """Expose alpha, the exponents f and g, and the per-particle velocity split."""
-    if p.ky != 0.0:
-        raise ValueError("closed-form velocities require ky = 0")
-    T = c.t / p.tau
-    e1 = c.y1 / p.sigma0
-    e2 = c.y2 / p.sigma0
-    beta = p.beta
-    one_t2 = 1.0 + T * T
-    u = beta * (e1 - e2) / one_t2
-    alpha = u / (2.0 * p.m * p.sigma0**2)
-    shear = (1.0 - 1.0j * T) / (4.0 * one_t2)  # common complex factor of f and g
-    f = shear * (e1 * e1 + e2 * e2)
-    g = shear * 2.0 * beta * (e2 - e1)
-    v = velocity_closed_form(c, stats, p)
-    scale = p.sigma0 / p.tau
-    drift1 = e1 * T / one_t2 * scale
-    drift2 = e2 * T / one_t2 * scale
-    return VelocityFieldTerms(
-        alpha=alpha,
-        f=complex(f),
-        g=complex(g),
-        term1_y1=v.vy1 - drift1,
-        term2_y1=drift1,
-        term1_y2=v.vy2 - drift2,
-        term2_y2=drift2,
-    )
 
 
 def com_closed_form(y0: float, t: float, p: PhysicalParams) -> float:

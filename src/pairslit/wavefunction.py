@@ -46,21 +46,19 @@ def sigma_t(t: float, p: PhysicalParams) -> complex:
 def _upper_amplitude(x_h, eta, T, p: PhysicalParams):
     """Dimensionless upper-slit packet at scaled coords (x_h, eta) and time T.
 
-    The three phase factors (longitudinal plane wave, transverse drift,
-    kinetic time phase) are exponentiated separately: the kinetic phase grows
-    to ~1e11 rad at baseline and must stay a common factor that cancels
-    bitwise in ratios, rather than perturbing the other phases' rounding.
+    The two phase factors (longitudinal plane wave, kinetic time phase) are
+    exponentiated separately: the kinetic phase grows to ~1e11 rad at baseline
+    and must stay a common factor that cancels bitwise in ratios, rather than
+    perturbing the plane wave's rounding.
     """
     kx_h = p.kx * p.sigma0
-    ky_h = p.ky * p.sigma0
     beta = p.beta
     st = 1.0 + 1.0j * T
     prefactor = (2.0 * np.pi * st * st) ** -0.25
-    envelope = np.exp(-((eta - beta - 2.0 * ky_h * T) ** 2) / (4.0 * st))
+    envelope = np.exp(-((eta - beta) ** 2) / (4.0 * st))
     plane = np.exp(1j * kx_h * x_h)
-    drift = np.exp(1j * ky_h * (eta - beta - ky_h * T)) if ky_h != 0.0 else 1.0
     kinetic = np.exp(-1j * kx_h * kx_h * T)
-    return prefactor * envelope * plane * drift * kinetic
+    return prefactor * envelope * plane * kinetic
 
 
 def psi_slit(slit: Slit, x, y, t: float, p: PhysicalParams):
@@ -79,12 +77,7 @@ def psi_slit(slit: Slit, x, y, t: float, p: PhysicalParams):
 
 
 def normalization_N(stats: SpinStatistics, p: PhysicalParams) -> float:
-    """|N|^2 of the (anti)symmetrized pair state, 1 / (2 (1 +- e^{-Y^2/sigma0^2})).
-
-    Only valid for ky = 0; the slit overlap acquires an extra ky-dependent
-    suppression otherwise.
-    """
-    _require_ky_zero(p)
+    """|N|^2 of the (anti)symmetrized pair state, 1 / (2 (1 +- e^{-Y^2/sigma0^2}))."""
     return 0.5 / (1.0 + stats.sign * math.exp(-p.beta**2))
 
 
@@ -112,8 +105,8 @@ def joint_density(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams
 def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     """Exact joint density in the transverse plane at time t (m^-2), vectorized.
 
-    For ky = 0 the longitudinal factors are pure phases, so |Psi|^2 depends
-    only on (y1, y2, t):
+    The longitudinal factors are pure phases, so |Psi|^2 depends only on
+    (y1, y2, t):
 
         P = |N|^2 (2 pi s^2)^-1 [F + G +- 2 sqrt(F G) cos(phi)],
 
@@ -149,7 +142,6 @@ def initial_density_peak(stats: SpinStatistics, p: PhysicalParams) -> float:
     sigma0 scale, so a 0.02*sigma0 grid over the packet region nails the peak
     far beyond floor-setting needs.
     """
-    _require_ky_zero(p)
     span = p.Y + 4.0 * p.sigma0
     grid = np.linspace(-span, span, int(2 * span / (0.02 * p.sigma0)) + 1)
     dens = joint_density_y(grid[:, None], grid[None, :], 0.0, stats, p)
@@ -169,8 +161,3 @@ def same_side_probability(
     y, w = gauss_legendre(0.0, reach, n_nodes)
     dens = joint_density_y(y[:, None], y[None, :], t, stats, p)
     return 2.0 * float(np.einsum("i,j,ij->", w, w, dens))
-
-
-def _require_ky_zero(p: PhysicalParams):
-    if p.ky != 0.0:
-        raise ValueError("closed-form pair quantities require ky = 0")

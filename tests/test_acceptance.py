@@ -25,7 +25,7 @@ from pairslit import (
     joint_density,
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
-    naive_x_velocity,
+    naive_velocity,
     psi_slit,
     run_ensemble,
     same_side_probability,
@@ -244,7 +244,8 @@ def test_criterion_8_four_slit_reductions():
             if abs(naive_four_slit_psi(stats, c, p)) < 0.1 * scale:
                 continue
             found += 1
-            vx1, vx2 = naive_x_velocity(c, stats, p)
+            v = naive_velocity(c, stats, p)
+            vx1, vx2 = v.vx1, v.vx2
             worst_freeze = max(worst_freeze, abs(vx1) / p.x_speed, abs(vx2) / p.x_speed)
     x0 = 2 * p.d
     worst_y = worst_x = 0.0

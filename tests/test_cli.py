@@ -233,3 +233,45 @@ def test_run_scenario_four_slit_check(tmp_path, capsys):
     report = json.loads((tmp_path / "fsc" / "summary.json").read_text())
     assert report["all_passed"] is True
     assert len(report["checks"]) == 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_four_slit_check_passes_for_every_seed(tmp_path, capsys, seed):
+    assert run_main(tmp_path, "four-slit-check", "--seed", str(seed)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _refuse_nan(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_summary_is_strict_json_when_nothing_completes(tmp_path):
+    path = write_json(tmp_path / "floor.json", {
+        "scenario": "custom",
+        "sampler": {"n_pairs": 3},
+        "integrator": {"density_floor": 0.99},
+    })
+    assert run_main(tmp_path, "custom", "--config", path) == 2
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_nan)
+    assert summary["n_completed"] == 0
+    assert summary["same_side_fraction"] is None
+
+
+def test_step_underflow_is_counted_as_abort(tmp_path, capsys):
+    path = write_json(tmp_path / "underflow.json", {
+        "scenario": "equivariance",
+        "sampler": {"n_pairs": 3},
+        "integrator": {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7,
+                       "rel_tol": 1e-13, "abs_tol": 1e-13},
+    })
+    assert run_main(tmp_path, "equivariance", "--config", path) == 2
+    assert "abort fraction" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["n_requested"], summary["aborted_count"]) == (3, 3)
+
+
+def test_ky_config_is_a_config_error(tmp_path, capsys):
+    path = write_json(tmp_path / "ky.json", {"scenario": "custom", "params": {"ky": 1000.0}})
+    assert run_main(tmp_path, "custom", "--config", path) == 1
+    assert "params.ky: unknown key" in capsys.readouterr().err

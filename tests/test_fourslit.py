@@ -16,7 +16,6 @@ from pairslit import (
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
-    naive_x_velocity,
     psi_pair,
     psi_slit,
     region_of,
@@ -74,7 +73,8 @@ def test_naive_longitudinal_freeze(p_slow, stats, rng):
         if interference_contrast(stats, c, p_slow) < 0.1:
             continue
         found += 1
-        vx1, vx2 = naive_x_velocity(c, stats, p_slow)
+        v = naive_velocity(c, stats, p_slow)
+        vx1, vx2 = v.vx1, v.vx2
         worst = max(worst, abs(vx1), abs(vx2))
     assert worst < 1e-5 * p_slow.x_speed
 

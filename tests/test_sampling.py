@@ -125,8 +125,3 @@ def test_rejection_stall_raises(p_fast):
     with pytest.raises(RejectionStallError):
         sample_joint_y(100, 0.0, SpinStatistics.FERMION, p, np.random.default_rng(0))
 
-
-def test_sampling_requires_zero_ky(p_fast):
-    p = dataclasses.replace(p_fast, ky=1e5)
-    with pytest.raises(ValueError):
-        sample_joint_y(10, 0.0, SpinStatistics.BOSON, p, np.random.default_rng(0))

@@ -85,12 +85,6 @@ def test_normalization_at_unit_offset(p_fast):
     )
 
 
-def test_normalization_requires_zero_ky(p_fast):
-    p = dataclasses.replace(p_fast, ky=1e4)
-    with pytest.raises(ValueError):
-        normalization_N(SpinStatistics.BOSON, p)
-
-
 @pytest.mark.parametrize("offset_ratio", [1.0, 2.0, 5.0])
 @pytest.mark.parametrize("t", [0.0, 1e-8])
 def test_pair_density_normalized(p_fast, stats, offset_ratio, t):
