@@ -1,9 +1,11 @@
-"""Scalar hot-path kernels in packet-width / spreading-time units.
+"""Hot-path kernels in packet-width / spreading-time units.
 
-These are the only functions evaluated inside integration loops, so they use
-the math module on plain floats (roughly 20x faster than numpy scalars).
-Vectorized reference expressions live in wavefunction.py; tests pin the two
-code paths against each other.
+These are the only functions evaluated inside integration loops. The scalar
+kernels use the math module on plain floats (roughly 20x faster than numpy
+scalars) and serve single trajectories; their array twins evaluate the same
+expressions, in the same order, over (n,) arrays for the batched integrator.
+Vectorized reference expressions live in wavefunction.py; tests pin the code
+paths against each other.
 
 Scaling: eta = y / sigma0, T = t / tau, velocities in units of sigma0 / tau.
 """
@@ -11,6 +13,8 @@ Scaling: eta = y / sigma0, T = t / tau, velocities in units of sigma0 / tau.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NodeProximityError
 
@@ -46,15 +50,53 @@ def reduced_velocity(e1: float, e2: float, T: float, beta: float, sign: int) -> 
     return -shared + e1 * drift, shared + e2 * drift
 
 
+def reduced_velocity_array(e1, e2, T, beta: float, sign: int):
+    """Array twin of reduced_velocity over (n,) arrays e1, e2, T.
+
+    Returns (v1, v2, on_node). Instead of raising, on_node marks the pairs
+    whose interference denominator falls below NODE_GUARD; their velocities
+    are meaningless. Callers silence numpy's floating-point warnings, which
+    only such pairs can trigger. Every value equals the scalar kernel's
+    expression up to exact sign flips: sign * T * sg * (1 - ex2) is
+    +-T * copysign(1 - ex2, u), and that factor is 0 where u is.
+    """
+    one_t2 = 1.0 + T * T
+    u = beta * (e1 - e2) / one_t2
+    ex = np.exp(-np.abs(u))
+    ex2 = ex * ex
+    two_ex = 2.0 * ex
+    phase = T * u
+    tail = T * np.copysign(1.0 - ex2, u)
+    wave = two_ex * np.sin(phase)
+    num = wave + tail if sign > 0 else wave - tail
+    wave = two_ex * np.cos(phase)
+    den = wave + (1.0 + ex2) if sign > 0 else wave - (1.0 + ex2)
+    shared = beta * num / (one_t2 * den)
+    drift = T / one_t2
+    return e1 * drift - shared, e2 * drift + shared, np.abs(den) < NODE_GUARD
+
+
 def reduced_density(e1: float, e2: float, T: float, sign: int, beta: float, n2: float) -> float:
-    """Dimensionless joint density; integrates to 1 over the (eta1, eta2) plane."""
+    """Dimensionless joint density; integrates to 1 over the (eta1, eta2) plane.
+
+    With a = sqrt(F) and b = sqrt(G) for the two Gaussian product terms, the
+    bracket F + G +- 2 a b cos(phi) is written as (a - b)^2 + 4 a b cos^2(phi/2)
+    for bosons and (a - b)^2 + 4 a b sin^2(phi/2) for fermions: a sum of
+    squares, so it cannot cancel to a negative value.
+    """
     s2 = 1.0 + T * T
-    ln_f = -((e1 - beta) ** 2 + (e2 + beta) ** 2) / (2.0 * s2)
-    ln_g = -((e2 - beta) ** 2 + (e1 + beta) ** 2) / (2.0 * s2)
-    phi = T * beta * (e1 - e2) / s2
-    total = (
-        math.exp(ln_f)
-        + math.exp(ln_g)
-        + sign * 2.0 * math.exp(0.5 * (ln_f + ln_g)) * math.cos(phi)
-    )
+    trig = (math.cos if sign > 0 else math.sin)(0.5 * T * beta * (e1 - e2) / s2)
+    a = math.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
+    b = math.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
+    total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * math.pi * s2) * total
+
+
+def reduced_density_array(e1, e2, T, sign: int, beta: float, n2: float):
+    """Array twin of reduced_density over (n,) arrays e1, e2, T."""
+    s2 = 1.0 + T * T
+    trig = (np.cos if sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
+    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
+    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
+    total = 4.0 * a * b * trig**2 + (a - b) ** 2
+    return n2 / (2.0 * np.pi * s2) * total

@@ -15,12 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_trajectory
-from .errors import StepUnderflowError
+from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_pairs
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .quadrature import gauss_legendre
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
-from .wavefunction import initial_density, initial_density_peak, joint_density_y, sigma_t
+from .wavefunction import joint_density_y, sigma_t
 
 _TV_BINS = 40
 _TV_HALF_WIDTHS = 10.0  # grid spans +- this many |sigma_t|
@@ -93,22 +92,17 @@ def transport_ensemble(
 ) -> EnsembleResult:
     """Transport and score the given initial pairs.
 
-    Initial conditions already below the integrator's density floor, and
-    pairs whose error control underflows h_min, are counted as aborted
-    without a trajectory; aborts never fail the batch. rng feeds the
-    baseline draw of density_distance.
+    All pairs go through one integrate_pairs batch. Initial conditions
+    already below the integrator's density floor, and pairs whose error
+    control underflows h_min, are counted as aborted without a trajectory;
+    aborts never fail the batch. rng feeds the baseline draw of
+    density_distance.
     """
-    floor = integrator.density_floor * initial_density_peak(stats, p)
     trajectories: list[Trajectory] = []
     endpoints: list[tuple[float, float]] = []
     aborted = 0
-    for c in pairs:
-        if initial_density(c.y1, c.y2, stats, p) < floor:
-            aborted += 1
-            continue
-        try:
-            traj = integrate_trajectory(c, t_end, integrator, stats, p, sample_times=sample_times)
-        except StepUnderflowError:
+    for traj in integrate_pairs(pairs, t_end, integrator, stats, p, sample_times=sample_times):
+        if traj is None:
             aborted += 1
             continue
         if keep_trajectories:

@@ -8,20 +8,33 @@ the requested sample times; no interpolation is involved.
 Runs abort (status, not exception) when the joint density under the pair
 drops below a configurable fraction of its t = 0 peak, which is how fermion
 trajectories attracted toward the nodal diagonal are handled.
+
+Two step loops share the scaled problem, the tableau, the controller and the
+Trajectory assembly: a scalar loop on plain floats for single pairs, and a
+numpy loop that advances every live pair of a batch together, each with its
+own step size and controller state. integrate_pairs uses the batch loop while
+at least _BATCH_MIN pairs are live and hands smaller remainders to the scalar
+loop, whose per-step cost does not carry numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import reduced_density, reduced_velocity
+from ._kernels import (
+    reduced_density,
+    reduced_density_array,
+    reduced_velocity,
+    reduced_velocity_array,
+)
 from .errors import NodeProximityError, StepUnderflowError
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
-from .wavefunction import initial_density_peak
+from .wavefunction import initial_density_peak, normalization_N
 
 # Dormand-Prince 5(4) tableau. B propagates the fifth-order solution; E gives
 # the embedded error estimate. Stage 7 is FSAL.
@@ -47,11 +60,34 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
+# The same tableau as coefficient columns for the batch loop, which forms the
+# stage sums of all pairs as products summed over axis 0. That reduction adds
+# term by term in order, like the scalar loop; the zeros for B2 and E2 add
+# exactly nothing.
+_A_COLS = tuple(
+    np.array(row).reshape(-1, 1, 1)
+    for row in (
+        (_A21,),
+        (_A31, _A32),
+        (_A41, _A42, _A43),
+        (_A51, _A52, _A53, _A54),
+        (_A61, _A62, _A63, _A64, _A65),
+    )
+)
+_C_STAGES = (_C2, _C3, _C4, _C5)
+_B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1, 1)
+_E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1, 1)
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0  # PI controller exponents for a 5(4) pair
 _PI_BETA = 0.4 / 5.0
+
+# Live pairs below which the scalar loop beats the batch loop: a numpy call
+# costs tens of microseconds against about 1.4 us per scalar kernel call.
+# Measured crossover in ROADMAP.md, item 2.
+_BATCH_MIN = 32
 
 
 class TrajectoryStatus(enum.Enum):
@@ -125,6 +161,79 @@ class Trajectory:
         return self.samples[-1][0]
 
 
+@dataclass(frozen=True)
+class _Scaled:
+    """One integration problem in packet-width / spreading-time units."""
+
+    grid: tuple[float, ...]  # sample times over tau, counted from the start
+    tau: float
+    sign: int
+    beta: float
+    n2: float
+    floor: float
+    h_init: float
+    h_min: float
+    h_max: float
+    rtol: float
+    atol: float
+
+
+def _scaled_problem(
+    t0: float, t_end: float, cfg: IntegratorConfig, stats: SpinStatistics, p: PhysicalParams,
+    sample_times,
+) -> _Scaled:
+    """Validate the sample grid and scale the problem by sigma0 and tau."""
+    if t_end <= t0:
+        raise ValueError("t_end must exceed the initial time")
+    if sample_times is None:
+        sample_times = (t0, t_end)
+    out_t = [float(t) for t in sample_times]
+    if out_t[0] != t0 or out_t[-1] != t_end or any(
+        b <= a for a, b in zip(out_t, out_t[1:])
+    ):
+        raise ValueError("sample_times must run strictly from initial.t to t_end")
+    tau = p.tau
+    # Peak of the dimensionless density; the SI peak carries 1/sigma0^2.
+    peak = initial_density_peak(stats, p) * p.sigma0**2
+    # Step bounds are configured in seconds; the loops run in scaled time.
+    h_init, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end - t0))
+    return _Scaled(
+        grid=tuple((t - t0) / tau for t in out_t),
+        tau=tau,
+        sign=stats.sign,
+        beta=p.beta,
+        n2=normalization_N(stats, p),
+        floor=cfg.density_floor * peak,
+        h_init=h_init,
+        h_min=h_min,
+        h_max=h_max,
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+    )
+
+
+def _trajectory(
+    initial: PairConfiguration, rows, status: TrajectoryStatus, p: PhysicalParams
+) -> Trajectory:
+    """Trajectory from scaled sample rows (T, eta1, eta2, w1, w2)."""
+    tau = p.tau
+    t0 = initial.t
+    scale = p.sigma0 / tau
+    vx = p.x_speed
+    samples = []
+    for T_s, a, b, w1, w2 in rows:
+        t_s = t0 + T_s * tau
+        conf = PairConfiguration(
+            initial.x1 + vx * (t_s - t0),
+            a * p.sigma0,
+            initial.x2 + vx * (t_s - t0),
+            b * p.sigma0,
+            t_s,
+        )
+        samples.append((conf, PairVelocity(vx, w1 * scale, vx, w2 * scale)))
+    return Trajectory(samples=tuple(samples), status=status)
+
+
 def integrate_trajectory(
     initial: PairConfiguration,
     t_end: float,
@@ -152,49 +261,106 @@ def integrate_trajectory(
     ValueError
         If the initial density already sits below the floor, or the sample
         grid is malformed.
+    NodeProximityError
+        If the initial configuration sits on a node of the state.
     StepUnderflowError
         If error control would need a step below h_min.
     """
-    if t_end <= initial.t:
-        raise ValueError("t_end must exceed the initial time")
-    tau = p.tau
-    t0 = initial.t
-    if sample_times is None:
-        sample_times = (t0, t_end)
-    out_t = [float(t) for t in sample_times]
-    if out_t[0] != t0 or out_t[-1] != t_end or any(
-        b <= a for a, b in zip(out_t, out_t[1:])
-    ):
-        raise ValueError("sample_times must run strictly from initial.t to t_end")
-
-    sign = stats.sign
-    beta = p.beta
-    n2 = 0.5 / (1.0 + sign * math.exp(-(beta**2)))
-    # Peak of the dimensionless density; the SI peak carries 1/sigma0^2.
-    peak = initial_density_peak(stats, p) * p.sigma0**2
-    floor = cfg.density_floor * peak
-
-    T_end = (t_end - t0) / tau
-    out_T = [(t - t0) / tau for t in out_t]
-    # Step bounds are configured in seconds; the loop runs in scaled time.
-    h, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end - t0))
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
-
+    prob = _scaled_problem(initial.t, t_end, cfg, stats, p, sample_times)
     e1 = initial.y1 / p.sigma0
     e2 = initial.y2 / p.sigma0
-    T = 0.0
-    if reduced_density(e1, e2, T, sign, beta, n2) < floor:
+    if reduced_density(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor:
         raise ValueError("initial density below density_floor")
+    k1 = reduced_velocity(e1, e2, 0.0, prob.beta, prob.sign)
+    status, rows = _advance(prob, 0.0, e1, e2, k1, prob.h_init, 1.0, 1)
+    return _trajectory(initial, [(0.0, e1, e2, *k1), *rows], status, p)
 
-    recorded: list[tuple[float, float, float, float, float]] = []
+
+def integrate_pairs(
+    pairs: Sequence[PairConfiguration],
+    t_end: float,
+    cfg: IntegratorConfig,
+    stats: SpinStatistics,
+    p: PhysicalParams,
+    sample_times=None,
+) -> list[Trajectory | None]:
+    """Integrate a batch of pairs that share one start time to t_end.
+
+    Every pair gets the step control, sample grid and status that
+    integrate_trajectory would give it, but no pair raises: its entry is None
+    when it cannot be integrated (initial density below the floor, or the
+    initial configuration on a node) or when error control would need a step
+    below h_min. Entries follow the order of pairs.
+
+    Raises
+    ------
+    ValueError
+        If the pairs do not share one start time, or the sample grid is
+        malformed.
+    """
+    if not pairs:
+        return []
+    t0 = pairs[0].t
+    if any(c.t != t0 for c in pairs):
+        raise ValueError("pairs must share one start time")
+    prob = _scaled_problem(t0, t_end, cfg, stats, p, sample_times)
+    n = len(pairs)
+    e1 = np.array([c.y1 for c in pairs]) / p.sigma0
+    e2 = np.array([c.y2 for c in pairs]) / p.sigma0
+    idx = np.flatnonzero(
+        ~(reduced_density_array(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor)
+    )
+    e1, e2 = e1[idx], e2[idx]
+    with np.errstate(all="ignore"):
+        k1a, k1b, on_node = reduced_velocity_array(e1, e2, 0.0, prob.beta, prob.sign)
+    ok = ~on_node
+    idx, e1, e2, k1a, k1b = idx[ok], e1[ok], e2[ok], k1a[ok], k1b[ok]
+    m = idx.size
+
+    rows = np.empty((n, len(prob.grid), 5))
+    rows[idx, 0] = np.stack((np.zeros(m), e1, e2, k1a, k1b), axis=-1)
+    count = [0] * n
+    status: list[TrajectoryStatus | None] = [None] * n
+    state = (
+        idx, np.zeros(m), np.stack((e1, e2)), np.stack((k1a, k1b)),
+        np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
+    )
+    idx, T, Y, K1, h, err_prev, j = _advance_batch(prob, state, rows, status, count)
+
+    tails = {}
+    live = (idx, T, *Y, *K1, h, err_prev, j)
+    for i, T, a, b, w1, w2, h, err_prev, j in zip(*(col.tolist() for col in live)):
+        try:
+            status[i], tails[i] = _advance(prob, T, a, b, (w1, w2), h, err_prev, j)
+        except StepUnderflowError:
+            continue
+        count[i] = j
+    return [
+        None
+        if st is None
+        else _trajectory(c, rows[i, : count[i]].tolist() + tails.get(i, []), st, p)
+        for i, (c, st) in enumerate(zip(pairs, status))
+    ]
+
+
+def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
+    """Scalar step loop: carry one pair from an accepted state to the end.
+
+    (T, e1, e2) is the state, k1 the velocity there, h the next trial step,
+    err_prev the controller memory and j the index of the next sample time.
+    Returns (status, rows) with the (T, eta1, eta2, w1, w2) rows recorded
+    from sample j on; an abort ends them at the last accepted state.
+
+    Raises StepUnderflowError if error control would need a step below h_min.
+    """
+    grid = prob.grid
+    sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
+    h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
+    rows: list[tuple[float, float, float, float, float]] = []
     aborted = False
     try:
-        k1 = reduced_velocity(e1, e2, T, beta, sign)
-        recorded.append((0.0, e1, e2, *k1))
-        out_idx = 1
-        err_prev = 1.0
-        while out_idx < len(out_T):
-            target = out_T[out_idx]
+        while j < len(grid):
+            target = grid[j]
             remaining = target - T
             h_step = min(h, h_max)
             landing = h_step >= remaining
@@ -274,8 +440,8 @@ def integrate_trajectory(
                 T = target if landing else Ts + h_step
                 e1, e2, k1 = new1, new2, k7
                 if landing:
-                    recorded.append((T, e1, e2, *k7))
-                    out_idx += 1
+                    rows.append((T, e1, e2, *k7))
+                    j += 1
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -289,6 +455,7 @@ def integrate_trajectory(
                 shrink = max(_MIN_FACTOR, _SAFETY * err**-0.2)
                 h_next = h_step * shrink
                 if h_next < h_min:
+                    tau = prob.tau
                     raise StepUnderflowError(
                         f"needed step {h_next * tau:.3e} s below h_min {h_min * tau:.3e} s"
                     )
@@ -296,22 +463,99 @@ def integrate_trajectory(
     except NodeProximityError:
         aborted = True
 
-    if aborted and (not recorded or recorded[-1][0] < T):
+    if aborted and grid[j - 1] < T:
         # Truncate at the last accepted state; k1 is the velocity there.
-        recorded.append((T, e1, e2, *k1))
-
-    scale = p.sigma0 / tau
-    vx = p.x_speed
-    samples = []
-    for T_s, a, b, w1, w2 in recorded:
-        t_s = t0 + T_s * tau
-        conf = PairConfiguration(
-            initial.x1 + vx * (t_s - t0),
-            a * p.sigma0,
-            initial.x2 + vx * (t_s - t0),
-            b * p.sigma0,
-            t_s,
-        )
-        samples.append((conf, PairVelocity(vx, w1 * scale, vx, w2 * scale)))
+        rows.append((T, e1, e2, *k1))
     status = TrajectoryStatus.NODE_PROXIMITY_ABORT if aborted else TrajectoryStatus.COMPLETED
-    return Trajectory(samples=tuple(samples), status=status)
+    return status, rows
+
+
+def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status: list, count: list):
+    """Batch twin of _advance: step all live pairs together while enough remain.
+
+    state holds (idx, T, Y, K1, h, err_prev, j) with one entry, or one
+    column of the (2, m) arrays Y (eta1, eta2) and K1 (their velocities),
+    per live pair; idx is the pair's row in rows, where its samples are
+    recorded. Each pair runs the scalar loop's arithmetic, in the same order,
+    with its own step size and controller memory. A pair that finishes gets
+    its status and sample count; a step underflow leaves its status None.
+    Returns the state of the pairs still live once fewer than _BATCH_MIN
+    remain.
+    """
+    grid = np.asarray(prob.grid)
+    last = grid.size
+    sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
+    h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
+    vel = reduced_velocity_array
+    idx, T, Y, K1, h, err_prev, j = state
+    with np.errstate(all="ignore"):
+        while idx.size >= _BATCH_MIN:
+            m = idx.size
+            target = grid[j]
+            remaining = target - T
+            h_step = np.minimum(h, h_max)
+            landing = h_step >= remaining
+            h_step = np.where(landing, remaining, h_step)
+            T_new = T + h_step
+            K = np.empty((7, 2, m))
+            K[0] = K1
+            on_node = np.zeros(m, dtype=bool)
+            for s, a_col in enumerate(_A_COLS, start=1):
+                z = Y + h_step * np.add.reduce(a_col * K[:s], axis=0)
+                T_s = T + _C_STAGES[s - 1] * h_step if s < 5 else T_new
+                K[s, 0], K[s, 1], node = vel(z[0], z[1], T_s, beta, sign)
+                on_node |= node
+            Y_new = Y + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
+            K[6, 0], K[6, 1], node = vel(Y_new[0], Y_new[1], T_new, beta, sign)
+            on_node |= node
+            q = h_step * np.add.reduce(_E_COL * K, axis=0)
+            q /= atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            q *= q
+            err = np.sqrt(0.5 * (q[0] + q[1]))
+
+            small = err <= 1.0
+            accepted = small & ~on_node
+            rejected = ~(small | on_node)
+            below = accepted & (
+                reduced_density_array(Y_new[0], Y_new[1], T_new, sign, beta, n2) < floor
+            )
+            accepted &= ~below
+
+            # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
+            h_next = h_step * np.fmax(_MIN_FACTOR, _SAFETY * err**-0.2)
+            underflow = rejected & (h_next < h_min)
+            factor = np.minimum(
+                _MAX_FACTOR,
+                np.maximum(_MIN_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA),
+            )
+            grown = h_step * np.where(err == 0.0, _MAX_FACTOR, factor)
+            h_acc = np.minimum(h_max, np.where(landing, np.maximum(h, grown), grown))
+            h = np.where(accepted, h_acc, np.where(rejected, h_next, h))
+            err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
+            T = np.where(accepted, np.where(landing, target, T_new), T)
+            Y = np.where(accepted, Y_new, Y)
+            K1 = np.where(accepted, K[6], K1)
+            landed = accepted & landing
+            if landed.any():
+                rows[idx[landed], j[landed]] = np.column_stack((T, Y.T, K1.T))[landed]
+                j = j + landed
+
+            aborted = on_node | below
+            done = aborted | underflow | (j == last)
+            if not done.any():
+                continue
+            for lane in np.flatnonzero(aborted).tolist():
+                i, jl = int(idx[lane]), int(j[lane])
+                if grid[jl - 1] < T[lane]:
+                    # Truncate at the last accepted state; K1 is the velocity there.
+                    rows[i, jl] = (T[lane], *Y[:, lane], *K1[:, lane])
+                    jl += 1
+                status[i] = TrajectoryStatus.NODE_PROXIMITY_ABORT
+                count[i] = jl
+            for i in idx[j == last].tolist():
+                status[i] = TrajectoryStatus.COMPLETED
+                count[i] = last
+            keep = ~done
+            idx, T, h, err_prev, j = (col[keep] for col in (idx, T, h, err_prev, j))
+            Y, K1 = Y[:, keep], K1[:, keep]
+    return idx, T, Y, K1, h, err_prev, j

@@ -112,7 +112,9 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
 
     with s = |sigma_t|, F and G the two Gaussian product terms centred on
     (Y, -Y) and (-Y, Y), and phi = t Y (y1 - y2) / (tau s^2) the interference
-    phase. Integrates to 1 for every t.
+    phase. Integrates to 1 for every t. The bracket is evaluated as the sum of
+    squares (a - b)^2 + 4 a b cos^2(phi/2) (bosons) or ... sin^2(phi/2)
+    (fermions), with a = sqrt(F) and b = sqrt(G), so it never cancels below 0.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -122,10 +124,12 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     e1 = np.asarray(y1) / p.sigma0
     e2 = np.asarray(y2) / p.sigma0
     beta = p.beta
-    ln_f = -((e1 - beta) ** 2 + (e2 + beta) ** 2) / (2.0 * s2)
-    ln_g = -((e2 - beta) ** 2 + (e1 + beta) ** 2) / (2.0 * s2)
-    phi = T * beta * (e1 - e2) / s2
-    total = np.exp(ln_f) + np.exp(ln_g) + stats.sign * 2.0 * np.exp(0.5 * (ln_f + ln_g)) * np.cos(phi)
+    # Summing the 4ab term first keeps one fewer grid-sized temporary alive,
+    # which sets the peak memory of initial_density_peak's grid search.
+    trig = (np.cos if stats.sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
+    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
+    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
+    total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * np.pi * s2) * total / p.sigma0**2
 
 

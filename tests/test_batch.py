@@ -1,0 +1,247 @@
+"""The batched ensemble integrator against the scalar one and its invariants."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairslit import (
+    IntegratorConfig,
+    NodeProximityError,
+    PairConfiguration,
+    PhysicalParams,
+    SamplerConfig,
+    SpinStatistics,
+    StepUnderflowError,
+    TrajectoryStatus,
+    com_closed_form,
+    integrate_trajectory,
+    joint_density_y,
+    normalization_N,
+    sample_initial,
+)
+from pairslit import integrator
+from pairslit._kernels import (
+    reduced_density,
+    reduced_density_array,
+    reduced_velocity,
+    reduced_velocity_array,
+)
+from pairslit.ensemble import transport_ensemble
+from pairslit.integrator import _BATCH_MIN, integrate_pairs
+
+REGIMES = {
+    "fast": (PhysicalParams.baseline(x_speed=2.0e7), 1e-8),
+    "slow": (PhysicalParams.baseline(x_speed=2.0e6), 1e-7),
+}
+# Three times the dispatch size, so the batch loop runs for many steps before
+# the last pairs are handed to the scalar loop.
+N_BATCH = 3 * _BATCH_MIN
+
+cases = st.tuples(
+    st.sampled_from(sorted(REGIMES)),
+    st.sampled_from(list(SpinStatistics)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def draw(regime, stats, seed, n=N_BATCH):
+    p, t_end = REGIMES[regime]
+    pairs = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p)
+    return pairs, p, t_end
+
+
+def ys(traj):
+    return np.array([(c.y1, c.y2) for c, _ in traj.samples])
+
+
+def on_the_grid(sampled, times):
+    # sample times come back as t/tau*tau, which may differ from t in the last bit
+    return np.isclose(sampled[:, None], times[None, :], rtol=1e-12, atol=0.0).any(axis=1)
+
+
+def assert_same_path(got, want, times, p):
+    """Same status and the same samples on the grid, to 1e-8 sigma0.
+
+    The numpy and libm transcendentals differ in the last bits, and the
+    cancelling error estimate turns that into slightly different steps
+    between samples; so an abort's off-grid truncation point differs too.
+    """
+    assert got.status is want.status
+    on_grid = on_the_grid(want.times, times)
+    np.testing.assert_array_equal(on_the_grid(got.times, times), on_grid)
+    assert np.abs(ys(got)[on_grid] - ys(want)[on_grid]).max() <= 1e-8 * p.sigma0
+    if not on_grid[-1]:
+        k = on_grid.sum()
+        assert times[k - 1] < got.times[-1] < times[k]
+
+
+def scalar_or_none(c, t_end, cfg, stats, p, times):
+    try:
+        return integrate_trajectory(c, t_end, cfg, stats, p, times)
+    except (ValueError, NodeProximityError, StepUnderflowError):
+        return None
+
+
+def test_velocity_twin_matches_scalar_kernel(rng):
+    e1 = rng.uniform(-12.0, 12.0, 400)
+    e2 = rng.uniform(-12.0, 12.0, 400)
+    T = rng.uniform(0.0, 6.0, 400)
+    e2[:10] = e1[:10]  # fermion nodes on the diagonal
+    for sign in (1, -1):
+        with np.errstate(all="ignore"):
+            v1, v2, on_node = reduced_velocity_array(e1, e2, T, 5.0, sign)
+        for k in range(e1.size):
+            try:
+                w1, w2 = reduced_velocity(e1[k], e2[k], T[k], 5.0, sign)
+            except NodeProximityError:
+                assert on_node[k]
+                continue
+            assert not on_node[k]
+            assert v1[k] == pytest.approx(w1, rel=1e-12, abs=1e-12)
+            assert v2[k] == pytest.approx(w2, rel=1e-12, abs=1e-12)
+        assert on_node[:10].all() == (sign < 0)
+
+
+def test_density_twins_match_wavefunction(p_slow, stats, rng):
+    e1 = rng.uniform(-12.0, 12.0, 200)
+    e2 = rng.uniform(-12.0, 12.0, 200)
+    n2 = normalization_N(stats, p_slow)
+    for t in (0.0, 3e-8, 1e-7):
+        T = t / p_slow.tau
+        ref = joint_density_y(e1 * p_slow.sigma0, e2 * p_slow.sigma0, t, stats, p_slow)
+        arr = reduced_density_array(e1, e2, np.full(200, T), stats.sign, p_slow.beta, n2)
+        np.testing.assert_allclose(arr / p_slow.sigma0**2, ref, rtol=1e-12, atol=0.0)
+        for k in range(0, 200, 7):
+            scalar = reduced_density(e1[k], e2[k], T, stats.sign, p_slow.beta, n2)
+            assert scalar == pytest.approx(arr[k], rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1], ids=["dispatch", "batch_only"])
+@settings(max_examples=6, deadline=None)
+@given(case=cases)
+def test_batch_matches_scalar_calls(case, batch_min):
+    # batch_min 1 keeps every pair in the batch loop down to the last one.
+    # The two loops take slightly different steps (see assert_same_path), so
+    # they agree to the integrator's tolerance: at 1e-9 the worst of 23,000
+    # pairs was 3.6e-9 sigma0, at 1e-10 the worst of 11,500 was 1.6e-10.
+    pairs, p, t_end = draw(*case)
+    stats = case[1]
+    times = np.linspace(0.0, t_end, 6)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        batch = integrate_pairs(pairs, t_end, cfg, stats, p, times)
+    for c, got in zip(pairs, batch):
+        want = scalar_or_none(c, t_end, cfg, stats, p, times)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_path(got, want, times, p)
+
+
+@settings(max_examples=5, deadline=None)
+@given(case=cases)
+def test_batch_exchange_swaps_endpoints(case):
+    pairs, p, t_end = draw(*case)
+    stats = case[1]
+    swapped = [c.swapped() for c in pairs]
+    a = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
+    b = integrate_pairs(swapped, t_end, IntegratorConfig(), stats, p)
+    for ta, tb in zip(a, b):
+        assert ta.status is tb.status
+        assert abs(tb.endpoint.y1 - ta.endpoint.y2) <= 1e-12 * p.sigma0
+        assert abs(tb.endpoint.y2 - ta.endpoint.y1) <= 1e-12 * p.sigma0
+
+
+@settings(max_examples=5, deadline=None)
+@given(case=cases)
+def test_batch_mirror_mirrors_endpoints(case):
+    pairs, p, t_end = draw(*case)
+    stats = case[1]
+    mirrored = [PairConfiguration(c.x1, -c.y1, c.x2, -c.y2, c.t) for c in pairs]
+    a = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
+    b = integrate_pairs(mirrored, t_end, IntegratorConfig(), stats, p)
+    for ta, tb in zip(a, b):
+        assert ta.status is tb.status
+        assert abs(tb.endpoint.y1 + ta.endpoint.y1) <= 1e-12 * p.sigma0
+        assert abs(tb.endpoint.y2 + ta.endpoint.y2) <= 1e-12 * p.sigma0
+
+
+@settings(max_examples=5, deadline=None)
+@given(regime=st.sampled_from(sorted(REGIMES)), seed=st.integers(0, 2**32 - 1))
+def test_batch_fermions_never_cross_the_diagonal(regime, seed):
+    pairs, p, t_end = draw(regime, SpinStatistics.FERMION, seed)
+    times = np.linspace(0.0, t_end, 21)
+    for traj in integrate_pairs(pairs, t_end, IntegratorConfig(), SpinStatistics.FERMION, p, times):
+        gap = np.diff(ys(traj), axis=1)[:, 0]
+        assert (gap > 0).all() or (gap < 0).all()
+
+
+@settings(max_examples=5, deadline=None)
+@given(case=cases)
+def test_batch_com_follows_closed_form(case):
+    pairs, p, t_end = draw(*case)
+    times = np.linspace(0.0, t_end, 6)
+    for c, traj in zip(pairs, integrate_pairs(pairs, t_end, IntegratorConfig(), case[1], p, times)):
+        assert traj.status is TrajectoryStatus.COMPLETED
+        for conf, _ in traj.samples:
+            want = com_closed_form(0.5 * (c.y1 + c.y2), conf.t, p)
+            assert abs(0.5 * (conf.y1 + conf.y2) - want) <= 1e-6 * p.sigma0
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_batch_loop_matches_dop853(regime, stats):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    pairs, p, t_end = draw(regime, stats, seed=11, n=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", 1)
+        trajs = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
+
+    def field(T, y):
+        return reduced_velocity(y[0], y[1], T, p.beta, stats.sign)
+
+    for c, traj in zip(pairs, trajs):
+        sol = scipy_integrate.solve_ivp(
+            field, (0.0, t_end / p.tau), [c.y1 / p.sigma0, c.y2 / p.sigma0],
+            method="DOP853", rtol=1e-12, atol=1e-12,
+        )
+        assert sol.success
+        want = sol.y[:, -1] * p.sigma0
+        # the default tolerances of 1e-9 leave global errors near 5e-9 sigma0
+        assert abs(traj.endpoint.y1 - want[0]) <= 5e-8 * p.sigma0
+        assert abs(traj.endpoint.y2 - want[1]) <= 5e-8 * p.sigma0
+
+
+def test_density_floor_aborts_match_scalar_path(p_slow):
+    # a quarter of these pairs fall below the floor in flight as the state spreads
+    stats = SpinStatistics.FERMION
+    cfg = IntegratorConfig(density_floor=0.01)
+    pairs = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
+    times = np.linspace(0.0, 1e-7, 11)
+    scalar = [scalar_or_none(c, 1e-7, cfg, stats, p_slow, times) for c in pairs]
+    batch = integrate_pairs(pairs, 1e-7, cfg, stats, p_slow, times)
+    truncated = [t for t in scalar if t is not None and t.status is TrajectoryStatus.NODE_PROXIMITY_ABORT]
+    assert len(truncated) > _BATCH_MIN
+    for got, want in zip(batch, scalar):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_path(got, want, times, p_slow)
+    result = transport_ensemble(pairs, cfg, stats, p_slow, 1e-7, times)
+    assert result.aborted_count == sum(t is None for t in scalar) + len(truncated)
+    assert result.n_completed == len(pairs) - result.aborted_count > 0
+
+
+def test_start_on_a_node_is_not_integrated(p_fast):
+    # just off the fermion diagonal: above a tiny floor, but inside NODE_GUARD
+    cfg = IntegratorConfig(density_floor=1e-30)
+    c = PairConfiguration(0.0, 2e-6, 0.0, 2e-6 + 1e-15, 0.0)
+    with pytest.raises(NodeProximityError):
+        integrate_trajectory(c, 1e-8, cfg, SpinStatistics.FERMION, p_fast)
+    assert integrate_pairs([c], 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
+
+
+def test_pairs_must_share_a_start_time(p_fast):
+    pairs = [PairConfiguration(0, 5e-6, 0, -5e-6, 0.0), PairConfiguration(0, 5e-6, 0, -5e-6, 1e-9)]
+    with pytest.raises(ValueError, match="start time"):
+        integrate_pairs(pairs, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
+    assert integrate_pairs([], 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast) == []

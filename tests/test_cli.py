@@ -259,16 +259,21 @@ def test_summary_is_strict_json_when_nothing_completes(tmp_path):
 
 
 def test_step_underflow_is_counted_as_abort(tmp_path, capsys):
-    path = write_json(tmp_path / "underflow.json", {
-        "scenario": "equivariance",
-        "sampler": {"n_pairs": 3},
-        "integrator": {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7,
-                       "rel_tol": 1e-13, "abs_tol": 1e-13},
-    })
-    assert run_main(tmp_path, "equivariance", "--config", path) == 2
-    assert "abort fraction" in capsys.readouterr().err
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["n_requested"], summary["aborted_count"]) == (3, 3)
+    # 3 pairs take the scalar loop, which raises; 40 take the batch loop,
+    # where an underflow is a per-pair mask
+    for n_pairs in (3, 40):
+        path = write_json(tmp_path / "underflow.json", {
+            "scenario": "equivariance",
+            "sampler": {"n_pairs": n_pairs},
+            "integrator": {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7,
+                           "rel_tol": 1e-13, "abs_tol": 1e-13},
+        })
+        assert run_main(tmp_path, "equivariance", "--config", path) == 2
+        assert "abort fraction" in capsys.readouterr().err
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=_refuse_nan)
+        assert (summary["n_requested"], summary["aborted_count"]) == (n_pairs, n_pairs)
+        assert summary["n_completed"] == 0 and summary["same_side_fraction"] is None
 
 
 def test_ky_config_is_a_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairslit import (
@@ -162,6 +162,7 @@ def test_density_parity_symmetric(p_fast, y1, y2, t):
 
 @settings(max_examples=40, deadline=None)
 @given(y1=coord, y2=coord, t=tval)
+@example(y1=0.0, y2=1.2539327980112633e-19, t=0.0)  # F + G - 2 sqrt(FG) cancelled to -3.9e-15
 def test_density_nonnegative_finite(p_fast, y1, y2, t):
     for stats in SpinStatistics:
         d = joint_density_y(np.array([y1]), np.array([y2]), t, stats, p_fast)[0]
