@@ -230,23 +230,24 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
     return cfg
 
 
-def _pinned_initials(cfg: ScenarioConfig) -> list[PairConfiguration] | None:
-    """Fixed initial conditions for the three-pair scenarios, else None."""
+def _pinned_initials(cfg: ScenarioConfig) -> np.ndarray | None:
+    """Fixed initial (y1, y2) for the three-pair scenarios, else None."""
     Y, s0 = cfg.params.Y, cfg.params.sigma0
     if cfg.scenario == "fig4a":
         uppers = (Y - 1.5 * s0, Y, Y + 1.5 * s0)
-        return [PairConfiguration(0.0, y, 0.0, -y, 0.0) for y in uppers]
+        return np.array([(y, -y) for y in uppers])
     if cfg.scenario == "fig4b":
         lowers = (-Y + 1.5 * s0, -Y, -Y - 1.5 * s0)
-        return [PairConfiguration(0.0, Y, 0.0, y2, 0.0) for y2 in lowers]
+        return np.array([(Y, y2) for y2 in lowers])
     return None
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    cols = traj.as_arrays()
+    names = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
+    block = np.column_stack([getattr(traj, name) for name in names])
+    row = ",".join(["%.15e"] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(list(cols.values())), fmt="%.15e", delimiter=",",
-                   newline="\r\n", header=",".join(cols), comments="")
+        fh.write(",".join(names) + "\r\n" + row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
@@ -406,15 +407,13 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
             start, t_end, cfg.integrator, SpinStatistics.BOSON, p, times
         )
         mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
-        for conf, vel in mapped.samples:
-            fd = corrected_velocity(SlitRegion.RIGHT_LEFT, conf, p)
-            v_scale = max(abs(vel.vy1), abs(vel.vy2), 1e-9 * p.x_speed)
-            worst_y = max(worst_y, abs(fd.vy1 - vel.vy1) / v_scale, abs(fd.vy2 - vel.vy2) / v_scale)
-            worst_x = max(
-                worst_x,
-                abs(fd.vx1 - vel.vx1) / p.x_speed,
-                abs(fd.vx2 - vel.vx2) / p.x_speed,
-            )
+        columns = (mapped.x1, mapped.y1, mapped.x2, mapped.y2, mapped.t,
+                   mapped.vx1, mapped.vy1, mapped.vx2, mapped.vy2)
+        for x1, y1, x2, y2, t, vx1, vy1, vx2, vy2 in zip(*(c.tolist() for c in columns)):
+            fd = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, x2, y2, t), p)
+            v_scale = max(abs(vy1), abs(vy2), 1e-9 * p.x_speed)
+            worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
+            worst_x = max(worst_x, abs(fd.vx1 - vx1) / p.x_speed, abs(fd.vx2 - vx2) / p.x_speed)
     record(
         "mapped trajectories: transverse velocities match the corrected state",
         worst_y < 1e-5,
@@ -439,6 +438,14 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
     return 0 if all_ok else 2
 
 
+def _flagged(flag: str, section, **change):
+    """section with change applied; a ValueError becomes a ConfigError naming flag."""
+    try:
+        return replace(section, **change)
+    except ValueError as exc:
+        raise ConfigError([f"{flag}: {exc}"]) from exc
+
+
 def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     if args.seed is not None:
         cfg = replace(cfg, sampler=replace(cfg.sampler, seed=args.seed))
@@ -447,18 +454,15 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
             print(f"{cfg.scenario} uses fixed initial conditions; --n-pairs ignored",
                   file=sys.stderr)
         else:
-            cfg = replace(cfg, sampler=replace(cfg.sampler, n_pairs=args.n_pairs))
+            cfg = replace(cfg, sampler=_flagged("--n-pairs", cfg.sampler, n_pairs=args.n_pairs))
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     if args.stats is not None:
         cfg = replace(cfg, stats=SpinStatistics(args.stats))
-    tol = {}
-    if args.rel_tol is not None:
-        tol["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        tol["abs_tol"] = args.abs_tol
-    if tol:
-        cfg = replace(cfg, integrator=replace(cfg.integrator, **tol))
+    for flag, key in (("--rel-tol", "rel_tol"), ("--abs-tol", "abs_tol")):
+        value = getattr(args, key)
+        if value is not None:
+            cfg = replace(cfg, integrator=_flagged(flag, cfg.integrator, **{key: value}))
     return cfg
 
 

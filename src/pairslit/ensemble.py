@@ -9,14 +9,13 @@ what a fresh direct draw of the same size achieves.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_pairs
-from .params import PairConfiguration, PhysicalParams, SpinStatistics
+from .params import PhysicalParams, SpinStatistics
 from .quadrature import gauss_legendre
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
 from .wavefunction import joint_density_y, sigma_t
@@ -75,13 +74,13 @@ def run_ensemble(
     """
     root = np.random.SeedSequence(sampler.seed)
     seq_sample, seq_baseline = root.spawn(2)
-    pairs = sample_initial(sampler, stats, p, rng=np.random.default_rng(seq_sample))
-    return transport_ensemble(pairs, integrator, stats, p, t_end, sample_times,
+    initial = sample_initial(sampler, stats, p, rng=np.random.default_rng(seq_sample))
+    return transport_ensemble(initial, integrator, stats, p, t_end, sample_times,
                               keep_trajectories, rng=np.random.default_rng(seq_baseline))
 
 
 def transport_ensemble(
-    pairs: Sequence[PairConfiguration],
+    initial: np.ndarray,
     integrator: IntegratorConfig,
     stats: SpinStatistics,
     p: PhysicalParams,
@@ -90,47 +89,41 @@ def transport_ensemble(
     keep_trajectories: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EnsembleResult:
-    """Transport and score the given initial pairs.
+    """Transport and score pairs released at x = 0, t = 0.
 
-    All pairs go through one integrate_pairs batch. Initial conditions
-    already below the integrator's density floor, and pairs whose error
-    control underflows h_min, are counted as aborted without a trajectory;
-    aborts never fail the batch. rng feeds the baseline draw of
-    density_distance.
+    initial is the (n, 2) array of release positions (y1, y2) in metres. All
+    pairs go through one integrate_pairs batch. Initial conditions already
+    below the integrator's density floor, and pairs whose error control
+    underflows h_min, are counted as aborted without a trajectory; aborts
+    never fail the batch. rng feeds the baseline draw of density_distance.
     """
-    trajectories: list[Trajectory] = []
-    endpoints: list[tuple[float, float]] = []
-    aborted = 0
-    for traj in integrate_pairs(pairs, t_end, integrator, stats, p, sample_times=sample_times):
-        if traj is None:
-            aborted += 1
-            continue
-        if keep_trajectories:
-            trajectories.append(traj)
-        if traj.status is TrajectoryStatus.COMPLETED:
-            end = traj.endpoint
-            endpoints.append((end.y1, end.y2))
-        else:
-            aborted += 1
-
-    ys0 = np.array([(c.y1, c.y2) for c in pairs])
-    com = 0.5 * (ys0[:, 0] + ys0[:, 1])
-    ends = np.array(endpoints).reshape(-1, 2)
+    table, count, status = integrate_pairs(
+        initial, t_end, integrator, stats, p, sample_times=sample_times
+    )
+    ends = table[status == TrajectoryStatus.COMPLETED, -1, 1:3]
+    com = 0.5 * (initial[:, 0] + initial[:, 1])
 
     same_side = float(np.mean(ends[:, 0] * ends[:, 1] > 0.0)) if len(ends) else math.nan
     distance = baseline = None
     if len(ends) >= _TV_MIN_POINTS:
         distance, baseline = density_distance(ends, stats, p, t_end, rng=rng)
 
+    trajectories = None
+    if keep_trajectories:
+        trajectories = tuple(
+            Trajectory.from_rows(table[i, : count[i]], st, p)
+            for i, st in enumerate(status)
+            if st is not None
+        )
     return EnsembleResult(
         endpoints=ends,
         same_side_fraction=same_side,
         delta_y0_estimate=float(np.sqrt(np.mean(com**2))),
-        aborted_count=aborted,
-        n_requested=len(pairs),
+        aborted_count=len(initial) - len(ends),
+        n_requested=len(initial),
         density_distance=distance,
         density_distance_baseline=baseline,
-        trajectories=tuple(trajectories) if keep_trajectories else None,
+        trajectories=trajectories,
     )
 
 

@@ -25,6 +25,7 @@ Two models of the post-passage state are implemented:
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 
 from .errors import NodeProximityError, RegionViolationError
 from .integrator import Trajectory
@@ -161,14 +162,6 @@ def map_trajectory_to_double_slit(traj: Trajectory, region: SlitRegion) -> Traje
     onto the other. The map touches x2 for RIGHT_LEFT, x1 for LEFT_RIGHT,
     leaves y-components bitwise untouched, and is an involution.
     """
-    flip_first = region is SlitRegion.LEFT_RIGHT
-    samples = []
-    for conf, vel in traj.samples:
-        if flip_first:
-            mapped_c = PairConfiguration(-conf.x1, conf.y1, conf.x2, conf.y2, conf.t)
-            mapped_v = PairVelocity(-vel.vx1, vel.vy1, vel.vx2, vel.vy2)
-        else:
-            mapped_c = PairConfiguration(conf.x1, conf.y1, -conf.x2, conf.y2, conf.t)
-            mapped_v = PairVelocity(vel.vx1, vel.vy1, -vel.vx2, vel.vy2)
-        samples.append((mapped_c, mapped_v))
-    return Trajectory(samples=tuple(samples), status=traj.status)
+    if region is SlitRegion.LEFT_RIGHT:
+        return replace(traj, x1=-traj.x1, vx1=-traj.vx1)
+    return replace(traj, x2=-traj.x2, vx2=-traj.vx2)

@@ -10,10 +10,10 @@ drops below a configurable fraction of its t = 0 peak, which is how fermion
 trajectories attracted toward the nodal diagonal are handled.
 
 Two step loops share the scaled problem, the tableau, the controller and the
-Trajectory assembly: a scalar loop on plain floats for single pairs, and a
-numpy loop that advances every live pair of a batch together, each with its
-own step size and controller state. integrate_pairs uses the batch loop while
-at least _BATCH_MIN pairs are live and hands smaller remainders to the scalar
+SI sample table: a scalar loop on plain floats for single pairs, and a numpy
+loop that advances every live pair of a batch together, each with its own
+step size and controller state. integrate_pairs uses the batch loop while at
+least _BATCH_MIN pairs are live and hands smaller remainders to the scalar
 loop, whose per-step cost does not carry numpy's per-call overhead.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from ._kernels import (
     reduced_velocity_array,
 )
 from .errors import NodeProximityError, StepUnderflowError
-from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
+from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, normalization_N
 
 # Dormand-Prince 5(4) tableau. B propagates the fifth-order solution; E gives
@@ -134,31 +133,37 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled pair trajectory: (configuration, velocity) at each sample time."""
+    """Sampled pair trajectory: one array per column, one entry per sample.
 
-    samples: tuple[tuple[PairConfiguration, PairVelocity], ...]
+    Times in seconds, positions in metres, velocities in m/s. t holds the
+    requested sample times themselves; an aborted trajectory ends instead at
+    its last accepted state, between two of them.
+    """
+
+    t: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    vx1: np.ndarray
+    vy1: np.ndarray
+    vx2: np.ndarray
+    vy2: np.ndarray
     status: TrajectoryStatus
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([c.t for c, _ in self.samples])
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """Column arrays (t, x1, y1, x2, y2, vy1, vy2) for serialization."""
-        cols = {
-            "t": [c.t for c, _ in self.samples],
-            "x1": [c.x1 for c, _ in self.samples],
-            "y1": [c.y1 for c, _ in self.samples],
-            "x2": [c.x2 for c, _ in self.samples],
-            "y2": [c.y2 for c, _ in self.samples],
-            "vy1": [v.vy1 for _, v in self.samples],
-            "vy2": [v.vy2 for _, v in self.samples],
-        }
-        return {k: np.array(v) for k, v in cols.items()}
+    @classmethod
+    def from_rows(cls, rows, status, p: PhysicalParams, x1=0.0, x2=0.0) -> Trajectory:
+        """Trajectory from SI sample rows (t, y1, y2, vy1, vy2), released at x1, x2."""
+        t = rows[:, 0]
+        dx = p.x_speed * (t - t[0])
+        vx = np.full(t.shape, p.x_speed)
+        return cls(t, x1 + dx, rows[:, 1], x2 + dx, rows[:, 2], vx, rows[:, 3], vx, rows[:, 4],
+                   status)
 
     @property
     def endpoint(self) -> PairConfiguration:
-        return self.samples[-1][0]
+        last = (self.x1, self.y1, self.x2, self.y2, self.t)
+        return PairConfiguration(*(float(col[-1]) for col in last))
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,7 @@ class _Scaled:
     """One integration problem in packet-width / spreading-time units."""
 
     grid: tuple[float, ...]  # sample times over tau, counted from the start
+    times: np.ndarray  # the requested sample times (s)
     tau: float
     sign: int
     beta: float
@@ -199,6 +205,7 @@ def _scaled_problem(
     h_init, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end - t0))
     return _Scaled(
         grid=tuple((t - t0) / tau for t in out_t),
+        times=np.array(out_t),
         tau=tau,
         sign=stats.sign,
         beta=p.beta,
@@ -212,26 +219,22 @@ def _scaled_problem(
     )
 
 
-def _trajectory(
-    initial: PairConfiguration, rows, status: TrajectoryStatus, p: PhysicalParams
-) -> Trajectory:
-    """Trajectory from scaled sample rows (T, eta1, eta2, w1, w2)."""
-    tau = p.tau
-    t0 = initial.t
-    scale = p.sigma0 / tau
-    vx = p.x_speed
-    samples = []
-    for T_s, a, b, w1, w2 in rows:
-        t_s = t0 + T_s * tau
-        conf = PairConfiguration(
-            initial.x1 + vx * (t_s - t0),
-            a * p.sigma0,
-            initial.x2 + vx * (t_s - t0),
-            b * p.sigma0,
-            t_s,
-        )
-        samples.append((conf, PairVelocity(vx, w1 * scale, vx, w2 * scale)))
-    return Trajectory(samples=tuple(samples), status=status)
+def _si_rows(rows: np.ndarray, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
+    """(t, y1, y2, vy1, vy2) in SI units from scaled rows (T, eta1, eta2, w1, w2).
+
+    The last axis holds the columns, the one before it the sample index. A
+    row on the grid gets its requested time; only an abort's off-grid
+    truncation row gets t0 + T tau.
+    """
+    T = rows[..., 0]
+    k = T.shape[-1]
+    out = np.empty_like(rows)
+    out[..., 0] = np.where(
+        T == np.asarray(prob.grid[:k]), prob.times[:k], prob.times[0] + T * prob.tau
+    )
+    out[..., 1:3] = rows[..., 1:3] * p.sigma0
+    out[..., 3:5] = rows[..., 3:5] * (p.sigma0 / prob.tau)
+    return out
 
 
 def integrate_trajectory(
@@ -273,40 +276,44 @@ def integrate_trajectory(
         raise ValueError("initial density below density_floor")
     k1 = reduced_velocity(e1, e2, 0.0, prob.beta, prob.sign)
     status, rows = _advance(prob, 0.0, e1, e2, k1, prob.h_init, 1.0, 1)
-    return _trajectory(initial, [(0.0, e1, e2, *k1), *rows], status, p)
+    table = _si_rows(np.array([(0.0, e1, e2, *k1), *rows]), prob, p)
+    return Trajectory.from_rows(table, status, p, initial.x1, initial.x2)
 
 
 def integrate_pairs(
-    pairs: Sequence[PairConfiguration],
+    initial: np.ndarray,
     t_end: float,
     cfg: IntegratorConfig,
     stats: SpinStatistics,
     p: PhysicalParams,
     sample_times=None,
-) -> list[Trajectory | None]:
-    """Integrate a batch of pairs that share one start time to t_end.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate a batch of pairs released at x = 0, t = 0 to t_end.
 
+    initial is the (n, 2) array of release positions (y1, y2) in metres.
     Every pair gets the step control, sample grid and status that
-    integrate_trajectory would give it, but no pair raises: its entry is None
-    when it cannot be integrated (initial density below the floor, or the
-    initial configuration on a node) or when error control would need a step
-    below h_min. Entries follow the order of pairs.
+    integrate_trajectory would give it, but no pair raises.
+
+    Returns
+    -------
+    (table, count, status)
+        table is the (n, S, 5) array of samples (t, y1, y2, vy1, vy2) in SI
+        units, S being the number of sample times; pair i's samples are
+        table[i, :count[i]], and later cells hold none. status[i] is its
+        TrajectoryStatus, or None, with count[i] = 0, when it cannot be
+        integrated (initial density below the floor, or the initial
+        configuration on a node) or error control would need a step below
+        h_min.
 
     Raises
     ------
     ValueError
-        If the pairs do not share one start time, or the sample grid is
-        malformed.
+        If the sample grid is malformed.
     """
-    if not pairs:
-        return []
-    t0 = pairs[0].t
-    if any(c.t != t0 for c in pairs):
-        raise ValueError("pairs must share one start time")
-    prob = _scaled_problem(t0, t_end, cfg, stats, p, sample_times)
-    n = len(pairs)
-    e1 = np.array([c.y1 for c in pairs]) / p.sigma0
-    e2 = np.array([c.y2 for c in pairs]) / p.sigma0
+    prob = _scaled_problem(0.0, t_end, cfg, stats, p, sample_times)
+    n = initial.shape[0]
+    e1 = initial[:, 0] / p.sigma0
+    e2 = initial[:, 1] / p.sigma0
     idx = np.flatnonzero(
         ~(reduced_density_array(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor)
     )
@@ -317,30 +324,26 @@ def integrate_pairs(
     idx, e1, e2, k1a, k1b = idx[ok], e1[ok], e2[ok], k1a[ok], k1b[ok]
     m = idx.size
 
-    rows = np.empty((n, len(prob.grid), 5))
+    rows = np.full((n, len(prob.grid), 5), np.nan)
     rows[idx, 0] = np.stack((np.zeros(m), e1, e2, k1a, k1b), axis=-1)
-    count = [0] * n
-    status: list[TrajectoryStatus | None] = [None] * n
+    count = np.zeros(n, dtype=np.intp)
+    status = np.full(n, None, dtype=object)
     state = (
         idx, np.zeros(m), np.stack((e1, e2)), np.stack((k1a, k1b)),
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
     idx, T, Y, K1, h, err_prev, j = _advance_batch(prob, state, rows, status, count)
 
-    tails = {}
     live = (idx, T, *Y, *K1, h, err_prev, j)
     for i, T, a, b, w1, w2, h, err_prev, j in zip(*(col.tolist() for col in live)):
         try:
-            status[i], tails[i] = _advance(prob, T, a, b, (w1, w2), h, err_prev, j)
+            status[i], tail = _advance(prob, T, a, b, (w1, w2), h, err_prev, j)
         except StepUnderflowError:
             continue
-        count[i] = j
-    return [
-        None
-        if st is None
-        else _trajectory(c, rows[i, : count[i]].tolist() + tails.get(i, []), st, p)
-        for i, (c, st) in enumerate(zip(pairs, status))
-    ]
+        count[i] = j + len(tail)
+        if tail:
+            rows[i, j : count[i]] = tail
+    return _si_rows(rows, prob, p), count, status
 
 
 def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
@@ -470,7 +473,7 @@ def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
     return status, rows
 
 
-def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status: list, count: list):
+def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
     """Batch twin of _advance: step all live pairs together while enough remain.
 
     state holds (idx, T, Y, K1, h, err_prev, j) with one entry, or one

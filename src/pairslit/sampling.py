@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectionStallError
-from .params import PairConfiguration, PhysicalParams, SpinStatistics
+from .params import PhysicalParams, SpinStatistics
 
 _METHODS = ("exact_rejection", "independent_gaussian", "all_symmetric")
 _BATCH = 4096  # fixed so the RNG stream consumed is reproducible
@@ -107,20 +107,19 @@ def sample_initial(
     stats: SpinStatistics,
     p: PhysicalParams,
     rng: np.random.Generator | None = None,
-) -> list[PairConfiguration]:
-    """Draw cfg.n_pairs initial configurations at x = 0, t = 0.
+) -> np.ndarray:
+    """Draw cfg.n_pairs initial (y1, y2) pairs in metres, as an (n, 2) array.
 
-    A fresh PCG64 generator is seeded from cfg.seed unless rng is supplied.
+    Every pair starts at x = 0, t = 0. A fresh PCG64 generator is seeded from
+    cfg.seed unless rng is supplied.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = cfg.n_pairs
     if cfg.method == "exact_rejection":
-        ys = sample_joint_y(n, 0.0, stats, p, rng)
-    elif cfg.method == "independent_gaussian":
+        return sample_joint_y(n, 0.0, stats, p, rng)
+    if cfg.method == "independent_gaussian":
         centers = np.array([p.Y, -p.Y])
-        ys = centers + p.sigma0 * rng.normal(size=(n, 2))
-    else:
-        upper = p.Y + p.sigma0 * rng.normal(size=n)
-        ys = np.stack([upper, -upper], axis=1)
-    return [PairConfiguration(0.0, float(y1), 0.0, float(y2), 0.0) for y1, y2 in ys]
+        return centers + p.sigma0 * rng.normal(size=(n, 2))
+    upper = p.Y + p.sigma0 * rng.normal(size=n)
+    return np.stack([upper, -upper], axis=1)

@@ -13,6 +13,7 @@ import pytest
 from pairslit import (
     IntegratorConfig,
     PairConfiguration,
+    PairVelocity,
     PhysicalParams,
     SamplerConfig,
     Slit,
@@ -52,6 +53,13 @@ FIG4B_ENDPOINTS = {
 # quadrature of the closed-form joint density.
 SAME_SIDE_SLOW = {SpinStatistics.BOSON: 0.32376052, SpinStatistics.FERMION: 0.30980734}
 SAME_SIDE_FAST = 1.509e-5
+
+
+def samples(traj):
+    """(configuration, velocity) at each sample of a trajectory."""
+    cols = (traj.x1, traj.y1, traj.x2, traj.y2, traj.t, traj.vx1, traj.vy1, traj.vx2, traj.vy2)
+    for x1, y1, x2, y2, t, vx1, vy1, vx2, vy2 in zip(*(c.tolist() for c in cols)):
+        yield PairConfiguration(x1, y1, x2, y2, t), PairVelocity(vx1, vy1, vx2, vy2)
 
 
 def report(num, name, ok, detail):
@@ -130,9 +138,9 @@ def test_criterion_4_com_law():
                 PairConfiguration(0, y1, 0, y2, 0), t_end, IntegratorConfig(), stats, p,
                 np.linspace(0.0, t_end, 11),
             )
-            for conf, _ in traj.samples:
-                want = com_closed_form(0.5 * (y1 + y2), conf.t, p)
-                worst = max(worst, abs(0.5 * (conf.y1 + conf.y2) - want) / p.sigma0)
+            for t, a, b in zip(traj.t, traj.y1, traj.y2):
+                want = com_closed_form(0.5 * (y1 + y2), t, p)
+                worst = max(worst, abs(0.5 * (a + b) - want) / p.sigma0)
     report(4, "centre-of-mass law", worst <= 1e-6,
            f"10 asymmetric trajectories per regime: worst |com - law| = {worst:.2e} sigma0")
 
@@ -161,8 +169,8 @@ def test_criterion_5_symmetry_suite():
                 PairConfiguration(0, y0, 0, -y0, 0), 1e-7, IntegratorConfig(), stats, P_SLOW,
                 np.linspace(0.0, 1e-7, 11),
             )
-            for conf, _ in traj.samples:
-                worst_sym = max(worst_sym, abs(conf.y1 + conf.y2) / P_SLOW.sigma0)
+            for a, b in zip(traj.y1, traj.y2):
+                worst_sym = max(worst_sym, abs(a + b) / P_SLOW.sigma0)
     ok = exact and worst_sym <= 1e-6
     report(5, "symmetry suite", ok,
            f"parity/exchange exact at 1000 points: {exact}; "
@@ -255,7 +263,7 @@ def test_criterion_8_four_slit_reductions():
             IntegratorConfig(), SpinStatistics.BOSON, p, np.linspace(0.0, 1e-8, 9),
         )
         mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
-        for conf, vel in mapped.samples:
+        for conf, vel in samples(mapped):
             fd = corrected_velocity(SlitRegion.RIGHT_LEFT, conf, p)
             v_scale = max(abs(vel.vy1), abs(vel.vy2), 1e-3)
             worst_y = max(worst_y, abs(fd.vy1 - vel.vy1) / v_scale,

@@ -13,6 +13,7 @@ from pairslit import (
     SamplerConfig,
     SpinStatistics,
     StepUnderflowError,
+    Trajectory,
     TrajectoryStatus,
     com_closed_form,
     integrate_trajectory,
@@ -47,17 +48,29 @@ cases = st.tuples(
 
 def draw(regime, stats, seed, n=N_BATCH):
     p, t_end = REGIMES[regime]
-    pairs = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p)
-    return pairs, p, t_end
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p)
+    return initial, p, t_end
+
+
+def trajectories(initial, t_end, cfg, stats, p, times=None):
+    """integrate_pairs as one Trajectory, or None, per pair."""
+    table, count, status = integrate_pairs(initial, t_end, cfg, stats, p, times)
+    return [
+        None if st is None else Trajectory.from_rows(table[i, : count[i]], st, p)
+        for i, st in enumerate(status)
+    ]
+
+
+def release(y1, y2):
+    return PairConfiguration(0.0, float(y1), 0.0, float(y2), 0.0)
 
 
 def ys(traj):
-    return np.array([(c.y1, c.y2) for c, _ in traj.samples])
+    return np.column_stack((traj.y1, traj.y2))
 
 
 def on_the_grid(sampled, times):
-    # sample times come back as t/tau*tau, which may differ from t in the last bit
-    return np.isclose(sampled[:, None], times[None, :], rtol=1e-12, atol=0.0).any(axis=1)
+    return (sampled[:, None] == times[None, :]).any(axis=1)
 
 
 def assert_same_path(got, want, times, p):
@@ -68,17 +81,17 @@ def assert_same_path(got, want, times, p):
     between samples; so an abort's off-grid truncation point differs too.
     """
     assert got.status is want.status
-    on_grid = on_the_grid(want.times, times)
-    np.testing.assert_array_equal(on_the_grid(got.times, times), on_grid)
+    on_grid = on_the_grid(want.t, times)
+    np.testing.assert_array_equal(on_the_grid(got.t, times), on_grid)
     assert np.abs(ys(got)[on_grid] - ys(want)[on_grid]).max() <= 1e-8 * p.sigma0
     if not on_grid[-1]:
         k = on_grid.sum()
-        assert times[k - 1] < got.times[-1] < times[k]
+        assert times[k - 1] < got.t[-1] < times[k]
 
 
-def scalar_or_none(c, t_end, cfg, stats, p, times):
+def scalar_or_none(y0, t_end, cfg, stats, p, times):
     try:
-        return integrate_trajectory(c, t_end, cfg, stats, p, times)
+        return integrate_trajectory(release(*y0), t_end, cfg, stats, p, times)
     except (ValueError, NodeProximityError, StepUnderflowError):
         return None
 
@@ -125,15 +138,15 @@ def test_batch_matches_scalar_calls(case, batch_min):
     # The two loops take slightly different steps (see assert_same_path), so
     # they agree to the integrator's tolerance: at 1e-9 the worst of 23,000
     # pairs was 3.6e-9 sigma0, at 1e-10 the worst of 11,500 was 1.6e-10.
-    pairs, p, t_end = draw(*case)
+    initial, p, t_end = draw(*case)
     stats = case[1]
     times = np.linspace(0.0, t_end, 6)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_BATCH_MIN", batch_min)
-        batch = integrate_pairs(pairs, t_end, cfg, stats, p, times)
-    for c, got in zip(pairs, batch):
-        want = scalar_or_none(c, t_end, cfg, stats, p, times)
+        batch = trajectories(initial, t_end, cfg, stats, p, times)
+    for y0, got in zip(initial, batch):
+        want = scalar_or_none(y0, t_end, cfg, stats, p, times)
         assert (got is None) == (want is None)
         if want is not None:
             assert_same_path(got, want, times, p)
@@ -142,11 +155,10 @@ def test_batch_matches_scalar_calls(case, batch_min):
 @settings(max_examples=5, deadline=None)
 @given(case=cases)
 def test_batch_exchange_swaps_endpoints(case):
-    pairs, p, t_end = draw(*case)
+    initial, p, t_end = draw(*case)
     stats = case[1]
-    swapped = [c.swapped() for c in pairs]
-    a = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
-    b = integrate_pairs(swapped, t_end, IntegratorConfig(), stats, p)
+    a = trajectories(initial, t_end, IntegratorConfig(), stats, p)
+    b = trajectories(initial[:, ::-1], t_end, IntegratorConfig(), stats, p)
     for ta, tb in zip(a, b):
         assert ta.status is tb.status
         assert abs(tb.endpoint.y1 - ta.endpoint.y2) <= 1e-12 * p.sigma0
@@ -156,11 +168,10 @@ def test_batch_exchange_swaps_endpoints(case):
 @settings(max_examples=5, deadline=None)
 @given(case=cases)
 def test_batch_mirror_mirrors_endpoints(case):
-    pairs, p, t_end = draw(*case)
+    initial, p, t_end = draw(*case)
     stats = case[1]
-    mirrored = [PairConfiguration(c.x1, -c.y1, c.x2, -c.y2, c.t) for c in pairs]
-    a = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
-    b = integrate_pairs(mirrored, t_end, IntegratorConfig(), stats, p)
+    a = trajectories(initial, t_end, IntegratorConfig(), stats, p)
+    b = trajectories(-initial, t_end, IntegratorConfig(), stats, p)
     for ta, tb in zip(a, b):
         assert ta.status is tb.status
         assert abs(tb.endpoint.y1 + ta.endpoint.y1) <= 1e-12 * p.sigma0
@@ -170,9 +181,9 @@ def test_batch_mirror_mirrors_endpoints(case):
 @settings(max_examples=5, deadline=None)
 @given(regime=st.sampled_from(sorted(REGIMES)), seed=st.integers(0, 2**32 - 1))
 def test_batch_fermions_never_cross_the_diagonal(regime, seed):
-    pairs, p, t_end = draw(regime, SpinStatistics.FERMION, seed)
+    initial, p, t_end = draw(regime, SpinStatistics.FERMION, seed)
     times = np.linspace(0.0, t_end, 21)
-    for traj in integrate_pairs(pairs, t_end, IntegratorConfig(), SpinStatistics.FERMION, p, times):
+    for traj in trajectories(initial, t_end, IntegratorConfig(), SpinStatistics.FERMION, p, times):
         gap = np.diff(ys(traj), axis=1)[:, 0]
         assert (gap > 0).all() or (gap < 0).all()
 
@@ -180,29 +191,29 @@ def test_batch_fermions_never_cross_the_diagonal(regime, seed):
 @settings(max_examples=5, deadline=None)
 @given(case=cases)
 def test_batch_com_follows_closed_form(case):
-    pairs, p, t_end = draw(*case)
+    initial, p, t_end = draw(*case)
     times = np.linspace(0.0, t_end, 6)
-    for c, traj in zip(pairs, integrate_pairs(pairs, t_end, IntegratorConfig(), case[1], p, times)):
+    for (y1, y2), traj in zip(initial, trajectories(initial, t_end, IntegratorConfig(), case[1], p, times)):
         assert traj.status is TrajectoryStatus.COMPLETED
-        for conf, _ in traj.samples:
-            want = com_closed_form(0.5 * (c.y1 + c.y2), conf.t, p)
-            assert abs(0.5 * (conf.y1 + conf.y2) - want) <= 1e-6 * p.sigma0
+        for t, a, b in zip(traj.t, traj.y1, traj.y2):
+            want = com_closed_form(0.5 * (y1 + y2), t, p)
+            assert abs(0.5 * (a + b) - want) <= 1e-6 * p.sigma0
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_batch_loop_matches_dop853(regime, stats):
     scipy_integrate = pytest.importorskip("scipy.integrate")
-    pairs, p, t_end = draw(regime, stats, seed=11, n=4)
+    initial, p, t_end = draw(regime, stats, seed=11, n=4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_BATCH_MIN", 1)
-        trajs = integrate_pairs(pairs, t_end, IntegratorConfig(), stats, p)
+        trajs = trajectories(initial, t_end, IntegratorConfig(), stats, p)
 
     def field(T, y):
         return reduced_velocity(y[0], y[1], T, p.beta, stats.sign)
 
-    for c, traj in zip(pairs, trajs):
+    for y0, traj in zip(initial, trajs):
         sol = scipy_integrate.solve_ivp(
-            field, (0.0, t_end / p.tau), [c.y1 / p.sigma0, c.y2 / p.sigma0],
+            field, (0.0, t_end / p.tau), y0 / p.sigma0,
             method="DOP853", rtol=1e-12, atol=1e-12,
         )
         assert sol.success
@@ -216,32 +227,89 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
     # a quarter of these pairs fall below the floor in flight as the state spreads
     stats = SpinStatistics.FERMION
     cfg = IntegratorConfig(density_floor=0.01)
-    pairs = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
     times = np.linspace(0.0, 1e-7, 11)
-    scalar = [scalar_or_none(c, 1e-7, cfg, stats, p_slow, times) for c in pairs]
-    batch = integrate_pairs(pairs, 1e-7, cfg, stats, p_slow, times)
+    scalar = [scalar_or_none(y0, 1e-7, cfg, stats, p_slow, times) for y0 in initial]
+    batch = trajectories(initial, 1e-7, cfg, stats, p_slow, times)
     truncated = [t for t in scalar if t is not None and t.status is TrajectoryStatus.NODE_PROXIMITY_ABORT]
     assert len(truncated) > _BATCH_MIN
     for got, want in zip(batch, scalar):
         assert (got is None) == (want is None)
         if want is not None:
             assert_same_path(got, want, times, p_slow)
-    result = transport_ensemble(pairs, cfg, stats, p_slow, 1e-7, times)
+    result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times)
     assert result.aborted_count == sum(t is None for t in scalar) + len(truncated)
-    assert result.n_completed == len(pairs) - result.aborted_count > 0
+    assert result.n_completed == len(initial) - result.aborted_count > 0
 
 
 def test_start_on_a_node_is_not_integrated(p_fast):
     # just off the fermion diagonal: above a tiny floor, but inside NODE_GUARD
     cfg = IntegratorConfig(density_floor=1e-30)
-    c = PairConfiguration(0.0, 2e-6, 0.0, 2e-6 + 1e-15, 0.0)
+    y0 = (2e-6, 2e-6 + 1e-15)
     with pytest.raises(NodeProximityError):
-        integrate_trajectory(c, 1e-8, cfg, SpinStatistics.FERMION, p_fast)
-    assert integrate_pairs([c], 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
+        integrate_trajectory(release(*y0), 1e-8, cfg, SpinStatistics.FERMION, p_fast)
+    assert trajectories(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
 
 
-def test_pairs_must_share_a_start_time(p_fast):
-    pairs = [PairConfiguration(0, 5e-6, 0, -5e-6, 0.0), PairConfiguration(0, 5e-6, 0, -5e-6, 1e-9)]
-    with pytest.raises(ValueError, match="start time"):
-        integrate_pairs(pairs, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
-    assert integrate_pairs([], 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast) == []
+def test_empty_batch_integrates_to_nothing(p_fast):
+    table, count, status = integrate_pairs(
+        np.empty((0, 2)), 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast
+    )
+    assert table.shape == (0, 2, 5) and count.shape == (0,) and len(status) == 0
+
+
+@pytest.mark.parametrize("n_times", [101, 11])
+@pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1], ids=["scalar", "batch"])
+def test_samples_land_on_the_requested_times(p_slow, n_times, batch_min):
+    # 101 is the CLI grid; t0 + (t/tau) tau misses several of these times by an ulp
+    times = np.linspace(0.0, 1e-7, n_times)
+    initial, _, _ = draw("slow", SpinStatistics.BOSON, seed=5, n=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        batch = trajectories(initial, 1e-7, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times)
+    for y0, traj in zip(initial, batch):
+        np.testing.assert_array_equal(traj.t, times)
+        single = integrate_trajectory(
+            release(*y0), 1e-7, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times
+        )
+        np.testing.assert_array_equal(single.t, times)
+        np.testing.assert_array_equal(single.x1, p_slow.x_speed * times)
+
+
+@pytest.mark.parametrize(
+    "n, stats, floor",
+    [
+        (96, SpinStatistics.BOSON, 1e-12),
+        (20, SpinStatistics.FERMION, 1e-12),
+        (200, SpinStatistics.FERMION, 0.01),
+    ],
+    ids=["batch_loop", "scalar_loop", "aborts_in_flight"],
+)
+def test_keeping_trajectories_changes_no_result(p_slow, n, stats, floor):
+    cfg = IntegratorConfig(density_floor=floor)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=31), stats, p_slow)
+    times = np.linspace(0.0, 1e-7, 11)
+    runs = [
+        transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times, keep_trajectories=keep,
+                           rng=np.random.default_rng(3))
+        for keep in (False, True)
+    ]
+    bare, kept = runs
+    assert bare.trajectories is None
+    np.testing.assert_array_equal(kept.endpoints, bare.endpoints)
+    assert kept.endpoints.tobytes() == bare.endpoints.tobytes()
+    assert kept.aborted_count == bare.aborted_count
+    assert kept.density_distance == bare.density_distance
+    assert kept.density_distance_baseline == bare.density_distance_baseline
+    assert kept.delta_y0_estimate == bare.delta_y0_estimate
+    done = [t for t in kept.trajectories if t.status is TrajectoryStatus.COMPLETED]
+    assert len(done) == len(kept.endpoints)
+    for traj, (y1, y2) in zip(done, kept.endpoints):
+        assert (traj.y1[-1], traj.y2[-1]) == (y1, y2)
+    for traj in kept.trajectories:
+        end = traj.endpoint
+        assert (end.x1, end.y1, end.x2, end.y2, end.t) == (
+            traj.x1[-1], traj.y1[-1], traj.x2[-1], traj.y2[-1], traj.t[-1]
+        )
+    if floor > 1e-12:
+        assert kept.aborted_count > _BATCH_MIN

@@ -1,12 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from pairslit import ConfigError, SpinStatistics, __version__
+from pairslit import ConfigError, SpinStatistics, Trajectory, TrajectoryStatus, __version__
 from pairslit.cli import (
     SCENARIOS,
     ScenarioConfig,
+    _write_trajectory_csv,
     default_config,
     main,
     run_scenario,
@@ -280,3 +282,28 @@ def test_ky_config_is_a_config_error(tmp_path, capsys):
     path = write_json(tmp_path / "ky.json", {"scenario": "custom", "params": {"ky": 1000.0}})
     assert run_main(tmp_path, "custom", "--config", path) == 1
     assert "params.ky: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-pairs", "0"),
+    ("--rel-tol", "-1"),
+    ("--abs-tol", "0"),
+    ("--rel-tol", "nan"),
+])
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
+    assert run_main(tmp_path, "fig3a", flag, value) == 1
+    assert f"config error: {flag}: " in capsys.readouterr().err
+
+
+def test_trajectory_csv_matches_savetxt(tmp_path):
+    values = [-1.5, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              1e300, -3.25e-7, 123456.789, 0.1, -2e-310, 7.0]
+    # nine 3-sample columns; each kind of value lands in a column the CSV holds
+    block = np.resize(np.array(values), 27).reshape(9, 3)
+    traj = Trajectory(*block, TrajectoryStatus.COMPLETED)
+    _write_trajectory_csv(tmp_path / "ours.csv", traj)
+    columns = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack([getattr(traj, c) for c in columns]), fmt="%.15e",
+                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

@@ -58,7 +58,7 @@ def test_kept_trajectories(p_fast):
     res = small_run(p_fast, SpinStatistics.BOSON, n=10, sample_times=times, keep_trajectories=True)
     assert len(res.trajectories) == 10
     for traj in res.trajectories:
-        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.t, times)
 
 
 def test_density_distance_needs_points(p_fast):
@@ -105,9 +105,10 @@ def test_mirrored_ensembles(p_fast):
     # integrating the negated release of every pair mirrors each endpoint
     from pairslit import PairConfiguration, integrate_trajectory, sample_initial
 
-    pairs = sample_initial(SamplerConfig(n_pairs=12, seed=26), SpinStatistics.BOSON, p_fast)
-    for c in pairs:
-        neg = PairConfiguration(c.x1, -c.y1, c.x2, -c.y2, c.t)
+    initial = sample_initial(SamplerConfig(n_pairs=12, seed=26), SpinStatistics.BOSON, p_fast)
+    for y1, y2 in initial.tolist():
+        c = PairConfiguration(0.0, y1, 0.0, y2, 0.0)
+        neg = PairConfiguration(0.0, -y1, 0.0, -y2, 0.0)
         a = integrate_trajectory(c, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
         b = integrate_trajectory(neg, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
         assert b.endpoint.y1 == -a.endpoint.y1

@@ -6,6 +6,7 @@ import pytest
 from pairslit import (
     IntegratorConfig,
     PairConfiguration,
+    PairVelocity,
     RegionViolationError,
     Slit,
     SlitRegion,
@@ -20,6 +21,13 @@ from pairslit import (
     psi_slit,
     region_of,
 )
+
+
+def samples(traj):
+    """(configuration, velocity) at each sample of a trajectory."""
+    cols = (traj.x1, traj.y1, traj.x2, traj.y2, traj.t, traj.vx1, traj.vy1, traj.vx2, traj.vy2)
+    for x1, y1, x2, y2, t, vx1, vy1, vx2, vy2 in zip(*(c.tolist() for c in cols)):
+        yield PairConfiguration(x1, y1, x2, y2, t), PairVelocity(vx1, vy1, vx2, vy2)
 
 
 def draw_conf(p, rng, x_span, t_max):
@@ -153,13 +161,11 @@ def test_mapping_is_involution(p_slow):
     for region in SlitRegion:
         mapped = map_trajectory_to_double_slit(traj, region)
         back = map_trajectory_to_double_slit(mapped, region)
-        for (ca, va), (cb, vb) in zip(traj.samples, back.samples):
-            assert (ca.x1, ca.y1, ca.x2, ca.y2, ca.t) == (cb.x1, cb.y1, cb.x2, cb.y2, cb.t)
-            assert (va.vx1, va.vy1, va.vx2, va.vy2) == (vb.vx1, vb.vy1, vb.vx2, vb.vy2)
+        for name in ("t", "x1", "y1", "x2", "y2", "vx1", "vy1", "vx2", "vy2"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
         # transverse content is untouched by the map itself
-        for (ca, va), (cm, vm) in zip(traj.samples, mapped.samples):
-            assert cm.y1 == ca.y1 and cm.y2 == ca.y2
-            assert vm.vy1 == va.vy1 and vm.vy2 == va.vy2
+        for name in ("y1", "y2", "vy1", "vy2"):
+            np.testing.assert_array_equal(getattr(mapped, name), getattr(traj, name))
 
 
 def test_mapped_trajectory_obeys_corrected_state(p_slow):
@@ -173,7 +179,7 @@ def test_mapped_trajectory_obeys_corrected_state(p_slow):
         start, t_end, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times
     )
     mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
-    for conf, vel in mapped.samples:
+    for conf, vel in samples(mapped):
         assert region_of(conf, p_slow) is SlitRegion.RIGHT_LEFT
         fd = corrected_velocity(SlitRegion.RIGHT_LEFT, conf, p_slow)
         v_scale = max(abs(vel.vy1), abs(vel.vy2), 1e-3)

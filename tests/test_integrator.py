@@ -53,9 +53,9 @@ def test_com_matches_closed_form(p_fast, p_slow, stats):
                 PairConfiguration(0, y1, 0, y2, 0), t_end, IntegratorConfig(), stats, p, times
             )
             assert traj.status is TrajectoryStatus.COMPLETED
-            for conf, _ in traj.samples:
-                want = com_closed_form(0.5 * (y1 + y2), conf.t, p)
-                assert abs(0.5 * (conf.y1 + conf.y2) - want) < 1e-6 * p.sigma0
+            for t, a, b in zip(traj.t, traj.y1, traj.y2):
+                want = com_closed_form(0.5 * (y1 + y2), t, p)
+                assert abs(0.5 * (a + b) - want) < 1e-6 * p.sigma0
 
 
 def test_mirror_pair_stays_mirrored_exactly(p_slow, stats):
@@ -68,9 +68,8 @@ def test_mirror_pair_stays_mirrored_exactly(p_slow, stats):
         np.linspace(0.0, 1e-7, 11),
     )
     assert traj.status is TrajectoryStatus.COMPLETED
-    for conf, vel in traj.samples:
-        assert conf.y2 == -conf.y1
-        assert vel.vy2 == -vel.vy1
+    np.testing.assert_array_equal(traj.y2, -traj.y1)
+    np.testing.assert_array_equal(traj.vy2, -traj.vy1)
 
 
 def test_negated_release_mirrors_trajectory(p_slow, stats):
@@ -81,9 +80,8 @@ def test_negated_release_mirrors_trajectory(p_slow, stats):
     b = integrate_trajectory(
         PairConfiguration(0, -6.0e-6, 0, 3.0e-6, 0), 1e-7, IntegratorConfig(), stats, p_slow, times
     )
-    for (ca, va), (cb, vb) in zip(a.samples, b.samples):
-        assert cb.y1 == -ca.y1 and cb.y2 == -ca.y2
-        assert vb.vy1 == -va.vy1 and vb.vy2 == -va.vy2
+    for name in ("y1", "y2", "vy1", "vy2"):
+        np.testing.assert_array_equal(getattr(b, name), -getattr(a, name))
 
 
 def test_deterministic_repeats(p_fast):
@@ -99,8 +97,8 @@ def test_deterministic_repeats(p_fast):
 
     a, b = run(), run()
     assert a.status is b.status
-    for (ca, va), (cb, vb) in zip(a.samples, b.samples):
-        assert (ca.y1, ca.y2, va.vy1, va.vy2) == (cb.y1, cb.y2, vb.vy1, vb.vy2)
+    for name in ("y1", "y2", "vy1", "vy2"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_sample_times_hit_exactly(p_fast):
@@ -113,7 +111,7 @@ def test_sample_times_hit_exactly(p_fast):
         p_fast,
         times,
     )
-    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.t, times)
 
 
 def test_longitudinal_advance_is_linear(p_fast):
@@ -126,10 +124,10 @@ def test_longitudinal_advance_is_linear(p_fast):
         p_fast,
         np.linspace(0.0, 1e-8, 5),
     )
-    for conf, vel in traj.samples:
-        assert conf.x1 == pytest.approx(x0 + p_fast.x_speed * conf.t, rel=1e-14)
-        assert conf.x2 == conf.x1
-        assert vel.vx1 == p_fast.x_speed
+    for t, x1, x2, vx1 in zip(traj.t, traj.x1, traj.x2, traj.vx1):
+        assert x1 == pytest.approx(x0 + p_fast.x_speed * t, rel=1e-14)
+        assert x2 == x1
+        assert vx1 == p_fast.x_speed
 
 
 def test_trajectory_arrays_shape(p_fast):
@@ -141,12 +139,10 @@ def test_trajectory_arrays_shape(p_fast):
         p_fast,
         np.linspace(0.0, 1e-8, 9),
     )
-    arrays = traj.as_arrays()
-    assert set(arrays) == {"t", "x1", "y1", "x2", "y2", "vy1", "vy2"}
-    for arr in arrays.values():
-        assert arr.shape == (9,)
+    for name in ("t", "x1", "y1", "x2", "y2", "vx1", "vy1", "vx2", "vy2"):
+        assert getattr(traj, name).shape == (9,)
     end = traj.endpoint
-    assert end.t == 1e-8 and end.y1 == arrays["y1"][-1]
+    assert end.t == 1e-8 and end.y1 == traj.y1[-1]
 
 
 def test_halving_tolerances_converges(p_fast):
@@ -189,7 +185,7 @@ def test_density_floor_abort_truncates(p_slow):
         np.linspace(0.0, 1e-7, 51),
     )
     assert traj.status is TrajectoryStatus.NODE_PROXIMITY_ABORT
-    assert 0 < len(traj.samples) < 51
+    assert 0 < len(traj.t) < 51
     assert traj.endpoint.t < 1e-7
 
 
