@@ -7,6 +7,10 @@ expressions, in the same order, over (n,) arrays for the batched integrator.
 Vectorized reference expressions live in wavefunction.py; tests pin the code
 paths against each other.
 
+The velocity kernels return the velocity of the half-separation
+d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
+mass, which follows a closed form. The density kernels take both coordinates.
+
 Scaling: eta = y / sigma0, T = t / tau, velocities in units of sigma0 / tau.
 """
 
@@ -24,15 +28,17 @@ from .errors import NodeProximityError
 NODE_GUARD = 1e-13
 
 
-def reduced_velocity(e1: float, e2: float, T: float, beta: float, sign: int) -> tuple[float, float]:
-    """Transverse velocities (deta1/dT, deta2/dT) of the pair.
+def reduced_velocity(d: float, T: float, beta: float, sign: int) -> float:
+    """Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2.
 
     The interference term is evaluated with the dominant exponential factored
     out, so it never overflows however far the configuration sits from the
     diagonal; the raw cosh argument can exceed 700 at baseline separations.
+    The particles move at deta1/dT, deta2/dT = c T / (1 + T^2) +- dd/dT,
+    c being their centre of mass.
     """
     one_t2 = 1.0 + T * T
-    u = beta * (e1 - e2) / one_t2
+    u = 2.0 * beta * d / one_t2
     a = abs(u)
     sg = 1.0 if u >= 0.0 else -1.0
     ex = math.exp(-a)
@@ -46,22 +52,21 @@ def reduced_velocity(e1: float, e2: float, T: float, beta: float, sign: int) -> 
             f"interference denominator {den:.3e} below guard {NODE_GUARD:.1e}"
         )
     shared = beta * num / (one_t2 * den)
-    drift = T / one_t2
-    return -shared + e1 * drift, shared + e2 * drift
+    return d * (T / one_t2) - shared
 
 
-def reduced_velocity_array(e1, e2, T, beta: float, sign: int):
-    """Array twin of reduced_velocity over (n,) arrays e1, e2, T.
+def reduced_velocity_array(d, T, beta: float, sign: int):
+    """Array twin of reduced_velocity over (n,) arrays d and T.
 
-    Returns (v1, v2, on_node). Instead of raising, on_node marks the pairs
-    whose interference denominator falls below NODE_GUARD; their velocities
-    are meaningless. Callers silence numpy's floating-point warnings, which
-    only such pairs can trigger. Every value equals the scalar kernel's
-    expression up to exact sign flips: sign * T * sg * (1 - ex2) is
+    Returns (v, on_node). Instead of raising, on_node marks the pairs whose
+    interference denominator falls below NODE_GUARD; their velocities are
+    meaningless. Callers silence numpy's floating-point warnings, which only
+    such pairs can trigger. Every value equals the scalar kernel's expression
+    up to exact sign flips: sign * T * sg * (1 - ex2) is
     +-T * copysign(1 - ex2, u), and that factor is 0 where u is.
     """
     one_t2 = 1.0 + T * T
-    u = beta * (e1 - e2) / one_t2
+    u = 2.0 * beta * d / one_t2
     ex = np.exp(-np.abs(u))
     ex2 = ex * ex
     two_ex = 2.0 * ex
@@ -72,8 +77,7 @@ def reduced_velocity_array(e1, e2, T, beta: float, sign: int):
     wave = two_ex * np.cos(phase)
     den = wave + (1.0 + ex2) if sign > 0 else wave - (1.0 + ex2)
     shared = beta * num / (one_t2 * den)
-    drift = T / one_t2
-    return e1 * drift - shared, e2 * drift + shared, np.abs(den) < NODE_GUARD
+    return d * (T / one_t2) - shared, np.abs(den) < NODE_GUARD
 
 
 def reduced_density(e1: float, e2: float, T: float, sign: int, beta: float, n2: float) -> float:

@@ -118,6 +118,10 @@ def _check_number(raw: dict, section: str, key: str, problems: list, allow_none=
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{section}{key}: expected a number, got {value!r}")
         return None
+    # JSON reads 1e400 as inf and accepts Infinity and NaN; an int compares exactly
+    if not abs(value) < math.inf:
+        problems.append(f"{section}{key}: expected a finite number, got {value!r}")
+        return None
     return value
 
 
@@ -448,7 +452,7 @@ def _flagged(flag: str, section, **change):
 
 def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     if args.seed is not None:
-        cfg = replace(cfg, sampler=replace(cfg.sampler, seed=args.seed))
+        cfg = replace(cfg, sampler=_flagged("--seed", cfg.sampler, seed=args.seed))
     if args.n_pairs is not None:
         if cfg.scenario in ("fig4a", "fig4b"):
             print(f"{cfg.scenario} uses fixed initial conditions; --n-pairs ignored",

@@ -2,8 +2,12 @@
 
 Embedded Dormand-Prince 5(4) pair with PI step-size control, working in
 packet-width / spreading-time units. Longitudinal motion is exact (constant
-drift), so only (y1, y2) are integrated. Steps are clipped to land exactly on
-the requested sample times; no interpolation is involved.
+drift), and so is the transverse centre of mass c = (eta1 + eta2) / 2: the
+interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2)
+(com_closed_form). Only the half-separation d = (eta1 - eta2) / 2 is
+integrated, one component per pair; the sample table rebuilds
+eta1, eta2 = c +- d from it. Steps are clipped to land exactly on the
+requested sample times; no interpolation is involved.
 
 Runs abort (status, not exception) when the joint density under the pair
 drops below a configurable fraction of its t = 0 peak, which is how fermion
@@ -64,7 +68,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # term by term in order, like the scalar loop; the zeros for B2 and E2 add
 # exactly nothing.
 _A_COLS = tuple(
-    np.array(row).reshape(-1, 1, 1)
+    np.array(row).reshape(-1, 1)
     for row in (
         (_A21,),
         (_A31, _A32),
@@ -74,8 +78,8 @@ _A_COLS = tuple(
     )
 )
 _C_STAGES = (_C2, _C3, _C4, _C5)
-_B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1, 1)
-_E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1, 1)
+_B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1)
+_E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -98,7 +102,8 @@ class TrajectoryStatus(enum.Enum):
 class IntegratorConfig:
     """Step control for trajectory integration.
 
-    rel_tol is dimensionless; abs_tol is measured in units of sigma0. The
+    rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
+    bound the local error of the half-separation (y1 - y2) / 2. The
     step bounds are in seconds and default to fractions of the integration
     span when left None. density_floor is relative to the t = 0 peak of the
     joint density.
@@ -112,8 +117,8 @@ class IntegratorConfig:
     density_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and > 0")
         if not self.density_floor > 0.0:
             raise ValueError("density_floor must be > 0")
         for name in ("h_init", "h_min", "h_max"):
@@ -219,22 +224,25 @@ def _scaled_problem(
     )
 
 
-def _si_rows(rows: np.ndarray, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
-    """(t, y1, y2, vy1, vy2) in SI units from scaled rows (T, eta1, eta2, w1, w2).
+def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
+    """(t, y1, y2, vy1, vy2) in SI units from scaled rows (T, d, dd/dT).
 
-    The last axis holds the columns, the one before it the sample index. A
-    row on the grid gets its requested time; only an abort's off-grid
-    truncation row gets t0 + T tau.
+    The last axis holds the columns, the one before it the sample index; c0
+    holds each pair's initial centre of mass, one per row block. The centre
+    c = c0 sqrt(1 + T^2) moves at c T / (1 + T^2), so eta1, eta2 = c +- d and
+    their velocities are c T / (1 + T^2) +- dd/dT. A row on the grid gets its
+    requested time; only an abort's off-grid truncation row gets t0 + T tau.
     """
-    T = rows[..., 0]
+    T, d, w = np.moveaxis(rows, -1, 0)
     k = T.shape[-1]
-    out = np.empty_like(rows)
-    out[..., 0] = np.where(
-        T == np.asarray(prob.grid[:k]), prob.times[:k], prob.times[0] + T * prob.tau
+    s2 = 1.0 + T * T
+    c = np.expand_dims(c0, -1) * np.sqrt(s2)
+    drift = c * (T / s2)
+    t = np.where(T == np.asarray(prob.grid[:k]), prob.times[:k], prob.times[0] + T * prob.tau)
+    v = p.sigma0 / prob.tau
+    return np.stack(
+        (t, (c + d) * p.sigma0, (c - d) * p.sigma0, (drift + w) * v, (drift - w) * v), axis=-1
     )
-    out[..., 1:3] = rows[..., 1:3] * p.sigma0
-    out[..., 3:5] = rows[..., 3:5] * (p.sigma0 / prob.tau)
-    return out
 
 
 def integrate_trajectory(
@@ -274,9 +282,10 @@ def integrate_trajectory(
     e2 = initial.y2 / p.sigma0
     if reduced_density(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor:
         raise ValueError("initial density below density_floor")
-    k1 = reduced_velocity(e1, e2, 0.0, prob.beta, prob.sign)
-    status, rows = _advance(prob, 0.0, e1, e2, k1, prob.h_init, 1.0, 1)
-    table = _si_rows(np.array([(0.0, e1, e2, *k1), *rows]), prob, p)
+    c0, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
+    k1 = reduced_velocity(d, 0.0, prob.beta, prob.sign)
+    status, rows = _advance(prob, 0.0, d, c0, k1, prob.h_init, 1.0, 1)
+    table = _si_rows(np.array([(0.0, d, k1), *rows]), c0, prob, p)
     return Trajectory.from_rows(table, status, p, initial.x1, initial.x2)
 
 
@@ -314,52 +323,51 @@ def integrate_pairs(
     n = initial.shape[0]
     e1 = initial[:, 0] / p.sigma0
     e2 = initial[:, 1] / p.sigma0
+    c0, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
     idx = np.flatnonzero(
         ~(reduced_density_array(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor)
     )
-    e1, e2 = e1[idx], e2[idx]
     with np.errstate(all="ignore"):
-        k1a, k1b, on_node = reduced_velocity_array(e1, e2, 0.0, prob.beta, prob.sign)
-    ok = ~on_node
-    idx, e1, e2, k1a, k1b = idx[ok], e1[ok], e2[ok], k1a[ok], k1b[ok]
+        k1, on_node = reduced_velocity_array(d[idx], 0.0, prob.beta, prob.sign)
+    idx, k1 = idx[~on_node], k1[~on_node]
     m = idx.size
 
-    rows = np.full((n, len(prob.grid), 5), np.nan)
-    rows[idx, 0] = np.stack((np.zeros(m), e1, e2, k1a, k1b), axis=-1)
+    rows = np.full((n, len(prob.grid), 3), np.nan)
+    rows[idx, 0] = np.column_stack((np.zeros(m), d[idx], k1))
     count = np.zeros(n, dtype=np.intp)
     status = np.full(n, None, dtype=object)
     state = (
-        idx, np.zeros(m), np.stack((e1, e2)), np.stack((k1a, k1b)),
+        idx, np.zeros(m), d[idx], c0[idx], k1,
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
-    idx, T, Y, K1, h, err_prev, j = _advance_batch(prob, state, rows, status, count)
+    live = _advance_batch(prob, state, rows, status, count)
 
-    live = (idx, T, *Y, *K1, h, err_prev, j)
-    for i, T, a, b, w1, w2, h, err_prev, j in zip(*(col.tolist() for col in live)):
+    for i, T, d_i, c0_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
         try:
-            status[i], tail = _advance(prob, T, a, b, (w1, w2), h, err_prev, j)
+            status[i], tail = _advance(prob, T, d_i, c0_i, k1_i, h, err_prev, j)
         except StepUnderflowError:
             continue
         count[i] = j + len(tail)
         if tail:
             rows[i, j : count[i]] = tail
-    return _si_rows(rows, prob, p), count, status
+    return _si_rows(rows, c0, prob, p), count, status
 
 
-def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
+def _advance(prob: _Scaled, T, d, c0, k1, h, err_prev, j):
     """Scalar step loop: carry one pair from an accepted state to the end.
 
-    (T, e1, e2) is the state, k1 the velocity there, h the next trial step,
-    err_prev the controller memory and j the index of the next sample time.
-    Returns (status, rows) with the (T, eta1, eta2, w1, w2) rows recorded
-    from sample j on; an abort ends them at the last accepted state.
+    (T, d) is the state, c0 the pair's initial centre of mass, k1 the
+    velocity dd/dT at the state, h the next trial step, err_prev the
+    controller memory and j the index of the next sample time. Returns
+    (status, rows) with the (T, d, dd/dT) rows recorded from sample j on; an
+    abort ends them at the last accepted state.
 
     Raises StepUnderflowError if error control would need a step below h_min.
     """
     grid = prob.grid
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
-    rows: list[tuple[float, float, float, float, float]] = []
+    rows: list[tuple[float, float, float]] = []
     aborted = False
     try:
         while j < len(grid):
@@ -369,81 +377,41 @@ def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
             landing = h_step >= remaining
             if landing:
                 h_step = remaining
-            Ts = T
-            k2 = reduced_velocity(
-                e1 + h_step * (_A21 * k1[0]),
-                e2 + h_step * (_A21 * k1[1]),
-                Ts + _C2 * h_step,
-                beta,
-                sign,
-            )
+            T_new = T + h_step
+            k2 = reduced_velocity(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
             k3 = reduced_velocity(
-                e1 + h_step * (_A31 * k1[0] + _A32 * k2[0]),
-                e2 + h_step * (_A31 * k1[1] + _A32 * k2[1]),
-                Ts + _C3 * h_step,
-                beta,
-                sign,
+                d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign
             )
             k4 = reduced_velocity(
-                e1 + h_step * (_A41 * k1[0] + _A42 * k2[0] + _A43 * k3[0]),
-                e2 + h_step * (_A41 * k1[1] + _A42 * k2[1] + _A43 * k3[1]),
-                Ts + _C4 * h_step,
-                beta,
-                sign,
+                d + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3), T + _C4 * h_step, beta, sign
             )
             k5 = reduced_velocity(
-                e1 + h_step * (_A51 * k1[0] + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-                e2 + h_step * (_A51 * k1[1] + _A52 * k2[1] + _A53 * k3[1] + _A54 * k4[1]),
-                Ts + _C5 * h_step,
+                d + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                T + _C5 * h_step,
                 beta,
                 sign,
             )
             k6 = reduced_velocity(
-                e1
-                + h_step
-                * (_A61 * k1[0] + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
-                e2
-                + h_step
-                * (_A61 * k1[1] + _A62 * k2[1] + _A63 * k3[1] + _A64 * k4[1] + _A65 * k5[1]),
-                Ts + h_step,
+                d + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+                T_new,
                 beta,
                 sign,
             )
-            new1 = e1 + h_step * (
-                _B1 * k1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0] + _B6 * k6[0]
-            )
-            new2 = e2 + h_step * (
-                _B1 * k1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1] + _B6 * k6[1]
-            )
-            k7 = reduced_velocity(new1, new2, Ts + h_step, beta, sign)
-            err1 = h_step * (
-                _E1 * k1[0]
-                + _E3 * k3[0]
-                + _E4 * k4[0]
-                + _E5 * k5[0]
-                + _E6 * k6[0]
-                + _E7 * k7[0]
-            )
-            err2 = h_step * (
-                _E1 * k1[1]
-                + _E3 * k3[1]
-                + _E4 * k4[1]
-                + _E5 * k5[1]
-                + _E6 * k6[1]
-                + _E7 * k7[1]
-            )
-            scale1 = atol + rtol * max(abs(e1), abs(new1))
-            scale2 = atol + rtol * max(abs(e2), abs(new2))
-            err = math.sqrt(0.5 * ((err1 / scale1) ** 2 + (err2 / scale2) ** 2))
+            new = d + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = reduced_velocity(new, T_new, beta, sign)
+            err = abs(
+                h_step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            ) / (atol + rtol * max(abs(d), abs(new)))
 
             if err <= 1.0:
-                if reduced_density(new1, new2, Ts + h_step, sign, beta, n2) < floor:
+                c = c0 * math.sqrt(1.0 + T_new * T_new)
+                if reduced_density(c + new, c - new, T_new, sign, beta, n2) < floor:
                     aborted = True
                     break
-                T = target if landing else Ts + h_step
-                e1, e2, k1 = new1, new2, k7
+                T = target if landing else T_new
+                d, k1 = new, k7
                 if landing:
-                    rows.append((T, e1, e2, *k7))
+                    rows.append((T, d, k1))
                     j += 1
                 if err == 0.0:
                     factor = _MAX_FACTOR
@@ -468,7 +436,7 @@ def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
 
     if aborted and grid[j - 1] < T:
         # Truncate at the last accepted state; k1 is the velocity there.
-        rows.append((T, e1, e2, *k1))
+        rows.append((T, d, k1))
     status = TrajectoryStatus.NODE_PROXIMITY_ABORT if aborted else TrajectoryStatus.COMPLETED
     return status, rows
 
@@ -476,51 +444,49 @@ def _advance(prob: _Scaled, T, e1, e2, k1, h, err_prev, j):
 def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
     """Batch twin of _advance: step all live pairs together while enough remain.
 
-    state holds (idx, T, Y, K1, h, err_prev, j) with one entry, or one
-    column of the (2, m) arrays Y (eta1, eta2) and K1 (their velocities),
-    per live pair; idx is the pair's row in rows, where its samples are
-    recorded. Each pair runs the scalar loop's arithmetic, in the same order,
-    with its own step size and controller memory. A pair that finishes gets
-    its status and sample count; a step underflow leaves its status None.
-    Returns the state of the pairs still live once fewer than _BATCH_MIN
-    remain.
+    state holds (idx, T, D, C0, K1, h, err_prev, j) with one entry per live
+    pair: its state (T, d), initial centre of mass and velocity dd/dT; idx is
+    the pair's row in rows, where its samples are recorded. Each pair runs
+    the scalar loop's arithmetic, in the same order, with its own step size
+    and controller memory. A pair that finishes gets its status and sample
+    count; a step underflow leaves its status None. Returns the state of the
+    pairs still live once fewer than _BATCH_MIN remain.
     """
     grid = np.asarray(prob.grid)
     last = grid.size
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
     vel = reduced_velocity_array
-    idx, T, Y, K1, h, err_prev, j = state
+    idx, T, D, C0, K1, h, err_prev, j = state
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
-            m = idx.size
             target = grid[j]
             remaining = target - T
             h_step = np.minimum(h, h_max)
             landing = h_step >= remaining
             h_step = np.where(landing, remaining, h_step)
             T_new = T + h_step
-            K = np.empty((7, 2, m))
+            K = np.empty((7, idx.size))
             K[0] = K1
-            on_node = np.zeros(m, dtype=bool)
+            on_node = np.zeros(idx.size, dtype=bool)
             for s, a_col in enumerate(_A_COLS, start=1):
-                z = Y + h_step * np.add.reduce(a_col * K[:s], axis=0)
+                z = D + h_step * np.add.reduce(a_col * K[:s], axis=0)
                 T_s = T + _C_STAGES[s - 1] * h_step if s < 5 else T_new
-                K[s, 0], K[s, 1], node = vel(z[0], z[1], T_s, beta, sign)
+                K[s], node = vel(z, T_s, beta, sign)
                 on_node |= node
-            Y_new = Y + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
-            K[6, 0], K[6, 1], node = vel(Y_new[0], Y_new[1], T_new, beta, sign)
+            D_new = D + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
+            K[6], node = vel(D_new, T_new, beta, sign)
             on_node |= node
-            q = h_step * np.add.reduce(_E_COL * K, axis=0)
-            q /= atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-            q *= q
-            err = np.sqrt(0.5 * (q[0] + q[1]))
+            err = np.abs(h_step * np.add.reduce(_E_COL * K, axis=0)) / (
+                atol + rtol * np.maximum(np.abs(D), np.abs(D_new))
+            )
 
             small = err <= 1.0
             accepted = small & ~on_node
             rejected = ~(small | on_node)
+            c = C0 * np.sqrt(1.0 + T_new * T_new)
             below = accepted & (
-                reduced_density_array(Y_new[0], Y_new[1], T_new, sign, beta, n2) < floor
+                reduced_density_array(c + D_new, c - D_new, T_new, sign, beta, n2) < floor
             )
             accepted &= ~below
 
@@ -536,11 +502,11 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
             h = np.where(accepted, h_acc, np.where(rejected, h_next, h))
             err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
             T = np.where(accepted, np.where(landing, target, T_new), T)
-            Y = np.where(accepted, Y_new, Y)
+            D = np.where(accepted, D_new, D)
             K1 = np.where(accepted, K[6], K1)
             landed = accepted & landing
             if landed.any():
-                rows[idx[landed], j[landed]] = np.column_stack((T, Y.T, K1.T))[landed]
+                rows[idx[landed], j[landed]] = np.column_stack((T, D, K1))[landed]
                 j = j + landed
 
             aborted = on_node | below
@@ -551,7 +517,7 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
                 i, jl = int(idx[lane]), int(j[lane])
                 if grid[jl - 1] < T[lane]:
                     # Truncate at the last accepted state; K1 is the velocity there.
-                    rows[i, jl] = (T[lane], *Y[:, lane], *K1[:, lane])
+                    rows[i, jl] = (T[lane], D[lane], K1[lane])
                     jl += 1
                 status[i] = TrajectoryStatus.NODE_PROXIMITY_ABORT
                 count[i] = jl
@@ -559,6 +525,7 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
                 status[i] = TrajectoryStatus.COMPLETED
                 count[i] = last
             keep = ~done
-            idx, T, h, err_prev, j = (col[keep] for col in (idx, T, h, err_prev, j))
-            Y, K1 = Y[:, keep], K1[:, keep]
-    return idx, T, Y, K1, h, err_prev, j
+            idx, T, D, C0, K1, h, err_prev, j = (
+                col[keep] for col in (idx, T, D, C0, K1, h, err_prev, j)
+            )
+    return idx, T, D, C0, K1, h, err_prev, j

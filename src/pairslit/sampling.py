@@ -40,6 +40,8 @@ class SamplerConfig:
             raise ValueError(f"method must be one of {_METHODS}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _envelope_draw(n: int, beta: float, s: float, rng: np.random.Generator) -> np.ndarray:

@@ -21,14 +21,18 @@ def velocity_closed_form(
     """Closed-form guidance velocity at configuration c (m/s).
 
     Longitudinal motion is the constant drift hbar kx / m for both particles.
-    Raises NodeProximityError when the scaled interference denominator falls
-    below _kernels.NODE_GUARD (for fermions that happens on and near the diagonal
+    Transversally each particle moves with the centre of mass plus or minus
+    the half-separation velocity of _kernels.reduced_velocity. Raises
+    NodeProximityError when the scaled interference denominator falls below
+    _kernels.NODE_GUARD (for fermions that happens on and near the diagonal
     y1 = y2, where the state vanishes).
     """
-    w1, w2 = reduced_velocity(c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau, p.beta, stats.sign)
+    e1, e2, T = c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau
+    w = reduced_velocity(0.5 * (e1 - e2), T, p.beta, stats.sign)
+    drift = 0.5 * (e1 + e2) * (T / (1.0 + T * T))
     scale = p.sigma0 / p.tau
     vx = p.x_speed
-    return PairVelocity(vx, w1 * scale, vx, w2 * scale)
+    return PairVelocity(vx, (drift + w) * scale, vx, (drift - w) * scale)
 
 
 def com_closed_form(y0: float, t: float, p: PhysicalParams) -> float:

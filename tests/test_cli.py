@@ -198,10 +198,20 @@ def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
 
 
 def test_main_bad_config_exit_code(tmp_path, capsys):
-    path = write_json(tmp_path / "bad.json", {"scenario": "custom", "params": {"sigma0": -1}})
-    code = run_main(tmp_path, "custom", "--config", path)
-    assert code == 1
-    assert "config error" in capsys.readouterr().err
+    # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts
+    for bad in (
+        '"params": {"sigma0": -1}',
+        '"sampler": {"seed": -1}',
+        '"integrator": {"rel_tol": 1e400}',
+        '"params": {"sigma0": Infinity}',
+        '"integrator": {"h_max": -Infinity}',
+        '"params": {"L": NaN}',
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"scenario": "custom", {bad}}}')
+        code = run_main(tmp_path, "custom", "--config", str(path), "--n-pairs", "5")
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_main_bad_usage_exit_code(capsys):
@@ -289,6 +299,8 @@ def test_ky_config_is_a_config_error(tmp_path, capsys):
     ("--rel-tol", "-1"),
     ("--abs-tol", "0"),
     ("--rel-tol", "nan"),
+    ("--abs-tol", "inf"),
+    ("--seed", "-1"),
 ])
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
     assert run_main(tmp_path, "fig3a", flag, value) == 1
