@@ -35,7 +35,6 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     TrajectoryStatus,
-    integrate_trajectory,
 )
 from .params import (
     PairConfiguration,
@@ -52,7 +51,6 @@ from .velocity import (
 )
 from .wavefunction import (
     Slit,
-    initial_density,
     joint_density,
     joint_density_y,
     normalization_N,
@@ -89,8 +87,6 @@ __all__ = [
     "corrected_four_slit_psi",
     "corrected_velocity",
     "density_distance",
-    "initial_density",
-    "integrate_trajectory",
     "joint_density",
     "joint_density_y",
     "log_gradient_velocity",

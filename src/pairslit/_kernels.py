@@ -2,10 +2,10 @@
 
 These are the only functions evaluated inside integration loops. The scalar
 kernels use the math module on plain floats (roughly 20x faster than numpy
-scalars) and serve single trajectories; their array twins evaluate the same
-expressions, in the same order, over (n,) arrays for the batched integrator.
-Vectorized reference expressions live in wavefunction.py; tests pin the code
-paths against each other.
+scalars) and serve the scalar step loop; their array twins evaluate the same
+expressions, in the same order, over arrays for the batched loop, and the
+density twin also serves wavefunction.joint_density_y. Tests pin the twins
+against each other and against the full complex amplitude of wavefunction.py.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
@@ -97,10 +97,12 @@ def reduced_density(e1: float, e2: float, T: float, sign: int, beta: float, n2: 
 
 
 def reduced_density_array(e1, e2, T, sign: int, beta: float, n2: float):
-    """Array twin of reduced_density over (n,) arrays e1, e2, T."""
+    """Array twin of reduced_density; e1, e2 and T broadcast like numpy ufuncs."""
     s2 = 1.0 + T * T
     trig = (np.cos if sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
     a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
     b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
+    # Summing the 4ab term first keeps one fewer grid-sized temporary alive,
+    # which sets the peak memory of initial_density_peak's grid search.
     total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * np.pi * s2) * total

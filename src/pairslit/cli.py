@@ -32,7 +32,7 @@ from .fourslit import (
     naive_four_slit_psi,
     naive_velocity,
 )
-from .integrator import IntegratorConfig, Trajectory, integrate_trajectory
+from .integrator import IntegratorConfig, Trajectory, integrate_pairs
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .sampling import SamplerConfig
 from .wavefunction import Slit, psi_pair, psi_slit
@@ -404,12 +404,15 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
     # Reflected double-slit trajectories obey the corrected state's guidance.
     t_end = 1.0e-8 if p.flight_time > 1.0e-8 else p.flight_time
     times = np.linspace(0.0, t_end, 9)
+    starts = np.array([(y1, -p.Y + 0.5 * s0) for y1 in (p.Y, p.Y - 1.5 * s0)])
+    table, count, status = integrate_pairs(
+        starts, t_end, cfg.integrator, SpinStatistics.BOSON, p, times
+    )
     worst_y = worst_x = 0.0
-    for y1 in (p.Y, p.Y - 1.5 * s0):
-        start = PairConfiguration(x0, y1, x0, -p.Y + 0.5 * s0, 0.0)
-        traj = integrate_trajectory(
-            start, t_end, cfg.integrator, SpinStatistics.BOSON, p, times
-        )
+    for i, st in enumerate(status):
+        if st is None:
+            continue
+        traj = Trajectory.from_rows(table[i, : count[i]], st, p, x0, x0)
         mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
         columns = (mapped.x1, mapped.y1, mapped.x2, mapped.y2, mapped.t,
                    mapped.vx1, mapped.vy1, mapped.vx2, mapped.vy2)
@@ -418,15 +421,17 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
             v_scale = max(abs(vy1), abs(vy2), 1e-9 * p.x_speed)
             worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
             worst_x = max(worst_x, abs(fd.vx1 - vx1) / p.x_speed, abs(fd.vx2 - vx2) / p.x_speed)
+    lost = sum(st is None for st in status)
+    note = f"; {lost} of {len(status)} pairs could not be integrated" if lost else ""
     record(
         "mapped trajectories: transverse velocities match the corrected state",
-        worst_y < 1e-5,
-        f"max relative deviation {worst_y:.3e}",
+        worst_y < 1e-5 and not lost,
+        f"max relative deviation {worst_y:.3e}{note}",
     )
     record(
         "mapped trajectories: longitudinal velocities are +-drift",
-        worst_x < 1e-4,
-        f"max relative deviation {worst_x:.3e}",
+        worst_x < 1e-4 and not lost,
+        f"max relative deviation {worst_x:.3e}{note}",
     )
 
     all_ok = all(ok for _, ok, _ in checks)

@@ -101,7 +101,7 @@ def corrected_four_slit_psi(
     )
 
 
-def _guarded_fd_velocity(amplitude, c: PairConfiguration, p: PhysicalParams, **kw):
+def _guarded_fd_velocity(amplitude, c: PairConfiguration, p: PhysicalParams):
     # Relative node guard: compare |Psi| against the largest single product
     # term so the criterion is insensitive to the missing normalization.
     psi = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
@@ -110,34 +110,20 @@ def _guarded_fd_velocity(amplitude, c: PairConfiguration, p: PhysicalParams, **k
     ) * max(abs(psi_slit(s, c.x2, c.y2, c.t, p)) for s in Slit)
     if abs(psi) < _RELATIVE_NODE_GUARD * scale:
         raise NodeProximityError("four-slit amplitude too close to a node")
-    return log_gradient_velocity(amplitude, c, p, **kw)
+    return log_gradient_velocity(amplitude, c, p)
 
 
-def naive_velocity(
-    c: PairConfiguration,
-    stats: SpinStatistics,
-    p: PhysicalParams,
-    step: float | None = None,
-    x_step: float | None = None,
-    richardson: bool = False,
-) -> PairVelocity:
+def naive_velocity(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams) -> PairVelocity:
     """Guidance velocity of the naive state by central differences (m/s)."""
 
     def amplitude(x1, y1, x2, y2, t):
         return naive_four_slit_psi(stats, PairConfiguration(x1, y1, x2, y2, t), p)
 
-    return _guarded_fd_velocity(
-        amplitude, c, p, step=step, x_step=x_step, richardson=richardson
-    )
+    return _guarded_fd_velocity(amplitude, c, p)
 
 
 def corrected_velocity(
-    region: SlitRegion,
-    c: PairConfiguration,
-    p: PhysicalParams,
-    step: float | None = None,
-    x_step: float | None = None,
-    richardson: bool = False,
+    region: SlitRegion, c: PairConfiguration, p: PhysicalParams
 ) -> PairVelocity:
     """Guidance velocity of the post-detection state by central differences.
 
@@ -148,9 +134,7 @@ def corrected_velocity(
     def amplitude(x1, y1, x2, y2, t):
         return corrected_four_slit_psi(region, PairConfiguration(x1, y1, x2, y2, t), p)
 
-    return _guarded_fd_velocity(
-        amplitude, c, p, step=step, x_step=x_step, richardson=richardson
-    )
+    return _guarded_fd_velocity(amplitude, c, p)
 
 
 def map_trajectory_to_double_slit(traj: Trajectory, region: SlitRegion) -> Trajectory:

@@ -13,12 +13,14 @@ Runs abort (status, not exception) when the joint density under the pair
 drops below a configurable fraction of its t = 0 peak, which is how fermion
 trajectories attracted toward the nodal diagonal are handled.
 
-Two step loops share the scaled problem, the tableau, the controller and the
-SI sample table: a scalar loop on plain floats for single pairs, and a numpy
+integrate_pairs is the one entry point, for a single pair as for an
+ensemble; every pair is released at t = 0. Two step loops behind it share the
+scaled problem, the tableau, the controller and the SI sample table: a numpy
 loop that advances every live pair of a batch together, each with its own
-step size and controller state. integrate_pairs uses the batch loop while at
-least _BATCH_MIN pairs are live and hands smaller remainders to the scalar
-loop, whose per-step cost does not carry numpy's per-call overhead.
+step size and controller state, and a scalar loop on plain floats.
+integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
+and hands smaller batches and remainders to the scalar loop, whose per-step
+cost does not carry numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class IntegratorConfig:
     rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
     bound the local error of the half-separation (y1 - y2) / 2. The
     step bounds are in seconds and default to fractions of the integration
-    span when left None. density_floor is relative to the t = 0 peak of the
-    joint density.
+    span when left None; those given must satisfy h_min <= h_init <= h_max.
+    density_floor is relative to the t = 0 peak of the joint density.
     """
 
     rel_tol: float = 1e-9
@@ -125,6 +127,10 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ValueError(f"{name} must be > 0 when given")
+        given = [n for n in ("h_min", "h_init", "h_max") if getattr(self, n) is not None]
+        for lo, hi in zip(given, given[1:]):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} must be <= {hi} when both are given")
 
     def resolved_steps(self, span: float) -> tuple[float, float, float]:
         """(h_init, h_min, h_max) over a span of the independent variable."""
@@ -158,9 +164,9 @@ class Trajectory:
 
     @classmethod
     def from_rows(cls, rows, status, p: PhysicalParams, x1=0.0, x2=0.0) -> Trajectory:
-        """Trajectory from SI sample rows (t, y1, y2, vy1, vy2), released at x1, x2."""
+        """Trajectory from SI sample rows (t, y1, y2, vy1, vy2), released at x1, x2 at t = 0."""
         t = rows[:, 0]
-        dx = p.x_speed * (t - t[0])
+        dx = p.x_speed * t
         vx = np.full(t.shape, p.x_speed)
         return cls(t, x1 + dx, rows[:, 1], x2 + dx, rows[:, 2], vx, rows[:, 3], vx, rows[:, 4],
                    status)
@@ -175,7 +181,7 @@ class Trajectory:
 class _Scaled:
     """One integration problem in packet-width / spreading-time units."""
 
-    grid: tuple[float, ...]  # sample times over tau, counted from the start
+    grid: tuple[float, ...]  # sample times over tau
     times: np.ndarray  # the requested sample times (s)
     tau: float
     sign: int
@@ -190,26 +196,25 @@ class _Scaled:
 
 
 def _scaled_problem(
-    t0: float, t_end: float, cfg: IntegratorConfig, stats: SpinStatistics, p: PhysicalParams,
-    sample_times,
+    t_end: float, cfg: IntegratorConfig, stats: SpinStatistics, p: PhysicalParams, sample_times
 ) -> _Scaled:
     """Validate the sample grid and scale the problem by sigma0 and tau."""
-    if t_end <= t0:
-        raise ValueError("t_end must exceed the initial time")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be > 0")
     if sample_times is None:
-        sample_times = (t0, t_end)
+        sample_times = (0.0, t_end)
     out_t = [float(t) for t in sample_times]
-    if out_t[0] != t0 or out_t[-1] != t_end or any(
+    if out_t[0] != 0.0 or out_t[-1] != t_end or any(
         b <= a for a, b in zip(out_t, out_t[1:])
     ):
-        raise ValueError("sample_times must run strictly from initial.t to t_end")
+        raise ValueError("sample_times must run strictly from 0 to t_end")
     tau = p.tau
     # Peak of the dimensionless density; the SI peak carries 1/sigma0^2.
     peak = initial_density_peak(stats, p) * p.sigma0**2
     # Step bounds are configured in seconds; the loops run in scaled time.
-    h_init, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end - t0))
+    h_init, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end))
     return _Scaled(
-        grid=tuple((t - t0) / tau for t in out_t),
+        grid=tuple(t / tau for t in out_t),
         times=np.array(out_t),
         tau=tau,
         sign=stats.sign,
@@ -231,62 +236,18 @@ def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarr
     holds each pair's initial centre of mass, one per row block. The centre
     c = c0 sqrt(1 + T^2) moves at c T / (1 + T^2), so eta1, eta2 = c +- d and
     their velocities are c T / (1 + T^2) +- dd/dT. A row on the grid gets its
-    requested time; only an abort's off-grid truncation row gets t0 + T tau.
+    requested time; only an abort's off-grid truncation row gets T tau.
     """
     T, d, w = np.moveaxis(rows, -1, 0)
     k = T.shape[-1]
     s2 = 1.0 + T * T
     c = np.expand_dims(c0, -1) * np.sqrt(s2)
     drift = c * (T / s2)
-    t = np.where(T == np.asarray(prob.grid[:k]), prob.times[:k], prob.times[0] + T * prob.tau)
+    t = np.where(T == np.asarray(prob.grid[:k]), prob.times[:k], T * prob.tau)
     v = p.sigma0 / prob.tau
     return np.stack(
         (t, (c + d) * p.sigma0, (c - d) * p.sigma0, (drift + w) * v, (drift - w) * v), axis=-1
     )
-
-
-def integrate_trajectory(
-    initial: PairConfiguration,
-    t_end: float,
-    cfg: IntegratorConfig,
-    stats: SpinStatistics,
-    p: PhysicalParams,
-    sample_times=None,
-) -> Trajectory:
-    """Integrate one pair from initial.t to t_end.
-
-    Parameters
-    ----------
-    sample_times : sequence of float, optional
-        Times (s) at which samples are recorded. Must start at initial.t, end
-        at t_end and increase strictly. Defaults to the two endpoints.
-
-    Returns
-    -------
-    Trajectory
-        Status COMPLETED, or NODE_PROXIMITY_ABORT with samples truncated at
-        the last state before the density floor was crossed.
-
-    Raises
-    ------
-    ValueError
-        If the initial density already sits below the floor, or the sample
-        grid is malformed.
-    NodeProximityError
-        If the initial configuration sits on a node of the state.
-    StepUnderflowError
-        If error control would need a step below h_min.
-    """
-    prob = _scaled_problem(initial.t, t_end, cfg, stats, p, sample_times)
-    e1 = initial.y1 / p.sigma0
-    e2 = initial.y2 / p.sigma0
-    if reduced_density(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor:
-        raise ValueError("initial density below density_floor")
-    c0, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
-    k1 = reduced_velocity(d, 0.0, prob.beta, prob.sign)
-    status, rows = _advance(prob, 0.0, d, c0, k1, prob.h_init, 1.0, 1)
-    table = _si_rows(np.array([(0.0, d, k1), *rows]), c0, prob, p)
-    return Trajectory.from_rows(table, status, p, initial.x1, initial.x2)
 
 
 def integrate_pairs(
@@ -297,11 +258,13 @@ def integrate_pairs(
     p: PhysicalParams,
     sample_times=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate a batch of pairs released at x = 0, t = 0 to t_end.
+    """Integrate a batch of pairs released at t = 0 to t_end.
 
-    initial is the (n, 2) array of release positions (y1, y2) in metres.
-    Every pair gets the step control, sample grid and status that
-    integrate_trajectory would give it, but no pair raises.
+    initial is the (n, 2) array of release positions (y1, y2) in metres; the
+    longitudinal drift is exact, and Trajectory.from_rows adds it for any
+    release x.
+    Every pair runs the same step control on the same sample grid; a pair
+    that cannot be integrated gets a status, never an exception.
 
     Returns
     -------
@@ -317,9 +280,11 @@ def integrate_pairs(
     Raises
     ------
     ValueError
-        If the sample grid is malformed.
+        If t_end is not > 0 or the sample grid is malformed: sample_times
+        must start at 0, end at t_end and increase strictly. They default to
+        (0, t_end).
     """
-    prob = _scaled_problem(0.0, t_end, cfg, stats, p, sample_times)
+    prob = _scaled_problem(t_end, cfg, stats, p, sample_times)
     n = initial.shape[0]
     e1 = initial[:, 0] / p.sigma0
     e2 = initial[:, 1] / p.sigma0

@@ -9,6 +9,7 @@ single place.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS, HBAR
@@ -61,6 +62,17 @@ class PhysicalParams:
         for name in ("m", "hbar", "sigma0", "Y", "kx", "d", "L"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        # Extreme inputs can underflow or overflow the derived time scales;
+        # the integrator divides by tau and steps over flight_time / tau.
+        try:
+            tau = self.tau
+        except OverflowError:  # sigma0**2 raises where a product would give inf
+            tau = math.inf
+        for name, value in (("tau", tau), ("flight_time", self.flight_time)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 < self.flight_time / tau < math.inf:
+            raise ValueError("flight_time / tau must be finite and > 0")
 
     @classmethod
     def baseline(cls, x_speed: float = 2.0e7) -> "PhysicalParams":

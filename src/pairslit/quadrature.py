@@ -1,4 +1,4 @@
-"""Small tensor-product Gauss-Legendre helpers for 2-D density integrals."""
+"""Gauss-Legendre nodes and weights for density integrals."""
 
 from __future__ import annotations
 
@@ -10,15 +10,3 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def integrate_2d(f, xlim, ylim, n: int = 220) -> float:
-    """Integrate f(x, y) over a rectangle with an n x n tensor GL rule.
-
-    f must accept broadcast 2-D arrays. Adequate for smooth, mildly
-    oscillatory integrands whose features span at least a few grid cells.
-    """
-    x, wx = gauss_legendre(xlim[0], xlim[1], n)
-    y, wy = gauss_legendre(ylim[0], ylim[1], n)
-    fx = f(x[:, None], y[None, :])
-    return float(np.einsum("i,j,ij->", wx, wy, fx))

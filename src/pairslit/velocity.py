@@ -14,6 +14,10 @@ from .errors import NodeProximityError
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, joint_density, psi_pair, sigma_t
 
+# Minimum |Psi|^2 at the oracle's point, relative to the t = 0 density peak,
+# below which it refuses to divide by Psi.
+_ORACLE_DENSITY_FLOOR = 1e-12
+
 
 def velocity_closed_form(
     c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams
@@ -49,38 +53,23 @@ def velocity_oracle(
     stats: SpinStatistics,
     p: PhysicalParams,
     step: float | None = None,
-    x_step: float | None = None,
     richardson: bool = False,
-    density_floor: float = 1e-12,
 ) -> PairVelocity:
     """Guidance velocity by central differences of the complex amplitude (m/s).
 
     Independent oracle for velocity_closed_form: evaluates
     (hbar/m) Im[dPsi/dq / Psi] numerically in each of the four coordinates.
-
-    Parameters
-    ----------
-    step : float, optional
-        Transverse step; defaults to 1e-4 * sigma0.
-    x_step : float, optional
-        Longitudinal step; defaults to 1e-3 / kx so the sampled phase
-        difference stays small. A sigma0-scale step would alias the plane
-        wave completely.
-    richardson : bool
-        Combine steps h and h/2 for fourth-order accuracy.
-    density_floor : float
-        Minimum |Psi|^2 at c, relative to the t = 0 density peak, below which
-        the division is refused.
+    step and richardson are those of log_gradient_velocity. Raises
+    NodeProximityError where |Psi|^2 falls below _ORACLE_DENSITY_FLOOR times
+    the t = 0 density peak.
     """
-    if joint_density(c, stats, p) < density_floor * initial_density_peak(stats, p):
+    if joint_density(c, stats, p) < _ORACLE_DENSITY_FLOOR * initial_density_peak(stats, p):
         raise NodeProximityError("|Psi|^2 below oracle density floor")
 
     def amplitude(x1: float, y1: float, x2: float, y2: float, t: float) -> complex:
         return psi_pair(stats, PairConfiguration(x1, y1, x2, y2, t), p)
 
-    return log_gradient_velocity(
-        amplitude, c, p, step=step, x_step=x_step, richardson=richardson
-    )
+    return log_gradient_velocity(amplitude, c, p, step=step, richardson=richardson)
 
 
 def log_gradient_velocity(
@@ -88,17 +77,25 @@ def log_gradient_velocity(
     c: PairConfiguration,
     p: PhysicalParams,
     step: float | None = None,
-    x_step: float | None = None,
     richardson: bool = False,
 ) -> PairVelocity:
     """(hbar/m) Im[grad Psi / Psi] by central differences of any amplitude.
 
     amplitude is a callable (x1, y1, x2, y2, t) -> complex. Callers guard
     against near-zero |Psi| themselves; this helper only differentiates.
+
+    Parameters
+    ----------
+    step : float, optional
+        Transverse step; defaults to 1e-4 * sigma0. The longitudinal step is
+        1e-3 / kx, so the sampled phase difference stays small: a
+        sigma0-scale step would alias the plane wave completely.
+    richardson : bool
+        Combine steps h and h/2 for fourth-order accuracy.
     """
     psi0 = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
     h_y = 1e-4 * p.sigma0 if step is None else step
-    h_x = 1e-3 / p.kx if x_step is None else x_step
+    h_x = 1e-3 / p.kx
 
     def component(index: int, h: float) -> float:
         base = [c.x1, c.y1, c.x2, c.y2]

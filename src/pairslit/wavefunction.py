@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._kernels import reduced_density_array
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
 from .quadrature import gauss_legendre
 
@@ -118,24 +119,10 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    n2 = normalization_N(stats, p)
-    T = t / p.tau
-    s2 = 1.0 + T * T
     e1 = np.asarray(y1) / p.sigma0
     e2 = np.asarray(y2) / p.sigma0
-    beta = p.beta
-    # Summing the 4ab term first keeps one fewer grid-sized temporary alive,
-    # which sets the peak memory of initial_density_peak's grid search.
-    trig = (np.cos if stats.sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
-    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
-    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    total = 4.0 * a * b * trig**2 + (a - b) ** 2
-    return n2 / (2.0 * np.pi * s2) * total / p.sigma0**2
-
-
-def initial_density(y1, y2, stats: SpinStatistics, p: PhysicalParams):
-    """Joint density of the just-released pair, t = 0 (m^-2), vectorized."""
-    return joint_density_y(y1, y2, 0.0, stats, p)
+    n2 = normalization_N(stats, p)
+    return reduced_density_array(e1, e2, t / p.tau, stats.sign, p.beta, n2) / p.sigma0**2
 
 
 @functools.lru_cache(maxsize=32)

@@ -22,7 +22,6 @@ from pairslit import (
     com_closed_form,
     corrected_velocity,
     density_distance,
-    integrate_trajectory,
     joint_density,
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
@@ -36,6 +35,8 @@ from pairslit import (
     velocity_closed_form,
     velocity_oracle,
 )
+
+from pair_transport import integrate_one
 
 P_FAST = PhysicalParams.baseline(x_speed=2.0e7)
 P_SLOW = PhysicalParams.baseline(x_speed=2.0e6)
@@ -134,7 +135,7 @@ def test_criterion_4_com_law():
             y2 = float(rng.uniform(-8e-6, -2e-6))
             if abs(y1 + y2) < 1e-7:
                 y2 -= 5e-7
-            traj = integrate_trajectory(
+            traj = integrate_one(
                 PairConfiguration(0, y1, 0, y2, 0), t_end, IntegratorConfig(), stats, p,
                 np.linspace(0.0, t_end, 11),
             )
@@ -165,7 +166,7 @@ def test_criterion_5_symmetry_suite():
     worst_sym = 0.0
     for y0 in (3.5e-6, 5e-6, 6.5e-6, 2.1e-6, 8.3e-6):
         for stats in SpinStatistics:
-            traj = integrate_trajectory(
+            traj = integrate_one(
                 PairConfiguration(0, y0, 0, -y0, 0), 1e-7, IntegratorConfig(), stats, P_SLOW,
                 np.linspace(0.0, 1e-7, 11),
             )
@@ -182,7 +183,7 @@ def test_criterion_6_same_side_detection(ensembles_10k):
     worst_end = 0.0
     crossing_up = None
     for off, (ref1, ref2) in FIG4B_ENDPOINTS.items():
-        traj = integrate_trajectory(
+        traj = integrate_one(
             PairConfiguration(0, P_SLOW.Y, 0, off * s0, 0), 1e-7,
             IntegratorConfig(), SpinStatistics.BOSON, P_SLOW,
         )
@@ -258,7 +259,7 @@ def test_criterion_8_four_slit_reductions():
     x0 = 2 * p.d
     worst_y = worst_x = 0.0
     for y1_0, y2_0 in ((p.Y, -p.Y + 0.5e-6), (p.Y - 1.5e-6, -p.Y - 1e-6)):
-        traj = integrate_trajectory(
+        traj = integrate_one(
             PairConfiguration(x0, y1_0, x0, y2_0, 0.0), 1e-8,
             IntegratorConfig(), SpinStatistics.BOSON, p, np.linspace(0.0, 1e-8, 9),
         )
@@ -286,8 +287,8 @@ def test_criterion_9_robustness(ensembles_10k):
         rng = np.random.default_rng(900 + i)
         for y1, y2 in sample_joint_y(20, 0.0, stats, P_FAST, rng):
             c = PairConfiguration(0.0, float(y1), 0.0, float(y2), 0.0)
-            a = integrate_trajectory(c, t_end, IntegratorConfig(), stats, P_FAST).endpoint
-            b = integrate_trajectory(c, t_end, halved, stats, P_FAST).endpoint
+            a = integrate_one(c, t_end, IntegratorConfig(), stats, P_FAST).endpoint
+            b = integrate_one(c, t_end, halved, stats, P_FAST).endpoint
             worst_shift = max(worst_shift, abs(a.y1 - b.y1) / P_FAST.sigma0,
                               abs(a.y2 - b.y2) / P_FAST.sigma0)
     ok = frac_fast < 1e-3 and frac_slow < 1e-3 and worst_shift < 1e-9

@@ -12,11 +12,8 @@ from pairslit import (
     PhysicalParams,
     SamplerConfig,
     SpinStatistics,
-    StepUnderflowError,
-    Trajectory,
     TrajectoryStatus,
     com_closed_form,
-    integrate_trajectory,
     joint_density_y,
     normalization_N,
     sample_initial,
@@ -32,6 +29,7 @@ from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
 
 from endpoint_oracle import oracle_endpoints
+from pair_transport import integrate_one, trajectories
 
 REGIMES = {
     "fast": (PhysicalParams.baseline(x_speed=2.0e7), 1e-8),
@@ -52,15 +50,6 @@ def draw(regime, stats, seed, n=N_BATCH):
     p, t_end = REGIMES[regime]
     initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p)
     return initial, p, t_end
-
-
-def trajectories(initial, t_end, cfg, stats, p, times=None):
-    """integrate_pairs as one Trajectory, or None, per pair."""
-    table, count, status = integrate_pairs(initial, t_end, cfg, stats, p, times)
-    return [
-        None if st is None else Trajectory.from_rows(table[i, : count[i]], st, p)
-        for i, st in enumerate(status)
-    ]
 
 
 def release(y1, y2):
@@ -89,13 +78,6 @@ def assert_same_path(got, want, times, p):
     if not on_grid[-1]:
         k = on_grid.sum()
         assert times[k - 1] < got.t[-1] < times[k]
-
-
-def scalar_or_none(y0, t_end, cfg, stats, p, times):
-    try:
-        return integrate_trajectory(release(*y0), t_end, cfg, stats, p, times)
-    except (ValueError, NodeProximityError, StepUnderflowError):
-        return None
 
 
 def test_velocity_twin_matches_scalar_kernel(rng):
@@ -146,7 +128,7 @@ def test_batch_matches_scalar_calls(case, batch_min):
         mp.setattr(integrator, "_BATCH_MIN", batch_min)
         batch = trajectories(initial, t_end, cfg, stats, p, times)
     for y0, got in zip(initial, batch):
-        want = scalar_or_none(y0, t_end, cfg, stats, p, times)
+        want = integrate_one(release(*y0), t_end, cfg, stats, p, times)
         assert (got is None) == (want is None)
         if want is not None:
             assert_same_path(got, want, times, p)
@@ -206,7 +188,7 @@ def test_endpoints_match_the_exact_map(case):
     assert all(s is TrajectoryStatus.COMPLETED for s in status)
     assert np.abs(table[np.arange(len(initial)), count - 1, 1:3] - want).max() <= bound
     for y0, (y1, y2) in zip(initial, want):
-        end = integrate_trajectory(release(*y0), t_end, IntegratorConfig(), stats, p).endpoint
+        end = integrate_one(release(*y0), t_end, IntegratorConfig(), stats, p).endpoint
         assert max(abs(end.y1 - y1), abs(end.y2 - y2)) <= bound
 
 
@@ -254,7 +236,7 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
     cfg = IntegratorConfig(density_floor=0.01)
     initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
     times = np.linspace(0.0, 1e-7, 11)
-    scalar = [scalar_or_none(y0, 1e-7, cfg, stats, p_slow, times) for y0 in initial]
+    scalar = [integrate_one(release(*y0), 1e-7, cfg, stats, p_slow, times) for y0 in initial]
     batch = trajectories(initial, 1e-7, cfg, stats, p_slow, times)
     truncated = [t for t in scalar if t is not None and t.status is TrajectoryStatus.NODE_PROXIMITY_ABORT]
     assert len(truncated) > _BATCH_MIN
@@ -271,8 +253,8 @@ def test_start_on_a_node_is_not_integrated(p_fast):
     # just off the fermion diagonal: above a tiny floor, but inside NODE_GUARD
     cfg = IntegratorConfig(density_floor=1e-30)
     y0 = (2e-6, 2e-6 + 1e-15)
-    with pytest.raises(NodeProximityError):
-        integrate_trajectory(release(*y0), 1e-8, cfg, SpinStatistics.FERMION, p_fast)
+    _, count, status = integrate_pairs(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast)
+    assert status[0] is None and count[0] == 0
     assert trajectories(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
 
 
@@ -294,7 +276,7 @@ def test_samples_land_on_the_requested_times(p_slow, n_times, batch_min):
         batch = trajectories(initial, 1e-7, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times)
     for y0, traj in zip(initial, batch):
         np.testing.assert_array_equal(traj.t, times)
-        single = integrate_trajectory(
+        single = integrate_one(
             release(*y0), 1e-7, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times
         )
         np.testing.assert_array_equal(single.t, times)

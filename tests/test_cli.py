@@ -198,7 +198,9 @@ def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
 
 
 def test_main_bad_config_exit_code(tmp_path, capsys):
-    # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts
+    # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts.
+    # sigma0 1e-300 underflows tau to 0; L 1e-300 underflows the flight time to
+    # 0; m 1e300 overflows tau to inf.
     for bad in (
         '"params": {"sigma0": -1}',
         '"sampler": {"seed": -1}',
@@ -206,6 +208,10 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
         '"params": {"sigma0": Infinity}',
         '"integrator": {"h_max": -Infinity}',
         '"params": {"L": NaN}',
+        '"params": {"sigma0": 1e-300}',
+        '"params": {"L": 1e-300}',
+        '"params": {"m": 1e300}',
+        '"integrator": {"h_min": 1e-9, "h_init": 1e-20}',
     ):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"scenario": "custom", {bad}}}')
@@ -257,6 +263,21 @@ def _refuse_nan(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+UNDERFLOW = {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7, "rel_tol": 1e-13, "abs_tol": 1e-13}
+
+
+@pytest.mark.parametrize("integrator", [{"density_floor": 0.99}, UNDERFLOW],
+                         ids=["start_below_floor", "step_underflow"])
+def test_four_slit_check_fails_when_a_pair_is_not_integrated(tmp_path, capsys, integrator):
+    path = write_json(tmp_path / "c.json", {"integrator": integrator})
+    assert run_main(tmp_path, "four-slit-check", "--config", path) == 2
+    out, err = capsys.readouterr()
+    assert "FAIL  mapped trajectories" in out and "2 of 2 pairs could not be integrated" in out
+    assert "Traceback" not in err
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert json.loads(text, parse_constant=_refuse_nan)["all_passed"] is False
+
+
 def test_summary_is_strict_json_when_nothing_completes(tmp_path):
     path = write_json(tmp_path / "floor.json", {
         "scenario": "custom",
@@ -277,8 +298,7 @@ def test_step_underflow_is_counted_as_abort(tmp_path, capsys):
         path = write_json(tmp_path / "underflow.json", {
             "scenario": "equivariance",
             "sampler": {"n_pairs": n_pairs},
-            "integrator": {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7,
-                           "rel_tol": 1e-13, "abs_tol": 1e-13},
+            "integrator": UNDERFLOW,
         })
         assert run_main(tmp_path, "equivariance", "--config", path) == 2
         assert "abort fraction" in capsys.readouterr().err

@@ -16,6 +16,8 @@ from pairslit import (
     sigma_t,
 )
 
+from pair_transport import integrate_one
+
 
 def small_run(p, stats, n=150, seed=21, **kw):
     return run_ensemble(
@@ -103,14 +105,14 @@ def test_tight_com_selection_forces_opposite_sides(p_slow):
 
 def test_mirrored_ensembles(p_fast):
     # integrating the negated release of every pair mirrors each endpoint
-    from pairslit import PairConfiguration, integrate_trajectory, sample_initial
+    from pairslit import PairConfiguration, sample_initial
 
     initial = sample_initial(SamplerConfig(n_pairs=12, seed=26), SpinStatistics.BOSON, p_fast)
     for y1, y2 in initial.tolist():
         c = PairConfiguration(0.0, y1, 0.0, y2, 0.0)
         neg = PairConfiguration(0.0, -y1, 0.0, -y2, 0.0)
-        a = integrate_trajectory(c, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
-        b = integrate_trajectory(neg, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
+        a = integrate_one(c, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
+        b = integrate_one(neg, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast)
         assert b.endpoint.y1 == -a.endpoint.y1
         assert b.endpoint.y2 == -a.endpoint.y2
 

@@ -13,7 +13,6 @@ from pairslit import (
     SpinStatistics,
     corrected_four_slit_psi,
     corrected_velocity,
-    integrate_trajectory,
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
@@ -21,6 +20,8 @@ from pairslit import (
     psi_slit,
     region_of,
 )
+
+from pair_transport import integrate_one
 
 
 def samples(traj):
@@ -150,7 +151,7 @@ def test_corrected_state_region_mismatch(p_slow):
 
 
 def test_mapping_is_involution(p_slow):
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(2 * p_slow.d, 5e-6, 2 * p_slow.d, -4e-6, 0.0),
         1e-8,
         IntegratorConfig(),
@@ -175,7 +176,7 @@ def test_mapped_trajectory_obeys_corrected_state(p_slow):
     t_end = 1e-8
     times = np.linspace(0.0, t_end, 6)
     start = PairConfiguration(x0, p_slow.Y - 1.5e-6, x0, -p_slow.Y + 0.5e-6, 0.0)
-    traj = integrate_trajectory(
+    traj = integrate_one(
         start, t_end, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times
     )
     mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)

@@ -7,11 +7,12 @@ from pairslit import (
     IntegratorConfig,
     PairConfiguration,
     SpinStatistics,
-    StepUnderflowError,
     TrajectoryStatus,
     com_closed_form,
-    integrate_trajectory,
 )
+from pairslit.integrator import integrate_pairs
+
+from pair_transport import integrate_one
 
 
 def test_config_defaults():
@@ -35,9 +36,10 @@ def test_config_rejects_nonpositive(kw):
 
 
 def test_config_step_ordering():
-    cfg = IntegratorConfig(h_init=1e-10, h_min=1e-9)  # min above init
     with pytest.raises(ValueError):
-        cfg.resolved_steps(1e-8)
+        IntegratorConfig(h_init=1e-10, h_min=1e-9)  # min above init
+    with pytest.raises(ValueError):
+        IntegratorConfig(h_min=1e-9).resolved_steps(1e-8)  # min above the default init
     h_init, h_min, h_max = IntegratorConfig().resolved_steps(1e-8)
     assert 0 < h_min <= h_init <= h_max == 1e-8
 
@@ -49,7 +51,7 @@ def test_com_matches_closed_form(p_fast, p_slow, stats):
         t_end = p.flight_time
         times = np.linspace(0.0, t_end, 6)
         for y1, y2 in starts:
-            traj = integrate_trajectory(
+            traj = integrate_one(
                 PairConfiguration(0, y1, 0, y2, 0), t_end, IntegratorConfig(), stats, p, times
             )
             assert traj.status is TrajectoryStatus.COMPLETED
@@ -59,7 +61,7 @@ def test_com_matches_closed_form(p_fast, p_slow, stats):
 
 
 def test_mirror_pair_stays_mirrored_exactly(p_slow, stats):
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(0, 6.5e-6, 0, -6.5e-6, 0),
         1e-7,
         IntegratorConfig(),
@@ -74,10 +76,10 @@ def test_mirror_pair_stays_mirrored_exactly(p_slow, stats):
 
 def test_negated_release_mirrors_trajectory(p_slow, stats):
     times = np.linspace(0.0, 1e-7, 7)
-    a = integrate_trajectory(
+    a = integrate_one(
         PairConfiguration(0, 6.0e-6, 0, -3.0e-6, 0), 1e-7, IntegratorConfig(), stats, p_slow, times
     )
-    b = integrate_trajectory(
+    b = integrate_one(
         PairConfiguration(0, -6.0e-6, 0, 3.0e-6, 0), 1e-7, IntegratorConfig(), stats, p_slow, times
     )
     for name in ("y1", "y2", "vy1", "vy2"):
@@ -86,7 +88,7 @@ def test_negated_release_mirrors_trajectory(p_slow, stats):
 
 def test_deterministic_repeats(p_fast):
     def run():
-        return integrate_trajectory(
+        return integrate_one(
             PairConfiguration(0, 5.5e-6, 0, -4.0e-6, 0),
             1e-8,
             IntegratorConfig(),
@@ -103,7 +105,7 @@ def test_deterministic_repeats(p_fast):
 
 def test_sample_times_hit_exactly(p_fast):
     times = np.array([0.0, 1.3e-9, 2.9e-9, 7.7e-9, 1e-8])
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(0, 5e-6, 0, -4e-6, 0),
         1e-8,
         IntegratorConfig(),
@@ -116,7 +118,7 @@ def test_sample_times_hit_exactly(p_fast):
 
 def test_longitudinal_advance_is_linear(p_fast):
     x0 = 3e-6
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(x0, 5e-6, x0, -4e-6, 0),
         1e-8,
         IntegratorConfig(),
@@ -131,7 +133,7 @@ def test_longitudinal_advance_is_linear(p_fast):
 
 
 def test_trajectory_arrays_shape(p_fast):
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(0, 5e-6, 0, -4e-6, 0),
         1e-8,
         IntegratorConfig(),
@@ -147,10 +149,10 @@ def test_trajectory_arrays_shape(p_fast):
 
 def test_halving_tolerances_converges(p_fast):
     start = PairConfiguration(0, 5.8e-6, 0, -4.3e-6, 0)
-    coarse = integrate_trajectory(
+    coarse = integrate_one(
         start, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast
     ).endpoint
-    fine = integrate_trajectory(
+    fine = integrate_one(
         start,
         1e-8,
         IntegratorConfig(rel_tol=5e-10, abs_tol=5e-10),
@@ -163,20 +165,16 @@ def test_halving_tolerances_converges(p_fast):
 
 def test_initial_density_below_floor_rejected(p_fast):
     # fermion release on the node manifold is not integrable
-    with pytest.raises(ValueError, match="density"):
-        integrate_trajectory(
-            PairConfiguration(0, 2e-6, 0, 2e-6, 0),
-            1e-8,
-            IntegratorConfig(),
-            SpinStatistics.FERMION,
-            p_fast,
-        )
+    _, count, status = integrate_pairs(
+        np.array([(2e-6, 2e-6)]), 1e-8, IntegratorConfig(), SpinStatistics.FERMION, p_fast
+    )
+    assert status[0] is None and count[0] == 0
 
 
 def test_density_floor_abort_truncates(p_slow):
     # with an aggressively high floor the spreading state soon drops below it
     cfg = IntegratorConfig(density_floor=0.5)
-    traj = integrate_trajectory(
+    traj = integrate_one(
         PairConfiguration(0, 5e-6, 0, -5e-6, 0),
         1e-7,
         cfg,
@@ -189,30 +187,27 @@ def test_density_floor_abort_truncates(p_slow):
     assert traj.endpoint.t < 1e-7
 
 
-def test_step_underflow_raises(p_slow):
+def test_step_underflow_is_not_integrated(p_slow):
     cfg = IntegratorConfig(h_init=1e-7, h_min=1e-7, h_max=1e-7, rel_tol=1e-13, abs_tol=1e-13)
-    with pytest.raises(StepUnderflowError):
-        integrate_trajectory(
-            PairConfiguration(0, 5e-6, 0, -4e-6, 0), 1e-7, cfg, SpinStatistics.BOSON, p_slow
-        )
+    _, count, status = integrate_pairs(
+        np.array([(5e-6, -4e-6)]), 1e-7, cfg, SpinStatistics.BOSON, p_slow
+    )
+    assert status[0] is None and count[0] == 0
 
 
 def test_bad_t_end_rejected(p_fast):
-    with pytest.raises(ValueError):
-        integrate_trajectory(
-            PairConfiguration(0, 5e-6, 0, -4e-6, 1e-9),
-            1e-9,
-            IntegratorConfig(),
-            SpinStatistics.BOSON,
-            p_fast,
-        )
+    for t_end in (0.0, -1e-9):
+        with pytest.raises(ValueError):
+            integrate_pairs(
+                np.array([(5e-6, -4e-6)]), t_end, IntegratorConfig(), SpinStatistics.BOSON, p_fast
+            )
 
 
 def test_bad_sample_times_rejected(p_fast):
     start = PairConfiguration(0, 5e-6, 0, -4e-6, 0)
     for times in ([0.0, 5e-9, 4e-9, 1e-8], [1e-9, 1e-8], [0.0, 5e-9]):
         with pytest.raises(ValueError):
-            integrate_trajectory(
+            integrate_one(
                 start, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast, np.array(times)
             )
 

@@ -10,7 +10,6 @@ from pairslit import (
     PairConfiguration,
     Slit,
     SpinStatistics,
-    initial_density,
     joint_density,
     joint_density_y,
     normalization_N,
@@ -120,14 +119,6 @@ def test_joint_density_matches_closed_form(p_fast, stats):
                 got = joint_density(c, stats, p_fast)
                 ref = closed[i, j]
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-18)
-
-
-def test_initial_density_is_time_zero_joint(p_fast, stats):
-    for y1, y2 in ((4e-6, -6e-6), (0.0, 5e-6), (-2e-6, -3e-6)):
-        c = PairConfiguration(0.0, y1, 0.0, y2, 0.0)
-        assert initial_density(y1, y2, stats, p_fast) == pytest.approx(
-            joint_density(c, stats, p_fast), rel=1e-13
-        )
 
 
 def test_same_side_probability_frozen(p_slow, p_fast):
