@@ -102,7 +102,7 @@ def reduced_density_array(e1, e2, T, sign: int, beta: float, n2: float):
     trig = (np.cos if sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
     a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
     b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    # Summing the 4ab term first keeps one fewer grid-sized temporary alive,
-    # which sets the peak memory of initial_density_peak's grid search.
+    # Same summation order as the scalar kernel: the 4ab term first. The
+    # density's bits, and so every density-floor decision, depend on it.
     total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * np.pi * s2) * total

@@ -24,18 +24,10 @@ import numpy as np
 from . import __version__
 from .ensemble import run_ensemble, transport_ensemble
 from .errors import ConfigError, PairslitError
-from .fourslit import (
-    SlitRegion,
-    corrected_four_slit_psi,
-    corrected_velocity,
-    map_trajectory_to_double_slit,
-    naive_four_slit_psi,
-    naive_velocity,
-)
-from .integrator import IntegratorConfig, Trajectory, integrate_pairs
-from .params import PairConfiguration, PhysicalParams, SpinStatistics
+from .fourslit import MAPPED_SPAN, property_report
+from .integrator import IntegratorConfig, Trajectory
+from .params import PhysicalParams, SpinStatistics
 from .sampling import SamplerConfig
-from .wavefunction import Slit, psi_pair, psi_slit
 
 SCENARIOS = ("fig3a", "fig3b", "fig4a", "fig4b", "four-slit-check", "equivariance", "custom")
 
@@ -231,6 +223,14 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
 
     if problems:
         raise ConfigError(problems)
+    # Default step bounds are fractions of the span the scenario integrates.
+    span = cfg.params.flight_time
+    if scenario == "four-slit-check":
+        span = min(MAPPED_SPAN, span)
+    try:
+        cfg.integrator.resolved_steps(span)
+    except ValueError as exc:
+        raise ConfigError([f"integrator: {exc} over the {span:.3e} s span"]) from exc
     return cfg
 
 
@@ -313,127 +313,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
 
 def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
-    """Numeric property report for the facing double-slit reductions."""
-    p = cfg.params
+    """Print and record fourslit.property_report; exit 2 if a check failed."""
     rng = np.random.default_rng(cfg.sampler.seed)
-    checks: list[tuple[str, bool, str]] = []
-    s0 = p.sigma0
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
-
-    # Longitudinal freeze of the globally symmetrized state, both signs.
-    # Skip draws too close to an interference node, where the amplitude ratio
-    # in the finite difference is dominated by rounding.
-    def well_conditioned_draw(stats: SpinStatistics) -> PairConfiguration:
-        while True:
-            c = PairConfiguration(
-                float(rng.uniform(-3 * s0, 3 * s0)),
-                float(rng.uniform(-2 * p.Y, 2 * p.Y)),
-                float(rng.uniform(-3 * s0, 3 * s0)),
-                float(rng.uniform(-2 * p.Y, 2 * p.Y)),
-                float(rng.uniform(0.0, p.flight_time)),
-            )
-            scale = max(abs(psi_slit(s, c.x1, c.y1, c.t, p)) for s in Slit) * max(
-                abs(psi_slit(s, c.x2, c.y2, c.t, p)) for s in Slit
-            )
-            if abs(naive_four_slit_psi(stats, c, p)) > 0.1 * scale:
-                return c
-
-    worst = 0.0
-    for stats in SpinStatistics:
-        for _ in range(20):
-            vel = naive_velocity(well_conditioned_draw(stats), stats, p)
-            worst = max(worst, abs(vel.vx1), abs(vel.vx2))
-    record(
-        "naive state: longitudinal velocities vanish",
-        worst < 1e-5 * p.x_speed,
-        f"max |vx| = {worst:.3e} m/s vs drift {p.x_speed:.3e} m/s",
-    )
-
-    # Factorization: the state times the longitudinal factor evaluated at
-    # swapped x-pairs is symmetric (ratio identity without division). The
-    # factor's argument is ~1e6 rad, so near its zeros rounding dominates;
-    # redraw unless both factors clear the same 0.1 cut as above.
-    worst = 0.0
-    for stats in SpinStatistics:
-        factor = math.cos if stats is SpinStatistics.BOSON else math.sin
-        found = 0
-        while found < 20:
-            y1, y2 = rng.uniform(-2 * p.Y, 2 * p.Y, size=2)
-            xa, xb, xc, xd = rng.uniform(-3 * s0, 3 * s0, size=4)
-            t = float(rng.uniform(0.0, p.flight_time))
-            f_ab, f_cd = factor(p.kx * (xa - xb)), factor(p.kx * (xc - xd))
-            if min(abs(f_ab), abs(f_cd)) < 0.1:
-                continue
-            found += 1
-            lhs = naive_four_slit_psi(stats, PairConfiguration(xa, y1, xb, y2, t), p) * f_cd
-            rhs = naive_four_slit_psi(stats, PairConfiguration(xc, y1, xd, y2, t), p) * f_ab
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            worst = max(worst, abs(lhs - rhs) / scale)
-    record(
-        "naive state: factors into longitudinal interference times a transverse pair state",
-        worst < 1e-9,
-        f"max relative asymmetry {worst:.3e}",
-    )
-
-    # Corrected state equals the symmetric double-slit state with one
-    # longitudinal coordinate reflected, up to one constant.
-    x0 = 2.0 * p.d
-    ratios = []
-    for _ in range(20):
-        c = PairConfiguration(
-            x0 + float(rng.uniform(0.0, 2 * s0)),
-            float(rng.uniform(-2 * p.Y, 2 * p.Y)),
-            -x0 - float(rng.uniform(0.0, 2 * s0)),
-            float(rng.uniform(-2 * p.Y, 2 * p.Y)),
-            float(rng.uniform(0.0, 0.5 * p.flight_time)),
-        )
-        reflected = PairConfiguration(c.x1, c.y1, -c.x2, c.y2, c.t)
-        ratios.append(
-            corrected_four_slit_psi(SlitRegion.RIGHT_LEFT, c, p)
-            / psi_pair(SpinStatistics.BOSON, reflected, p)
-        )
-    spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
-    record(
-        "corrected state: x2-reflection reproduces the double-slit pair state",
-        spread < 1e-9,
-        f"ratio spread {spread:.3e} about {ratios[0]:.6g}",
-    )
-
-    # Reflected double-slit trajectories obey the corrected state's guidance.
-    t_end = 1.0e-8 if p.flight_time > 1.0e-8 else p.flight_time
-    times = np.linspace(0.0, t_end, 9)
-    starts = np.array([(y1, -p.Y + 0.5 * s0) for y1 in (p.Y, p.Y - 1.5 * s0)])
-    table, count, status = integrate_pairs(
-        starts, t_end, cfg.integrator, SpinStatistics.BOSON, p, times
-    )
-    worst_y = worst_x = 0.0
-    for i, st in enumerate(status):
-        if st is None:
-            continue
-        traj = Trajectory.from_rows(table[i, : count[i]], st, p, x0, x0)
-        mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
-        columns = (mapped.x1, mapped.y1, mapped.x2, mapped.y2, mapped.t,
-                   mapped.vx1, mapped.vy1, mapped.vx2, mapped.vy2)
-        for x1, y1, x2, y2, t, vx1, vy1, vx2, vy2 in zip(*(c.tolist() for c in columns)):
-            fd = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, x2, y2, t), p)
-            v_scale = max(abs(vy1), abs(vy2), 1e-9 * p.x_speed)
-            worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
-            worst_x = max(worst_x, abs(fd.vx1 - vx1) / p.x_speed, abs(fd.vx2 - vx2) / p.x_speed)
-    lost = sum(st is None for st in status)
-    note = f"; {lost} of {len(status)} pairs could not be integrated" if lost else ""
-    record(
-        "mapped trajectories: transverse velocities match the corrected state",
-        worst_y < 1e-5 and not lost,
-        f"max relative deviation {worst_y:.3e}{note}",
-    )
-    record(
-        "mapped trajectories: longitudinal velocities are +-drift",
-        worst_x < 1e-4 and not lost,
-        f"max relative deviation {worst_x:.3e}{note}",
-    )
-
+    checks = property_report(cfg.params, cfg.integrator, rng)
     all_ok = all(ok for _, ok, _ in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})" for name, ok, detail in checks]
     print("\n".join(lines))

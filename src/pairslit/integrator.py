@@ -107,7 +107,8 @@ class IntegratorConfig:
     rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
     bound the local error of the half-separation (y1 - y2) / 2. The
     step bounds are in seconds and default to fractions of the integration
-    span when left None; those given must satisfy h_min <= h_init <= h_max.
+    span when left None, except that a default h_init never falls below a
+    given h_min; those given must satisfy h_min <= h_init <= h_max.
     density_floor is relative to the t = 0 peak of the joint density.
     """
 
@@ -135,7 +136,9 @@ class IntegratorConfig:
     def resolved_steps(self, span: float) -> tuple[float, float, float]:
         """(h_init, h_min, h_max) over a span of the independent variable."""
         h_max = span if self.h_max is None else self.h_max
-        h_init = min(1e-3 * span, h_max) if self.h_init is None else self.h_init
+        h_init = self.h_init
+        if h_init is None:
+            h_init = max(min(1e-3 * span, h_max), self.h_min or 0.0)
         h_min = min(1e-12 * span, h_init) if self.h_min is None else self.h_min
         if not (0.0 < h_min <= h_init <= h_max):
             raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")

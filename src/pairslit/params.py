@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import ELECTRON_MASS, HBAR
 
 
@@ -102,7 +104,12 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class PairConfiguration:
-    """A configuration-space point (x1, y1, x2, y2) at time t, all SI."""
+    """A configuration-space point (x1, y1, x2, y2) at time t, all SI.
+
+    The fields may also be numpy arrays that broadcast together, a set of
+    points such as a finite-difference stencil; the amplitudes broadcast
+    over them.
+    """
 
     x1: float
     y1: float
@@ -111,7 +118,8 @@ class PairConfiguration:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.t < 0.0:
+        t = self.t
+        if (t < 0.0).any() if isinstance(t, np.ndarray) else t < 0.0:
             raise ValueError("t must be >= 0")
 
     def swapped(self) -> "PairConfiguration":

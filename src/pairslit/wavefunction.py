@@ -77,16 +77,35 @@ def psi_slit(slit: Slit, x, y, t: float, p: PhysicalParams):
     return value / math.sqrt(p.sigma0)
 
 
+# x and y signs of the four Slit images of the upper packet, in Slit order.
+_IMAGE_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+
+
+def slit_images(x, y, t: float, p: PhysicalParams):
+    """psi_slit behind all four slits at once, stacked in Slit order on axis 0.
+
+    x, y and t broadcast; the result has shape (4, *broadcast shape) and
+    entry [i] equals psi_slit(list(Slit)[i], x, y, t, p) up to rounding. One
+    amplitude call covers all four images.
+    """
+    x_h = np.asarray(x) / p.sigma0
+    eta = np.asarray(y) / p.sigma0
+    signs = _IMAGE_SIGNS.reshape((4, 2) + (1,) * np.broadcast(x_h, eta, t).ndim)
+    value = _upper_amplitude(signs[:, 0] * x_h, signs[:, 1] * eta, t / p.tau, p)
+    return value / math.sqrt(p.sigma0)
+
+
 def normalization_N(stats: SpinStatistics, p: PhysicalParams) -> float:
     """|N|^2 of the (anti)symmetrized pair state, 1 / (2 (1 +- e^{-Y^2/sigma0^2}))."""
     return 0.5 / (1.0 + stats.sign * math.exp(-p.beta**2))
 
 
-def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams) -> complex:
+def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     """Normalized two-particle amplitude at configuration c (SI, m^-1).
 
     The normalization constant is taken real positive. Under particle
-    exchange the value picks up exactly the statistics sign.
+    exchange the value picks up exactly the statistics sign. Broadcasts over
+    coordinate arrays in c; a scalar c gives a complex scalar.
     """
     n = math.sqrt(normalization_N(stats, p))
     direct = psi_slit(Slit.UPPER, c.x1, c.y1, c.t, p) * psi_slit(
@@ -95,11 +114,11 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams) -> 
     exchanged = psi_slit(Slit.UPPER, c.x2, c.y2, c.t, p) * psi_slit(
         Slit.LOWER, c.x1, c.y1, c.t, p
     )
-    return complex(n * (direct + stats.sign * exchanged))
+    return n * (direct + stats.sign * exchanged)
 
 
-def joint_density(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams) -> float:
-    """Joint position density |Psi|^2 at c (m^-2)."""
+def joint_density(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams):
+    """Joint position density |Psi|^2 at c (m^-2); broadcasts like psi_pair."""
     return abs(psi_pair(stats, c, p)) ** 2
 
 
@@ -129,14 +148,17 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
 def initial_density_peak(stats: SpinStatistics, p: PhysicalParams) -> float:
     """Maximum of the t = 0 joint density (m^-2), by grid search.
 
-    Reference value for relative density floors. The density is smooth on the
-    sigma0 scale, so a 0.02*sigma0 grid over the packet region nails the peak
-    far beyond floor-setting needs.
+    Reference value for relative density floors. At t = 0 the density
+    factorizes as exp(-c^2 / sigma0^2) g(y1 - y2) in the centre of mass
+    c = (y1 + y2) / 2, so its peak lies on the line c = 0, and a search along
+    y2 = -y1 suffices: its cost and memory grow as Y / sigma0, where a 2-D
+    grid's grow as (Y / sigma0)^2. The density is smooth on the sigma0 scale,
+    so a 0.02*sigma0 grid over the packet region nails the peak far beyond
+    floor-setting needs.
     """
     span = p.Y + 4.0 * p.sigma0
     grid = np.linspace(-span, span, int(2 * span / (0.02 * p.sigma0)) + 1)
-    dens = joint_density_y(grid[:, None], grid[None, :], 0.0, stats, p)
-    return float(dens.max())
+    return float(joint_density_y(grid, -grid, 0.0, stats, p).max())
 
 
 def same_side_probability(

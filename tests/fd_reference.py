@@ -1,0 +1,43 @@
+"""Per-point central differences, the reference for velocity.log_gradient_velocity.
+
+The package evaluates a finite-difference velocity's whole stencil in one
+array call of the amplitude. This is the loop that call replaced: one
+amplitude call per stencil point, on plain floats, and one complex ratio per
+coordinate. The two agree up to rounding, which numpy's array arithmetic
+does in a different order; tests bound the difference. Not package API.
+"""
+
+from pairslit import PairVelocity
+
+
+def reference_velocity(amplitude, c, p, step=None, richardson=False) -> PairVelocity:
+    """(hbar/m) Im[grad Psi / Psi] at c, stepping one coordinate at a time.
+
+    amplitude, step and richardson are those of log_gradient_velocity.
+    """
+    psi0 = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
+    h_y = 1e-4 * p.sigma0 if step is None else step
+    h_x = 1e-3 / p.kx
+
+    def component(index: int, h: float) -> float:
+        base = [c.x1, c.y1, c.x2, c.y2]
+
+        def ratio(hh: float) -> float:
+            hi, lo = list(base), list(base)
+            hi[index] += hh
+            lo[index] -= hh
+            plus = amplitude(*hi, c.t)
+            minus = amplitude(*lo, c.t)
+            return complex((plus - minus) / (2.0 * hh * psi0)).imag
+
+        if richardson:
+            return (4.0 * ratio(0.5 * h) - ratio(h)) / 3.0
+        return ratio(h)
+
+    scale = p.hbar / p.m
+    return PairVelocity(
+        scale * component(0, h_x),
+        scale * component(1, h_y),
+        scale * component(2, h_x),
+        scale * component(3, h_y),
+    )

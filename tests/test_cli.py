@@ -253,7 +253,7 @@ def test_run_scenario_four_slit_check(tmp_path, capsys):
     assert len(report["checks"]) == 5
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(40))
 def test_four_slit_check_passes_for_every_seed(tmp_path, capsys, seed):
     assert run_main(tmp_path, "four-slit-check", "--seed", str(seed)) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -276,6 +276,35 @@ def test_four_slit_check_fails_when_a_pair_is_not_integrated(tmp_path, capsys, i
     assert "Traceback" not in err
     text = (tmp_path / "out" / "summary.json").read_text()
     assert json.loads(text, parse_constant=_refuse_nan)["all_passed"] is False
+
+
+@pytest.mark.parametrize("scenario", ["custom", "four-slit-check"])
+def test_h_min_alone_runs(tmp_path, capsys, scenario):
+    # the default h_init, 1e-3 of the span, lies below this h_min; it is
+    # raised to h_min instead of failing the step-bound check at run time
+    path = write_json(tmp_path / "c.json", {"integrator": {"h_min": 1e-9}})
+    code = run_main(tmp_path, scenario, "--config", path, "--n-pairs", "5")
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_refuse_nan)
+
+
+@pytest.mark.parametrize("scenario", ["custom", "four-slit-check"])
+def test_h_min_above_the_span_is_a_config_error(tmp_path, capsys, scenario):
+    # both scenarios integrate over 1e-8 s
+    path = write_json(tmp_path / "c.json", {"integrator": {"h_min": 1e-7}})
+    assert run_main(tmp_path, scenario, "--config", path, "--n-pairs", "5") == 1
+    assert "config error: integrator: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_wide_slits_run_in_bounded_memory(tmp_path):
+    # Y = 1000 sigma0: a 2-D search for the t = 0 density peak would need a
+    # 1e10-point grid (75 GiB); the search along y2 = -y1 needs 1e5 points
+    path = write_json(tmp_path / "c.json", {"params": {"Y": 1e-3}})
+    assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["n_completed"] == 5
 
 
 def test_summary_is_strict_json_when_nothing_completes(tmp_path):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairslit import (
     IntegratorConfig,
+    NodeProximityError,
     PairConfiguration,
     PairVelocity,
     RegionViolationError,
@@ -13,14 +16,19 @@ from pairslit import (
     SpinStatistics,
     corrected_four_slit_psi,
     corrected_velocity,
+    joint_density,
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
     psi_pair,
     psi_slit,
     region_of,
+    velocity_oracle,
 )
+from pairslit.fourslit import property_report
+from pairslit.wavefunction import initial_density_peak
 
+from fd_reference import reference_velocity
 from pair_transport import integrate_one
 
 
@@ -214,3 +222,106 @@ def test_naive_velocity_transverse_is_symmetric_flow(p_fast, rng):
             scale = max(abs(v2.vy1), abs(v2.vy2), 1e-6)
             assert abs(v4.vy1 - v2.vy1) <= 1e-5 * scale
             assert abs(v4.vy2 - v2.vy2) <= 1e-5 * scale
+
+
+def test_property_report_passes_at_seed_0(p_slow):
+    checks = property_report(p_slow, IntegratorConfig(), np.random.default_rng(0))
+    assert [name for name, _, _ in checks] == [
+        "naive state: longitudinal velocities vanish",
+        "naive state: factors into longitudinal interference times a transverse pair state",
+        "corrected state: x2-reflection reproduces the double-slit pair state",
+        "mapped trajectories: transverse velocities match the corrected state",
+        "mapped trajectories: longitudinal velocities are +-drift",
+    ]
+    assert all(passed is True for _, passed, _ in checks)
+    assert all(isinstance(detail, str) and detail for _, _, detail in checks)
+
+
+def test_region_of_checks_every_point(p_fast):
+    d = p_fast.d
+    inside = PairConfiguration(np.array([2 * d, 3 * d]), 0.0, np.array([-2 * d, -3 * d]), 0.0)
+    assert region_of(inside, p_fast) is SlitRegion.RIGHT_LEFT
+    straddling = PairConfiguration(np.array([2 * d, 0.0]), 0.0, np.array([-2 * d, -2 * d]), 0.0)
+    with pytest.raises(RegionViolationError):
+        region_of(straddling, p_fast)
+    with pytest.raises(RegionViolationError):
+        corrected_four_slit_psi(SlitRegion.RIGHT_LEFT, straddling, p_fast)
+
+
+def test_amplitudes_broadcast_like_pointwise_calls(p_slow, stats, rng):
+    # one array call equals the per-point calls up to rounding
+    points = [draw_conf(p_slow, rng, 3e-6, 1e-8) for _ in range(7)]
+    arrays = PairConfiguration(*(np.array([getattr(c, k) for c in points])
+                                 for k in ("x1", "y1", "x2", "y2", "t")))
+    shifted = [PairConfiguration(c.x1 + 2 * p_slow.d, c.y1, c.x2 - 2 * p_slow.d, c.y2, c.t)
+               for c in points]
+    shifted_arrays = PairConfiguration(arrays.x1 + 2 * p_slow.d, arrays.y1,
+                                       arrays.x2 - 2 * p_slow.d, arrays.y2, arrays.t)
+    for one, many in (
+        ([naive_four_slit_psi(stats, c, p_slow) for c in points],
+         naive_four_slit_psi(stats, arrays, p_slow)),
+        ([psi_pair(stats, c, p_slow) for c in points], psi_pair(stats, arrays, p_slow)),
+        ([corrected_four_slit_psi(SlitRegion.RIGHT_LEFT, c, p_slow) for c in shifted],
+         corrected_four_slit_psi(SlitRegion.RIGHT_LEFT, shifted_arrays, p_slow)),
+    ):
+        assert many.shape == (7,)
+        np.testing.assert_allclose(many, one, rtol=1e-13)
+
+
+# Stencil against per-point differences: the largest gaps over about 2,800
+# Hypothesis examples were 7.3e-11 of the drift in vx and 8.0e-10 in vy, in
+# units of max(|vy|, sigma0 / tau), both for the fermion oracle close to its
+# density floor.
+STENCIL_VX = 1e-9
+STENCIL_VY = 1e-8
+
+
+def fd_case(kind, p, u):
+    """(configuration, stencil velocity, per-point reference velocity) at one drawn point."""
+    a, b, c, d, e = u
+    y1, y2 = (4 * b - 2) * p.Y, (4 * d - 2) * p.Y
+    stats = SpinStatistics.FERMION if "fermion" in kind else SpinStatistics.BOSON
+    if kind == "corrected":
+        x0, region = 2 * p.d, SlitRegion.RIGHT_LEFT
+        conf = PairConfiguration(x0 + 2 * p.sigma0 * a, y1, -x0 - 2 * p.sigma0 * c, y2,
+                                 e * min(1e-8, p.flight_time))
+        return (conf, lambda: corrected_velocity(region, conf, p),
+                lambda: reference_velocity(
+                    lambda *q: corrected_four_slit_psi(region, PairConfiguration(*q), p), conf, p))
+    if kind.startswith("naive"):
+        conf = PairConfiguration((6 * a - 3) * p.sigma0, y1, (6 * c - 3) * p.sigma0, y2,
+                                 e * p.flight_time)
+        # away from interference nodes, as the four-slit check draws
+        assume(interference_contrast(stats, conf, p) > 0.1)
+        return (conf, lambda: naive_velocity(conf, stats, p),
+                lambda: reference_velocity(
+                    lambda *q: naive_four_slit_psi(stats, PairConfiguration(*q), p), conf, p))
+    conf = PairConfiguration(5e-6 * a, y1, 5e-6 * c, y2, 1e-7 * e)
+    assume(joint_density(conf, stats, p) >= 1e-10 * initial_density_peak(stats, p))
+    rich = kind.endswith("richardson")
+    return (conf, lambda: velocity_oracle(conf, stats, p, richardson=rich),
+            lambda: reference_velocity(
+                lambda *q: psi_pair(stats, PairConfiguration(*q), p), conf, p, richardson=rich))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@pytest.mark.parametrize("regime", ["slow", "fast"])
+@pytest.mark.parametrize("kind", ["naive-boson", "naive-fermion", "corrected", "oracle-boson",
+                                  "oracle-fermion", "oracle-fermion-richardson"])
+@settings(max_examples=15, deadline=None)
+@given(u=st.tuples(unit, unit, unit, unit, unit))
+def test_stencil_matches_per_point_reference(p_slow, p_fast, kind, regime, u):
+    p = p_slow if regime == "slow" else p_fast
+    conf, stencil_velocity, reference = fd_case(kind, p, u)
+    try:
+        v = stencil_velocity()
+    except NodeProximityError:
+        assume(False)
+    ref = reference()
+    vy_scale = max(abs(ref.vy1), abs(ref.vy2), p.sigma0 / p.tau)
+    assert abs(v.vx1 - ref.vx1) <= STENCIL_VX * p.x_speed
+    assert abs(v.vx2 - ref.vx2) <= STENCIL_VX * p.x_speed
+    assert abs(v.vy1 - ref.vy1) <= STENCIL_VY * vy_scale
+    assert abs(v.vy2 - ref.vy2) <= STENCIL_VY * vy_scale

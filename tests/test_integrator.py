@@ -39,9 +39,11 @@ def test_config_step_ordering():
     with pytest.raises(ValueError):
         IntegratorConfig(h_init=1e-10, h_min=1e-9)  # min above init
     with pytest.raises(ValueError):
-        IntegratorConfig(h_min=1e-9).resolved_steps(1e-8)  # min above the default init
+        IntegratorConfig(h_min=1e-7).resolved_steps(1e-8)  # min above the span
     h_init, h_min, h_max = IntegratorConfig().resolved_steps(1e-8)
     assert 0 < h_min <= h_init <= h_max == 1e-8
+    # a given min above the default init raises the default init to it
+    assert IntegratorConfig(h_min=1e-9).resolved_steps(1e-8) == (1e-9, 1e-9, 1e-8)
 
 
 def test_com_matches_closed_form(p_fast, p_slow, stats):
