@@ -13,6 +13,7 @@ fraction above threshold, or a failed four-slit property check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -357,7 +358,9 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     return cfg
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse_args fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pairslit",
         description="Two-particle double-slit trajectory simulator",

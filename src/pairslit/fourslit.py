@@ -95,13 +95,30 @@ def _node_scale(images):
     return mags[:, 0].max(axis=0) * mags[:, 1].max(axis=0)
 
 
+def _naive_state(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
+    """naive_four_slit_psi at c and the slit images it is built from."""
+    images = _images(c, p)
+    return _naive(images, stats), images
+
+
 def naive_four_slit_psi(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     """Globally symmetrized four-slit state (unnormalized).
 
     Sum of right-upper with left-lower and right-lower with left-upper
     assignments, each (anti)symmetrized over particle exchange.
     """
-    return _naive(_images(c, p), stats)
+    return _naive_state(stats, c, p)[0]
+
+
+def _corrected_state(region: SlitRegion, c: PairConfiguration, p: PhysicalParams):
+    """corrected_four_slit_psi at c and the slit images it is built from."""
+    if region_of(c, p) is not region:
+        raise RegionViolationError(f"configuration is not in region {region.value}")
+    images = _images(c, p)
+    (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = images
+    if region is SlitRegion.RIGHT_LEFT:
+        return u1 * ml2 + l1 * mu2, images
+    return u2 * ml1 + l2 * mu1, images
 
 
 def corrected_four_slit_psi(region: SlitRegion, c: PairConfiguration, p: PhysicalParams):
@@ -112,30 +129,29 @@ def corrected_four_slit_psi(region: SlitRegion, c: PairConfiguration, p: Physica
     Raises RegionViolationError when any point of c lies outside the claimed
     region.
     """
-    if region_of(c, p) is not region:
-        raise RegionViolationError(f"configuration is not in region {region.value}")
-    (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = _images(c, p)
-    if region is SlitRegion.RIGHT_LEFT:
-        return u1 * ml2 + l1 * mu2
-    return u2 * ml1 + l2 * mu1
+    return _corrected_state(region, c, p)[0]
 
 
-def _guarded_fd_velocity(amplitude, c: PairConfiguration, p: PhysicalParams):
-    # Relative node guard: compare |Psi| against the largest single product
-    # term so the criterion is insensitive to the missing normalization.
-    psi = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
-    if abs(psi) < _RELATIVE_NODE_GUARD * _node_scale(_images(c, p)):
-        raise NodeProximityError("four-slit amplitude too close to a node")
+def _guarded_fd_velocity(state, c: PairConfiguration, p: PhysicalParams):
+    """log_gradient_velocity of the amplitude that state(c) returns with its slit images.
+
+    One state call covers the whole stencil. Its row 0 is c itself, where a
+    relative node guard compares |Psi| against the largest single product
+    term, so the criterion is insensitive to the missing normalization.
+    """
+
+    def amplitude(x1, y1, x2, y2, t):
+        psi, images = state(PairConfiguration(x1, y1, x2, y2, t))
+        if abs(psi[0]) < _RELATIVE_NODE_GUARD * _node_scale(images[..., 0]):
+            raise NodeProximityError("four-slit amplitude too close to a node")
+        return psi
+
     return log_gradient_velocity(amplitude, c, p)
 
 
 def naive_velocity(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams) -> PairVelocity:
     """Guidance velocity of the naive state by central differences (m/s)."""
-
-    def amplitude(x1, y1, x2, y2, t):
-        return naive_four_slit_psi(stats, PairConfiguration(x1, y1, x2, y2, t), p)
-
-    return _guarded_fd_velocity(amplitude, c, p)
+    return _guarded_fd_velocity(lambda cs: _naive_state(stats, cs, p), c, p)
 
 
 def corrected_velocity(
@@ -146,11 +162,7 @@ def corrected_velocity(
     Longitudinal steps are kept small enough that every probe point stays in
     the region, so no RegionViolationError can fire off a valid interior c.
     """
-
-    def amplitude(x1, y1, x2, y2, t):
-        return corrected_four_slit_psi(region, PairConfiguration(x1, y1, x2, y2, t), p)
-
-    return _guarded_fd_velocity(amplitude, c, p)
+    return _guarded_fd_velocity(lambda cs: _corrected_state(region, cs, p), c, p)
 
 
 def map_trajectory_to_double_slit(traj: Trajectory, region: SlitRegion) -> Trajectory:
@@ -197,8 +209,8 @@ def property_report(
                 float(rng.uniform(-2 * p.Y, 2 * p.Y)),
                 float(rng.uniform(0.0, p.flight_time)),
             )
-            images = _images(c, p)
-            if abs(_naive(images, stats)) > _WELL_CONDITIONED * _node_scale(images):
+            psi, images = _naive_state(stats, c, p)
+            if abs(psi) > _WELL_CONDITIONED * _node_scale(images):
                 return c
 
     worst = 0.0

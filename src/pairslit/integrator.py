@@ -6,8 +6,14 @@ drift), and so is the transverse centre of mass c = (eta1 + eta2) / 2: the
 interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2)
 (com_closed_form). Only the half-separation d = (eta1 - eta2) / 2 is
 integrated, one component per pair; the sample table rebuilds
-eta1, eta2 = c +- d from it. Steps are clipped to land exactly on the
-requested sample times; no interpolation is involved.
+eta1, eta2 = c +- d from it.
+
+Steps are clipped only to land exactly on t_end, so the requested sample grid
+does not change the path: the accepted steps, the endpoint and the status of
+a pair are the same for any grid. Interior samples keep their requested times;
+their positions come from the fourth-order continuous extension of the step
+that covers them (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.6) and
+their velocities from the kernel at those positions.
 
 Runs abort (status, not exception) when the joint density under the pair
 drops below a configurable fraction of its t = 0 peak, which is how fermion
@@ -15,18 +21,20 @@ trajectories attracted toward the nodal diagonal are handled.
 
 integrate_pairs is the one entry point, for a single pair as for an
 ensemble; every pair is released at t = 0. Two step loops behind it share the
-scaled problem, the tableau, the controller and the SI sample table: a numpy
-loop that advances every live pair of a batch together, each with its own
-step size and controller state, and a scalar loop on plain floats.
-integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
-and hands smaller batches and remainders to the scalar loop, whose per-step
-cost does not carry numpy's per-call overhead.
+scaled problem, the tableau, the controller, the interior-sample fill and the
+SI sample table: a numpy loop that advances every live pair of a batch
+together, each with its own step size and controller state, and a scalar loop
+on plain floats. integrate_pairs uses the batch loop while at least
+_BATCH_MIN pairs are live and hands smaller batches and remainders to the
+scalar loop, whose per-step cost does not carry numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +91,34 @@ _C_STAGES = (_C2, _C3, _C4, _C5)
 _B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1)
 _E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1)
 
+# Continuous extension of a step (the coefficients of scipy's RK45 dense
+# output): over a step of size h from (T, d), the position at T + theta h is
+# d + h sum_i b_i(theta) k_i with b_i(theta) = sum_m _P[i, m] theta^(m + 1),
+# for the stages k1, k3, k4, k5, k6 and k7 (k2 has no weight). At theta = 1
+# the weights are B, with none on k7; their slope at theta = 0 is k1 alone.
+_P = np.array((
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0  # PI controller exponents for a 5(4) pair
 _PI_BETA = 0.4 / 5.0
 
+# The most steps of size h_max that a span may need; a smaller h_max is refused.
+_MAX_STEPS = 100_000
+
 # Live pairs below which the scalar loop beats the batch loop: a numpy call
 # costs tens of microseconds against about 1.4 us per scalar kernel call.
-# Measured crossover in ROADMAP.md, item 2.
+# Measured crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -108,7 +135,8 @@ class IntegratorConfig:
     bound the local error of the half-separation (y1 - y2) / 2. The
     step bounds are in seconds and default to fractions of the integration
     span when left None, except that a default h_init never falls below a
-    given h_min; those given must satisfy h_min <= h_init <= h_max.
+    given h_min; those given must satisfy h_min <= h_init <= h_max, and
+    h_max may not need more than _MAX_STEPS steps over the span.
     density_floor is relative to the t = 0 peak of the joint density.
     """
 
@@ -136,6 +164,8 @@ class IntegratorConfig:
     def resolved_steps(self, span: float) -> tuple[float, float, float]:
         """(h_init, h_min, h_max) over a span of the independent variable."""
         h_max = span if self.h_max is None else self.h_max
+        if span > _MAX_STEPS * h_max:
+            raise ValueError(f"h_max would take more than {_MAX_STEPS} steps")
         h_init = self.h_init
         if h_init is None:
             h_init = max(min(1e-3 * span, h_max), self.h_min or 0.0)
@@ -266,8 +296,10 @@ def integrate_pairs(
     initial is the (n, 2) array of release positions (y1, y2) in metres; the
     longitudinal drift is exact, and Trajectory.from_rows adds it for any
     release x.
-    Every pair runs the same step control on the same sample grid; a pair
-    that cannot be integrated gets a status, never an exception.
+    Every pair runs the same step control, which lands on t_end alone; the
+    other sample times are filled from the continuous extension of the steps
+    that cover them. A pair that cannot be integrated gets a status, never an
+    exception.
 
     Returns
     -------
@@ -308,39 +340,80 @@ def integrate_pairs(
         idx, np.zeros(m), d[idx], c0[idx], k1,
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
-    live = _advance_batch(prob, state, rows, status, count)
+    steps: list[np.ndarray] = []
+    live = _advance_batch(prob, state, rows, status, count, steps)
 
+    covering = array("d")
     for i, T, d_i, c0_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
         try:
-            status[i], tail = _advance(prob, T, d_i, c0_i, k1_i, h, err_prev, j)
+            status[i], j, tail = _advance(prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, covering)
         except StepUnderflowError:
             continue
         count[i] = j + len(tail)
         if tail:
             rows[i, j : count[i]] = tail
+    if covering:
+        steps.append(np.frombuffer(covering).reshape(-1, 12))
+    if steps:
+        _fill_interior(prob, rows, np.concatenate(steps))
     return _si_rows(rows, c0, prob, p), count, status
 
 
-def _advance(prob: _Scaled, T, d, c0, k1, h, err_prev, j):
-    """Scalar step loop: carry one pair from an accepted state to the end.
+def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
+    """Write every interior sample that an accepted step covers into rows.
+
+    steps holds one row (i, j_lo, j_hi, T, h, d, k1, k3, k4, k5, k6, k7) per
+    accepted step of size h from the state (T, d) of pair i whose interval
+    (T, T + h] covers the samples j_lo .. j_hi - 1. Each sample keeps its
+    requested time; its position comes from the continuous extension of the
+    step, its velocity from the kernel there. Where that position sits on a
+    node, the kernel's velocity is meaningless, and the sample takes the
+    extension's slope instead, so every sample stays finite.
+    """
+    pair, lo, hi = steps[:, :3].astype(np.intp).T
+    n = hi - lo
+    owner = np.repeat(np.arange(len(steps)), n)
+    j = lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    # Over each step the extension is d + theta (q0 + theta (q1 + theta (q2 +
+    # theta q3))), with q = h K _P for the step's stages K.
+    q = (steps[:, 4:5] * np.einsum("si,im->sm", steps[:, 6:], _P))[owner]
+    T, h, d = steps[owner, 3:6].T
+    T_s = np.asarray(prob.grid)[j]
+    theta = (T_s - T) / h
+    d_s = d + theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3])))
+    with np.errstate(all="ignore"):
+        v, on_node = reduced_velocity_array(d_s, T_s, prob.beta, prob.sign)
+    if on_node.any():
+        q, theta = q[on_node], theta[on_node]
+        slope = q[:, 0] + theta * (2.0 * q[:, 1] + theta * (3.0 * q[:, 2] + theta * 4.0 * q[:, 3]))
+        v[on_node] = slope / h[on_node]
+    rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
+
+
+def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, covering):
+    """Scalar step loop: carry pair i from an accepted state to the end.
 
     (T, d) is the state, c0 the pair's initial centre of mass, k1 the
     velocity dd/dT at the state, h the next trial step, err_prev the
-    controller memory and j the index of the next sample time. Returns
-    (status, rows) with the (T, d, dd/dT) rows recorded from sample j on; an
-    abort ends them at the last accepted state.
+    controller memory and j the index of the next sample time. Only the step
+    onto t_end is clipped; each accepted step that covers interior samples
+    appends its _fill_interior row to the flat float array covering. Returns
+    (status, j, tail): j is the index of the first sample no accepted step
+    reached, and tail the (T, d, dd/dT) row recorded there, which is the
+    landing on t_end or an abort's last accepted state past the last covered
+    sample time (else empty).
 
     Raises StepUnderflowError if error control would need a step below h_min.
     """
     grid = prob.grid
+    end = len(grid) - 1
+    t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
-    rows: list[tuple[float, float, float]] = []
     aborted = False
     try:
-        while j < len(grid):
-            target = grid[j]
-            remaining = target - T
+        while True:
+            remaining = t_end - T
             h_step = min(h, h_max)
             landing = h_step >= remaining
             if landing:
@@ -376,20 +449,20 @@ def _advance(prob: _Scaled, T, d, c0, k1, h, err_prev, j):
                 if reduced_density(c + new, c - new, T_new, sign, beta, n2) < floor:
                     aborted = True
                     break
-                T = target if landing else T_new
-                d, k1 = new, k7
+                if j < end and (landing or grid[j] <= T_new):
+                    hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
+                    covering.extend((i, j, hi, T, h_step, d, k1, k3, k4, k5, k6, k7))
+                    j = hi
+                T, d, k1 = (t_end if landing else T_new), new, k7
                 if landing:
-                    rows.append((T, d, k1))
-                    j += 1
+                    break
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
                     factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
                     factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 err_prev = max(err, 1e-10)
-                # A clipped landing step says nothing about the natural step
-                # size, so never let it shrink h.
-                h = min(h_max, max(h, h_step * factor) if landing else h_step * factor)
+                h = min(h_max, h_step * factor)
             else:
                 shrink = max(_MIN_FACTOR, _SAFETY * err**-0.2)
                 h_next = h_step * shrink
@@ -402,14 +475,14 @@ def _advance(prob: _Scaled, T, d, c0, k1, h, err_prev, j):
     except NodeProximityError:
         aborted = True
 
-    if aborted and grid[j - 1] < T:
-        # Truncate at the last accepted state; k1 is the velocity there.
-        rows.append((T, d, k1))
+    # The landing row; after an abort, the truncation at the last accepted
+    # state, where k1 is the velocity.
+    tail = [(T, d, k1)] if grid[j - 1] < T else []
     status = TrajectoryStatus.NODE_PROXIMITY_ABORT if aborted else TrajectoryStatus.COMPLETED
-    return status, rows
+    return status, j, tail
 
 
-def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
+def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps: list):
     """Batch twin of _advance: step all live pairs together while enough remain.
 
     state holds (idx, T, D, C0, K1, h, err_prev, j) with one entry per live
@@ -417,19 +490,21 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
     the pair's row in rows, where its samples are recorded. Each pair runs
     the scalar loop's arithmetic, in the same order, with its own step size
     and controller memory. A pair that finishes gets its status and sample
-    count; a step underflow leaves its status None. Returns the state of the
-    pairs still live once fewer than _BATCH_MIN remain.
+    count; a step underflow leaves its status None. Each accepted step that
+    covers interior samples appends its _fill_interior row to steps. Returns
+    the state of the pairs still live once fewer than _BATCH_MIN remain.
     """
     grid = np.asarray(prob.grid)
     last = grid.size
+    end = last - 1
+    t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
     vel = reduced_velocity_array
     idx, T, D, C0, K1, h, err_prev, j = state
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
-            target = grid[j]
-            remaining = target - T
+            remaining = t_end - T
             h_step = np.minimum(h, h_max)
             landing = h_step >= remaining
             h_step = np.where(landing, remaining, h_step)
@@ -466,15 +541,20 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count):
                 np.maximum(_MIN_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA),
             )
             grown = h_step * np.where(err == 0.0, _MAX_FACTOR, factor)
-            h_acc = np.minimum(h_max, np.where(landing, np.maximum(h, grown), grown))
-            h = np.where(accepted, h_acc, np.where(rejected, h_next, h))
+            h = np.where(accepted, np.minimum(h_max, grown), np.where(rejected, h_next, h))
             err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
-            T = np.where(accepted, np.where(landing, target, T_new), T)
+            if end > 1:
+                hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
+                covers = accepted & (hi > j)
+                if covers.any():
+                    steps.append(np.column_stack((idx, j, hi, T, h_step, D, K[0], K[2:].T))[covers])
+                    j = np.where(covers, hi, j)
+            T = np.where(accepted, np.where(landing, t_end, T_new), T)
             D = np.where(accepted, D_new, D)
             K1 = np.where(accepted, K[6], K1)
             landed = accepted & landing
             if landed.any():
-                rows[idx[landed], j[landed]] = np.column_stack((T, D, K1))[landed]
+                rows[idx[landed], end] = np.column_stack((T, D, K1))[landed]
                 j = j + landed
 
             aborted = on_node | below

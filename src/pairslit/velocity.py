@@ -86,10 +86,11 @@ def log_gradient_velocity(
     """(hbar/m) Im[grad Psi / Psi] by central differences of any amplitude.
 
     amplitude is a callable (x1, y1, x2, y2, t) -> complex that broadcasts
-    over coordinate arrays. It is called once, on the whole stencil: c and
-    the points c +- h e_q for each coordinate q (and +- h/2 with richardson),
-    all at the one time c.t. Callers guard against near-zero |Psi|
-    themselves; this helper only differentiates.
+    over coordinate arrays. It is called once, on the whole stencil: c
+    first, then the points c +- h e_q for each coordinate q (and +- h/2 with
+    richardson), all at the one time c.t. Callers guard against near-zero
+    |Psi| themselves, and may do so inside that call; this helper only
+    differentiates.
 
     Parameters
     ----------

@@ -38,55 +38,66 @@ def _g(d, T, beta, sign):
 
 
 def _mass(lo, hi, T, beta, sign):
-    """Mass of g_T over [lo, hi], elementwise over the arrays lo and hi."""
-    x, w = gauss_legendre(lo[:, None], hi[:, None], _NODES)
-    return (w * _g(x, T, beta, sign)).sum(axis=1)
+    """Mass of g_T over [lo, hi], elementwise over arrays that broadcast with T."""
+    x, w = gauss_legendre(lo[..., None], hi[..., None], _NODES)
+    return (w * _g(x, T[..., None], beta, sign)).sum(axis=-1)
 
 
 class _Profile:
-    """g_T on the cells of [0, reach]: the mass inside and outside each edge."""
+    """g_T on the cells of [0, reach] at S times: the mass inside and outside each edge.
+
+    Every time shares the cells; reach is set by the latest time. Arrays over
+    (time, pair) carry the times on axis 0.
+    """
 
     def __init__(self, T, beta, sign):
-        self.T, self.beta, self.sign = T, beta, sign
-        reach = beta + _REACH * np.sqrt(1.0 + T * T)
+        self.T, self.beta, self.sign = np.asarray(T, dtype=float)[:, None], beta, sign
+        reach = beta + _REACH * np.sqrt(1.0 + self.T.max() ** 2)
         self.edges = np.linspace(0.0, reach, int(np.ceil(reach / _CELL)) + 1)
-        cells = _mass(self.edges[:-1], self.edges[1:], T, beta, sign)
-        self.inner = np.concatenate(([0.0], np.cumsum(cells)))
-        self.outer = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
-        self.total = self.inner[-1]
+        cells = _mass(self.edges[:-1], self.edges[1:], self.T, beta, sign)
+        zero = np.zeros((len(cells), 1))
+        self.inner = np.concatenate((zero, np.cumsum(cells, axis=1)), axis=1)
+        self.outer = np.concatenate((np.cumsum(cells[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+        self.total = self.inner[:, -1:]
 
     def _cell(self, x):
         return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.edges.size - 2)
 
+    def _masses(self, k, lo, hi):
+        """Mass inside lo and outside hi, with lo and hi in cell k."""
+        rows = np.arange(len(self.T))[:, None]
+        inner = self.inner[rows, k] + _mass(self.edges[k], lo, self.T, self.beta, self.sign)
+        outer = self.outer[rows, k + 1] + _mass(hi, self.edges[k + 1], self.T, self.beta, self.sign)
+        return inner, outer
+
     def fractions(self, x):
         """Shares of the mass on [0, x] and on [x, reach], each summed directly."""
-        k = self._cell(x)
-        inner = self.inner[k] + _mass(self.edges[k], x, self.T, self.beta, self.sign)
-        outer = self.outer[k + 1] + _mass(x, self.edges[k + 1], self.T, self.beta, self.sign)
+        inner, outer = self._masses(self._cell(x), x, x)
         return inner / self.total, outer / self.total
 
     def inverse(self, share, from_inside):
-        """x whose inner (from_inside) or outer share of the mass is share."""
+        """x whose inner (from_inside) or outer share of the mass is share, per time."""
         target = share * self.total
-        k = np.where(
-            from_inside,
-            np.searchsorted(self.inner, target, side="right") - 1,
-            self.outer.size - 1 - np.searchsorted(self.outer[::-1], target, side="left"),
-        )
-        k = np.clip(k, 0, self.edges.size - 2)
-        left, right = self.edges[k], self.edges[k + 1]
-        lo, hi = left, right
+        last = self.edges.size - 2
+        k = np.empty(target.shape, dtype=np.intp)
+        for row, (inner, outer, want) in enumerate(zip(self.inner, self.outer, target)):
+            k[row] = np.where(
+                from_inside,
+                np.searchsorted(inner, want, side="right") - 1,
+                outer.size - 1 - np.searchsorted(outer[::-1], want, side="left"),
+            )
+        k = np.clip(k, 0, last)
+        lo, hi = self.edges[k], self.edges[k + 1]
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            inner = self.inner[k] + _mass(left, mid, self.T, self.beta, self.sign)
-            outer = self.outer[k + 1] + _mass(mid, right, self.T, self.beta, self.sign)
+            inner, outer = self._masses(k, mid, mid)
             short = np.where(from_inside, inner < target, outer > target)
             lo, hi = np.where(short, mid, lo), np.where(short, hi, mid)
         return 0.5 * (lo + hi)
 
 
-def oracle_endpoints(initial, t, stats, p):
-    """(n, 2) positions (y1, y2) at time t (s) of pairs released at initial.
+def oracle_paths(initial, times, stats, p):
+    """(n, S, 2) positions (y1, y2) at each of the S times (s) of pairs released at initial.
 
     initial is the (n, 2) array of release positions (y1, y2) in metres at
     t = 0, as sample_initial returns it.
@@ -94,10 +105,15 @@ def oracle_endpoints(initial, t, stats, p):
     e = np.asarray(initial) / p.sigma0
     c0 = 0.5 * (e[:, 0] + e[:, 1])
     d0 = 0.5 * (e[:, 0] - e[:, 1])
-    T = t / p.tau
-    inner, outer = _Profile(0.0, p.beta, stats.sign).fractions(np.abs(d0))
+    T = np.asarray(times, dtype=float) / p.tau
+    inner, outer = _Profile([0.0], p.beta, stats.sign).fractions(np.abs(d0))
     from_inside = inner <= 0.5
     share = np.where(from_inside, inner, outer)
     d = np.copysign(_Profile(T, p.beta, stats.sign).inverse(share, from_inside), d0)
-    c = c0 * np.sqrt(1.0 + T * T)
-    return np.column_stack((c + d, c - d)) * p.sigma0
+    c = c0 * np.sqrt(1.0 + T[:, None] ** 2)
+    return np.stack((c + d, c - d), axis=-1).swapaxes(0, 1) * p.sigma0
+
+
+def oracle_endpoints(initial, t, stats, p):
+    """(n, 2) positions (y1, y2) at time t (s) of pairs released at initial."""
+    return oracle_paths(initial, (t,), stats, p)[:, 0]

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pairslit import ConfigError, SpinStatistics, Trajectory, TrajectoryStatus, 
 from pairslit.cli import (
     SCENARIOS,
     ScenarioConfig,
+    _build_parser,
     _write_trajectory_csv,
     default_config,
     main,
@@ -200,7 +202,7 @@ def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
 def test_main_bad_config_exit_code(tmp_path, capsys):
     # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts.
     # sigma0 1e-300 underflows tau to 0; L 1e-300 underflows the flight time to
-    # 0; m 1e300 overflows tau to inf.
+    # 0; m 1e300 overflows tau to inf; h_max 1e-30 would take 1e22 steps.
     for bad in (
         '"params": {"sigma0": -1}',
         '"sampler": {"seed": -1}',
@@ -212,12 +214,30 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
         '"params": {"L": 1e-300}',
         '"params": {"m": 1e300}',
         '"integrator": {"h_min": 1e-9, "h_init": 1e-20}',
+        '"integrator": {"h_max": 1e-30}',
     ):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"scenario": "custom", {bad}}}')
         code = run_main(tmp_path, "custom", "--config", str(path), "--n-pairs", "5")
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+
+def test_successive_main_calls_see_only_their_own_arguments(tmp_path, monkeypatch):
+    # the parser is built once per process and reused by every main call
+    assert _build_parser() is _build_parser()
+    seen = []
+    monkeypatch.setattr("pairslit.cli.run_scenario", lambda cfg: seen.append(cfg) or 0)
+    config = write_json(tmp_path / "c.json", {"integrator": {"h_max": 1e-9}})
+    assert main(["custom", "--config", config, "--seed", "7", "--stats", "fermion",
+                 "--rel-tol", "1e-8", "--out", str(tmp_path / "a")]) == 0
+    assert main(["fig3a", "--n-pairs", "4"]) == 0
+    first, second = seen
+    assert (first.scenario, first.sampler.seed, first.stats) == ("custom", 7, SpinStatistics.FERMION)
+    assert (first.integrator.rel_tol, first.integrator.h_max) == (1e-8, 1e-9)
+    assert first.output_dir == str(tmp_path / "a")
+    assert second == replace(default_config("fig3a"),
+                             sampler=replace(default_config("fig3a").sampler, n_pairs=4))
 
 
 def test_main_bad_usage_exit_code(capsys):

@@ -46,6 +46,14 @@ def test_config_step_ordering():
     assert IntegratorConfig(h_min=1e-9).resolved_steps(1e-8) == (1e-9, 1e-9, 1e-8)
 
 
+def test_h_max_with_too_many_steps_is_refused():
+    # 1e5 steps of h_max over the span are the most a run may need
+    assert IntegratorConfig(h_max=1e-13).resolved_steps(1e-8)[2] == 1e-13
+    for h_max in (0.99e-13, 1e-30):
+        with pytest.raises(ValueError, match="steps"):
+            IntegratorConfig(h_max=h_max).resolved_steps(1e-8)
+
+
 def test_com_matches_closed_form(p_fast, p_slow, stats):
     # asymmetric releases in both longitudinal regimes
     starts = [(6.1e-6, -3.2e-6), (4.0e-6, -5.5e-6), (-1.0e-6, 4.2e-6)]
