@@ -94,8 +94,8 @@ def transport_ensemble(
     initial is the (n, 2) array of release positions (y1, y2) in metres. All
     pairs go through one integrate_pairs batch. Initial conditions already
     below the integrator's density floor, and pairs whose error control
-    underflows h_min, are counted as aborted without a trajectory; aborts
-    never fail the batch. rng feeds the baseline draw of density_distance.
+    underflows the smallest step or exhausts the step budget, are counted as
+    aborted without a trajectory; aborts never fail the batch. rng feeds the baseline draw of density_distance.
     """
     table, count, status = integrate_pairs(
         initial, t_end, integrator, stats, p, sample_times=sample_times

@@ -18,7 +18,11 @@ class RejectionStallError(PairslitError):
 
 
 class StepUnderflowError(PairslitError):
-    """Adaptive integrator would need a step below h_min; likely a node."""
+    """Adaptive integrator cannot land a pair.
+
+    Error control would need a step below 1e-12 of the span, likely near a
+    node, or more steps than the per-pair budget allows.
+    """
 
 
 class ConfigError(PairslitError):

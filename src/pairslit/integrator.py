@@ -113,7 +113,8 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0  # PI controller exponents for a 5(4) pair
 _PI_BETA = 0.4 / 5.0
 
-# The most steps of size h_max that a span may need; a smaller h_max is refused.
+# The most steps, accepted or rejected, a pair may attempt; a pair that has not
+# landed by then counts as not integrated, like a step underflow.
 _MAX_STEPS = 100_000
 
 # Live pairs below which the scalar loop beats the batch loop: a numpy call
@@ -132,19 +133,13 @@ class IntegratorConfig:
     """Step control for trajectory integration.
 
     rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
-    bound the local error of the half-separation (y1 - y2) / 2. The
-    step bounds are in seconds and default to fractions of the integration
-    span when left None, except that a default h_init never falls below a
-    given h_min; those given must satisfy h_min <= h_init <= h_max, and
-    h_max may not need more than _MAX_STEPS steps over the span.
-    density_floor is relative to the t = 0 peak of the joint density.
+    bound the local error of the half-separation (y1 - y2) / 2; the step
+    size is left to the controller. density_floor is relative to the t = 0
+    peak of the joint density.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-9
-    h_init: float | None = None
-    h_min: float | None = None
-    h_max: float | None = None
     density_floor: float = 1e-12
 
     def __post_init__(self):
@@ -152,27 +147,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be finite and > 0")
         if not self.density_floor > 0.0:
             raise ValueError("density_floor must be > 0")
-        for name in ("h_init", "h_min", "h_max"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be > 0 when given")
-        given = [n for n in ("h_min", "h_init", "h_max") if getattr(self, n) is not None]
-        for lo, hi in zip(given, given[1:]):
-            if getattr(self, lo) > getattr(self, hi):
-                raise ValueError(f"{lo} must be <= {hi} when both are given")
-
-    def resolved_steps(self, span: float) -> tuple[float, float, float]:
-        """(h_init, h_min, h_max) over a span of the independent variable."""
-        h_max = span if self.h_max is None else self.h_max
-        if span > _MAX_STEPS * h_max:
-            raise ValueError(f"h_max would take more than {_MAX_STEPS} steps")
-        h_init = self.h_init
-        if h_init is None:
-            h_init = max(min(1e-3 * span, h_max), self.h_min or 0.0)
-        h_min = min(1e-12 * span, h_init) if self.h_min is None else self.h_min
-        if not (0.0 < h_min <= h_init <= h_max):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
-        return h_init, h_min, h_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +197,6 @@ class _Scaled:
     floor: float
     h_init: float
     h_min: float
-    h_max: float
     rtol: float
     atol: float
 
@@ -244,8 +217,6 @@ def _scaled_problem(
     tau = p.tau
     # Peak of the dimensionless density; the SI peak carries 1/sigma0^2.
     peak = initial_density_peak(stats, p) * p.sigma0**2
-    # Step bounds are configured in seconds; the loops run in scaled time.
-    h_init, h_min, h_max = (v / tau for v in cfg.resolved_steps(t_end))
     return _Scaled(
         grid=tuple(t / tau for t in out_t),
         times=np.array(out_t),
@@ -254,9 +225,10 @@ def _scaled_problem(
         beta=p.beta,
         n2=normalization_N(stats, p),
         floor=cfg.density_floor * peak,
-        h_init=h_init,
-        h_min=h_min,
-        h_max=h_max,
+        # The first trial step, and the smallest step error control may ask
+        # for, as fractions of the span.
+        h_init=1e-3 * t_end / tau,
+        h_min=1e-12 * t_end / tau,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
     )
@@ -308,9 +280,9 @@ def integrate_pairs(
         units, S being the number of sample times; pair i's samples are
         table[i, :count[i]], and later cells hold none. status[i] is its
         TrajectoryStatus, or None, with count[i] = 0, when it cannot be
-        integrated (initial density below the floor, or the initial
-        configuration on a node) or error control would need a step below
-        h_min.
+        integrated: its initial density lies below the floor, its initial
+        configuration on a node, or error control would need a step below
+        1e-12 of the span or more than _MAX_STEPS steps.
 
     Raises
     ------
@@ -341,12 +313,14 @@ def integrate_pairs(
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
     steps: list[np.ndarray] = []
-    live = _advance_batch(prob, state, rows, status, count, steps)
+    live, tried = _advance_batch(prob, state, rows, status, count, steps)
 
     covering = array("d")
     for i, T, d_i, c0_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
         try:
-            status[i], j, tail = _advance(prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, covering)
+            status[i], j, tail = _advance(
+                prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, tried, covering
+            )
         except StepUnderflowError:
             continue
         count[i] = j + len(tail)
@@ -390,12 +364,13 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
 
 
-def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, covering):
+def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
     """Scalar step loop: carry pair i from an accepted state to the end.
 
     (T, d) is the state, c0 the pair's initial centre of mass, k1 the
     velocity dd/dT at the state, h the next trial step, err_prev the
-    controller memory and j the index of the next sample time. Only the step
+    controller memory, j the index of the next sample time and tried the
+    number of steps the pair has attempted so far. Only the step
     onto t_end is clipped; each accepted step that covers interior samples
     appends its _fill_interior row to the flat float array covering. Returns
     (status, j, tail): j is the index of the first sample no accepted step
@@ -403,21 +378,20 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, covering):
     landing on t_end or an abort's last accepted state past the last covered
     sample time (else empty).
 
-    Raises StepUnderflowError if error control would need a step below h_min.
+    Raises StepUnderflowError if error control would need a step below h_min,
+    or if the pair has not landed within _MAX_STEPS attempted steps.
     """
     grid = prob.grid
     end = len(grid) - 1
     t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
-    h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
+    h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     aborted = False
     try:
-        while True:
+        for _ in range(tried, _MAX_STEPS):
             remaining = t_end - T
-            h_step = min(h, h_max)
-            landing = h_step >= remaining
-            if landing:
-                h_step = remaining
+            landing = h >= remaining
+            h_step = remaining if landing else h
             T_new = T + h_step
             k2 = reduced_velocity(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
             k3 = reduced_velocity(
@@ -462,7 +436,7 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, covering):
                     factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
                     factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 err_prev = max(err, 1e-10)
-                h = min(h_max, h_step * factor)
+                h = h_step * factor
             else:
                 shrink = max(_MIN_FACTOR, _SAFETY * err**-0.2)
                 h_next = h_step * shrink
@@ -472,6 +446,8 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, covering):
                         f"needed step {h_next * tau:.3e} s below h_min {h_min * tau:.3e} s"
                     )
                 h = h_next
+        else:
+            raise StepUnderflowError(f"no landing within {_MAX_STEPS} steps")
     except NodeProximityError:
         aborted = True
 
@@ -490,24 +466,27 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps:
     the pair's row in rows, where its samples are recorded. Each pair runs
     the scalar loop's arithmetic, in the same order, with its own step size
     and controller memory. A pair that finishes gets its status and sample
-    count; a step underflow leaves its status None. Each accepted step that
-    covers interior samples appends its _fill_interior row to steps. Returns
-    the state of the pairs still live once fewer than _BATCH_MIN remain.
+    count; a step underflow, or reaching _MAX_STEPS steps, leaves its status
+    None. Every live pair attempts one step per iteration. Each accepted step
+    that covers interior samples appends its _fill_interior row to steps.
+    Returns the state of the pairs still live once fewer than _BATCH_MIN
+    remain, and the number of steps each of them has attempted.
     """
     grid = np.asarray(prob.grid)
     last = grid.size
     end = last - 1
     t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
-    h_min, h_max, rtol, atol = prob.h_min, prob.h_max, prob.rtol, prob.atol
+    h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity_array
     idx, T, D, C0, K1, h, err_prev, j = state
+    tried = 0
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
+            tried += 1
             remaining = t_end - T
-            h_step = np.minimum(h, h_max)
-            landing = h_step >= remaining
-            h_step = np.where(landing, remaining, h_step)
+            landing = h >= remaining
+            h_step = np.where(landing, remaining, h)
             T_new = T + h_step
             K = np.empty((7, idx.size))
             K[0] = K1
@@ -535,13 +514,13 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps:
 
             # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
             h_next = h_step * np.fmax(_MIN_FACTOR, _SAFETY * err**-0.2)
-            underflow = rejected & (h_next < h_min)
+            underflow = (rejected & (h_next < h_min)) | (tried == _MAX_STEPS)
             factor = np.minimum(
                 _MAX_FACTOR,
                 np.maximum(_MIN_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA),
             )
             grown = h_step * np.where(err == 0.0, _MAX_FACTOR, factor)
-            h = np.where(accepted, np.minimum(h_max, grown), np.where(rejected, h_next, h))
+            h = np.where(accepted, grown, np.where(rejected, h_next, h))
             err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
             if end > 1:
                 hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
@@ -576,4 +555,4 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps:
             idx, T, D, C0, K1, h, err_prev, j = (
                 col[keep] for col in (idx, T, D, C0, K1, h, err_prev, j)
             )
-    return idx, T, D, C0, K1, h, err_prev, j
+    return (idx, T, D, C0, K1, h, err_prev, j), tried

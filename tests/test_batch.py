@@ -369,6 +369,52 @@ def test_start_on_a_node_is_not_integrated(p_fast):
     assert trajectories(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
 
 
+def run_with_budget(initial, p, t_end, stats, max_steps, batch_min):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_MAX_STEPS", max_steps)
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        return integrate_pairs(initial, t_end, IntegratorConfig(), stats, p)
+
+
+def least_budget(initial, p, t_end, stats, batch_min):
+    """The smallest _MAX_STEPS under which every pair ends with a status."""
+    lo, hi = 1, 1024
+    while lo < hi:
+        mid = (lo + hi) // 2
+        status = run_with_budget(initial, p, t_end, stats, mid, batch_min)[2]
+        if all(s is not None for s in status):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@settings(max_examples=3, deadline=None)
+@given(case=cases)
+def test_step_budget_counts_the_steps_of_both_loops(case):
+    # 8 pairs through the batch loop alone, the scalar loop alone, and the
+    # batch loop handing 7 pairs to the scalar loop once the first one ends.
+    # A scalar loop that counted afresh at the handoff would let the slowest
+    # pair land within a budget smaller by the first pair's steps. (The loops'
+    # last-bit differences left every pair's step count unchanged in 120
+    # drawn batches.)
+    initial, p, t_end = draw(*case, n=8)
+    stats = case[1]
+    modes = (1, 8, 10**9)
+    budgets = {least_budget(initial, p, t_end, stats, b) for b in modes}
+    assert len(budgets) == 1
+    # one step short, the slowest pairs are not integrated and the rest are untouched
+    budget = budgets.pop()
+    for batch_min in modes:
+        table, count, status = run_with_budget(initial, p, t_end, stats, budget - 1, batch_min)
+        full = run_with_budget(initial, p, t_end, stats, budget, batch_min)
+        cut = np.array([s is None for s in status])
+        assert cut.any() and (count[cut] == 0).all()
+        assert list(status[~cut]) == list(full[2][~cut])
+        np.testing.assert_array_equal(count[~cut], full[1][~cut])
+        np.testing.assert_array_equal(table[~cut], full[0][~cut])
+
+
 def test_empty_batch_integrates_to_nothing(p_fast):
     table, count, status = integrate_pairs(
         np.empty((0, 2)), 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast

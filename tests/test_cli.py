@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -99,10 +100,28 @@ def test_scenario_subcommand_mismatch(tmp_path):
         validate_config(path, expected_scenario="fig3b")
 
 
-def test_config_version_checked(tmp_path):
-    path = write_json(tmp_path / "v9.json", {"scenario": "custom", "config_version": 9})
-    with pytest.raises(ConfigError, match="config_version"):
-        validate_config(path)
+def test_config_version_checked(tmp_path, capsys):
+    # version 1 carried params.ky, version 2 the integrator step bounds
+    for version in (1, 2, 9):
+        path = write_json(tmp_path / "v.json", {"scenario": "custom", "config_version": version})
+        with pytest.raises(ConfigError, match="config_version"):
+            validate_config(path)
+        assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 1
+        assert "config error: config_version: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("integrator", [
+    {"h_max": -math.inf},
+    {"h_min": 1e-9, "h_init": 1e-20},
+    {"h_max": 1e-30},
+])
+def test_step_bounds_are_unknown_keys(tmp_path, capsys, integrator):
+    # the controller sizes every step from the tolerances alone
+    path = write_json(tmp_path / "c.json", {"integrator": integrator})
+    assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 1
+    err = capsys.readouterr().err
+    for key in integrator:
+        assert f"config error: integrator.{key}: unknown key" in err
 
 
 def test_invalid_json_reported(tmp_path):
@@ -123,14 +142,14 @@ def test_custom_config_overrides(tmp_path):
         "stats": "fermion",
         "params": {"Y": 4e-6, "sigma0": 2e-6},
         "sampler": {"method": "independent_gaussian", "n_pairs": 5, "seed": 42},
-        "integrator": {"rel_tol": 1e-8, "h_init": 1e-11},
+        "integrator": {"rel_tol": 1e-8, "density_floor": 1e-10},
         "output_dir": "elsewhere",
     }
     cfg = validate_config(write_json(tmp_path / "c.json", payload), expected_scenario="custom")
     assert cfg.stats is SpinStatistics.FERMION
     assert cfg.params.Y == 4e-6 and cfg.params.sigma0 == 2e-6
     assert cfg.sampler.n_pairs == 5 and cfg.sampler.seed == 42
-    assert cfg.integrator.rel_tol == 1e-8 and cfg.integrator.h_init == 1e-11
+    assert cfg.integrator.rel_tol == 1e-8 and cfg.integrator.density_floor == 1e-10
     assert cfg.output_dir == "elsewhere"
 
 
@@ -202,19 +221,16 @@ def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
 def test_main_bad_config_exit_code(tmp_path, capsys):
     # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts.
     # sigma0 1e-300 underflows tau to 0; L 1e-300 underflows the flight time to
-    # 0; m 1e300 overflows tau to inf; h_max 1e-30 would take 1e22 steps.
+    # 0; m 1e300 overflows tau to inf.
     for bad in (
         '"params": {"sigma0": -1}',
         '"sampler": {"seed": -1}',
         '"integrator": {"rel_tol": 1e400}',
         '"params": {"sigma0": Infinity}',
-        '"integrator": {"h_max": -Infinity}',
         '"params": {"L": NaN}',
         '"params": {"sigma0": 1e-300}',
         '"params": {"L": 1e-300}',
         '"params": {"m": 1e300}',
-        '"integrator": {"h_min": 1e-9, "h_init": 1e-20}',
-        '"integrator": {"h_max": 1e-30}',
     ):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"scenario": "custom", {bad}}}')
@@ -228,13 +244,13 @@ def test_successive_main_calls_see_only_their_own_arguments(tmp_path, monkeypatc
     assert _build_parser() is _build_parser()
     seen = []
     monkeypatch.setattr("pairslit.cli.run_scenario", lambda cfg: seen.append(cfg) or 0)
-    config = write_json(tmp_path / "c.json", {"integrator": {"h_max": 1e-9}})
+    config = write_json(tmp_path / "c.json", {"integrator": {"density_floor": 1e-9}})
     assert main(["custom", "--config", config, "--seed", "7", "--stats", "fermion",
                  "--rel-tol", "1e-8", "--out", str(tmp_path / "a")]) == 0
     assert main(["fig3a", "--n-pairs", "4"]) == 0
     first, second = seen
     assert (first.scenario, first.sampler.seed, first.stats) == ("custom", 7, SpinStatistics.FERMION)
-    assert (first.integrator.rel_tol, first.integrator.h_max) == (1e-8, 1e-9)
+    assert (first.integrator.rel_tol, first.integrator.density_floor) == (1e-8, 1e-9)
     assert first.output_dir == str(tmp_path / "a")
     assert second == replace(default_config("fig3a"),
                              sampler=replace(default_config("fig3a").sampler, n_pairs=4))
@@ -283,7 +299,8 @@ def _refuse_nan(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-UNDERFLOW = {"h_init": 1e-7, "h_min": 1e-7, "h_max": 1e-7, "rel_tol": 1e-13, "abs_tol": 1e-13}
+# no step above 1e-12 of the span meets these tolerances
+UNDERFLOW = {"rel_tol": 1e-100, "abs_tol": 1e-100}
 
 
 @pytest.mark.parametrize("integrator", [{"density_floor": 0.99}, UNDERFLOW],
@@ -299,32 +316,29 @@ def test_four_slit_check_fails_when_a_pair_is_not_integrated(tmp_path, capsys, i
 
 
 @pytest.mark.parametrize("scenario", ["custom", "four-slit-check"])
-def test_h_min_alone_runs(tmp_path, capsys, scenario):
-    # the default h_init, 1e-3 of the span, lies below this h_min; it is
-    # raised to h_min instead of failing the step-bound check at run time
-    path = write_json(tmp_path / "c.json", {"integrator": {"h_min": 1e-9}})
-    code = run_main(tmp_path, scenario, "--config", path, "--n-pairs", "5")
-    assert code in (0, 2)
-    assert "Traceback" not in capsys.readouterr().err
-    json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_refuse_nan)
-
-
-@pytest.mark.parametrize("scenario", ["custom", "four-slit-check"])
-def test_h_min_above_the_span_is_a_config_error(tmp_path, capsys, scenario):
-    # both scenarios integrate over 1e-8 s
-    path = write_json(tmp_path / "c.json", {"integrator": {"h_min": 1e-7}})
-    assert run_main(tmp_path, scenario, "--config", path, "--n-pairs", "5") == 1
-    assert "config error: integrator: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_step_budget_ends_a_run_that_cannot_meet_its_tolerance(tmp_path, scenario):
+    # at 1e-25 error control accepts only steps just above the smallest one, so
+    # a pair would need far more steps than its budget allows; the run ends
+    code = run_main(tmp_path, scenario, "--rel-tol", "1e-25", "--abs-tol", "1e-25",
+                    "--n-pairs", "1")
+    assert code == 2
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_nan)
+    if scenario == "custom":
+        assert (summary["n_completed"], summary["aborted_count"]) == (0, 1)
+    else:
+        assert summary["all_passed"] is False
 
 
 def test_wide_slits_run_in_bounded_memory(tmp_path):
     # Y = 1000 sigma0: a 2-D search for the t = 0 density peak would need a
-    # 1e10-point grid (75 GiB); the search along y2 = -y1 needs 1e5 points
-    path = write_json(tmp_path / "c.json", {"params": {"Y": 1e-3}})
-    assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["n_completed"] == 5
+    # 1e10-point grid (75 GiB). Y = 1 m = 1e6 sigma0: the whole line y2 = -y1
+    # would need 1e8 points (763 MiB); the search evaluates about 1,200.
+    for Y in (1e-3, 1.0):
+        path = write_json(tmp_path / "c.json", {"params": {"Y": Y}})
+        assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["n_completed"] == 5
 
 
 def test_summary_is_strict_json_when_nothing_completes(tmp_path):

@@ -18,6 +18,9 @@ from pair_transport import integrate_one
 def test_config_defaults():
     cfg = IntegratorConfig()
     assert cfg.rel_tol == 1e-9 and cfg.abs_tol == 1e-9 and cfg.density_floor == 1e-12
+    # the controller sizes every step; only tolerances and the floor are settable
+    names = [f.name for f in dataclasses.fields(IntegratorConfig)]
+    assert names == ["rel_tol", "abs_tol", "density_floor"]
 
 
 @pytest.mark.parametrize(
@@ -27,31 +30,12 @@ def test_config_defaults():
         {"rel_tol": -1e-9},
         {"abs_tol": 0.0},
         {"density_floor": 0.0},
-        {"h_init": -1e-12},
+        {"abs_tol": -1e-9},
     ],
 )
 def test_config_rejects_nonpositive(kw):
     with pytest.raises(ValueError):
         IntegratorConfig(**kw)
-
-
-def test_config_step_ordering():
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_init=1e-10, h_min=1e-9)  # min above init
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_min=1e-7).resolved_steps(1e-8)  # min above the span
-    h_init, h_min, h_max = IntegratorConfig().resolved_steps(1e-8)
-    assert 0 < h_min <= h_init <= h_max == 1e-8
-    # a given min above the default init raises the default init to it
-    assert IntegratorConfig(h_min=1e-9).resolved_steps(1e-8) == (1e-9, 1e-9, 1e-8)
-
-
-def test_h_max_with_too_many_steps_is_refused():
-    # 1e5 steps of h_max over the span are the most a run may need
-    assert IntegratorConfig(h_max=1e-13).resolved_steps(1e-8)[2] == 1e-13
-    for h_max in (0.99e-13, 1e-30):
-        with pytest.raises(ValueError, match="steps"):
-            IntegratorConfig(h_max=h_max).resolved_steps(1e-8)
 
 
 def test_com_matches_closed_form(p_fast, p_slow, stats):
@@ -198,7 +182,8 @@ def test_density_floor_abort_truncates(p_slow):
 
 
 def test_step_underflow_is_not_integrated(p_slow):
-    cfg = IntegratorConfig(h_init=1e-7, h_min=1e-7, h_max=1e-7, rel_tol=1e-13, abs_tol=1e-13)
+    # no step above 1e-12 of the span meets these tolerances
+    cfg = IntegratorConfig(rel_tol=1e-100, abs_tol=1e-100)
     _, count, status = integrate_pairs(
         np.array([(5e-6, -4e-6)]), 1e-7, cfg, SpinStatistics.BOSON, p_slow
     )

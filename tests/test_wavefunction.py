@@ -18,6 +18,7 @@ from pairslit import (
     same_side_probability,
     sigma_t,
 )
+from pairslit import wavefunction
 from pairslit.quadrature import gauss_legendre
 from pairslit.wavefunction import initial_density_peak, slit_images
 
@@ -188,3 +189,28 @@ def test_initial_density_peak_matches_2d_grid(p_fast, stats, geometry):
     grid = np.linspace(-span, span, int(2 * span / (0.02 * p.sigma0)) + 1)
     full = joint_density_y(grid[:, None], grid[None, :], 0.0, stats, p).max()
     assert initial_density_peak(stats, p) == pytest.approx(full, rel=PEAK_REL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(0.1, 50.0), stats=st.sampled_from(list(SpinStatistics)))
+@example(beta=8.0, stats=SpinStatistics.BOSON)  # the widest Y whose windows cover the grid
+@example(beta=50.0, stats=SpinStatistics.FERMION)
+def test_initial_density_peak_matches_the_whole_line(p_fast, beta, stats):
+    # only grid points within 4 sigma0 of y1 = -Y, 0 and Y are evaluated;
+    # the maximum over every point of the line must be the same, bitwise
+    p = dataclasses.replace(p_fast, Y=beta * p_fast.sigma0)
+    span = p.Y + 4.0 * p.sigma0
+    grid = np.linspace(-span, span, int(2 * span / (0.02 * p.sigma0)) + 1)
+    full = joint_density_y(grid, -grid, 0.0, stats, p).max()
+    assert initial_density_peak(stats, p) == full
+
+
+def test_initial_density_peak_cost_does_not_grow_with_the_slit_separation(p_fast, monkeypatch):
+    # three windows of 8 sigma0 at 0.02 sigma0 spacing, whatever Y / sigma0
+    sizes = []
+    evaluate = wavefunction.joint_density_y
+    monkeypatch.setattr(wavefunction, "joint_density_y",
+                        lambda y1, *rest: sizes.append(np.size(y1)) or evaluate(y1, *rest))
+    for Y in (1e-4, 1.0):
+        initial_density_peak(SpinStatistics.BOSON, dataclasses.replace(p_fast, Y=Y))
+    assert sizes and max(sizes) <= 3 * 402
