@@ -6,7 +6,8 @@ pinned in code; a JSON config file (documented in the README, versioned via
 config_version) can adjust batch settings everywhere and the physics for the
 custom scenario. Command-line flags win over file values.
 
-Exit codes: 0 success; 1 configuration problem; 2 runtime failure (abort
+Exit codes: 0 success; 1 configuration problem, or an error that ends the
+run (such as an array too large to allocate); 2 runtime failure (abort
 fraction above threshold, or a failed four-slit property check).
 """
 
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
         return run_scenario(cfg)
     except (PairslitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

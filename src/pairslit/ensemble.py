@@ -51,10 +51,6 @@ class EnsembleResult:
     def n_completed(self) -> int:
         return self.endpoints.shape[0]
 
-    @property
-    def aborted_fraction(self) -> float:
-        return self.aborted_count / self.n_requested
-
 
 def run_ensemble(
     sampler: SamplerConfig,
@@ -149,16 +145,6 @@ def density_distance(
     distance = binned_tv_distance(endpoints, t_end, stats, p)
     fresh = sample_joint_y(endpoints.shape[0], t_end, stats, p, rng)
     return distance, binned_tv_distance(fresh, t_end, stats, p)
-
-
-def scaled_independent_endpoints(ys0: np.ndarray, t: float, p: PhysicalParams) -> np.ndarray:
-    """Negative control: propagate each coordinate by pure packet spreading.
-
-    Scaling y -> y |sigma_t| / sigma0 reproduces the single-particle spread
-    but ignores the velocity coupling between the particles, so its endpoint
-    distribution should be measurably wrong wherever interference matters.
-    """
-    return np.asarray(ys0) * (abs(sigma_t(t, p)) / p.sigma0)
 
 
 def binned_tv_distance(

@@ -22,7 +22,8 @@ Two models of the post-passage state are implemented:
   dropped; they cancel from every guidance velocity.
 
 The amplitudes broadcast over coordinate arrays in the PairConfiguration, so
-a finite-difference velocity evaluates its whole stencil in one call.
+a finite-difference velocity evaluates its whole stencil in one call
+(_log_gradient_velocity).
 property_report runs the numeric checks of both models that the
 four-slit-check scenario prints.
 """
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import NodeProximityError, RegionViolationError
 from .integrator import IntegratorConfig, Trajectory, integrate_pairs
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
-from .velocity import log_gradient_velocity
 from .wavefunction import psi_pair, slit_images
 
 _RELATIVE_NODE_GUARD = 1e-12
@@ -132,8 +132,29 @@ def corrected_four_slit_psi(region: SlitRegion, c: PairConfiguration, p: Physica
     return _corrected_state(region, c, p)[0]
 
 
+def _log_gradient_velocity(amplitude, c: PairConfiguration, p: PhysicalParams) -> PairVelocity:
+    """(hbar/m) Im[grad Psi / Psi] at c by central differences of amplitude.
+
+    amplitude is a callable (x1, y1, x2, y2, t) -> complex that broadcasts
+    over coordinate arrays. It is called once, on the whole stencil: c
+    first, then the points c + h_q e_q and c - h_q e_q for each coordinate
+    q, all at the one time c.t. The transverse step is 1e-4 sigma0; the
+    longitudinal step is 1e-3 / kx, so the sampled phase difference stays
+    small: a sigma0-scale step would alias the plane wave completely.
+    Callers guard against near-zero |Psi| themselves, and may do so inside
+    that call; this helper only differentiates.
+    """
+    h_x, h_y = 1e-3 / p.kx, 1e-4 * p.sigma0
+    h = np.array([h_x, h_y, h_x, h_y])
+    # stencil rows: c, then c + h_q e_q for q = 0..3, then c - h_q e_q
+    steps = np.concatenate([np.zeros((1, 4)), np.diag(h), np.diag(-h)])
+    psi = amplitude(*(np.array([c.x1, c.y1, c.x2, c.y2]) + steps).T, c.t)
+    grad = ((psi[1:5] - psi[5:]) / (2.0 * h * psi[0])).imag
+    return PairVelocity(*(p.hbar / p.m * grad).tolist())
+
+
 def _guarded_fd_velocity(state, c: PairConfiguration, p: PhysicalParams):
-    """log_gradient_velocity of the amplitude that state(c) returns with its slit images.
+    """_log_gradient_velocity of the amplitude that state(c) returns with its slit images.
 
     One state call covers the whole stencil. Its row 0 is c itself, where a
     relative node guard compares |Psi| against the largest single product
@@ -146,7 +167,7 @@ def _guarded_fd_velocity(state, c: PairConfiguration, p: PhysicalParams):
             raise NodeProximityError("four-slit amplitude too close to a node")
         return psi
 
-    return log_gradient_velocity(amplitude, c, p)
+    return _log_gradient_velocity(amplitude, c, p)
 
 
 def naive_velocity(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams) -> PairVelocity:

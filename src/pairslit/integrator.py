@@ -3,10 +3,10 @@
 Embedded Dormand-Prince 5(4) pair with PI step-size control, working in
 packet-width / spreading-time units. Longitudinal motion is exact (constant
 drift), and so is the transverse centre of mass c = (eta1 + eta2) / 2: the
-interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2)
-(com_closed_form). Only the half-separation d = (eta1 - eta2) / 2 is
-integrated, one component per pair; the sample table rebuilds
-eta1, eta2 = c +- d from it.
+interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2), the
+spreading law that tests/oracles.py states as com_closed_form. Only the
+half-separation d = (eta1 - eta2) / 2 is integrated, one component per pair;
+the sample table rebuilds eta1, eta2 = c +- d from it.
 
 Steps are clipped only to land exactly on t_end, so the requested sample grid
 does not change the path: the accepted steps, the endpoint and the status of
@@ -46,7 +46,7 @@ from ._kernels import (
     reduced_velocity_array,
 )
 from .errors import NodeProximityError, StepUnderflowError
-from .params import PairConfiguration, PhysicalParams, SpinStatistics
+from .params import PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, normalization_N
 
 # Dormand-Prince 5(4) tableau. B propagates the fifth-order solution; E gives
@@ -177,11 +177,6 @@ class Trajectory:
         vx = np.full(t.shape, p.x_speed)
         return cls(t, x1 + dx, rows[:, 1], x2 + dx, rows[:, 2], vx, rows[:, 3], vx, rows[:, 4],
                    status)
-
-    @property
-    def endpoint(self) -> PairConfiguration:
-        last = (self.x1, self.y1, self.x2, self.y2, self.t)
-        return PairConfiguration(*(float(col[-1]) for col in last))
 
 
 @dataclass(frozen=True)

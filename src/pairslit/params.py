@@ -16,6 +16,11 @@ import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR
 
+# The largest Y / sigma0 accepted. The t = 0 density peak is searched on a
+# 0.02 sigma0 grid out to Y + 4 sigma0 (wavefunction.initial_density_peak);
+# beyond this float64 positions near Y are spaced wider than that grid.
+_MAX_BETA = 0.02 * 2.0**52
+
 
 class SpinStatistics(enum.Enum):
     """Exchange symmetry of the pair state."""
@@ -64,6 +69,10 @@ class PhysicalParams:
         for name in ("m", "hbar", "sigma0", "Y", "kx", "d", "L"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if not self.beta <= _MAX_BETA:
+            raise ValueError(
+                f"Y must be at most {_MAX_BETA:.4g} sigma0, got {self.beta:.4g} sigma0"
+            )
         # Extreme inputs can underflow or overflow the derived time scales;
         # the integrator divides by tau and steps over flight_time / tau.
         try:
@@ -121,10 +130,6 @@ class PairConfiguration:
         t = self.t
         if (t < 0.0).any() if isinstance(t, np.ndarray) else t < 0.0:
             raise ValueError("t must be >= 0")
-
-    def swapped(self) -> "PairConfiguration":
-        """The same point with the two particle labels exchanged."""
-        return PairConfiguration(self.x2, self.y2, self.x1, self.y1, self.t)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import numpy as np
 
 from ._kernels import reduced_density_array
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
-from .quadrature import gauss_legendre
 
 
 class Slit(enum.Enum):
@@ -117,11 +116,6 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     return n * (direct + stats.sign * exchanged)
 
 
-def joint_density(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams):
-    """Joint position density |Psi|^2 at c (m^-2); broadcasts like psi_pair."""
-    return abs(psi_pair(stats, c, p)) ** 2
-
-
 def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     """Exact joint density in the transverse plane at time t (m^-2), vectorized.
 
@@ -174,18 +168,3 @@ def initial_density_peak(stats: SpinStatistics, p: PhysicalParams) -> float:
     y = k * step - span
     y[k == last] = span
     return float(joint_density_y(y, -y, 0.0, stats, p).max())
-
-
-def same_side_probability(
-    stats: SpinStatistics, p: PhysicalParams, t: float, n_nodes: int = 220
-) -> float:
-    """Probability that both particles sit on the same side of y = 0 at time t.
-
-    Quadrature of the exact joint density over the two same-sign quadrants
-    (equal by reflection symmetry, so one quadrant is integrated and doubled).
-    """
-    s = abs(sigma_t(t, p))
-    reach = p.Y + 12.0 * s
-    y, w = gauss_legendre(0.0, reach, n_nodes)
-    dens = joint_density_y(y[:, None], y[None, :], t, stats, p)
-    return 2.0 * float(np.einsum("i,j,ij->", w, w, dens))

@@ -1,10 +1,12 @@
-"""Per-point central differences, the reference for velocity.log_gradient_velocity.
+"""Per-point central differences, the reference for fourslit._log_gradient_velocity.
 
 The package evaluates a finite-difference velocity's whole stencil in one
 array call of the amplitude. This is the loop that call replaced: one
 amplitude call per stencil point, on plain floats, and one complex ratio per
 coordinate. The two agree up to rounding, which numpy's array arithmetic
-does in a different order; tests bound the difference. Not package API.
+does in a different order; tests bound the difference. With a step and
+Richardson extrapolation of its own, it is also the differentiation behind
+oracles.velocity_oracle. Not package API.
 """
 
 from pairslit import PairVelocity
@@ -13,7 +15,10 @@ from pairslit import PairVelocity
 def reference_velocity(amplitude, c, p, step=None, richardson=False) -> PairVelocity:
     """(hbar/m) Im[grad Psi / Psi] at c, stepping one coordinate at a time.
 
-    amplitude, step and richardson are those of log_gradient_velocity.
+    amplitude is a callable (x1, y1, x2, y2, t) -> complex. step is the
+    transverse step, 1e-4 sigma0 by default as in the package; the
+    longitudinal step is 1e-3 / kx. richardson combines steps h and h/2 for
+    fourth-order accuracy.
     """
     psi0 = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
     h_y = 1e-4 * p.sigma0 if step is None else step

@@ -2,13 +2,14 @@
 
 The package transports pairs as an (n, 2) release array in and a sample table
 out; these wrappers turn the table back into one Trajectory per pair, so that
-tests can read its columns. A batch below integrator._BATCH_MIN pairs, a lone
-pair included, runs the scalar step loop, as the CLI's small fans do.
+tests can read its columns, and endpoint reads its last sample. A batch below
+integrator._BATCH_MIN pairs, a lone pair included, runs the scalar step loop,
+as the CLI's small fans do.
 """
 
 import numpy as np
 
-from pairslit import Trajectory
+from pairslit import PairConfiguration, Trajectory
 from pairslit.integrator import integrate_pairs
 
 
@@ -29,3 +30,9 @@ def integrate_one(start, t_end, cfg, stats, p, times=None):
     assert start.t == 0.0
     initial = np.array([(start.y1, start.y2)])
     return trajectories(initial, t_end, cfg, stats, p, times, start.x1, start.x2)[0]
+
+
+def endpoint(traj):
+    """The last sample of a Trajectory as a PairConfiguration of floats."""
+    last = (traj.x1, traj.y1, traj.x2, traj.y2, traj.t)
+    return PairConfiguration(*(float(col[-1]) for col in last))

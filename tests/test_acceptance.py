@@ -19,24 +19,26 @@ from pairslit import (
     Slit,
     SlitRegion,
     SpinStatistics,
-    com_closed_form,
     corrected_velocity,
     density_distance,
-    joint_density,
     map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
     psi_slit,
     run_ensemble,
-    same_side_probability,
     sample_joint_y,
-    scaled_independent_endpoints,
     sigma_t,
+)
+
+from oracles import (
+    com_closed_form,
+    joint_density,
+    same_side_probability,
+    scaled_independent_endpoints,
     velocity_closed_form,
     velocity_oracle,
 )
-
-from pair_transport import integrate_one
+from pair_transport import endpoint, integrate_one
 
 P_FAST = PhysicalParams.baseline(x_speed=2.0e7)
 P_SLOW = PhysicalParams.baseline(x_speed=2.0e6)
@@ -187,7 +189,7 @@ def test_criterion_6_same_side_detection(ensembles_10k):
             PairConfiguration(0, P_SLOW.Y, 0, off * s0, 0), 1e-7,
             IntegratorConfig(), SpinStatistics.BOSON, P_SLOW,
         )
-        end = traj.endpoint
+        end = endpoint(traj)
         worst_end = max(worst_end, abs(end.y1 / s0 - ref1), abs(end.y2 / s0 - ref2))
         if off == -3.5:
             crossing_up = end.y2 > 0.0
@@ -278,8 +280,9 @@ def test_criterion_8_four_slit_reductions():
 
 
 def test_criterion_9_robustness(ensembles_10k):
-    frac_slow = ensembles_10k["slow", SpinStatistics.FERMION].aborted_fraction
-    frac_fast = ensembles_10k["fast", SpinStatistics.FERMION].aborted_fraction
+    slow, fast = (ensembles_10k[r, SpinStatistics.FERMION] for r in ("slow", "fast"))
+    frac_slow = slow.aborted_count / slow.n_requested
+    frac_fast = fast.aborted_count / fast.n_requested
     worst_shift = 0.0
     halved = IntegratorConfig(rel_tol=5e-10, abs_tol=5e-10)
     t_end = 1e-8
@@ -287,8 +290,8 @@ def test_criterion_9_robustness(ensembles_10k):
         rng = np.random.default_rng(900 + i)
         for y1, y2 in sample_joint_y(20, 0.0, stats, P_FAST, rng):
             c = PairConfiguration(0.0, float(y1), 0.0, float(y2), 0.0)
-            a = integrate_one(c, t_end, IntegratorConfig(), stats, P_FAST).endpoint
-            b = integrate_one(c, t_end, halved, stats, P_FAST).endpoint
+            a = endpoint(integrate_one(c, t_end, IntegratorConfig(), stats, P_FAST))
+            b = endpoint(integrate_one(c, t_end, halved, stats, P_FAST))
             worst_shift = max(worst_shift, abs(a.y1 - b.y1) / P_FAST.sigma0,
                               abs(a.y2 - b.y2) / P_FAST.sigma0)
     ok = frac_fast < 1e-3 and frac_slow < 1e-3 and worst_shift < 1e-9

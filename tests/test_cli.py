@@ -221,7 +221,9 @@ def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
 def test_main_bad_config_exit_code(tmp_path, capsys):
     # JSON reads 1e400 as inf; Infinity and NaN are extensions that json accepts.
     # sigma0 1e-300 underflows tau to 0; L 1e-300 underflows the flight time to
-    # 0; m 1e300 overflows tau to inf.
+    # 0; m 1e300 overflows tau to inf. Y 1e8 = 1e14 sigma0 is beyond what float64
+    # positions resolve on the 0.02 sigma0 grid of the t = 0 density peak; at
+    # Y 1e13 its grid indices overflowed int64 and the run ended in a TypeError.
     for bad in (
         '"params": {"sigma0": -1}',
         '"sampler": {"seed": -1}',
@@ -231,6 +233,8 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
         '"params": {"sigma0": 1e-300}',
         '"params": {"L": 1e-300}',
         '"params": {"m": 1e300}',
+        '"params": {"Y": 1e8}',
+        '"params": {"Y": 1e13}',
     ):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"scenario": "custom", {bad}}}')
@@ -333,12 +337,28 @@ def test_step_budget_ends_a_run_that_cannot_meet_its_tolerance(tmp_path, scenari
 def test_wide_slits_run_in_bounded_memory(tmp_path):
     # Y = 1000 sigma0: a 2-D search for the t = 0 density peak would need a
     # 1e10-point grid (75 GiB). Y = 1 m = 1e6 sigma0: the whole line y2 = -y1
-    # would need 1e8 points (763 MiB); the search evaluates about 1,200.
-    for Y in (1e-3, 1.0):
+    # would need 1e8 points (763 MiB); the search evaluates about 1,200. Y = 9e7 m
+    # is just below the widest accepted, 0.02 * 2**52 sigma0.
+    for Y in (1e-3, 1.0, 1e4, 9e7):
         path = write_json(tmp_path / "c.json", {"params": {"Y": Y}})
         assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["n_completed"] == 5
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_pair_count_too_large_to_allocate_is_an_error(tmp_path, capsys, source):
+    # numpy refuses the (10^15, 2) float64 release array (16 PB, beyond any
+    # address space) before it allocates any of it
+    n_pairs = 10**15
+    if source == "flag":
+        args = ("--n-pairs", str(n_pairs))
+    else:
+        args = ("--config", write_json(tmp_path / "c.json", {"sampler": {"n_pairs": n_pairs}}))
+    assert run_main(tmp_path, "fig3a", *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_summary_is_strict_json_when_nothing_completes(tmp_path):

@@ -8,11 +8,11 @@ from pairslit import (
     PairConfiguration,
     SpinStatistics,
     TrajectoryStatus,
-    com_closed_form,
 )
 from pairslit.integrator import integrate_pairs
 
-from pair_transport import integrate_one
+from oracles import com_closed_form
+from pair_transport import endpoint, integrate_one
 
 
 def test_config_defaults():
@@ -137,22 +137,22 @@ def test_trajectory_arrays_shape(p_fast):
     )
     for name in ("t", "x1", "y1", "x2", "y2", "vx1", "vy1", "vx2", "vy2"):
         assert getattr(traj, name).shape == (9,)
-    end = traj.endpoint
+    end = endpoint(traj)
     assert end.t == 1e-8 and end.y1 == traj.y1[-1]
 
 
 def test_halving_tolerances_converges(p_fast):
     start = PairConfiguration(0, 5.8e-6, 0, -4.3e-6, 0)
-    coarse = integrate_one(
+    coarse = endpoint(integrate_one(
         start, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast
-    ).endpoint
-    fine = integrate_one(
+    ))
+    fine = endpoint(integrate_one(
         start,
         1e-8,
         IntegratorConfig(rel_tol=5e-10, abs_tol=5e-10),
         SpinStatistics.BOSON,
         p_fast,
-    ).endpoint
+    ))
     assert abs(coarse.y1 - fine.y1) < 1e-9 * p_fast.sigma0
     assert abs(coarse.y2 - fine.y2) < 1e-9 * p_fast.sigma0
 
@@ -178,7 +178,7 @@ def test_density_floor_abort_truncates(p_slow):
     )
     assert traj.status is TrajectoryStatus.NODE_PROXIMITY_ABORT
     assert 0 < len(traj.t) < 51
-    assert traj.endpoint.t < 1e-7
+    assert endpoint(traj).t < 1e-7
 
 
 def test_step_underflow_is_not_integrated(p_slow):

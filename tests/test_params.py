@@ -38,13 +38,6 @@ def test_pair_configuration_rejects_negative_time():
         PairConfiguration(0.0, 1e-6, 0.0, -1e-6, -1e-9)
 
 
-def test_pair_configuration_swap():
-    c = PairConfiguration(1.0, 2.0, 3.0, 4.0, 5.0)
-    s = c.swapped()
-    assert (s.x1, s.y1, s.x2, s.y2, s.t) == (3.0, 4.0, 1.0, 2.0, 5.0)
-    assert s.swapped() == c
-
-
 def test_statistics_signs():
     assert SpinStatistics.BOSON.sign == 1
     assert SpinStatistics.FERMION.sign == -1

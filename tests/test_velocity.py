@@ -7,13 +7,11 @@ from pairslit import (
     NodeProximityError,
     PairConfiguration,
     SpinStatistics,
-    com_closed_form,
-    joint_density,
     sigma_t,
-    velocity_closed_form,
-    velocity_oracle,
 )
 from pairslit.wavefunction import initial_density_peak
+
+from oracles import com_closed_form, joint_density, velocity_closed_form, velocity_oracle
 
 
 def random_points(p, rng, n, min_gap=0.0):

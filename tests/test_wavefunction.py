@@ -10,17 +10,17 @@ from pairslit import (
     PairConfiguration,
     Slit,
     SpinStatistics,
-    joint_density,
     joint_density_y,
     normalization_N,
     psi_pair,
     psi_slit,
-    same_side_probability,
     sigma_t,
 )
 from pairslit import wavefunction
 from pairslit.quadrature import gauss_legendre
 from pairslit.wavefunction import initial_density_peak, slit_images
+
+from oracles import joint_density, same_side_probability
 
 # Complex width at the two scenario flight times, frozen from tau above.
 SPREAD_FAST = 1.1554452124260477  # |sigma_t| / sigma0 at t = 1e-8 s
