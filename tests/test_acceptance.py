@@ -32,7 +32,6 @@ from pairslit import (
 
 from oracles import (
     com_closed_form,
-    joint_density,
     same_side_probability,
     scaled_independent_endpoints,
     velocity_closed_form,
