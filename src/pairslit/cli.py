@@ -229,12 +229,152 @@ def _pinned_initials(cfg: ScenarioConfig) -> np.ndarray | None:
     return None
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    names = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
-    block = np.column_stack([getattr(traj, name) for name in names])
-    row = ",".join(["%.15e"] * len(names)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n" + row * len(block) % tuple(block.ravel().tolist()))
+_CSV_COLUMNS = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
+_CSV_HEADER = (",".join(_CSV_COLUMNS) + "\r\n").encode()
+_BATCH_ROWS = 512  # rows of whole files formatted in one call
+
+# _format_csv_rows lays each field out in a 28-byte slot and then drops the
+# bytes a field does not use. Columns: 2 sign, 3 leading digit, 4 point, 5-19
+# the other 15 digits, 20-24 "e", the exponent's sign and three digits (the
+# hundreds kept only when nonzero), 25-26 the separator. Columns 4-19 are the
+# uint32 words 1-4, which take the 16 digits four at a time; word 5 takes the
+# exponent's first four bytes.
+_SLOT = 28
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                 indexing="ij"), axis=-1).view(np.uint32).ravel()
+_EXP_MIN = -324  # row e - _EXP_MIN of _EXPONENTS holds "e", the sign and 3 digits of e
+_EXPONENTS = (
+    np.array([f"e{e:+04d}" for e in range(_EXP_MIN, 309)], "S8").view(np.uint32).reshape(-1, 2)
+)
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+_EXACT_RANGE = (1e-280, 1e280)  # 10^(15 - e) and every split product stay normal here
+_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10^k as hi + lo with hi correctly rounded, and hi's Dekker split."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int / int is correctly rounded
+    hi_num, hi_den = hi.as_integer_ratio()
+    lo = (num * hi_den - hi_num * den) / (den * hi_den)
+    scaled = _SPLIT * hi
+    hi_high = scaled - (scaled - hi)
+    return hi, hi_high, hi - hi_high, lo
+
+
+def _round_to_16_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, e, settled): "%.15e" % x has the digits of q and the exponent e where settled.
+
+    For a nonzero |x| in _EXACT_RANGE, e = floor(log10|x|) and |x| 10^(15 - e)
+    is formed as an exact double-double product (Dekker 1971) and rounded to
+    the 16-digit integer q. A zero is settled with q = e = 0. Not settled: a
+    value outside the range other than 0, a non-finite value, one whose
+    rounding lies within _TIE_MARGIN of a tie, and one whose scaled value or
+    its rounding falls outside [10^15, 10^16).
+    """
+    v = np.abs(x)
+    zero = v == 0.0
+    in_range = (v >= _EXACT_RANGE[0]) & (v <= _EXACT_RANGE[1])
+    v[~in_range] = 1.0  # a stand-in: these are settled only if 0
+    e = np.floor(np.log10(v)).astype(np.int64)
+    k_min = 15 - int(e.max(initial=0))
+    powers = np.array([_pow10(k) for k in range(k_min, 16 - int(e.min(initial=0)))]).T
+    p_hi, p_high, p_low, p_lo = powers[:, 15 - k_min - e]
+    # v * p_hi == hi + lo exactly (Dekker's product); then lo gains v * p_lo
+    hi = v * p_hi
+    v_high = _SPLIT * v
+    v_high -= v_high - v
+    v_low = v - v_high
+    lo = ((v_high * p_high - hi) + v_high * p_low + v_low * p_high) + v_low * p_low
+    lo += v * p_lo
+    whole = np.floor(hi)
+    frac = (hi - whole) + lo
+    carry = np.floor(frac)
+    frac -= carry
+    q = whole.astype(np.int64) + carry.astype(np.int64) + (frac > 0.5)
+    settled = zero | (
+        in_range & ((hi > 1e15) | ((hi == 1e15) & (lo >= 0.0))) & (q < 10**16)
+        & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    )
+    q[zero] = 0  # e is already 0 there
+    return q, e, settled
+
+
+def _format_csv_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ",".join("%.15e" % x for x in row) + "\r\n" for every row of block.
+
+    Returns the uint8 bytes and the offset at which each row starts, followed
+    by the end. Values that _round_to_16_digits leaves unsettled are formatted
+    by "%.15e" itself, one at a time.
+    """
+    rows, cols = block.shape
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    q, e, settled = _round_to_16_digits(x)
+
+    template = np.zeros((cols, _SLOT), np.uint8)
+    template[:, 2] = ord("-")
+    template[:, 25] = ord(",")
+    template[-1, 25:27] = np.frombuffer(b"\r\n", np.uint8)
+    out = np.empty((rows, cols, _SLOT), np.uint8)
+    out[:] = template
+    out = out.reshape(-1, _SLOT)
+    words = out.view(np.uint32)
+    head = q // 10**8
+    tail = q - head * 10**8
+    for word, digits in enumerate((head, tail)):
+        top = digits // 10**4
+        words[:, 2 * word + 1] = _DIGITS4[top]
+        words[:, 2 * word + 2] = _DIGITS4[digits - top * 10**4]
+    out[:, 3] = out[:, 4]
+    out[:, 4] = ord(".")
+    exponent = _EXPONENTS[e - _EXP_MIN]
+    words[:, 5] = exponent[:, 0]
+    out[:, 24] = exponent[:, 1]
+
+    template = np.zeros((cols, _SLOT), bool)
+    template[:, 3:26] = True
+    template[-1, 26] = True
+    keep = np.empty((rows, cols, _SLOT), bool)
+    keep[:] = template
+    keep = keep.reshape(-1, _SLOT)
+    keep[:, 2] = np.signbit(x)
+    keep[:, 22] = np.abs(e) >= 100
+    widths = 21 + keep[:, 2] + keep[:, 22]
+    for i in np.flatnonzero(~settled):
+        text = np.frombuffer(("%.15e" % x[i]).encode(), np.uint8)
+        out[i, 2:2 + len(text)] = text
+        keep[i, 2:25] = False
+        keep[i, 2:2 + len(text)] = True
+        widths[i] = len(text)
+    row_ends = np.cumsum(widths.reshape(rows, cols).sum(axis=1) + cols + 1)
+    return out[keep], np.concatenate([[0], row_ends])
+
+
+def _write_trajectory_csvs(paths: list[Path], trajectories: list[Trajectory]) -> None:
+    """Write each trajectory to its path: a header, then a row of "%.15e" fields per sample.
+
+    Whole files are formatted together in batches of at most _BATCH_ROWS rows
+    (a longer file is a batch of its own), and the bytes are cut into files by row.
+    """
+    lengths = [len(traj.t) for traj in trajectories]
+    first = 0
+    while first < len(trajectories):
+        last, rows = first + 1, lengths[first]
+        while last < len(trajectories) and rows + lengths[last] <= _BATCH_ROWS:
+            rows += lengths[last]
+            last += 1
+        batch = trajectories[first:last]
+        block = np.column_stack([np.concatenate([getattr(traj, name) for traj in batch])
+                                 for name in _CSV_COLUMNS])
+        data, starts = _format_csv_rows(block)
+        row = 0
+        for path, n_rows in zip(paths[first:last], lengths[first:last]):
+            with open(path, "wb") as fh:
+                fh.write(_CSV_HEADER)
+                fh.write(data[starts[row]:starts[row + n_rows]])
+            row += n_rows
+        first = last
 
 
 def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
@@ -253,7 +393,6 @@ def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario, write artifacts, and return the process exit code."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.scenario == "four-slit-check":
         return _run_four_slit_check(cfg, out)
 
@@ -272,9 +411,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         result = transport_ensemble(initials, cfg.integrator, cfg.stats, cfg.params, t_end,
                                     sample_times=sample_times, keep_trajectories=True)
 
+    out.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(len(result.trajectories) - 1)))
-    for i, traj in enumerate(result.trajectories):
-        _write_trajectory_csv(out / f"trajectory_{i:0{width}d}.csv", traj)
+    _write_trajectory_csvs([out / f"trajectory_{i:0{width}d}.csv"
+                            for i in range(len(result.trajectories))], result.trajectories)
     same_side = result.same_side_fraction
     aborted, n_requested = result.aborted_count, result.n_requested
     _write_summary(out, cfg, {
@@ -308,6 +448,7 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
         ],
         "all_passed": all_ok,
     }
+    out.mkdir(parents=True, exist_ok=True)
     _write_summary(out, cfg, report)
     return 0 if all_ok else 2
 

@@ -1,17 +1,30 @@
 import csv
+import io
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pairslit import ConfigError, SpinStatistics, Trajectory, TrajectoryStatus, __version__
+from pairslit import (
+    ConfigError,
+    PhysicalParams,
+    SpinStatistics,
+    Trajectory,
+    TrajectoryStatus,
+    __version__,
+)
 from pairslit.cli import (
     SCENARIOS,
     ScenarioConfig,
+    _BATCH_ROWS,
     _build_parser,
-    _write_trajectory_csv,
+    _format_csv_rows,
+    _write_trajectory_csvs,
     default_config,
     main,
     run_scenario,
@@ -416,9 +429,111 @@ def test_trajectory_csv_matches_savetxt(tmp_path):
     # nine 3-sample columns; each kind of value lands in a column the CSV holds
     block = np.resize(np.array(values), 27).reshape(9, 3)
     traj = Trajectory(*block, TrajectoryStatus.COMPLETED)
-    _write_trajectory_csv(tmp_path / "ours.csv", traj)
+    _write_trajectory_csvs([tmp_path / "ours.csv"], [traj])
     columns = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
     with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
         np.savetxt(fh, np.column_stack([getattr(traj, c) for c in columns]), fmt="%.15e",
                    delimiter=",", newline="\r\n", header=",".join(columns), comments="")
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _percent_rows(block):
+    return b"".join((",".join("%.15e" % v for v in row) + "\r\n").encode()
+                    for row in block.tolist())
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+any_float = st.one_of(st.integers(0, 2**64 - 1).map(_bits_to_float), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(any_float, max_size=70), cols=st.integers(1, 7))
+@example(values=[1234567890123456.5], cols=1)  # exact ties at the 17th digit: half to even
+@example(values=[-1234567890123457.5], cols=1)
+@example(values=[np.nextafter(1e-30, 0.0), np.nextafter(1e-30, 1.0)], cols=2)
+@example(values=[np.nextafter(1e15, 0.0), np.nextafter(1e15, 2e15)], cols=2)
+@example(values=[5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf], cols=3)
+def test_formatted_rows_equal_percent_formatting(values, cols):
+    block = np.resize(np.array(values, dtype=np.float64), len(values) // cols * cols)
+    block = block.reshape(-1, cols)
+    data, starts = _format_csv_rows(block)
+    expected = _percent_rows(block)
+    assert data.tobytes() == expected
+    assert starts.tolist() == [0, *np.cumsum([len(line) + 2 for line in
+                                              expected.split(b"\r\n")[:-1]])]
+
+
+def _savetxt_bytes(traj):
+    columns = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack([getattr(traj, c) for c in columns]), fmt="%.15e",
+               delimiter=",", newline="\r\n", header=",".join(columns), comments="")
+    return buf.getvalue()
+
+
+def _random_trajectory(rng, n_rows, status=TrajectoryStatus.COMPLETED):
+    """SI-scaled random samples on a 1e-8 s grid; an abort ends at an off-grid time."""
+    t = np.linspace(0.0, 1e-8, max(n_rows, 101))[:n_rows]
+    if status is TrajectoryStatus.NODE_PROXIMITY_ABORT:
+        t = np.append(t[:-1], t[-2] + rng.uniform(0.1, 0.9) * 1e-10)
+    rows = np.column_stack([t, rng.normal(size=(len(t), 2)) * 1e-6,
+                            rng.normal(size=(len(t), 2)) * 10.0 ** rng.integers(-3, 4)])
+    return Trajectory.from_rows(rows, status, PhysicalParams.baseline(x_speed=2e6))
+
+
+def _check_files_match_savetxt(tmp_path, trajectories):
+    paths = [tmp_path / f"trajectory_{i:04d}.csv" for i in range(len(trajectories))]
+    _write_trajectory_csvs(paths, trajectories)
+    assert sorted(tmp_path.iterdir()) == paths
+    for path, traj in zip(paths, trajectories):
+        assert path.read_bytes() == _savetxt_bytes(traj), path.name
+
+
+def test_files_of_unequal_length_match_savetxt(tmp_path):
+    rng = np.random.default_rng(12)
+    aborted = TrajectoryStatus.NODE_PROXIMITY_ABORT
+    trajectories = [_random_trajectory(rng, 101), _random_trajectory(rng, 37, aborted),
+                    _random_trajectory(rng, 1), _random_trajectory(rng, 2, aborted),
+                    _random_trajectory(rng, 101)]
+    assert trajectories[1].t[-1] not in np.linspace(0.0, 1e-8, 101)
+    _check_files_match_savetxt(tmp_path, trajectories)
+
+
+def test_files_split_across_batches_match_savetxt(tmp_path):
+    # 101-row files fill batches of five; 256 + 256 rows fill one batch
+    # exactly, and a file longer than a batch is formatted on its own
+    rng = np.random.default_rng(13)
+    lengths = [101] * 6 + [_BATCH_ROWS // 2] * 2 + [1] + [_BATCH_ROWS + 88] + [3]
+    trajectories = [_random_trajectory(rng, n) for n in lengths]
+    assert [len(traj.t) for traj in trajectories] == lengths
+    _check_files_match_savetxt(tmp_path, trajectories)
+
+
+def test_no_trajectory_writes_no_file(tmp_path):
+    _check_files_match_savetxt(tmp_path, [])
+
+
+def test_a_thousand_two_row_files_match_savetxt(tmp_path):
+    rng = np.random.default_rng(14)
+    _check_files_match_savetxt(tmp_path, [_random_trajectory(rng, 2) for _ in range(1000)])
+
+
+def test_run_that_fails_creates_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "runs" / "big"
+    assert main(["fig3a", "--n-pairs", str(10**15), "--out", str(out)]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_four_slit_check_that_fails_creates_no_output_directory(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr("pairslit.cli.property_report", no_memory)
+    out = tmp_path / "runs" / "fsc"
+    assert main(["four-slit-check", "--out", str(out)]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
