@@ -471,6 +471,8 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
         else:
             cfg = replace(cfg, sampler=_flagged("--n-pairs", cfg.sampler, n_pairs=args.n_pairs))
     if args.out is not None:
+        if not args.out:  # as output_dir in a config file
+            raise ConfigError(["--out: expected a non-empty path"])
         cfg = replace(cfg, output_dir=args.out)
     if args.stats is not None:
         cfg = replace(cfg, stats=SpinStatistics(args.stats))

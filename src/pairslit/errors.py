@@ -20,8 +20,9 @@ class RejectionStallError(PairslitError):
 class StepUnderflowError(PairslitError):
     """Adaptive integrator cannot land a pair.
 
-    Error control would need a step below 1e-12 of the span, likely near a
-    node, or more steps than the per-pair budget allows.
+    pairslit no longer raises it: such a pair gets status None from
+    integrate_pairs instead. It stays exported only for the perfbench smoke
+    test that raises it, and goes together with that test.
     """
 
 

@@ -27,6 +27,12 @@ together, each with its own step size and controller state, and a scalar loop
 on plain floats. integrate_pairs uses the batch loop while at least
 _BATCH_MIN pairs are live and hands smaller batches and remainders to the
 scalar loop, whose per-step cost does not carry numpy's per-call overhead.
+
+Neither loop writes a pair's last row or raises. Each only advances pairs
+and reports how a pair ended: its status, its last accepted state and the
+first sample time no accepted step covered. A pair that underflows or runs
+out of steps reports nothing. integrate_pairs then writes every landing or
+truncation row, and every sample count, in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ._kernels import (
     reduced_velocity,
     reduced_velocity_array,
 )
-from .errors import NodeProximityError, StepUnderflowError
+from .errors import NodeProximityError
 from .params import PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, normalization_N
 
@@ -301,30 +307,36 @@ def integrate_pairs(
 
     rows = np.full((n, len(prob.grid), 3), np.nan)
     rows[idx, 0] = np.column_stack((np.zeros(m), d[idx], k1))
-    count = np.zeros(n, dtype=np.intp)
     status = np.full(n, None, dtype=object)
+    # Row i holds pair i's end (T, d, dd/dT, j) once a step loop gives it a
+    # status: its last accepted state and the index of the first sample time
+    # that no accepted step covered.
+    ends = np.zeros((n, 4))
     state = (
         idx, np.zeros(m), d[idx], c0[idx], k1,
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
     steps: list[np.ndarray] = []
-    live, tried = _advance_batch(prob, state, rows, status, count, steps)
+    live, tried = _advance_batch(prob, state, status, ends, steps)
 
     covering = array("d")
     for i, T, d_i, c0_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
-        try:
-            status[i], j, tail = _advance(
-                prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, tried, covering
-            )
-        except StepUnderflowError:
-            continue
-        count[i] = j + len(tail)
-        if tail:
-            rows[i, j : count[i]] = tail
+        end = _advance(prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, tried, covering)
+        if end is not None:
+            status[i], ends[i] = end
     if covering:
         steps.append(np.frombuffer(covering).reshape(-1, 12))
     if steps:
         _fill_interior(prob, rows, np.concatenate(steps))
+
+    # An end past the last covered sample time is the pair's last row: the
+    # landing on t_end, or an abort's truncation between two sample times.
+    ended = np.flatnonzero(status != None)  # elementwise over the object array
+    j = ends[ended, 3].astype(np.intp)
+    past = np.asarray(prob.grid)[j - 1] < ends[ended, 0]
+    rows[ended[past], j[past]] = ends[ended[past], :3]
+    count = np.zeros(n, dtype=np.intp)
+    count[ended] = j + past
     return _si_rows(rows, c0, prob, p), count, status
 
 
@@ -360,28 +372,26 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
 
 
 def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
-    """Scalar step loop: carry pair i from an accepted state to the end.
+    """Scalar step loop: carry pair i from an accepted state to its end.
 
     (T, d) is the state, c0 the pair's initial centre of mass, k1 the
     velocity dd/dT at the state, h the next trial step, err_prev the
     controller memory, j the index of the next sample time and tried the
     number of steps the pair has attempted so far. Only the step
     onto t_end is clipped; each accepted step that covers interior samples
-    appends its _fill_interior row to the flat float array covering. Returns
-    (status, j, tail): j is the index of the first sample no accepted step
-    reached, and tail the (T, d, dd/dT) row recorded there, which is the
-    landing on t_end or an abort's last accepted state past the last covered
-    sample time (else empty).
+    appends its _fill_interior row to the flat float array covering.
 
-    Raises StepUnderflowError if error control would need a step below h_min,
-    or if the pair has not landed within _MAX_STEPS attempted steps.
+    Returns the pair's report (status, (T, d, dd/dT, j)): its last accepted
+    state, which is the landing on t_end or the state before an abort, and
+    the index of the first sample time that no accepted step covered. Returns
+    None if error control would need a step below h_min, or if the pair has
+    not landed within _MAX_STEPS attempted steps.
     """
     grid = prob.grid
     end = len(grid) - 1
     t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
-    aborted = False
     try:
         for _ in range(tried, _MAX_STEPS):
             remaining = t_end - T
@@ -416,7 +426,6 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
             if err <= 1.0:
                 c = c0 * math.sqrt(1.0 + T_new * T_new)
                 if reduced_density(c + new, c - new, T_new, sign, beta, n2) < floor:
-                    aborted = True
                     break
                 if j < end and (landing or grid[j] <= T_new):
                     hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
@@ -424,7 +433,7 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
                     j = hi
                 T, d, k1 = (t_end if landing else T_new), new, k7
                 if landing:
-                    break
+                    return TrajectoryStatus.COMPLETED, (T, d, k1, j)
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -433,43 +442,35 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
                 err_prev = max(err, 1e-10)
                 h = h_step * factor
             else:
-                shrink = max(_MIN_FACTOR, _SAFETY * err**-0.2)
-                h_next = h_step * shrink
-                if h_next < h_min:
-                    tau = prob.tau
-                    raise StepUnderflowError(
-                        f"needed step {h_next * tau:.3e} s below h_min {h_min * tau:.3e} s"
-                    )
-                h = h_next
+                h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+                if h < h_min:
+                    return None
         else:
-            raise StepUnderflowError(f"no landing within {_MAX_STEPS} steps")
+            return None
     except NodeProximityError:
-        aborted = True
-
-    # The landing row; after an abort, the truncation at the last accepted
-    # state, where k1 is the velocity.
-    tail = [(T, d, k1)] if grid[j - 1] < T else []
-    status = TrajectoryStatus.NODE_PROXIMITY_ABORT if aborted else TrajectoryStatus.COMPLETED
-    return status, j, tail
+        pass
+    # a node or the density floor ended the pair after its last accepted state
+    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1, j)
 
 
-def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps: list):
+def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     """Batch twin of _advance: step all live pairs together while enough remain.
 
     state holds (idx, T, D, C0, K1, h, err_prev, j) with one entry per live
-    pair: its state (T, d), initial centre of mass and velocity dd/dT; idx is
-    the pair's row in rows, where its samples are recorded. Each pair runs
-    the scalar loop's arithmetic, in the same order, with its own step size
-    and controller memory. A pair that finishes gets its status and sample
-    count; a step underflow, or reaching _MAX_STEPS steps, leaves its status
-    None. Every live pair attempts one step per iteration. Each accepted step
-    that covers interior samples appends its _fill_interior row to steps.
-    Returns the state of the pairs still live once fewer than _BATCH_MIN
-    remain, and the number of steps each of them has attempted.
+    pair: its state (T, d), initial centre of mass and velocity dd/dT, and
+    the index of its next sample time; idx is the pair's index in status and
+    ends. Each pair runs the scalar loop's arithmetic, in the same order,
+    with its own step size and controller memory. A pair that lands or
+    aborts reports as _advance does: status[i] gets its status and ends[i]
+    its (T, d, dd/dT, j). A step underflow, or reaching _MAX_STEPS steps,
+    leaves both untouched. Every live pair attempts one step per iteration.
+    Each accepted step that covers interior samples appends its
+    _fill_interior row to steps. Returns the state of the pairs still live
+    once fewer than _BATCH_MIN remain, and the number of steps each of them
+    has attempted.
     """
     grid = np.asarray(prob.grid)
-    last = grid.size
-    end = last - 1
+    end = grid.size - 1
     t_end = grid[end]
     sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
@@ -527,25 +528,14 @@ def _advance_batch(prob: _Scaled, state, rows: np.ndarray, status, count, steps:
             D = np.where(accepted, D_new, D)
             K1 = np.where(accepted, K[6], K1)
             landed = accepted & landing
-            if landed.any():
-                rows[idx[landed], end] = np.column_stack((T, D, K1))[landed]
-                j = j + landed
-
             aborted = on_node | below
-            done = aborted | underflow | (j == last)
+            done = aborted | underflow | landed
             if not done.any():
                 continue
-            for lane in np.flatnonzero(aborted).tolist():
-                i, jl = int(idx[lane]), int(j[lane])
-                if grid[jl - 1] < T[lane]:
-                    # Truncate at the last accepted state; K1 is the velocity there.
-                    rows[i, jl] = (T[lane], D[lane], K1[lane])
-                    jl += 1
-                status[i] = TrajectoryStatus.NODE_PROXIMITY_ABORT
-                count[i] = jl
-            for i in idx[j == last].tolist():
-                status[i] = TrajectoryStatus.COMPLETED
-                count[i] = last
+            status[idx[landed]] = TrajectoryStatus.COMPLETED
+            status[idx[aborted]] = TrajectoryStatus.NODE_PROXIMITY_ABORT
+            ended = landed | aborted
+            ends[idx[ended]] = np.column_stack((T, D, K1, j))[ended]
             keep = ~done
             idx, T, D, C0, K1, h, err_prev, j = (
                 col[keep] for col in (idx, T, D, C0, K1, h, err_prev, j)

@@ -27,6 +27,10 @@ _METHODS = ("exact_rejection", "independent_gaussian", "all_symmetric")
 _BATCH = 4096  # fixed so the RNG stream consumed is reproducible
 _STALL_MIN_PROPOSALS = 8192
 _STALL_RATE = 1e-3
+# The most pairs a batch may request: the (n, 2) release array of more needs
+# over 2**57 bytes, the widest 64-bit address space, and from 2**59 pairs
+# numpy refuses it with a ValueError instead of a MemoryError.
+_MAX_PAIRS = 2**53
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
+        if not 1 <= self.n_pairs <= _MAX_PAIRS:
+            raise ValueError("n_pairs must be >= 1 and <= 2**53")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

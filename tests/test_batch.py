@@ -246,6 +246,31 @@ def step_loop_evaluations(mp):
     return tally
 
 
+def assert_end_rule(table, count, status, times):
+    """The rows and counts that integrate_pairs writes from each pair's end.
+
+    A pair with status None has no samples. Every other pair's samples are
+    finite and sit on their requested times, except that an aborted pair's
+    last sample may fall strictly between two of them, before t_end; a
+    completed pair has them all and ends on t_end exactly. Cells past the
+    samples hold NaN.
+    """
+    for i, (n_i, status_i) in enumerate(zip(count, status)):
+        assert np.isnan(table[i, n_i:]).all()
+        if status_i is None:
+            assert n_i == 0
+            continue
+        assert np.isfinite(table[i, :n_i]).all()
+        t = table[i, :n_i, 0]
+        np.testing.assert_array_equal(t[:-1], times[: n_i - 1])
+        if status_i is TrajectoryStatus.COMPLETED:
+            assert n_i == times.size and t[-1] == times[-1]
+        else:
+            k = n_i - 1
+            assert t[-1] == times[k] or times[k - 1] < t[-1] < times[k]
+            assert t[-1] < times[-1]
+
+
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
 @settings(max_examples=4, deadline=None)
 @given(case=cases, floor=st.sampled_from([1e-12, 0.01]))
@@ -261,6 +286,7 @@ def test_sample_grid_does_not_change_the_path(case, floor, batch_min):
             mp.setattr(integrator, "_BATCH_MIN", batch_min)
             tally = step_loop_evaluations(mp)
             runs.append((*integrate_pairs(initial, t_end, cfg, stats, p, times), tally["evals"]))
+        assert_end_rule(*runs[-1][:3], np.array((0.0, t_end)) if times is None else times)
     (coarse, n_coarse, st_coarse, evals_coarse), (dense, n_dense, st_dense, evals_dense) = runs
     assert evals_dense == evals_coarse
     assert list(st_dense) == list(st_coarse)
@@ -270,8 +296,6 @@ def test_sample_grid_does_not_change_the_path(case, floor, batch_min):
     ends_coarse = coarse[last, n_coarse[last] - 1]
     ends_dense = dense[last, n_dense[last] - 1]
     assert ends_dense.tobytes() == ends_coarse.tobytes()
-    for i in last:
-        assert np.isfinite(dense[i, : n_dense[i]]).all()
 
 
 def test_extension_coefficients_reduce_to_the_step():

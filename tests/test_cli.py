@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,8 +392,8 @@ def test_summary_is_strict_json_when_nothing_completes(tmp_path):
 
 
 def test_step_underflow_is_counted_as_abort(tmp_path, capsys):
-    # 3 pairs take the scalar loop, which raises; 40 take the batch loop,
-    # where an underflow is a per-pair mask
+    # 3 pairs take the scalar loop, 40 the batch loop; in both, an underflow
+    # leaves the pair's status None
     for n_pairs in (3, 40):
         path = write_json(tmp_path / "underflow.json", {
             "scenario": "equivariance",
@@ -412,6 +416,8 @@ def test_ky_config_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--n-pairs", "0"),
+    ("--n-pairs", str(2**53 + 1)),
+    ("--n-pairs", str(2**63)),  # numpy refuses this shape with a ValueError
     ("--rel-tol", "-1"),
     ("--abs-tol", "0"),
     ("--rel-tol", "nan"),
@@ -521,6 +527,15 @@ def test_a_thousand_two_row_files_match_savetxt(tmp_path):
     _check_files_match_savetxt(tmp_path, [_random_trajectory(rng, 2) for _ in range(1000)])
 
 
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # "" would write into the current directory, and "output_dir": "" in the
+    # summary would fail validate_config
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig4a", "--out", ""]) == 1
+    assert "config error: --out: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_that_fails_creates_no_output_directory(tmp_path, capsys):
     out = tmp_path / "runs" / "big"
     assert main(["fig3a", "--n-pairs", str(10**15), "--out", str(out)]) == 1
@@ -537,3 +552,116 @@ def test_four_slit_check_that_fails_creates_no_output_directory(tmp_path, capsys
     assert main(["four-slit-check", "--out", str(out)]) == 1
     assert "error: out of memory" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+# Draws for the whole config_version 3 schema and the flags. Each value is
+# valid seven times in eight, so that many draws run; the rest are wrong:
+# numbers over the float range, non-finite or extreme ones, wrong types and
+# empty strings. Valid numbers range over decades too; valid tolerances stop
+# at 1e-16, near the float64 epsilon, and smaller ones come from the wrong
+# draws' whole float range.
+_BASELINE = default_config("custom").params
+_wrong_type = st.sampled_from(("", "1", True, None, [], {}))
+_odd_number = st.sampled_from(
+    (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 10**30, -(10**30))
+)
+_any_magnitude = st.builds(lambda e, s: s * 10.0**e, st.floats(-300.0, 300.0),
+                           st.sampled_from((1.0, -1.0)))
+_wrong = st.one_of(_any_magnitude, _odd_number, st.integers(-5, 5), _wrong_type)
+
+
+def _mostly(valid, wrong=_wrong):
+    return st.integers(0, 7).flatmap(lambda k: wrong if k == 0 else valid)
+
+
+def _decades(value, below, above):
+    return st.floats(-below, above).map(lambda e: value * 10.0**e)
+
+
+def _section(values):
+    """A section with any subset of its keys; now and then an unknown key or a non-object."""
+    known = st.fixed_dictionaries({}, optional=values)
+    return _mostly(known, st.one_of(known.map(lambda s: {**s, "extra": 1}), _wrong_type))
+
+
+# at most 5 pairs, or a count that is refused before anything is allocated
+_pair_count = _mostly(st.integers(1, 5),
+                      st.sampled_from((0, -1, 2.5, "3", 10**15, 2**53 + 1, 2**63, 10**30)))
+_seed = _mostly(st.integers(0, 2**64), st.sampled_from((-1, 10**30, 1.5, "", None)))
+_stats = _mostly(st.sampled_from(("boson", "fermion")), st.sampled_from(("anyon", "", 1)))
+_tolerance = _mostly(_decades(1.0, 16.0, 2.0))
+_SCHEMA = {
+    "config_version": _mostly(st.just(3), st.sampled_from((2, "3", 3.5, None))),
+    "stats": _stats,
+    "output_dir": _mostly(st.just("out_file"), _wrong_type),
+    "params": _section({k: _mostly(_decades(getattr(_BASELINE, k), 3.0, 3.0))
+                        for k in ("m", "hbar", "sigma0", "Y", "kx", "d", "L")}),
+    "sampler": _section({
+        "method": _mostly(
+            st.sampled_from(("exact_rejection", "independent_gaussian", "all_symmetric")),
+            st.sampled_from(("", "gibbs", 1))),
+        "seed": _seed,
+    }),
+    "integrator": _section({"rel_tol": _tolerance, "abs_tol": _tolerance,
+                            "density_floor": _mostly(_decades(1e-12, 4.0, 12.0))}),
+}
+
+
+def _flag_value(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(subcommand, config or None, flags), running at most 5 pairs."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    config = draw(st.one_of(st.none(), st.fixed_dictionaries({}, optional={
+        **_SCHEMA, "scenario": _mostly(st.just(scenario), st.sampled_from(SCENARIOS + ("", 1))),
+    })))
+    flags = []
+    count = draw(_pair_count)
+    # the default counts run 25 to 1,000 pairs: every run gets one of _pair_count
+    sampler = config.get("sampler") if config is not None else None
+    if isinstance(sampler, dict) and draw(st.booleans()):
+        sampler["n_pairs"] = count
+    else:
+        flags.append(f"--n-pairs={_flag_value(count)}")
+    for flag, values in (
+        ("--seed", _seed),
+        ("--stats", _stats),
+        ("--rel-tol", _tolerance),
+        ("--abs-tol", _tolerance),
+        ("--out", _mostly(st.just("out_flag"), st.just(""))),
+    ):
+        if draw(st.booleans()):
+            flags.append(f"{flag}={_flag_value(draw(values))}")
+    return scenario, config, flags
+
+
+@settings(max_examples=500, deadline=None)
+@given(inputs=_cli_inputs())
+@example(inputs=("custom", {"params": {"Y": 1e13}}, ["--n-pairs=2"]))
+@example(inputs=("fig3a", None, [f"--n-pairs={10**15}"]))
+@example(inputs=("fig3a", None, [f"--n-pairs={2**63}"]))
+@example(inputs=("fig4a", None, ["--out="]))
+def test_any_input_exits_cleanly(inputs):
+    scenario, config, flags = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [scenario, *flags]
+        if config is not None:
+            argv += ["--config", write_json(tmp / "config.json", config)]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative output directory lands in tmp
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        for path in tmp.rglob("summary.json"):
+            summary = json.loads(path.read_text(), parse_constant=_refuse_nan)
+            echo = write_json(tmp / "echo.json", summary["config"])
+            assert serialize_config(validate_config(echo, summary["scenario"])) == summary["config"]
