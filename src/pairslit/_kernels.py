@@ -1,15 +1,16 @@
 """Hot-path kernels in packet-width / spreading-time units.
 
 These are the only functions evaluated inside integration loops. The scalar
-kernels use the math module on plain floats (roughly 20x faster than numpy
-scalars) and serve the scalar step loop; their array twins evaluate the same
-expressions, in the same order, over arrays for the batched loop, and the
-density twin also serves wavefunction.joint_density_y. Tests pin the twins
-against each other and against the full complex amplitude of wavefunction.py.
+velocity kernel uses the math module on plain floats (roughly 20x faster than
+numpy scalars) and serves the scalar step loop; its array twin evaluates the
+same expressions, in the same order, over arrays for the batched loop. The
+array density kernel serves the start test of the step loops and
+wavefunction.joint_density_y. Tests pin the twins against each other and
+against the full complex amplitude of wavefunction.py.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
-mass, which follows a closed form. The density kernels take both coordinates.
+mass, which follows a closed form. The density kernel takes both coordinates.
 
 Scaling: eta = y / sigma0, T = t / tau, velocities in units of sigma0 / tau.
 """
@@ -20,89 +21,89 @@ import math
 
 import numpy as np
 
-from .errors import NodeProximityError
-
-# Scaled interference denominator below which the velocity is considered to
-# sit on a node. Bosons only approach zero denominators asymptotically;
-# fermions hit an exact zero on the diagonal y1 = y2.
+# Interference denominator (see reduced_velocity) below which the velocity is
+# considered to sit on a node. Bosons only approach zero denominators
+# asymptotically; fermions hit an exact zero on the diagonal y1 = y2.
 NODE_GUARD = 1e-13
 
 
-def reduced_velocity(d: float, T: float, beta: float, sign: int) -> float:
-    """Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2.
+def reduced_velocity(d: float, T: float, beta: float, sign: int) -> tuple[float, float]:
+    """Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2, and its denominator.
 
-    The interference term is evaluated with the dominant exponential factored
-    out, so it never overflows however far the configuration sits from the
-    diagonal; the raw cosh argument can exceed 700 at baseline separations.
-    The particles move at deta1/dT, deta2/dT = c T / (1 + T^2) +- dd/dT,
+    With x = beta d / (1 + T^2), e = exp(-2 |x|) and t = tan(T x), the
+    interference denominator, with the dominant exponential factored out, is
+    the sum of squares (1 - e)^2 + 4 e / (1 + t^2) for bosons and
+    (1 - e)^2 + 4 e t^2 / (1 + t^2) for fermions. It never overflows however
+    far the configuration sits from the diagonal (the raw cosh argument can
+    exceed 700 at baseline separations), it cannot cancel to a negative value,
+    and one tan serves where a sin and a cos would (the half-angle
+    identities); the numerator 2 e sin(2 T x) +- T sgn(x) (1 - e^2) takes
+    sin(2 T x) = 2 t / (1 + t^2). Below NODE_GUARD the velocity is meaningless and comes back
+    as NaN. The particles move at deta1/dT, deta2/dT = c T / (1 + T^2) +- dd/dT,
     c being their centre of mass.
+
+    The denominator also gives the joint density at the configuration:
+    n2 / (2 pi s2) exp(-c0^2) den exp(-(|d| - beta)^2 / s2) with
+    s2 = 1 + T^2 and c0 = c / sqrt(s2) the initial centre of mass, which is
+    how the step loops test the density floor.
     """
-    one_t2 = 1.0 + T * T
-    u = 2.0 * beta * d / one_t2
-    a = abs(u)
-    sg = 1.0 if u >= 0.0 else -1.0
-    ex = math.exp(-a)
-    ex2 = ex * ex
-    phase = T * u
-    # 2 e^{-|u|} (sin(Tu) +- T sinh u) over 2 e^{-|u|} (cos(Tu) +- cosh u)
-    num = 2.0 * ex * math.sin(phase) + sign * T * sg * (1.0 - ex2)
-    den = 2.0 * ex * math.cos(phase) + sign * (1.0 + ex2)
-    if abs(den) < NODE_GUARD:
-        raise NodeProximityError(
-            f"interference denominator {den:.3e} below guard {NODE_GUARD:.1e}"
-        )
-    shared = beta * num / (one_t2 * den)
-    return d * (T / one_t2) - shared
+    s2 = 1.0 + T * T
+    w = beta / s2
+    x = d * w
+    e = math.exp(-2.0 * abs(x))
+    t = math.tan(T * x)
+    tt = t * t
+    q = 4.0 * e / (1.0 + tt)
+    tail = T * math.copysign(1.0 - e * e, x)
+    m = 1.0 - e
+    if sign > 0:
+        den = m * m + q
+        num = q * t + tail
+    else:
+        den = m * m + q * tt
+        num = tail - q * t
+    if den < NODE_GUARD:
+        return math.nan, den
+    return d * (T / s2) - w * num / den, den
 
 
 def reduced_velocity_array(d, T, beta: float, sign: int):
-    """Array twin of reduced_velocity over (n,) arrays d and T.
+    """Array twin of reduced_velocity over arrays d and T; returns (v, den).
 
-    Returns (v, on_node). Instead of raising, on_node marks the pairs whose
-    interference denominator falls below NODE_GUARD; their velocities are
-    meaningless. Callers silence numpy's floating-point warnings, which only
-    such pairs can trigger. Every value equals the scalar kernel's expression
-    up to exact sign flips: sign * T * sg * (1 - ex2) is
-    +-T * copysign(1 - ex2, u), and that factor is 0 where u is.
-    """
-    one_t2 = 1.0 + T * T
-    u = 2.0 * beta * d / one_t2
-    ex = np.exp(-np.abs(u))
-    ex2 = ex * ex
-    two_ex = 2.0 * ex
-    phase = T * u
-    tail = T * np.copysign(1.0 - ex2, u)
-    wave = two_ex * np.sin(phase)
-    num = wave + tail if sign > 0 else wave - tail
-    wave = two_ex * np.cos(phase)
-    den = wave + (1.0 + ex2) if sign > 0 else wave - (1.0 + ex2)
-    shared = beta * num / (one_t2 * den)
-    return d * (T / one_t2) - shared, np.abs(den) < NODE_GUARD
-
-
-def reduced_density(e1: float, e2: float, T: float, sign: int, beta: float, n2: float) -> float:
-    """Dimensionless joint density; integrates to 1 over the (eta1, eta2) plane.
-
-    With a = sqrt(F) and b = sqrt(G) for the two Gaussian product terms, the
-    bracket F + G +- 2 a b cos(phi) is written as (a - b)^2 + 4 a b cos^2(phi/2)
-    for bosons and (a - b)^2 + 4 a b sin^2(phi/2) for fermions: a sum of
-    squares, so it cannot cancel to a negative value.
+    Where den falls below NODE_GUARD the velocity is meaningless (not NaN as
+    from the scalar kernel); callers silence numpy's floating-point warnings,
+    which only such pairs can trigger.
     """
     s2 = 1.0 + T * T
-    trig = (math.cos if sign > 0 else math.sin)(0.5 * T * beta * (e1 - e2) / s2)
-    a = math.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
-    b = math.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    total = 4.0 * a * b * trig**2 + (a - b) ** 2
-    return n2 / (2.0 * math.pi * s2) * total
+    w = beta / s2
+    x = d * w
+    e = np.exp(-2.0 * np.abs(x))
+    t = np.tan(T * x)
+    tt = t * t
+    q = 4.0 * e / (1.0 + tt)
+    tail = T * np.copysign(1.0 - e * e, x)
+    m = 1.0 - e
+    if sign > 0:
+        den = m * m + q
+        num = q * t + tail
+    else:
+        den = m * m + q * tt
+        num = tail - q * t
+    return d * (T / s2) - w * num / den, den
 
 
 def reduced_density_array(e1, e2, T, sign: int, beta: float, n2: float):
-    """Array twin of reduced_density; e1, e2 and T broadcast like numpy ufuncs."""
+    """Dimensionless joint density; integrates to 1 over the (eta1, eta2) plane.
+
+    e1, e2 and T broadcast like numpy ufuncs. With a = sqrt(F) and b = sqrt(G)
+    for the two Gaussian product terms, the bracket F + G +- 2 a b cos(phi) is
+    written as (a - b)^2 + 4 a b cos^2(phi/2) for bosons and
+    (a - b)^2 + 4 a b sin^2(phi/2) for fermions: a sum of squares, so it
+    cannot cancel to a negative value.
+    """
     s2 = 1.0 + T * T
     trig = (np.cos if sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
     a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
     b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    # Same summation order as the scalar kernel: the 4ab term first. The
-    # density's bits, and so every density-floor decision, depend on it.
     total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * np.pi * s2) * total

@@ -46,12 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    reduced_density,
+    NODE_GUARD,
     reduced_density_array,
     reduced_velocity,
     reduced_velocity_array,
 )
-from .errors import NodeProximityError
 from .params import PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, normalization_N
 
@@ -93,7 +92,9 @@ _A_COLS = tuple(
         (_A61, _A62, _A63, _A64, _A65),
     )
 )
-_C_STAGES = (_C2, _C3, _C4, _C5)
+# Stage times of stages 2 to 6 (stage 7 shares stage 6's) as fractions of
+# the step, one row each.
+_C_COL = np.array((_C2, _C3, _C4, _C5, 1.0)).reshape(-1, 1)
 _B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1)
 _E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1)
 
@@ -301,8 +302,13 @@ def integrate_pairs(
         ~(reduced_density_array(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor)
     )
     with np.errstate(all="ignore"):
-        k1, on_node = reduced_velocity_array(d[idx], 0.0, prob.beta, prob.sign)
-    idx, k1 = idx[~on_node], k1[~on_node]
+        k1, den = reduced_velocity_array(d[idx], 0.0, prob.beta, prob.sign)
+        off_node = ~(den < NODE_GUARD)
+        idx, k1 = idx[off_node], k1[off_node]
+        # Each pair's density floor over the factor n2 / (2 pi) exp(-c0^2) of
+        # its density, which the step loops' floor test leaves out (see
+        # _kernels.reduced_velocity).
+        thr = prob.floor * (2.0 * math.pi / prob.n2) * np.exp(c0[idx] * c0[idx])
     m = idx.size
 
     rows = np.full((n, len(prob.grid), 3), np.nan)
@@ -313,15 +319,15 @@ def integrate_pairs(
     # that no accepted step covered.
     ends = np.zeros((n, 4))
     state = (
-        idx, np.zeros(m), d[idx], c0[idx], k1,
+        idx, np.zeros(m), d[idx], thr, k1,
         np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
     )
     steps: list[np.ndarray] = []
     live, tried = _advance_batch(prob, state, status, ends, steps)
 
     covering = array("d")
-    for i, T, d_i, c0_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
-        end = _advance(prob, i, T, d_i, c0_i, k1_i, h, err_prev, j, tried, covering)
+    for i, T, d_i, thr_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
+        end = _advance(prob, i, T, d_i, thr_i, k1_i, h, err_prev, j, tried, covering)
         if end is not None:
             status[i], ends[i] = end
     if covering:
@@ -363,7 +369,8 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     theta = (T_s - T) / h
     d_s = d + theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3])))
     with np.errstate(all="ignore"):
-        v, on_node = reduced_velocity_array(d_s, T_s, prob.beta, prob.sign)
+        v, den = reduced_velocity_array(d_s, T_s, prob.beta, prob.sign)
+    on_node = den < NODE_GUARD
     if on_node.any():
         q, theta = q[on_node], theta[on_node]
         slope = q[:, 0] + theta * (2.0 * q[:, 1] + theta * (3.0 * q[:, 2] + theta * 4.0 * q[:, 3]))
@@ -371,13 +378,13 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
 
 
-def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
+def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     """Scalar step loop: carry pair i from an accepted state to its end.
 
-    (T, d) is the state, c0 the pair's initial centre of mass, k1 the
-    velocity dd/dT at the state, h the next trial step, err_prev the
-    controller memory, j the index of the next sample time and tried the
-    number of steps the pair has attempted so far. Only the step
+    (T, d) is the state, thr the pair's density threshold (see
+    integrate_pairs), k1 the velocity dd/dT at the state, h the next trial
+    step, err_prev the controller memory, j the index of the next sample time
+    and tried the number of steps the pair has attempted so far. Only the step
     onto t_end is clipped; each accepted step that covers interior samples
     appends its _fill_interior row to the flat float array covering.
 
@@ -390,65 +397,75 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
     grid = prob.grid
     end = len(grid) - 1
     t_end = grid[end]
-    sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
+    sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
-    try:
-        for _ in range(tried, _MAX_STEPS):
-            remaining = t_end - T
-            landing = h >= remaining
-            h_step = remaining if landing else h
-            T_new = T + h_step
-            k2 = reduced_velocity(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
-            k3 = reduced_velocity(
-                d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign
-            )
-            k4 = reduced_velocity(
-                d + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3), T + _C4 * h_step, beta, sign
-            )
-            k5 = reduced_velocity(
-                d + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                T + _C5 * h_step,
-                beta,
-                sign,
-            )
-            k6 = reduced_velocity(
-                d + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-                T_new,
-                beta,
-                sign,
-            )
-            new = d + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7 = reduced_velocity(new, T_new, beta, sign)
-            err = abs(
-                h_step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-            ) / (atol + rtol * max(abs(d), abs(new)))
+    vel = reduced_velocity
+    for _ in range(tried, _MAX_STEPS):
+        remaining = t_end - T
+        landing = h >= remaining
+        h_step = remaining if landing else h
+        T_new = T + h_step
+        k2, den = vel(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
+        if den < NODE_GUARD:
+            break
+        k3, den = vel(d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign)
+        if den < NODE_GUARD:
+            break
+        k4, den = vel(
+            d + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3), T + _C4 * h_step, beta, sign
+        )
+        if den < NODE_GUARD:
+            break
+        k5, den = vel(
+            d + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+            T + _C5 * h_step,
+            beta,
+            sign,
+        )
+        if den < NODE_GUARD:
+            break
+        k6, den = vel(
+            d + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+            T_new,
+            beta,
+            sign,
+        )
+        if den < NODE_GUARD:
+            break
+        new = d + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7, den = vel(new, T_new, beta, sign)
+        if den < NODE_GUARD:
+            break
+        err = abs(
+            h_step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        ) / (atol + rtol * max(abs(d), abs(new)))
 
-            if err <= 1.0:
-                c = c0 * math.sqrt(1.0 + T_new * T_new)
-                if reduced_density(c + new, c - new, T_new, sign, beta, n2) < floor:
-                    break
-                if j < end and (landing or grid[j] <= T_new):
-                    hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
-                    covering.extend((i, j, hi, T, h_step, d, k1, k3, k4, k5, k6, k7))
-                    j = hi
-                T, d, k1 = (t_end if landing else T_new), new, k7
-                if landing:
-                    return TrajectoryStatus.COMPLETED, (T, d, k1, j)
-                if err == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev = max(err, 1e-10)
-                h = h_step * factor
+        if err <= 1.0:
+            # the density at the new state, over the pair's constant factor
+            s2 = 1.0 + T_new * T_new
+            r = abs(new) - beta
+            if den / s2 * math.exp(-(r * r) / s2) < thr:
+                break
+            if j < end and (landing or grid[j] <= T_new):
+                hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
+                covering.extend((i, j, hi, T, h_step, d, k1, k3, k4, k5, k6, k7))
+                j = hi
+            T, d, k1 = (t_end if landing else T_new), new, k7
+            if landing:
+                return TrajectoryStatus.COMPLETED, (T, d, k1, j)
+            if err == 0.0:
+                factor = _MAX_FACTOR
             else:
-                h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
-                if h < h_min:
-                    return None
+                factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
+                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = max(err, 1e-10)
+            h = h_step * factor
         else:
-            return None
-    except NodeProximityError:
-        pass
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            if h < h_min:
+                return None
+    else:
+        return None
     # a node or the density floor ended the pair after its last accepted state
     return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1, j)
 
@@ -456,9 +473,9 @@ def _advance(prob: _Scaled, i, T, d, c0, k1, h, err_prev, j, tried, covering):
 def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     """Batch twin of _advance: step all live pairs together while enough remain.
 
-    state holds (idx, T, D, C0, K1, h, err_prev, j) with one entry per live
-    pair: its state (T, d), initial centre of mass and velocity dd/dT, and
-    the index of its next sample time; idx is the pair's index in status and
+    state holds (idx, T, D, THR, K1, h, err_prev, j) with one entry per live
+    pair: its state (T, d), density threshold and velocity dd/dT, and the
+    index of its next sample time; idx is the pair's index in status and
     ends. Each pair runs the scalar loop's arithmetic, in the same order,
     with its own step size and controller memory. A pair that lands or
     aborts reports as _advance does: status[i] gets its status and ends[i]
@@ -472,10 +489,10 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     grid = np.asarray(prob.grid)
     end = grid.size - 1
     t_end = grid[end]
-    sign, beta, n2, floor = prob.sign, prob.beta, prob.n2, prob.floor
+    sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity_array
-    idx, T, D, C0, K1, h, err_prev, j = state
+    idx, T, D, THR, K1, h, err_prev, j = state
     tried = 0
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
@@ -483,18 +500,17 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             remaining = t_end - T
             landing = h >= remaining
             h_step = np.where(landing, remaining, h)
-            T_new = T + h_step
+            T_st = T + _C_COL * h_step
+            T_new = T_st[4]
             K = np.empty((7, idx.size))
             K[0] = K1
-            on_node = np.zeros(idx.size, dtype=bool)
+            den = np.empty((6, idx.size))
             for s, a_col in enumerate(_A_COLS, start=1):
                 z = D + h_step * np.add.reduce(a_col * K[:s], axis=0)
-                T_s = T + _C_STAGES[s - 1] * h_step if s < 5 else T_new
-                K[s], node = vel(z, T_s, beta, sign)
-                on_node |= node
+                K[s], den[s - 1] = vel(z, T_st[s - 1], beta, sign)
             D_new = D + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
-            K[6], node = vel(D_new, T_new, beta, sign)
-            on_node |= node
+            K[6], den[5] = vel(D_new, T_new, beta, sign)
+            on_node = (den < NODE_GUARD).any(axis=0)
             err = np.abs(h_step * np.add.reduce(_E_COL * K, axis=0)) / (
                 atol + rtol * np.maximum(np.abs(D), np.abs(D_new))
             )
@@ -502,10 +518,10 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             small = err <= 1.0
             accepted = small & ~on_node
             rejected = ~(small | on_node)
-            c = C0 * np.sqrt(1.0 + T_new * T_new)
-            below = accepted & (
-                reduced_density_array(c + D_new, c - D_new, T_new, sign, beta, n2) < floor
-            )
+            # the density at the new states, over each pair's constant factor
+            s2 = 1.0 + T_new * T_new
+            r = np.abs(D_new) - beta
+            below = accepted & (den[5] / s2 * np.exp(-(r * r) / s2) < THR)
             accepted &= ~below
 
             # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
@@ -537,7 +553,7 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             ended = landed | aborted
             ends[idx[ended]] = np.column_stack((T, D, K1, j))[ended]
             keep = ~done
-            idx, T, D, C0, K1, h, err_prev, j = (
-                col[keep] for col in (idx, T, D, C0, K1, h, err_prev, j)
+            idx, T, D, THR, K1, h, err_prev, j = (
+                col[keep] for col in (idx, T, D, THR, K1, h, err_prev, j)
             )
-    return (idx, T, D, C0, K1, h, err_prev, j), tried
+    return (idx, T, D, THR, K1, h, err_prev, j), tried

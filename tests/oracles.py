@@ -13,7 +13,7 @@ import numpy as np
 
 from fd_reference import reference_velocity
 from pairslit import NodeProximityError, PairConfiguration, PairVelocity, psi_pair, sigma_t
-from pairslit._kernels import reduced_velocity
+from pairslit._kernels import NODE_GUARD, reduced_velocity
 from pairslit.quadrature import gauss_legendre
 from pairslit.wavefunction import initial_density_peak, joint_density_y
 
@@ -28,12 +28,16 @@ def velocity_closed_form(c, stats, p) -> PairVelocity:
     Longitudinal motion is the constant drift hbar kx / m for both particles.
     Transversally each particle moves with the centre of mass plus or minus
     the half-separation velocity of _kernels.reduced_velocity. Raises
-    NodeProximityError when the scaled interference denominator falls below
+    NodeProximityError when its interference denominator falls below
     _kernels.NODE_GUARD (for fermions that happens on and near the diagonal
     y1 = y2, where the state vanishes).
     """
     e1, e2, T = c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau
-    w = reduced_velocity(0.5 * (e1 - e2), T, p.beta, stats.sign)
+    w, den = reduced_velocity(0.5 * (e1 - e2), T, p.beta, stats.sign)
+    if den < NODE_GUARD:
+        raise NodeProximityError(
+            f"interference denominator {den:.3e} below guard {NODE_GUARD:.1e}"
+        )
     drift = 0.5 * (e1 + e2) * (T / (1.0 + T * T))
     scale = p.sigma0 / p.tau
     vx = p.x_speed

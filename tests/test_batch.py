@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pairslit import (
     IntegratorConfig,
-    NodeProximityError,
     PairConfiguration,
     PhysicalParams,
     SamplerConfig,
@@ -19,7 +18,7 @@ from pairslit import (
 )
 from pairslit import integrator
 from pairslit._kernels import (
-    reduced_density,
+    NODE_GUARD,
     reduced_density_array,
     reduced_velocity,
     reduced_velocity_array,
@@ -86,15 +85,16 @@ def test_velocity_twin_matches_scalar_kernel(rng):
     d[:10] = 0.0  # fermion nodes on the diagonal
     for sign in (1, -1):
         with np.errstate(all="ignore"):
-            v, on_node = reduced_velocity_array(d, T, 5.0, sign)
+            v, den = reduced_velocity_array(d, T, 5.0, sign)
+        on_node = den < NODE_GUARD
         for k in range(d.size):
-            try:
-                w = reduced_velocity(d[k], T[k], 5.0, sign)
-            except NodeProximityError:
-                assert on_node[k]
-                continue
-            assert not on_node[k]
-            assert v[k] == pytest.approx(w, rel=1e-12, abs=1e-12)
+            w, den_k = reduced_velocity(d[k], T[k], 5.0, sign)
+            assert den_k == pytest.approx(den[k], rel=1e-12, abs=1e-300)
+            assert (den_k < NODE_GUARD) == on_node[k]
+            if on_node[k]:
+                assert np.isnan(w)
+            else:
+                assert v[k] == pytest.approx(w, rel=1e-12, abs=1e-12)
         assert on_node[:10].all() == (sign < 0)
 
 
@@ -107,9 +107,6 @@ def test_density_twins_match_wavefunction(p_slow, stats, rng):
         ref = joint_density_y(e1 * p_slow.sigma0, e2 * p_slow.sigma0, t, stats, p_slow)
         arr = reduced_density_array(e1, e2, np.full(200, T), stats.sign, p_slow.beta, n2)
         np.testing.assert_allclose(arr / p_slow.sigma0**2, ref, rtol=1e-12, atol=0.0)
-        for k in range(0, 200, 7):
-            scalar = reduced_density(e1[k], e2[k], T, stats.sign, p_slow.beta, n2)
-            assert scalar == pytest.approx(arr[k], rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1], ids=["dispatch", "batch_only"])
@@ -318,7 +315,8 @@ def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
     T, h, k = prob.grid[2], prob.grid[4] - prob.grid[2], 0.7
     d = -k * (prob.grid[3] - T)
     with np.errstate(all="ignore"):
-        assert reduced_velocity_array(np.array([0.0]), prob.grid[3], prob.beta, -1)[1].all()
+        _, den = reduced_velocity_array(np.array([0.0]), prob.grid[3], prob.beta, -1)
+    assert (den < NODE_GUARD).all()
     rows = np.full((1, 11, 3), np.nan)
     integrator._fill_interior(prob, rows, np.array([(0, 3, 4, T, h, d, *[k] * 6)]))
     T_s, d_s, v = rows[0, 3]
@@ -349,7 +347,7 @@ def test_batch_loop_matches_dop853(regime, stats):
 
     def field(T, y):
         # both coordinates, so the reference integrates the centre of mass too
-        w = reduced_velocity(0.5 * (y[0] - y[1]), T, p.beta, stats.sign)
+        w = reduced_velocity(0.5 * (y[0] - y[1]), T, p.beta, stats.sign)[0]
         drift = 0.5 * (y[0] + y[1]) * T / (1.0 + T * T)
         return drift + w, drift - w
 
@@ -382,6 +380,35 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
     result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times)
     assert result.aborted_count == sum(t is None for t in scalar) + len(truncated)
     assert result.n_completed == len(initial) - result.aborted_count > 0
+
+
+# The pairs of test_density_floor_aborts_match_scalar_path's batch that fall
+# below the floor in flight, each with its sample count, as a floor test on
+# reduced_density_array decides them. The step loops read the density off the
+# velocity kernel's denominator instead, and must decide the same.
+FLOOR_ABORTS = {
+    5: 6, 6: 8, 7: 11, 11: 10, 12: 8, 14: 11, 15: 8, 30: 11, 37: 9, 40: 2, 57: 8, 58: 10,
+    68: 4, 69: 10, 70: 7, 75: 7, 77: 9, 79: 11, 86: 11, 88: 7, 94: 11, 95: 4, 97: 7, 98: 6,
+    99: 11, 100: 9, 110: 3, 114: 4, 124: 11, 125: 8, 126: 11, 130: 2, 132: 9, 137: 5, 144: 8,
+    145: 10, 147: 8, 153: 10, 159: 7, 162: 5, 164: 11, 180: 9, 181: 11, 182: 7, 185: 10,
+    188: 11, 191: 11, 194: 11,
+}
+
+
+@pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
+def test_density_floor_decisions_are_pinned(p_slow, batch_min):
+    stats = SpinStatistics.FERMION
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        _, count, status = integrate_pairs(
+            initial, 1e-7, IntegratorConfig(density_floor=0.01), stats, p_slow,
+            np.linspace(0.0, 1e-7, 11),
+        )
+    aborted = {i: n for i, (n, s) in enumerate(zip(count.tolist(), status))
+               if s is not TrajectoryStatus.COMPLETED}
+    assert aborted == FLOOR_ABORTS
+    assert all(status[i] is TrajectoryStatus.NODE_PROXIMITY_ABORT for i in FLOOR_ABORTS)
 
 
 def test_start_on_a_node_is_not_integrated(p_fast):

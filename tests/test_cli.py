@@ -644,6 +644,16 @@ def _cli_inputs(draw):
 @example(inputs=("fig3a", None, [f"--n-pairs={10**15}"]))
 @example(inputs=("fig3a", None, [f"--n-pairs={2**63}"]))
 @example(inputs=("fig4a", None, ["--out="]))
+# the rows of the old table of inputs that once ran unbounded or ended in a traceback
+@example(inputs=("custom", {"sampler": {"seed": -1}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"sigma0": 1e-300}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"L": 1e-300}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"m": 1e300}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"Y": 1e-3}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"Y": 1.0}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"integrator": {"rel_tol": math.inf}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"integrator": {"h_min": 1e-9, "h_init": 1e-20, "h_max": 1.0}},
+                 ["--n-pairs=2"]))
 def test_any_input_exits_cleanly(inputs):
     scenario, config, flags = inputs
     with tempfile.TemporaryDirectory() as tmp:

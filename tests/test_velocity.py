@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pairslit import (
     NodeProximityError,
     PairConfiguration,
     SpinStatistics,
     sigma_t,
+)
+from pairslit._kernels import (
+    NODE_GUARD,
+    reduced_density_array,
+    reduced_velocity,
+    reduced_velocity_array,
 )
 from pairslit.wavefunction import initial_density_peak
 
@@ -166,3 +174,70 @@ def test_boson_has_no_nodes(p_fast, rng):
         v = velocity_closed_form(PairConfiguration(0, y, 0, y, t), SpinStatistics.BOSON, p_fast)
         assert math.isfinite(v.vy1) and math.isfinite(v.vy2)
 
+
+
+EPS = 2.0**-52
+
+
+def sincos_velocity(d, T, beta, sign):
+    """The half-separation velocity and its denominator through sin and cos of the full phase."""
+    s2 = 1.0 + T * T
+    u = 2.0 * beta * d / s2
+    ex = math.exp(-abs(u))
+    phase = T * u
+    num = 2.0 * ex * math.sin(phase) + sign * T * math.copysign(1.0 - ex * ex, u)
+    den = 2.0 * ex * math.cos(phase) + sign * (1.0 + ex * ex)
+    return d * T / s2 - beta * num / (s2 * den), sign * den
+
+
+def _magnitude(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=_magnitude(-2.0, 4.0),
+    beta_d=st.builds(lambda m, s: m * s, _magnitude(-8.0, 6.0), st.sampled_from((1.0, -1.0))),
+    T=st.one_of(st.just(0.0), _magnitude(-3.0, 3.0)),
+    c0=st.floats(-3.0, 3.0),
+    sign=st.sampled_from((1, -1)),
+)
+@example(beta=5.0, beta_d=4.0e5, T=7.0, c0=0.3, sign=-1)
+@example(beta=2.0e3, beta_d=1.0e-7, T=30.0, c0=-1.0, sign=-1)
+def test_half_angle_kernels_at_large_phases(beta, beta_d, T, c0, sign):
+    # Phases T beta d / (1 + T^2) reach 10^5 and more. Each check allows a few
+    # roundings of the phase and of each term, amplified by how close the
+    # interference denominator comes to a node (the 4 e / den factor): that
+    # is the reference's own conditioning, and near a node every form of the
+    # kernel loses digits to cancellation.
+    s2 = 1.0 + T * T
+    c = c0 * math.sqrt(s2)
+    e1, e2 = c + beta_d / beta, c - beta_d / beta
+    d, c0 = 0.5 * (e1 - e2), 0.5 * (e1 + e2) / math.sqrt(s2)
+    v, den = reduced_velocity(d, T, beta, sign)
+    assume(den >= NODE_GUARD)
+    w, x = beta / s2, beta * d / s2
+    e = math.exp(-2.0 * abs(x))
+    phase = 2.0 * T * x
+    node = 1.0 + 4.0 * e * (1.0 + abs(phase)) / den
+    scale = abs(d * T / s2) + w * (1.0 + T) * node / den
+
+    # the half-angle kernel against the full-angle sin/cos form
+    v_ref, den_ref = sincos_velocity(d, T, beta, sign)
+    assert abs(den - den_ref) <= 16 * EPS * (den + 4.0 * e * (1.0 + abs(phase)))
+    assert abs(v - v_ref) <= 16 * EPS * scale
+
+    # the scalar twin against the array twin
+    v_arr, den_arr = reduced_velocity_array(np.array([d]), np.array([T]), beta, sign)
+    assert abs(den_arr[0] - den) <= 16 * EPS * (den + 4.0 * e * (1.0 + abs(phase)))
+    assert abs(v_arr[0] - v) <= 16 * EPS * scale
+
+    # the step loops' floor test reads the density off the denominator
+    n2 = 1.3
+    r = abs(d) - beta
+    density = n2 / (2.0 * math.pi) * math.exp(-c0 * c0) * (den / s2 * math.exp(-(r * r) / s2))
+    want = float(reduced_density_array(e1, e2, T, sign, beta, n2))
+    assume(density > 1e-290 and want > 1e-290)
+    exponents = c0 * c0 + (d * d + beta * beta) / s2
+    cond = (1.0 + 4.0 * e / den) * (1.0 + exponents + abs(T * x))
+    assert abs(density - want) <= max(1e-12, 16 * EPS * cond) * want
