@@ -1,7 +1,9 @@
 """Adaptive trajectory integration in the transverse plane.
 
 Embedded Dormand-Prince 5(4) pair with PI step-size control, working in
-packet-width / spreading-time units. Longitudinal motion is exact (constant
+packet-width / spreading-time units. Every pair is released at rest, so its
+first trial step is scaled from its release acceleration rather than its
+velocity (see integrate_pairs). Longitudinal motion is exact (constant
 drift), and so is the transverse centre of mass c = (eta1 + eta2) / 2: the
 interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2), the
 spreading law that tests/oracles.py states as com_closed_form. Only the
@@ -124,6 +126,10 @@ _PI_BETA = 0.4 / 5.0
 # landed by then counts as not integrated, like a step underflow.
 _MAX_STEPS = 100_000
 
+# Time (spreading times) at which integrate_pairs reads each pair's release
+# acceleration off the velocity kernel.
+_T_PROBE = 1e-7
+
 # Live pairs below which the scalar loop beats the batch loop: a numpy call
 # costs tens of microseconds against about 1.4 us per scalar kernel call.
 # Measured crossover in CHANGES.md.
@@ -197,7 +203,6 @@ class _Scaled:
     beta: float
     n2: float
     floor: float
-    h_init: float
     h_min: float
     rtol: float
     atol: float
@@ -227,9 +232,8 @@ def _scaled_problem(
         beta=p.beta,
         n2=normalization_N(stats, p),
         floor=cfg.density_floor * peak,
-        # The first trial step, and the smallest step error control may ask
-        # for, as fractions of the span.
-        h_init=1e-3 * t_end / tau,
+        # The smallest step error control may ask for, as a fraction of the
+        # span; each pair's first trial step is set in integrate_pairs.
         h_min=1e-12 * t_end / tau,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
@@ -309,6 +313,15 @@ def integrate_pairs(
         # its density, which the step loops' floor test leaves out (see
         # _kernels.reduced_velocity).
         thr = prob.floor * (2.0 * math.pi / prob.n2) * np.exp(c0[idx] * c0[idx])
+        # Every pair starts at rest (k1 = 0), so its first trial step is
+        # scaled from its release acceleration d''(0): the start-step estimate
+        # of Hairer, Norsett and Wanner (Solving ODEs I, sec. II.4), without
+        # its cap at 100 times a velocity-scaled guess, which k1 = 0 would
+        # shrink to 1e-4. The velocity is odd in T, so v / T at _T_PROBE is
+        # d''(0) to about 1e-13; a pair with no acceleration tries the span.
+        acc = reduced_velocity_array(d[idx], _T_PROBE, prob.beta, prob.sign)[0] / _T_PROBE
+        scale = prob.atol + prob.rtol * np.abs(d[idx])
+        h0 = np.fmin(prob.grid[-1], (0.01 * scale / np.abs(acc)) ** 0.2)
     m = idx.size
 
     rows = np.full((n, len(prob.grid), 3), np.nan)
@@ -320,7 +333,7 @@ def integrate_pairs(
     ends = np.zeros((n, 4))
     state = (
         idx, np.zeros(m), d[idx], thr, k1,
-        np.full(m, prob.h_init), np.ones(m), np.ones(m, dtype=np.intp),
+        h0, np.ones(m), np.ones(m, dtype=np.intp),
     )
     steps: list[np.ndarray] = []
     live, tried = _advance_batch(prob, state, status, ends, steps)

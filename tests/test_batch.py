@@ -216,7 +216,7 @@ def test_interior_samples_match_the_exact_map(case, loop):
 
 
 def step_loop_evaluations(mp):
-    """Count the velocity evaluations of the step loops, leaving out the interior fill."""
+    """Count the velocity evaluations of integrate_pairs, leaving out the interior fill."""
     tally = {"evals": 0, "filling": False}
     scalar, array, fill = (
         integrator.reduced_velocity, integrator.reduced_velocity_array, integrator._fill_interior
@@ -241,6 +241,25 @@ def step_loop_evaluations(mp):
     mp.setattr(integrator, "reduced_velocity_array", counted_array)
     mp.setattr(integrator, "_fill_interior", uncounted_fill)
     return tally
+
+
+# Kernel evaluations of integrate_pairs on 250 slow pairs (exact_rejection
+# seed 0, the (0, t_end) grid) when every pair's first trial step was 1e-3 of
+# the span. The fast pairs took 87.0 (boson) and 87.5 (fermion) per pair.
+SLOW_EVALS_FROM_A_FIXED_START = {SpinStatistics.BOSON: 99_298, SpinStatistics.FERMION: 94_990}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_the_start_step_saves_kernel_evaluations(regime, stats):
+    # counts, not times, so host noise cannot hide a costlier start rule
+    initial, p, t_end = draw(regime, stats, seed=0, n=250)
+    with pytest.MonkeyPatch.context() as mp:
+        tally = step_loop_evaluations(mp)
+        integrate_pairs(initial, t_end, IntegratorConfig(), stats, p)
+    if regime == "fast":
+        assert tally["evals"] <= 70 * 250
+    else:
+        assert tally["evals"] <= SLOW_EVALS_FROM_A_FIXED_START[stats]
 
 
 def assert_end_rule(table, count, status, times):
@@ -388,7 +407,7 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
 # velocity kernel's denominator instead, and must decide the same.
 FLOOR_ABORTS = {
     5: 6, 6: 8, 7: 11, 11: 10, 12: 8, 14: 11, 15: 8, 30: 11, 37: 9, 40: 2, 57: 8, 58: 10,
-    68: 4, 69: 10, 70: 7, 75: 7, 77: 9, 79: 11, 86: 11, 88: 7, 94: 11, 95: 4, 97: 7, 98: 6,
+    68: 4, 69: 10, 70: 7, 75: 7, 77: 9, 79: 11, 86: 11, 88: 7, 94: 10, 95: 4, 97: 7, 98: 6,
     99: 11, 100: 9, 110: 3, 114: 4, 124: 11, 125: 8, 126: 11, 130: 2, 132: 9, 137: 5, 144: 8,
     145: 10, 147: 8, 153: 10, 159: 7, 162: 5, 164: 11, 180: 9, 181: 11, 182: 7, 185: 10,
     188: 11, 191: 11, 194: 11,
@@ -409,6 +428,72 @@ def test_density_floor_decisions_are_pinned(p_slow, batch_min):
                if s is not TrajectoryStatus.COMPLETED}
     assert aborted == FLOOR_ABORTS
     assert all(status[i] is TrajectoryStatus.NODE_PROXIMITY_ABORT for i in FLOOR_ABORTS)
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_node_aborts_in_flight_in_both_loops(p_slow, loop):
+    # Fermions released 1e-6 sigma0 off the diagonal start with a denominator
+    # near 2.5e-11, above NODE_GUARD. That close to the node the kernel's
+    # numerator cancels to rounding noise, which carries every pair onto the
+    # guard before t_end, at times that differ between the loops; a floor of
+    # 1e-300 leaves the guard alone to end them.
+    y1 = np.linspace(-4.0, 4.0, 40) * p_slow.sigma0
+    initial = np.column_stack((y1, y1 + 1e-6 * p_slow.sigma0))
+    times = np.linspace(0.0, 1e-7, 11)
+    cfg = IntegratorConfig(density_floor=1e-300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", LOOPS[loop])
+        table, count, status = integrate_pairs(
+            initial, 1e-7, cfg, SpinStatistics.FERMION, p_slow, times
+        )
+    assert_end_rule(table, count, status, times)
+    assert all(s is TrajectoryStatus.NODE_PROXIMITY_ABORT for s in status)
+    last = table[np.arange(len(initial)), count - 1]
+    assert np.isfinite(last).all()
+    assert (last[:, 0] > 0.0).all() and (last[:, 0] < 1e-7).all()
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_a_node_at_the_last_stage_aborts_the_pair(loop):
+    # The aborts above all come from stages 2 to 6, never from stage 7 alone.
+    # So here the kernel reports a node for the first pair at its 18th call
+    # inside the step loop, stage 7 of the third attempted step (each attempt
+    # calls it for stages 2 to 7), as the kernels do: a NaN velocity and a
+    # zero denominator. That pair must end on its last accepted state, and
+    # every other pair land.
+    stats = SpinStatistics.FERMION
+    initial, p, t_end = draw("slow", stats, seed=31, n=40)
+    scalar = loop == "scalar"
+    kernel = integrator.reduced_velocity if scalar else integrator.reduced_velocity_array
+    step_loop = integrator._advance if scalar else integrator._advance_batch
+    tally = {"calls": 0, "inside": False}
+
+    def in_loop(*args):
+        tally["inside"] = True
+        try:
+            return step_loop(*args)
+        finally:
+            tally["inside"] = False
+
+    def node_at_call_18(d, *args):
+        v, den = kernel(d, *args)
+        tally["calls"] += tally["inside"]
+        if tally["inside"] and tally["calls"] == 18:
+            if scalar:
+                return np.nan, 0.0
+            v[0], den[0] = np.nan, 0.0
+        return v, den
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", LOOPS[loop])
+        mp.setattr(integrator, step_loop.__name__, in_loop)
+        mp.setattr(integrator, kernel.__name__, node_at_call_18)
+        table, count, status = integrate_pairs(initial, t_end, IntegratorConfig(), stats, p)
+    assert_end_rule(table, count, status, np.array((0.0, t_end)))
+    assert list(status) == (
+        [TrajectoryStatus.NODE_PROXIMITY_ABORT] + [TrajectoryStatus.COMPLETED] * 39
+    )
+    assert 0.0 < table[0, 1, 0] < t_end
 
 
 def test_start_on_a_node_is_not_integrated(p_fast):
