@@ -24,16 +24,11 @@ from .fourslit import (
     SlitRegion,
     corrected_four_slit_psi,
     corrected_velocity,
-    map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
     region_of,
 )
-from .integrator import (
-    IntegratorConfig,
-    Trajectory,
-    TrajectoryStatus,
-)
+from .integrator import IntegratorConfig, TrajectoryStatus
 from .params import (
     PairConfiguration,
     PairVelocity,
@@ -70,14 +65,12 @@ __all__ = [
     "SlitRegion",
     "SpinStatistics",
     "StepUnderflowError",
-    "Trajectory",
     "TrajectoryStatus",
     "binned_tv_distance",
     "corrected_four_slit_psi",
     "corrected_velocity",
     "density_distance",
     "joint_density_y",
-    "map_trajectory_to_double_slit",
     "naive_four_slit_psi",
     "naive_velocity",
     "normalization_N",

@@ -4,9 +4,10 @@ These are the only functions evaluated inside integration loops. The scalar
 velocity kernel uses the math module on plain floats (roughly 20x faster than
 numpy scalars) and serves the scalar step loop; its array twin evaluates the
 same expressions, in the same order, over arrays for the batched loop. The
-array density kernel serves the start test of the step loops and
-wavefunction.joint_density_y. Tests pin the twins against each other and
-against the full complex amplitude of wavefunction.py.
+array density kernel serves wavefunction.joint_density_y; the step loops,
+and integrate_pairs at release, read the density off the velocity kernels'
+denominator instead. Tests pin the twins against each other and against the
+full complex amplitude of wavefunction.py.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of

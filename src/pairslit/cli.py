@@ -27,7 +27,7 @@ from . import __version__
 from .ensemble import run_ensemble, transport_ensemble
 from .errors import ConfigError, PairslitError
 from .fourslit import property_report
-from .integrator import IntegratorConfig, Trajectory
+from .integrator import IntegratorConfig
 from .params import PhysicalParams, SpinStatistics
 from .sampling import SamplerConfig
 
@@ -229,8 +229,7 @@ def _pinned_initials(cfg: ScenarioConfig) -> np.ndarray | None:
     return None
 
 
-_CSV_COLUMNS = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
-_CSV_HEADER = (",".join(_CSV_COLUMNS) + "\r\n").encode()
+_CSV_HEADER = b"t,x1,y1,x2,y2,vy1,vy2\r\n"
 _BATCH_ROWS = 512  # rows of whole files formatted in one call
 
 # _format_csv_rows lays each field out in a 28-byte slot and then drops the
@@ -351,23 +350,29 @@ def _format_csv_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[keep], np.concatenate([[0], row_ends])
 
 
-def _write_trajectory_csvs(paths: list[Path], trajectories: list[Trajectory]) -> None:
-    """Write each trajectory to its path: a header, then a row of "%.15e" fields per sample.
+def _write_trajectory_csvs(paths: list[Path], samples: np.ndarray, count: np.ndarray,
+                           x_speed: float) -> None:
+    """Write each pair's samples to its path: a header, then a row of "%.15e" fields per sample.
 
+    samples and count are integrate_pairs' table and sample counts. Pairs with
+    a count of 0 get no file; the others take the paths in pair order. Both
+    particles are released at x = 0, so x1 = x2 = x_speed t.
     Whole files are formatted together in batches of at most _BATCH_ROWS rows
     (a longer file is a batch of its own), and the bytes are cut into files by row.
     """
-    lengths = [len(traj.t) for traj in trajectories]
+    pairs = np.flatnonzero(count)
+    lengths = count[pairs].tolist()
     first = 0
-    while first < len(trajectories):
+    while first < len(pairs):
         last, rows = first + 1, lengths[first]
-        while last < len(trajectories) and rows + lengths[last] <= _BATCH_ROWS:
+        while last < len(pairs) and rows + lengths[last] <= _BATCH_ROWS:
             rows += lengths[last]
             last += 1
-        batch = trajectories[first:last]
-        block = np.column_stack([np.concatenate([getattr(traj, name) for traj in batch])
-                                 for name in _CSV_COLUMNS])
-        data, starts = _format_csv_rows(block)
+        batch = pairs[first:last]
+        in_file = np.arange(samples.shape[1]) < count[batch, None]
+        t, y1, y2, vy1, vy2 = samples[batch][in_file].T
+        x = x_speed * t
+        data, starts = _format_csv_rows(np.column_stack((t, x, y1, x, y2, vy1, vy2)))
         row = 0
         for path, n_rows in zip(paths[first:last], lengths[first:last]):
             with open(path, "wb") as fh:
@@ -406,15 +411,18 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     initials = _pinned_initials(cfg)
     if initials is None:
         result = run_ensemble(cfg.sampler, cfg.integrator, cfg.stats, cfg.params, t_end,
-                              sample_times=sample_times, keep_trajectories=True)
+                              sample_times=sample_times)
     else:
+        # three pairs, too few to score, so the baseline draw never runs
         result = transport_ensemble(initials, cfg.integrator, cfg.stats, cfg.params, t_end,
-                                    sample_times=sample_times, keep_trajectories=True)
+                                    sample_times=sample_times,
+                                    rng=np.random.default_rng(cfg.sampler.seed))
 
     out.mkdir(parents=True, exist_ok=True)
-    width = max(3, len(str(len(result.trajectories) - 1)))
-    _write_trajectory_csvs([out / f"trajectory_{i:0{width}d}.csv"
-                            for i in range(len(result.trajectories))], result.trajectories)
+    files = int(np.count_nonzero(result.sample_count))
+    width = max(3, len(str(files - 1)))
+    _write_trajectory_csvs([out / f"trajectory_{i:0{width}d}.csv" for i in range(files)],
+                           result.samples, result.sample_count, cfg.params.x_speed)
     same_side = result.same_side_fraction
     aborted, n_requested = result.aborted_count, result.n_requested
     _write_summary(out, cfg, {

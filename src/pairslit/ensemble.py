@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .integrator import IntegratorConfig, Trajectory, TrajectoryStatus, integrate_pairs
+from .integrator import IntegratorConfig, TrajectoryStatus, integrate_pairs
 from .params import PhysicalParams, SpinStatistics
 from .quadrature import gauss_legendre
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
@@ -34,8 +34,10 @@ class EnsembleResult:
     delta_y0_estimate is the rms of (y1 + y2)/2 over the drawn initial
     conditions. The density-distance fields are None when fewer than 100
     trajectories completed; density_distance_baseline scores a fresh direct
-    sample of equal size with the same statistic. trajectories is None unless
-    retention was requested.
+    sample of equal size with the same statistic. samples is integrate_pairs'
+    (n, S, 5) table of every pair's samples (t, y1, y2, vy1, vy2), one row
+    per sample time; pair i's samples are samples[i, :sample_count[i]], none
+    for a pair that could not be integrated.
     """
 
     endpoints: np.ndarray
@@ -45,7 +47,8 @@ class EnsembleResult:
     n_requested: int
     density_distance: float | None
     density_distance_baseline: float | None
-    trajectories: tuple[Trajectory, ...] | None
+    samples: np.ndarray
+    sample_count: np.ndarray
 
     @property
     def n_completed(self) -> int:
@@ -59,7 +62,6 @@ def run_ensemble(
     p: PhysicalParams,
     t_end: float,
     sample_times=None,
-    keep_trajectories: bool = False,
 ) -> EnsembleResult:
     """Draw, transport and score an ensemble of sampler.n_pairs pairs.
 
@@ -72,7 +74,7 @@ def run_ensemble(
     seq_sample, seq_baseline = root.spawn(2)
     initial = sample_initial(sampler, stats, p, rng=np.random.default_rng(seq_sample))
     return transport_ensemble(initial, integrator, stats, p, t_end, sample_times,
-                              keep_trajectories, rng=np.random.default_rng(seq_baseline))
+                              rng=np.random.default_rng(seq_baseline))
 
 
 def transport_ensemble(
@@ -82,8 +84,8 @@ def transport_ensemble(
     p: PhysicalParams,
     t_end: float,
     sample_times=None,
-    keep_trajectories: bool = False,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> EnsembleResult:
     """Transport and score pairs released at x = 0, t = 0.
 
@@ -91,7 +93,8 @@ def transport_ensemble(
     pairs go through one integrate_pairs batch. Initial conditions already
     below the integrator's density floor, and pairs whose error control
     underflows the smallest step or exhausts the step budget, are counted as
-    aborted without a trajectory; aborts never fail the batch. rng feeds the baseline draw of density_distance.
+    aborted with no samples; aborts never fail the batch. rng feeds the
+    baseline draw of density_distance.
     """
     table, count, status = integrate_pairs(
         initial, t_end, integrator, stats, p, sample_times=sample_times
@@ -103,14 +106,6 @@ def transport_ensemble(
     distance = baseline = None
     if len(ends) >= _TV_MIN_POINTS:
         distance, baseline = density_distance(ends, stats, p, t_end, rng=rng)
-
-    trajectories = None
-    if keep_trajectories:
-        trajectories = tuple(
-            Trajectory.from_rows(table[i, : count[i]], st, p)
-            for i, st in enumerate(status)
-            if st is not None
-        )
     return EnsembleResult(
         endpoints=ends,
         same_side_fraction=same_side,
@@ -119,7 +114,8 @@ def transport_ensemble(
         n_requested=len(initial),
         density_distance=distance,
         density_distance_baseline=baseline,
-        trajectories=trajectories,
+        samples=table,
+        sample_count=count,
     )
 
 

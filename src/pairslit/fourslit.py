@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import NodeProximityError, RegionViolationError
-from .integrator import IntegratorConfig, Trajectory, integrate_pairs
+from .integrator import IntegratorConfig, integrate_pairs
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
 from .wavefunction import psi_pair, slit_images
 
@@ -186,20 +186,6 @@ def corrected_velocity(
     return _guarded_fd_velocity(lambda cs: _corrected_state(region, cs, p), c, p)
 
 
-def map_trajectory_to_double_slit(traj: Trajectory, region: SlitRegion) -> Trajectory:
-    """Reflect one longitudinal track, swapping double-slit and four-slit flows.
-
-    The post-detection state equals the plus-sign double-slit pair state with
-    the leftward particle's longitudinal coordinate reflected, so negating
-    that coordinate (and its velocity) maps trajectories of either problem
-    onto the other. The map touches x2 for RIGHT_LEFT, x1 for LEFT_RIGHT,
-    leaves y-components bitwise untouched, and is an involution.
-    """
-    if region is SlitRegion.LEFT_RIGHT:
-        return replace(traj, x1=-traj.x1, vx1=-traj.vx1)
-    return replace(traj, x2=-traj.x2, vx2=-traj.vx2)
-
-
 def property_report(
     p: PhysicalParams, integrator: IntegratorConfig, rng: np.random.Generator
 ) -> list[tuple[str, bool, str]]:
@@ -297,25 +283,24 @@ def property_report(
     )
 
     # Reflected double-slit trajectories obey the corrected state's guidance.
+    # Both particles of the double-slit pair are released at x0 and drift
+    # right; reflecting particle 2's longitudinal track (x2 -> -x2, vx2 ->
+    # -vx2) maps the pair into the RIGHT_LEFT region of the corrected state
+    # and leaves the transverse samples as they are.
     t_end = min(MAPPED_SPAN, p.flight_time)
     times = np.linspace(0.0, t_end, 9)
     starts = np.array([(y1, -p.Y + 0.5 * s0) for y1 in (p.Y, p.Y - 1.5 * s0)])
     table, count, status = integrate_pairs(
         starts, t_end, integrator, SpinStatistics.BOSON, p, times
     )
+    v = p.x_speed
     worst_y = worst_x = 0.0
-    for i, st in enumerate(status):
-        if st is None:
-            continue
-        traj = Trajectory.from_rows(table[i, : count[i]], st, p, x0, x0)
-        mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
-        columns = (mapped.x1, mapped.y1, mapped.x2, mapped.y2, mapped.t,
-                   mapped.vx1, mapped.vy1, mapped.vx2, mapped.vy2)
-        for x1, y1, x2, y2, t, vx1, vy1, vx2, vy2 in zip(*(c.tolist() for c in columns)):
-            fd = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, x2, y2, t), p)
-            v_scale = max(abs(vy1), abs(vy2), 1e-9 * p.x_speed)
-            worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
-            worst_x = max(worst_x, abs(fd.vx1 - vx1) / p.x_speed, abs(fd.vx2 - vx2) / p.x_speed)
+    for t, y1, y2, vy1, vy2 in table[np.arange(times.size) < count[:, None]].tolist():
+        x1 = x0 + v * t
+        fd = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, -x1, y2, t), p)
+        v_scale = max(abs(vy1), abs(vy2), 1e-9 * v)
+        worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
+        worst_x = max(worst_x, abs(fd.vx1 - v) / v, abs(fd.vx2 + v) / v)
     lost = sum(st is None for st in status)
     note = f"; {lost} of {len(status)} pairs could not be integrated" if lost else ""
     record(

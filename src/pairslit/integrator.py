@@ -47,12 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    NODE_GUARD,
-    reduced_density_array,
-    reduced_velocity,
-    reduced_velocity_array,
-)
+from ._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from .params import PhysicalParams, SpinStatistics
 from .wavefunction import initial_density_peak, normalization_N
 
@@ -162,36 +157,6 @@ class IntegratorConfig:
             raise ValueError("density_floor must be > 0")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled pair trajectory: one array per column, one entry per sample.
-
-    Times in seconds, positions in metres, velocities in m/s. t holds the
-    requested sample times themselves; an aborted trajectory ends instead at
-    its last accepted state, between two of them.
-    """
-
-    t: np.ndarray
-    x1: np.ndarray
-    y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
-    vx1: np.ndarray
-    vy1: np.ndarray
-    vx2: np.ndarray
-    vy2: np.ndarray
-    status: TrajectoryStatus
-
-    @classmethod
-    def from_rows(cls, rows, status, p: PhysicalParams, x1=0.0, x2=0.0) -> Trajectory:
-        """Trajectory from SI sample rows (t, y1, y2, vy1, vy2), released at x1, x2 at t = 0."""
-        t = rows[:, 0]
-        dx = p.x_speed * t
-        vx = np.full(t.shape, p.x_speed)
-        return cls(t, x1 + dx, rows[:, 1], x2 + dx, rows[:, 2], vx, rows[:, 3], vx, rows[:, 4],
-                   status)
-
-
 @dataclass(frozen=True)
 class _Scaled:
     """One integration problem in packet-width / spreading-time units."""
@@ -271,9 +236,9 @@ def integrate_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate a batch of pairs released at t = 0 to t_end.
 
-    initial is the (n, 2) array of release positions (y1, y2) in metres; the
-    longitudinal drift is exact, and Trajectory.from_rows adds it for any
-    release x.
+    initial is the (n, 2) array of release positions (y1, y2) in metres. The
+    longitudinal motion is exact, x = x0 + x_speed t for a release at x0, so
+    the table leaves it out.
     Every pair runs the same step control, which lands on t_end alone; the
     other sample times are filled from the continuous extension of the steps
     that cover them. A pair that cannot be integrated gets a status, never an
@@ -302,17 +267,16 @@ def integrate_pairs(
     e1 = initial[:, 0] / p.sigma0
     e2 = initial[:, 1] / p.sigma0
     c0, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
-    idx = np.flatnonzero(
-        ~(reduced_density_array(e1, e2, 0.0, prob.sign, prob.beta, prob.n2) < prob.floor)
-    )
     with np.errstate(all="ignore"):
-        k1, den = reduced_velocity_array(d[idx], 0.0, prob.beta, prob.sign)
-        off_node = ~(den < NODE_GUARD)
-        idx, k1 = idx[off_node], k1[off_node]
+        k1, den = reduced_velocity_array(d, 0.0, prob.beta, prob.sign)
         # Each pair's density floor over the factor n2 / (2 pi) exp(-c0^2) of
         # its density, which the step loops' floor test leaves out (see
-        # _kernels.reduced_velocity).
-        thr = prob.floor * (2.0 * math.pi / prob.n2) * np.exp(c0[idx] * c0[idx])
+        # _kernels.reduced_velocity). A pair released on a node or below the
+        # floor is not integrated; the floor test is the loops' own at s2 = 1.
+        thr = prob.floor * (2.0 * math.pi / prob.n2) * np.exp(c0 * c0)
+        r = np.abs(d) - prob.beta
+        idx = np.flatnonzero(~(den < NODE_GUARD) & ~(den * np.exp(-(r * r)) < thr))
+        k1, thr = k1[idx], thr[idx]
         # Every pair starts at rest (k1 = 0), so its first trial step is
         # scaled from its release acceleration d''(0): the start-step estimate
         # of Hairer, Norsett and Wanner (Solving ODEs I, sec. II.4), without

@@ -21,7 +21,6 @@ from pairslit import (
     SpinStatistics,
     corrected_velocity,
     density_distance,
-    map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
     psi_slit,
@@ -37,7 +36,7 @@ from oracles import (
     velocity_closed_form,
     velocity_oracle,
 )
-from pair_transport import endpoint, integrate_one
+from pair_transport import endpoint, integrate_one, map_trajectory_to_double_slit
 
 P_FAST = PhysicalParams.baseline(x_speed=2.0e7)
 P_SLOW = PhysicalParams.baseline(x_speed=2.0e6)

@@ -396,7 +396,8 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
         assert (got is None) == (want is None)
         if want is not None:
             assert_same_path(got, want, times, p_slow)
-    result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times)
+    result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times,
+                                rng=np.random.default_rng(0))
     assert result.aborted_count == sum(t is None for t in scalar) + len(truncated)
     assert result.n_completed == len(initial) - result.aborted_count > 0
 
@@ -586,25 +587,17 @@ def test_samples_land_on_the_requested_times(p_slow, n_times, batch_min):
     ids=["batch_loop", "scalar_loop", "aborts_in_flight"],
 )
 def test_keeping_trajectories_changes_no_result(p_slow, n, stats, floor):
+    # the result keeps integrate_pairs' own table, which ends on its endpoints
     cfg = IntegratorConfig(density_floor=floor)
     initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=31), stats, p_slow)
     times = np.linspace(0.0, 1e-7, 11)
-    runs = [
-        transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times, keep_trajectories=keep,
-                           rng=np.random.default_rng(3))
-        for keep in (False, True)
-    ]
-    bare, kept = runs
-    assert bare.trajectories is None
-    np.testing.assert_array_equal(kept.endpoints, bare.endpoints)
-    assert kept.endpoints.tobytes() == bare.endpoints.tobytes()
-    assert kept.aborted_count == bare.aborted_count
-    assert kept.density_distance == bare.density_distance
-    assert kept.density_distance_baseline == bare.density_distance_baseline
-    assert kept.delta_y0_estimate == bare.delta_y0_estimate
-    done = [t for t in kept.trajectories if t.status is TrajectoryStatus.COMPLETED]
-    assert len(done) == len(kept.endpoints)
-    for traj, (y1, y2) in zip(done, kept.endpoints):
-        assert (traj.y1[-1], traj.y2[-1]) == (y1, y2)
+    table, count, status = integrate_pairs(initial, 1e-7, cfg, stats, p_slow, times)
+    result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times,
+                                rng=np.random.default_rng(3))
+    assert result.samples.tobytes() == table.tobytes()
+    np.testing.assert_array_equal(result.sample_count, count)
+    done = [i for i, st in enumerate(status) if st is TrajectoryStatus.COMPLETED]
+    assert result.n_completed == len(done) == n - result.aborted_count
+    assert table[done, count[done] - 1, 1:3].tobytes() == result.endpoints.tobytes()
     if floor > 1e-12:
-        assert kept.aborted_count > _BATCH_MIN
+        assert result.aborted_count > _BATCH_MIN

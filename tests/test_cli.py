@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from pairslit import (
     ConfigError,
-    PhysicalParams,
     SpinStatistics,
-    Trajectory,
     TrajectoryStatus,
     __version__,
 )
@@ -35,6 +33,7 @@ from pairslit.cli import (
     serialize_config,
     validate_config,
 )
+from pairslit.integrator import integrate_pairs
 
 
 def write_json(path, payload):
@@ -429,18 +428,32 @@ def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
     assert f"config error: {flag}: " in capsys.readouterr().err
 
 
+X_SPEED = 2e6
+
+
+def _savetxt_bytes(rows):
+    """np.savetxt of one pair's sample rows (t, y1, y2, vy1, vy2), released at x = 0."""
+    t, y1, y2, vy1, vy2 = rows.T
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack((t, X_SPEED * t, y1, X_SPEED * t, y2, vy1, vy2)),
+               fmt="%.15e", delimiter=",", newline="\r\n", header="t,x1,y1,x2,y2,vy1,vy2",
+               comments="")
+    return buf.getvalue()
+
+
 def test_trajectory_csv_matches_savetxt(tmp_path):
-    values = [-1.5, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-              1e300, -3.25e-7, 123456.789, 0.1, -2e-310, 7.0]
-    # nine 3-sample columns; each kind of value lands in a column the CSV holds
-    block = np.resize(np.array(values), 27).reshape(9, 3)
-    traj = Trajectory(*block, TrajectoryStatus.COMPLETED)
-    _write_trajectory_csvs([tmp_path / "ours.csv"], [traj])
-    columns = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
-    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([getattr(traj, c) for c in columns]), fmt="%.15e",
-                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
-    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    # t, and with it x1 = x2 = X_SPEED t, takes the values that stay finite
+    # times X_SPEED; y and v take every value, the huge ones too, so each
+    # kind of value lands in a column the CSV holds
+    moderate = [-1.5, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, -3.25e-7, 123456.789, 0.1,
+                -2e-310, 7.0]
+    values = moderate + [1.7976931348623157e308, 1e300]
+    rows = np.column_stack([moderate, np.resize(np.array(values), (4, len(moderate))).T])
+    # a pair without samples, which gets no file, ahead of the pair that has them
+    samples = np.stack([np.full_like(rows, np.nan), rows])
+    _write_trajectory_csvs([tmp_path / "ours.csv"], samples, np.array([0, len(rows)]), X_SPEED)
+    assert list(tmp_path.iterdir()) == [tmp_path / "ours.csv"]
+    assert (tmp_path / "ours.csv").read_bytes() == _savetxt_bytes(rows)
 
 
 def _percent_rows(block):
@@ -472,40 +485,35 @@ def test_formatted_rows_equal_percent_formatting(values, cols):
                                               expected.split(b"\r\n")[:-1]])]
 
 
-def _savetxt_bytes(traj):
-    columns = ("t", "x1", "y1", "x2", "y2", "vy1", "vy2")
-    buf = io.BytesIO()
-    np.savetxt(buf, np.column_stack([getattr(traj, c) for c in columns]), fmt="%.15e",
-               delimiter=",", newline="\r\n", header=",".join(columns), comments="")
-    return buf.getvalue()
-
-
-def _random_trajectory(rng, n_rows, status=TrajectoryStatus.COMPLETED):
+def _random_rows(rng, n_rows, aborted=False):
     """SI-scaled random samples on a 1e-8 s grid; an abort ends at an off-grid time."""
     t = np.linspace(0.0, 1e-8, max(n_rows, 101))[:n_rows]
-    if status is TrajectoryStatus.NODE_PROXIMITY_ABORT:
+    if aborted:
         t = np.append(t[:-1], t[-2] + rng.uniform(0.1, 0.9) * 1e-10)
-    rows = np.column_stack([t, rng.normal(size=(len(t), 2)) * 1e-6,
+    return np.column_stack([t, rng.normal(size=(len(t), 2)) * 1e-6,
                             rng.normal(size=(len(t), 2)) * 10.0 ** rng.integers(-3, 4)])
-    return Trajectory.from_rows(rows, status, PhysicalParams.baseline(x_speed=2e6))
 
 
-def _check_files_match_savetxt(tmp_path, trajectories):
-    paths = [tmp_path / f"trajectory_{i:04d}.csv" for i in range(len(trajectories))]
-    _write_trajectory_csvs(paths, trajectories)
+def _check_files_match_savetxt(tmp_path, pair_rows):
+    """Write pair_rows as one table, each pair followed by an empty one; check every file."""
+    samples = np.full((2 * len(pair_rows), max(map(len, pair_rows), default=1), 5), np.nan)
+    count = np.zeros(len(samples), dtype=np.intp)
+    for i, rows in enumerate(pair_rows):
+        samples[2 * i, :len(rows)] = rows
+        count[2 * i] = len(rows)
+    paths = [tmp_path / f"trajectory_{i:04d}.csv" for i in range(len(pair_rows))]
+    _write_trajectory_csvs(paths, samples, count, X_SPEED)
     assert sorted(tmp_path.iterdir()) == paths
-    for path, traj in zip(paths, trajectories):
-        assert path.read_bytes() == _savetxt_bytes(traj), path.name
+    for path, rows in zip(paths, pair_rows):
+        assert path.read_bytes() == _savetxt_bytes(rows), path.name
 
 
 def test_files_of_unequal_length_match_savetxt(tmp_path):
     rng = np.random.default_rng(12)
-    aborted = TrajectoryStatus.NODE_PROXIMITY_ABORT
-    trajectories = [_random_trajectory(rng, 101), _random_trajectory(rng, 37, aborted),
-                    _random_trajectory(rng, 1), _random_trajectory(rng, 2, aborted),
-                    _random_trajectory(rng, 101)]
-    assert trajectories[1].t[-1] not in np.linspace(0.0, 1e-8, 101)
-    _check_files_match_savetxt(tmp_path, trajectories)
+    pair_rows = [_random_rows(rng, 101), _random_rows(rng, 37, aborted=True),
+                 _random_rows(rng, 1), _random_rows(rng, 2, aborted=True), _random_rows(rng, 101)]
+    assert pair_rows[1][-1, 0] not in np.linspace(0.0, 1e-8, 101)
+    _check_files_match_savetxt(tmp_path, pair_rows)
 
 
 def test_files_split_across_batches_match_savetxt(tmp_path):
@@ -513,9 +521,9 @@ def test_files_split_across_batches_match_savetxt(tmp_path):
     # exactly, and a file longer than a batch is formatted on its own
     rng = np.random.default_rng(13)
     lengths = [101] * 6 + [_BATCH_ROWS // 2] * 2 + [1] + [_BATCH_ROWS + 88] + [3]
-    trajectories = [_random_trajectory(rng, n) for n in lengths]
-    assert [len(traj.t) for traj in trajectories] == lengths
-    _check_files_match_savetxt(tmp_path, trajectories)
+    pair_rows = [_random_rows(rng, n) for n in lengths]
+    assert [len(rows) for rows in pair_rows] == lengths
+    _check_files_match_savetxt(tmp_path, pair_rows)
 
 
 def test_no_trajectory_writes_no_file(tmp_path):
@@ -524,7 +532,42 @@ def test_no_trajectory_writes_no_file(tmp_path):
 
 def test_a_thousand_two_row_files_match_savetxt(tmp_path):
     rng = np.random.default_rng(14)
-    _check_files_match_savetxt(tmp_path, [_random_trajectory(rng, 2) for _ in range(1000)])
+    _check_files_match_savetxt(tmp_path, [_random_rows(rng, 2) for _ in range(1000)])
+
+
+def test_only_pairs_with_a_status_get_numbered_files(tmp_path, monkeypatch):
+    # A floor of half the peak leaves some releases below it (status None,
+    # no samples) and ends the others in flight; the table is the one the
+    # run itself integrates.
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate_pairs(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("pairslit.ensemble.integrate_pairs", recorded)
+    n = 40
+    path = write_json(tmp_path / "floor.json", {
+        "scenario": "custom", "sampler": {"n_pairs": n}, "integrator": {"density_floor": 0.5},
+    })
+    assert run_main(tmp_path, "custom", "--config", path) == 2
+    (table, count, status), = runs
+    integrated = [i for i, st in enumerate(status) if st is not None]
+    assert 0 < len(integrated) < n
+    out = tmp_path / "out"
+    files = sorted(out.glob("trajectory_*.csv"))
+    assert [f.name for f in files] == [f"trajectory_{k:03d}.csv" for k in range(len(integrated))]
+    x_speed = default_config("custom").params.x_speed
+    for path, i in zip(files, integrated):
+        t, y1, y2, vy1, vy2 = table[i, count[i] - 1].tolist()
+        last = (t, x_speed * t, y1, x_speed * t, y2, vy1, vy2)
+        lines = path.read_bytes().split(b"\r\n")
+        assert (len(lines), lines[-1]) == (2 + count[i], b"")
+        assert lines[-2].decode() == ",".join("%.15e" % v for v in last)
+    summary = json.loads((out / "summary.json").read_text())
+    completed = sum(st is TrajectoryStatus.COMPLETED for st in status)
+    assert (summary["n_requested"], summary["n_completed"]) == (n, completed)
+    assert summary["aborted_count"] == n - completed >= n - len(integrated)
 
 
 def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -36,7 +36,7 @@ def test_result_shape(p_fast, stats):
     assert res.endpoints.shape == (res.n_completed, 2)
     assert res.n_completed + res.aborted_count == res.n_requested == 150
     assert 0.0 <= res.same_side_fraction <= 1.0
-    assert res.trajectories is None
+    assert res.samples.shape == (150, 2, 5) and res.sample_count.shape == (150,)
     assert res.density_distance is not None and res.density_distance_baseline is not None
 
 
@@ -56,11 +56,13 @@ def test_com_spread_estimate(p_fast, stats):
 
 
 def test_kept_trajectories(p_fast):
+    # every pair's samples stay in the table, and it ends on the endpoints
     times = np.linspace(0.0, p_fast.flight_time, 5)
-    res = small_run(p_fast, SpinStatistics.BOSON, n=10, sample_times=times, keep_trajectories=True)
-    assert len(res.trajectories) == 10
-    for traj in res.trajectories:
-        np.testing.assert_array_equal(traj.t, times)
+    res = small_run(p_fast, SpinStatistics.BOSON, n=10, sample_times=times)
+    assert res.n_completed == 10
+    np.testing.assert_array_equal(res.sample_count, 5)
+    np.testing.assert_array_equal(res.samples[:, :, 0], np.tile(times, (10, 1)))
+    assert res.samples[:, -1, 1:3].tobytes() == res.endpoints.tobytes()
 
 
 def test_density_distance_needs_points(p_fast):

@@ -16,7 +16,6 @@ from pairslit import (
     SpinStatistics,
     corrected_four_slit_psi,
     corrected_velocity,
-    map_trajectory_to_double_slit,
     naive_four_slit_psi,
     naive_velocity,
     psi_pair,
@@ -28,7 +27,7 @@ from pairslit.wavefunction import initial_density_peak
 
 from fd_reference import reference_velocity
 from oracles import joint_density, velocity_closed_form
-from pair_transport import integrate_one
+from pair_transport import integrate_one, map_trajectory_to_double_slit
 
 
 def samples(traj):
