@@ -37,11 +37,9 @@ from .params import (
 )
 from .sampling import SamplerConfig, sample_initial, sample_joint_y
 from .wavefunction import (
-    Slit,
     joint_density_y,
     normalization_N,
     psi_pair,
-    psi_slit,
     sigma_t,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "RegionViolationError",
     "RejectionStallError",
     "SamplerConfig",
-    "Slit",
     "SlitRegion",
     "SpinStatistics",
     "StepUnderflowError",
@@ -75,7 +72,6 @@ __all__ = [
     "naive_velocity",
     "normalization_N",
     "psi_pair",
-    "psi_slit",
     "region_of",
     "run_ensemble",
     "sample_initial",

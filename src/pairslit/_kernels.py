@@ -4,14 +4,13 @@ These are the only functions evaluated inside integration loops. The scalar
 velocity kernel uses the math module on plain floats (roughly 20x faster than
 numpy scalars) and serves the scalar step loop; its array twin evaluates the
 same expressions, in the same order, over arrays for the batched loop. The
-array density kernel serves wavefunction.joint_density_y; the step loops,
-and integrate_pairs at release, read the density off the velocity kernels'
-denominator instead. Tests pin the twins against each other and against the
-full complex amplitude of wavefunction.py.
+step loops, and integrate_pairs at release, read the joint density off the
+velocity kernels' denominator. Tests pin the twins against each other, and
+that density against wavefunction.joint_density_y.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
-mass, which follows a closed form. The density kernel takes both coordinates.
+mass, which follows a closed form.
 
 Scaling: eta = y / sigma0, T = t / tau, velocities in units of sigma0 / tau.
 """
@@ -92,19 +91,3 @@ def reduced_velocity_array(d, T, beta: float, sign: int):
         num = tail - q * t
     return d * (T / s2) - w * num / den, den
 
-
-def reduced_density_array(e1, e2, T, sign: int, beta: float, n2: float):
-    """Dimensionless joint density; integrates to 1 over the (eta1, eta2) plane.
-
-    e1, e2 and T broadcast like numpy ufuncs. With a = sqrt(F) and b = sqrt(G)
-    for the two Gaussian product terms, the bracket F + G +- 2 a b cos(phi) is
-    written as (a - b)^2 + 4 a b cos^2(phi/2) for bosons and
-    (a - b)^2 + 4 a b sin^2(phi/2) for fermions: a sum of squares, so it
-    cannot cancel to a negative value.
-    """
-    s2 = 1.0 + T * T
-    trig = (np.cos if sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
-    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
-    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    total = 4.0 * a * b * trig**2 + (a - b) ** 2
-    return n2 / (2.0 * np.pi * s2) * total

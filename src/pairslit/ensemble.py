@@ -43,8 +43,6 @@ class EnsembleResult:
     endpoints: np.ndarray
     same_side_fraction: float
     delta_y0_estimate: float
-    aborted_count: int
-    n_requested: int
     density_distance: float | None
     density_distance_baseline: float | None
     samples: np.ndarray
@@ -53,6 +51,14 @@ class EnsembleResult:
     @property
     def n_completed(self) -> int:
         return self.endpoints.shape[0]
+
+    @property
+    def n_requested(self) -> int:
+        return self.sample_count.size
+
+    @property
+    def aborted_count(self) -> int:
+        return self.n_requested - self.n_completed
 
 
 def run_ensemble(
@@ -110,8 +116,6 @@ def transport_ensemble(
         endpoints=ends,
         same_side_fraction=same_side,
         delta_y0_estimate=float(np.sqrt(np.mean(com**2))),
-        aborted_count=len(initial) - len(ends),
-        n_requested=len(initial),
         density_distance=distance,
         density_distance_baseline=baseline,
         samples=table,
@@ -152,10 +156,8 @@ def binned_tv_distance(
     single catch-all for everything outside. Exact cell masses come from
     per-cell Gauss-Legendre quadrature of the joint density.
     """
-    half = _TV_HALF_WIDTHS * abs(sigma_t(t, p)) / p.sigma0
-    masses, outside_mass = _exact_bin_masses(float(t), stats, p, _TV_BINS, round(half, 12))
+    edges, masses, outside_mass = _exact_bin_masses(float(t), stats, p)
     pts = np.asarray(points) / p.sigma0
-    edges = np.linspace(-half, half, _TV_BINS + 1)
     counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
     empirical = counts / pts.shape[0]
     outside_empirical = 1.0 - empirical.sum()
@@ -165,22 +167,20 @@ def binned_tv_distance(
 
 
 @lru_cache(maxsize=32)
-def _exact_bin_masses(
-    t: float, stats: SpinStatistics, p: PhysicalParams, bins: int, half: float
-):
-    """Quadrature masses of the grid cells (packet-width units), plus outside."""
-    edges = np.linspace(-half, half, bins + 1)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(a, b, _GL_PER_BIN)
-        nodes.append(x)
-        weights.append(w)
-    x = np.concatenate(nodes)
-    w = np.concatenate(weights)
+def _exact_bin_masses(t: float, stats: SpinStatistics, p: PhysicalParams):
+    """The scoring grid at time t: its edges, its cell masses and the mass outside.
+
+    The grid has 40 x 40 cells on [-half, half]^2, in packet-width units,
+    with half = 10 |sigma_t| / sigma0 rounded to 12 decimals. Each cell's
+    mass is an 8 x 8-point Gauss-Legendre quadrature of the joint density.
+    """
+    half = round(_TV_HALF_WIDTHS * abs(sigma_t(t, p)) / p.sigma0, 12)
+    edges = np.linspace(-half, half, _TV_BINS + 1)
+    x, w = gauss_legendre(edges[:-1, None], edges[1:, None], _GL_PER_BIN)
+    x, w = x.ravel(), w.ravel()
     dens = joint_density_y(
         x[:, None] * p.sigma0, x[None, :] * p.sigma0, t, stats, p
     ) * p.sigma0**2
     cellwise = (w[:, None] * w[None, :]) * dens
-    masses = cellwise.reshape(bins, _GL_PER_BIN, bins, _GL_PER_BIN).sum(axis=(1, 3))
-    return masses, float(max(0.0, 1.0 - masses.sum()))
+    masses = cellwise.reshape(_TV_BINS, _GL_PER_BIN, _TV_BINS, _GL_PER_BIN).sum(axis=(1, 3))
+    return edges, masses, float(max(0.0, 1.0 - masses.sum()))

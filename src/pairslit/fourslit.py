@@ -1,9 +1,9 @@
 """Counter-propagating pair through two facing double slits.
 
 Two slit assemblies sit at x = -d and x = +d; one particle of the pair flies
-right through one assembly, the other flies left through the other. Slit
-labels follow wavefunction.Slit: UPPER/LOWER move rightward, MIRROR_UPPER/
-MIRROR_LOWER are their x-reflections moving leftward.
+right through one assembly, the other flies left through the other. The
+packets are wavefunction.pair_images: upper and lower move rightward, mirror
+upper and mirror lower are their x-reflections moving leftward.
 
 Two models of the post-passage state are implemented:
 
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NodeProximityError, RegionViolationError
 from .integrator import IntegratorConfig, integrate_pairs
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
-from .wavefunction import psi_pair, slit_images
+from .wavefunction import pair_images, psi_pair
 
 _RELATIVE_NODE_GUARD = 1e-12
 # Longest span (s) over which property_report integrates its mapped
@@ -72,17 +72,6 @@ def region_of(c: PairConfiguration, p: PhysicalParams) -> SlitRegion:
     )
 
 
-def _images(c: PairConfiguration, p: PhysicalParams):
-    """psi_slit of both particles behind every slit, shape (4, 2, ...) in Slit order.
-
-    One amplitude call for all eight images.
-    """
-    shape = (2, *np.broadcast(c.x1, c.y1, c.x2, c.y2).shape)
-    x, y = np.empty(shape), np.empty(shape)
-    x[0], x[1], y[0], y[1] = c.x1, c.x2, c.y1, c.y2
-    return slit_images(x, y, c.t, p)
-
-
 def _naive(images, stats: SpinStatistics):
     (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = images
     sign = stats.sign
@@ -97,7 +86,7 @@ def _node_scale(images):
 
 def _naive_state(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     """naive_four_slit_psi at c and the slit images it is built from."""
-    images = _images(c, p)
+    images = pair_images(c, p)
     return _naive(images, stats), images
 
 
@@ -114,7 +103,7 @@ def _corrected_state(region: SlitRegion, c: PairConfiguration, p: PhysicalParams
     """corrected_four_slit_psi at c and the slit images it is built from."""
     if region_of(c, p) is not region:
         raise RegionViolationError(f"configuration is not in region {region.value}")
-    images = _images(c, p)
+    images = pair_images(c, p)
     (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = images
     if region is SlitRegion.RIGHT_LEFT:
         return u1 * ml2 + l1 * mu2, images

@@ -14,7 +14,11 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b].
+
+    a and b may be arrays of interval ends; with a trailing axis of length 1
+    they broadcast against the n nodes, giving every interval's rule at once.
+    """
     x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

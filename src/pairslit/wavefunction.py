@@ -13,27 +13,12 @@ tau so intermediates stay near unity.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 
 import numpy as np
 
-from ._kernels import reduced_density_array
 from .params import PairConfiguration, PhysicalParams, SpinStatistics
-
-
-class Slit(enum.Enum):
-    """Which of the four sources a single-particle packet emerges from.
-
-    UPPER / LOWER move in +x and sit at y = +Y / -Y. The MIRROR variants are
-    their x-reflections, used by the facing double-slit setup.
-    """
-
-    UPPER = "upper"
-    LOWER = "lower"
-    MIRROR_UPPER = "mirror_upper"
-    MIRROR_LOWER = "mirror_lower"
 
 
 def sigma_t(t: float, p: PhysicalParams) -> complex:
@@ -61,36 +46,29 @@ def _upper_amplitude(x_h, eta, T, p: PhysicalParams):
     return prefactor * envelope * plane * kinetic
 
 
-def psi_slit(slit: Slit, x, y, t: float, p: PhysicalParams):
-    """Single-particle amplitude behind one of the four slits (SI, m^-1/2).
-
-    The lower slit is the y-reflection of the upper one; the mirror slits are
-    additionally x-reflected.
-    """
-    flip_y = slit in (Slit.LOWER, Slit.MIRROR_LOWER)
-    flip_x = slit in (Slit.MIRROR_UPPER, Slit.MIRROR_LOWER)
-    x_h = np.asarray(x) / p.sigma0
-    eta = np.asarray(y) / p.sigma0
-    T = t / p.tau
-    value = _upper_amplitude(-x_h if flip_x else x_h, -eta if flip_y else eta, T, p)
-    return value / math.sqrt(p.sigma0)
-
-
-# x and y signs of the four Slit images of the upper packet, in Slit order.
+# x and y signs of the four images of the upper packet, in pair_images order:
+# upper, lower (y-reflected), mirror upper (x-reflected), mirror lower (both).
 _IMAGE_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
 
 
-def slit_images(x, y, t: float, p: PhysicalParams):
-    """psi_slit behind all four slits at once, stacked in Slit order on axis 0.
+def pair_images(c: PairConfiguration, p: PhysicalParams):
+    """Both particles' packets behind all four slits at c (SI, m^-1/2).
 
-    x, y and t broadcast; the result has shape (4, *broadcast shape) and
-    entry [i] equals psi_slit(list(Slit)[i], x, y, t, p) up to rounding. One
-    amplitude call covers all four images.
+    Returns the (4, 2, *shape) stack, shape being the broadcast shape of c's
+    fields: axis 1 is particle 1 at (c.x1, c.y1), then particle 2 at
+    (c.x2, c.y2); axis 0 is the slit, in the order upper, lower, mirror
+    upper, mirror lower. The upper packet moves in +x from y = +Y; the lower
+    one is its y-reflection, and the mirror slits of the facing double-slit
+    setup are the x-reflections of those two. One amplitude call covers all
+    eight images.
     """
-    x_h = np.asarray(x) / p.sigma0
-    eta = np.asarray(y) / p.sigma0
-    signs = _IMAGE_SIGNS.reshape((4, 2) + (1,) * np.broadcast(x_h, eta, t).ndim)
-    value = _upper_amplitude(signs[:, 0] * x_h, signs[:, 1] * eta, t / p.tau, p)
+    shape = (2, *np.broadcast(c.x1, c.y1, c.x2, c.y2, c.t).shape)
+    x, y = np.empty(shape), np.empty(shape)
+    x[0], x[1], y[0], y[1] = c.x1, c.x2, c.y1, c.y2
+    x_h = x / p.sigma0
+    eta = y / p.sigma0
+    signs = _IMAGE_SIGNS.reshape((4, 2) + (1,) * x.ndim)
+    value = _upper_amplitude(signs[:, 0] * x_h, signs[:, 1] * eta, c.t / p.tau, p)
     return value / math.sqrt(p.sigma0)
 
 
@@ -107,13 +85,8 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     coordinate arrays in c; a scalar c gives a complex scalar.
     """
     n = math.sqrt(normalization_N(stats, p))
-    direct = psi_slit(Slit.UPPER, c.x1, c.y1, c.t, p) * psi_slit(
-        Slit.LOWER, c.x2, c.y2, c.t, p
-    )
-    exchanged = psi_slit(Slit.UPPER, c.x2, c.y2, c.t, p) * psi_slit(
-        Slit.LOWER, c.x1, c.y1, c.t, p
-    )
-    return n * (direct + stats.sign * exchanged)
+    (u1, u2), (l1, l2) = pair_images(c, p)[:2]
+    return n * (u1 * l2 + stats.sign * (u2 * l1))
 
 
 def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
@@ -135,7 +108,13 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     e1 = np.asarray(y1) / p.sigma0
     e2 = np.asarray(y2) / p.sigma0
     n2 = normalization_N(stats, p)
-    return reduced_density_array(e1, e2, t / p.tau, stats.sign, p.beta, n2) / p.sigma0**2
+    T, beta = t / p.tau, p.beta
+    s2 = 1.0 + T * T
+    trig = (np.cos if stats.sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
+    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
+    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
+    total = 4.0 * a * b * trig**2 + (a - b) ** 2
+    return n2 / (2.0 * np.pi * s2) * total / p.sigma0**2
 
 
 @functools.lru_cache(maxsize=32)

@@ -16,18 +16,17 @@ from pairslit import (
     PairVelocity,
     PhysicalParams,
     SamplerConfig,
-    Slit,
     SlitRegion,
     SpinStatistics,
     corrected_velocity,
     density_distance,
     naive_four_slit_psi,
     naive_velocity,
-    psi_slit,
     run_ensemble,
     sample_joint_y,
     sigma_t,
 )
+from pairslit.wavefunction import pair_images
 
 from oracles import (
     com_closed_form,
@@ -247,9 +246,8 @@ def test_criterion_8_four_slit_reductions():
                 float(rng.uniform(-2 * p.Y, 2 * p.Y)),
                 float(rng.uniform(0.0, 1e-8)),
             )
-            scale = max(abs(psi_slit(s, c.x1, c.y1, c.t, p)) for s in Slit) * max(
-                abs(psi_slit(s, c.x2, c.y2, c.t, p)) for s in Slit
-            )
+            mags = np.abs(pair_images(c, p))
+            scale = mags[:, 0].max() * mags[:, 1].max()
             if abs(naive_four_slit_psi(stats, c, p)) < 0.1 * scale:
                 continue
             found += 1

@@ -17,12 +17,7 @@ from pairslit import (
     sample_initial,
 )
 from pairslit import integrator
-from pairslit._kernels import (
-    NODE_GUARD,
-    reduced_density_array,
-    reduced_velocity,
-    reduced_velocity_array,
-)
+from pairslit._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
 
@@ -98,15 +93,22 @@ def test_velocity_twin_matches_scalar_kernel(rng):
         assert on_node[:10].all() == (sign < 0)
 
 
-def test_density_twins_match_wavefunction(p_slow, stats, rng):
+def test_denominator_density_matches_wavefunction(p_slow, stats, rng):
+    # the batch loop tests the density floor on den / s2 exp(-(|d| - beta)^2 / s2),
+    # which n2 / (2 pi) exp(-c0^2) turns into the joint density
     e1 = rng.uniform(-12.0, 12.0, 200)
     e2 = rng.uniform(-12.0, 12.0, 200)
     n2 = normalization_N(stats, p_slow)
+    beta = p_slow.beta
     for t in (0.0, 3e-8, 1e-7):
         T = t / p_slow.tau
+        s2 = 1.0 + T * T
+        d, c0 = 0.5 * (e1 - e2), 0.5 * (e1 + e2) / np.sqrt(s2)
+        _, den = reduced_velocity_array(d, np.full(200, T), beta, stats.sign)
+        r = np.abs(d) - beta
+        got = n2 / (2.0 * np.pi) * np.exp(-c0 * c0) * (den / s2 * np.exp(-(r * r) / s2))
         ref = joint_density_y(e1 * p_slow.sigma0, e2 * p_slow.sigma0, t, stats, p_slow)
-        arr = reduced_density_array(e1, e2, np.full(200, T), stats.sign, p_slow.beta, n2)
-        np.testing.assert_allclose(arr / p_slow.sigma0**2, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got / p_slow.sigma0**2, ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1], ids=["dispatch", "batch_only"])
@@ -404,8 +406,8 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
 
 # The pairs of test_density_floor_aborts_match_scalar_path's batch that fall
 # below the floor in flight, each with its sample count, as a floor test on
-# reduced_density_array decides them. The step loops read the density off the
-# velocity kernel's denominator instead, and must decide the same.
+# wavefunction.joint_density_y decides them. The step loops read the density
+# off the velocity kernel's denominator instead, and must decide the same.
 FLOOR_ABORTS = {
     5: 6, 6: 8, 7: 11, 11: 10, 12: 8, 14: 11, 15: 8, 30: 11, 37: 9, 40: 2, 57: 8, 58: 10,
     68: 4, 69: 10, 70: 7, 75: 7, 77: 9, 79: 11, 86: 11, 88: 7, 94: 10, 95: 4, 97: 7, 98: 6,

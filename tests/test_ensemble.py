@@ -14,6 +14,7 @@ from pairslit import (
     sample_joint_y,
     sigma_t,
 )
+from pairslit.ensemble import _exact_bin_masses
 
 from oracles import scaled_independent_endpoints
 from pair_transport import endpoint, integrate_one
@@ -89,6 +90,22 @@ def test_negative_control_fails_loudly(p_slow, stats, rng):
     control = scaled_independent_endpoints(ys0, 1e-7, p_slow)
     dist, baseline = density_distance(control, stats, p_slow, 1e-7, rng=rng)
     assert dist > 5 * baseline
+
+
+@pytest.mark.parametrize("regime", ["slow", "fast"])
+def test_points_are_binned_on_the_integrated_grid(p_slow, p_fast, stats, regime):
+    # The cell masses are integrated on a grid of half-width 10 |sigma_t|
+    # rounded to 12 decimals, below the unrounded value in both regimes. A
+    # point at the unrounded half-width lies outside the cells whose masses
+    # are known, so it must count in the catch-all cell.
+    p, t = (p_slow, 1e-7) if regime == "slow" else (p_fast, 1e-8)
+    half = 10.0 * abs(sigma_t(t, p)) / p.sigma0
+    edges, masses, outside_mass = _exact_bin_masses(t, stats, p)
+    assert edges[0] == -edges[-1] == -round(half, 12) and edges[-1] < half
+    points = np.array([[half, 0.0], [-half, 0.0], [0.0, half], [0.0, -half]]) * p.sigma0
+    assert np.all(np.abs(points / p.sigma0).max(axis=1) > edges[-1])
+    want = 0.5 * (masses.sum() + abs(1.0 - outside_mass))
+    assert binned_tv_distance(points, t, stats, p) == want
 
 
 def test_tight_com_selection_forces_opposite_sides(p_slow):

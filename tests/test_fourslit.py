@@ -11,7 +11,6 @@ from pairslit import (
     PairConfiguration,
     PairVelocity,
     RegionViolationError,
-    Slit,
     SlitRegion,
     SpinStatistics,
     corrected_four_slit_psi,
@@ -19,11 +18,10 @@ from pairslit import (
     naive_four_slit_psi,
     naive_velocity,
     psi_pair,
-    psi_slit,
     region_of,
 )
 from pairslit.fourslit import _log_gradient_velocity, property_report
-from pairslit.wavefunction import initial_density_peak
+from pairslit.wavefunction import initial_density_peak, pair_images
 
 from fd_reference import reference_velocity
 from oracles import joint_density, velocity_closed_form
@@ -49,10 +47,8 @@ def draw_conf(p, rng, x_span, t_max):
 
 def interference_contrast(stats, c, p):
     # |Psi| relative to the largest single product term
-    scale = max(abs(psi_slit(s, c.x1, c.y1, c.t, p)) for s in Slit) * max(
-        abs(psi_slit(s, c.x2, c.y2, c.t, p)) for s in Slit
-    )
-    return abs(naive_four_slit_psi(stats, c, p)) / scale
+    mags = np.abs(pair_images(c, p))
+    return abs(naive_four_slit_psi(stats, c, p)) / (mags[:, 0].max() * mags[:, 1].max())
 
 
 def test_region_of(p_fast):

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from pairslit import (
     NodeProximityError,
     PairConfiguration,
+    PhysicalParams,
     SpinStatistics,
+    joint_density_y,
+    normalization_N,
     sigma_t,
 )
-from pairslit._kernels import (
-    NODE_GUARD,
-    reduced_density_array,
-    reduced_velocity,
-    reduced_velocity_array,
-)
+from pairslit._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from pairslit.wavefunction import initial_density_peak
 
 from oracles import com_closed_form, joint_density, velocity_closed_form, velocity_oracle
@@ -232,11 +230,14 @@ def test_half_angle_kernels_at_large_phases(beta, beta_d, T, c0, sign):
     assert abs(den_arr[0] - den) <= 16 * EPS * (den + 4.0 * e * (1.0 + abs(phase)))
     assert abs(v_arr[0] - v) <= 16 * EPS * scale
 
-    # the step loops' floor test reads the density off the denominator
-    n2 = 1.3
+    # the step loops' floor test reads the density off the denominator; with
+    # sigma0 = tau = 1 the joint density takes beta, eta and T unrounded
+    p = PhysicalParams(m=0.5, hbar=1.0, sigma0=1.0, Y=beta, kx=1.0, d=1.0, L=1.0)
+    stats = SpinStatistics.BOSON if sign > 0 else SpinStatistics.FERMION
+    n2 = normalization_N(stats, p)
     r = abs(d) - beta
     density = n2 / (2.0 * math.pi) * math.exp(-c0 * c0) * (den / s2 * math.exp(-(r * r) / s2))
-    want = float(reduced_density_array(e1, e2, T, sign, beta, n2))
+    want = float(joint_density_y(e1, e2, T, stats, p))
     assume(density > 1e-290 and want > 1e-290)
     exponents = c0 * c0 + (d * d + beta * beta) / s2
     cond = (1.0 + 4.0 * e / den) * (1.0 + exponents + abs(T * x))

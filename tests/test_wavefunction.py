@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from pairslit import (
     PairConfiguration,
-    Slit,
     SpinStatistics,
     joint_density_y,
     normalization_N,
     psi_pair,
-    psi_slit,
     sigma_t,
 )
 from pairslit import wavefunction
 from pairslit.quadrature import gauss_legendre
-from pairslit.wavefunction import initial_density_peak, slit_images
+from pairslit.wavefunction import initial_density_peak, pair_images
 
 from oracles import joint_density, same_side_probability
 
@@ -47,48 +45,69 @@ def test_sigma_t_at_zero(p_fast):
     assert sigma_t(0.0, p_fast) == p_fast.sigma0
 
 
+def upper_packet(x, y, t, p):
+    """Particle 1's packet behind the upper slit at (x, y)."""
+    return pair_images(PairConfiguration(x, y, 0.0, 0.0, t), p)[0, 0]
+
+
 def test_slit_amplitude_peak(p_fast):
     peak = (2 * math.pi * p_fast.sigma0**2) ** -0.25
-    assert abs(psi_slit(Slit.UPPER, 0.0, p_fast.Y, 0.0, p_fast)) == pytest.approx(peak, rel=1e-13)
+    assert abs(upper_packet(0.0, p_fast.Y, 0.0, p_fast)) == pytest.approx(peak, rel=1e-13)
 
 
 def test_slit_amplitude_one_sigma_falloff(p_fast):
     peak = (2 * math.pi * p_fast.sigma0**2) ** -0.25
-    got = abs(psi_slit(Slit.UPPER, 0.0, p_fast.Y + p_fast.sigma0, 0.0, p_fast))
+    got = abs(upper_packet(0.0, p_fast.Y + p_fast.sigma0, 0.0, p_fast))
     assert got == pytest.approx(peak * math.exp(-0.25), rel=1e-13)
 
 
 @pytest.mark.parametrize("t", [0.0, 3e-9, 1e-8, 1e-7])
 def test_slit_amplitude_unit_norm(p_fast, t):
-    # transverse norm is conserved; the longitudinal factor is a pure phase
+    # transverse norm is conserved; the longitudinal factor is a pure phase.
+    # Every packet of both particles, on an interval symmetric about y = 0.
     half = p_fast.Y + 12 * abs(sigma_t(t, p_fast))
     y, w = gauss_legendre(-half, half, 400)
-    dens = np.array([abs(psi_slit(Slit.UPPER, 1e-4, yi, t, p_fast)) ** 2 for yi in y])
-    assert w @ dens == pytest.approx(1.0, abs=1e-9)
+    images = pair_images(PairConfiguration(1e-4, y, -3e-5, y, t), p_fast)
+    np.testing.assert_allclose(np.abs(images) ** 2 @ w, 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_lower_slit_is_y_reflection(p_fast):
-    for y in (0.0, 1.3e-6, -4e-6):
-        assert psi_slit(Slit.LOWER, 2e-5, y, 4e-9, p_fast) == psi_slit(
-            Slit.UPPER, 2e-5, -y, 4e-9, p_fast
-        )
+    y = np.array([0.0, 1.3e-6, -4e-6])
+    images = pair_images(PairConfiguration(2e-5, y, -3e-5, 2 * y, 4e-9), p_fast)
+    reflected = pair_images(PairConfiguration(2e-5, -y, -3e-5, -2 * y, 4e-9), p_fast)
+    np.testing.assert_array_equal(images[[1, 3]], reflected[[0, 2]])
 
 
 def test_mirror_slits_are_x_reflections(p_fast):
-    for slit, mirror in ((Slit.UPPER, Slit.MIRROR_UPPER), (Slit.LOWER, Slit.MIRROR_LOWER)):
-        assert psi_slit(mirror, 3e-5, 2e-6, 4e-9, p_fast) == psi_slit(
-            slit, -3e-5, 2e-6, 4e-9, p_fast
-        )
+    x = np.array([3e-5, 0.0, -1e-4])
+    images = pair_images(PairConfiguration(x, 2e-6, 2 * x, -1e-6, 4e-9), p_fast)
+    reflected = pair_images(PairConfiguration(-x, 2e-6, -2 * x, -1e-6, 4e-9), p_fast)
+    np.testing.assert_array_equal(images[[2, 3]], reflected[[0, 1]])
 
 
-def test_slit_images_stack_the_four_slits(p_fast, rng):
-    x = rng.uniform(-3e-5, 3e-5, size=(2, 5))
-    y = rng.uniform(-1e-5, 1e-5, size=(2, 5))
+def test_pair_images_stack_both_particles(p_fast, rng):
+    # axis 1 is the particle: the images of particle 2 are those of
+    # particle 1 at particle 2's position; t broadcasts with the coordinates
+    x1, y1, x2, y2 = rng.uniform(-1e-5, 1e-5, size=(4, 5))
     t = rng.uniform(0.0, 1e-8, size=5)
-    images = slit_images(x, y, t, p_fast)
+    images = pair_images(PairConfiguration(x1, y1, x2, y2, t), p_fast)
     assert images.shape == (4, 2, 5)
-    for i, slit in enumerate(Slit):
-        np.testing.assert_allclose(images[i], psi_slit(slit, x, y, t, p_fast), rtol=1e-15)
+    swapped = pair_images(PairConfiguration(x2, y2, x1, y1, t), p_fast)
+    np.testing.assert_array_equal(images[:, 1], swapped[:, 0])
+    assert pair_images(PairConfiguration(0.0, 1e-6, 0.0, -1e-6, t), p_fast).shape == (4, 2, 5)
+
+
+def test_psi_pair_is_the_product_of_the_upper_and_lower_rows(p_fast, stats, rng):
+    # Psi = N (u1 l2 +- u2 l1), and exchange flips it by exactly the sign
+    x1, y1, x2, y2 = rng.uniform(-1e-5, 1e-5, size=(4, 6))
+    t = rng.uniform(0.0, 1e-8, size=6)
+    c = PairConfiguration(x1, y1, x2, y2, t)
+    (u1, u2), (l1, l2) = pair_images(c, p_fast)[:2]
+    n = math.sqrt(normalization_N(stats, p_fast))
+    psi = psi_pair(stats, c, p_fast)
+    np.testing.assert_array_equal(psi, n * (u1 * l2 + stats.sign * (u2 * l1)))
+    swapped = psi_pair(stats, PairConfiguration(x2, y2, x1, y1, t), p_fast)
+    np.testing.assert_array_equal(swapped, stats.sign * psi)
 
 
 def test_normalization_at_unit_offset(p_fast):
