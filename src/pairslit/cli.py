@@ -1,10 +1,11 @@
 """Command-line front end: named scenarios, config files, CSV/JSON export.
 
-Each subcommand runs one scenario and writes per-trajectory CSV files plus a
-summary.json into the output directory. Physics for the named scenarios is
-pinned in code; a JSON config file (documented in the README, versioned via
-config_version) can adjust batch settings everywhere and the physics for the
-custom scenario. Command-line flags win over file values.
+Each subcommand runs one scenario of the _SCENARIOS table and writes
+per-trajectory CSV files plus a summary.json into the output directory.
+Physics for the named scenarios is pinned in code; a JSON config file
+(documented in the README, versioned via config_version) can adjust batch
+settings everywhere, except the sampler of the fixed-release scenarios, and
+the physics for the custom scenario. Command-line flags win over file values.
 
 Exit codes: 0 success; 1 configuration problem, or an error that ends the
 run (such as an array too large to allocate); 2 runtime failure (abort
@@ -14,10 +15,12 @@ fraction above threshold, or a failed four-slit property check).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,28 +34,51 @@ from .integrator import IntegratorConfig
 from .params import PhysicalParams, SpinStatistics
 from .sampling import SamplerConfig
 
-SCENARIOS = ("fig3a", "fig3b", "fig4a", "fig4b", "four-slit-check", "equivariance", "custom")
-
-_SCENARIO_HELP = {
-    "fig3a": "fan of sampled pair trajectories, fast flight (packets barely spread)",
-    "fig3b": "fan of sampled pair trajectories, slow flight (packets strongly spread)",
-    "fig4a": "three mirror-symmetric pairs whose tracks stay symmetric",
-    "fig4b": "three pairs released off-axis; one lower track crosses the axis",
-    "four-slit-check": "pass/fail property report for the facing double-slit setup",
-    "equivariance": "transported ensemble scored against the exact density",
-    "custom": "physics and batch settings taken from a config file",
-}
-
 _SPEED_FAST = 2.0e7
 _SPEED_SLOW = 2.0e6
 _ABORT_THRESHOLD = 1e-3
-_N_TIMES_TRAJECTORIES = 101
 _CONFIG_VERSION = 3
 
-_TOP_KEYS = ("config_version", "scenario", "stats", "output_dir", "params", "sampler", "integrator")
-_PARAM_KEYS = ("m", "hbar", "sigma0", "Y", "kx", "d", "L")
-_SAMPLER_KEYS = ("method", "n_pairs", "seed")
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "density_floor")
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One row of the scenario table."""
+
+    help: str
+    speed: float  # longitudinal speed (m/s)
+    sampler: SamplerConfig  # the default batch
+    n_times: int = 101  # sample times per trajectory
+    # fixed (y1, y2) releases from the physics, which take the sampler's place
+    releases: Callable[[PhysicalParams], np.ndarray] | None = None
+
+
+_FAN = SamplerConfig(method="independent_gaussian", n_pairs=25)
+_THREE = SamplerConfig(method="all_symmetric", n_pairs=3)
+_SCENARIOS = {
+    "fig3a": _Scenario("fan of sampled pair trajectories, fast flight (packets barely spread)",
+                       _SPEED_FAST, _FAN),
+    "fig3b": _Scenario("fan of sampled pair trajectories, slow flight (packets strongly spread)",
+                       _SPEED_SLOW, _FAN),
+    "fig4a": _Scenario(
+        "three mirror-symmetric pairs whose tracks stay symmetric", _SPEED_SLOW, _THREE,
+        releases=lambda p: np.array(
+            [(y, -y) for y in (p.Y - 1.5 * p.sigma0, p.Y, p.Y + 1.5 * p.sigma0)])),
+    "fig4b": _Scenario(
+        "three pairs released off-axis; one lower track crosses the axis", _SPEED_SLOW, _THREE,
+        releases=lambda p: np.array(
+            [(p.Y, y2) for y2 in (-p.Y + 1.5 * p.sigma0, -p.Y, -p.Y - 1.5 * p.sigma0)])),
+    "four-slit-check": _Scenario("pass/fail property report for the facing double-slit setup",
+                                 _SPEED_SLOW, SamplerConfig()),
+    "equivariance": _Scenario("transported ensemble scored against the exact density",
+                              _SPEED_SLOW, SamplerConfig(n_pairs=1000), n_times=2),
+    "custom": _Scenario("physics and batch settings taken from a config file",
+                        _SPEED_FAST, SamplerConfig()),
+}
+SCENARIOS = tuple(_SCENARIOS)
+
+# The config file's sections; each one's keys are its dataclass's fields.
+_SECTIONS = {"params": PhysicalParams, "sampler": SamplerConfig, "integrator": IntegratorConfig}
+_TOP_KEYS = ("config_version", "scenario", "stats", "output_dir", *_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -71,21 +97,11 @@ def default_config(scenario: str, output_dir: str | None = None) -> ScenarioConf
     """Pinned defaults for a named scenario (electron baseline geometry)."""
     if scenario not in SCENARIOS:
         raise ConfigError([f"scenario: unknown name {scenario!r}"])
-    slow = ("fig3b", "fig4a", "fig4b", "equivariance", "four-slit-check")
-    speed = _SPEED_SLOW if scenario in slow else _SPEED_FAST
-    params = PhysicalParams.baseline(x_speed=speed)
-    if scenario in ("fig3a", "fig3b"):
-        sampler = SamplerConfig(method="independent_gaussian", n_pairs=25, seed=0)
-    elif scenario in ("fig4a", "fig4b"):
-        sampler = SamplerConfig(method="all_symmetric", n_pairs=3, seed=0)
-    elif scenario == "equivariance":
-        sampler = SamplerConfig(method="exact_rejection", n_pairs=1000, seed=0)
-    else:
-        sampler = SamplerConfig()
+    spec = _SCENARIOS[scenario]
     return ScenarioConfig(
         scenario=scenario,
-        params=params,
-        sampler=sampler,
+        params=PhysicalParams.baseline(x_speed=spec.speed),
+        sampler=spec.sampler,
         integrator=IntegratorConfig(),
         stats=SpinStatistics.BOSON,
         output_dir=output_dir or "runs_" + scenario.replace("-", "_"),
@@ -99,42 +115,51 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         "scenario": cfg.scenario,
         "stats": cfg.stats.value,
         "output_dir": cfg.output_dir,
-        "params": {k: getattr(cfg.params, k) for k in _PARAM_KEYS},
-        "sampler": {k: getattr(cfg.sampler, k) for k in _SAMPLER_KEYS},
-        "integrator": {k: getattr(cfg.integrator, k) for k in _INTEGRATOR_KEYS},
+        **{name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS},
     }
 
 
-def _build_section(raw, section, keys, problems) -> dict:
+def _typed_section(raw, name: str, section: type, problems: list[str]) -> dict:
+    """The values of raw's known keys that have their field's type; any other value is a problem.
+
+    A field's type is that of its default: int fields take integers only,
+    float fields finite numbers, and str fields are left to the dataclass.
+    """
     if not isinstance(raw, dict):
-        problems.append(f"{section.rstrip('.')}: expected an object")
+        problems.append(f"{name}: expected an object")
         return {}
-    for key in sorted(set(raw) - set(keys)):
-        problems.append(f"{section}{key}: unknown key")
-    return {k: raw[k] for k in keys if k in raw}
-
-
-def _number_section(raw, section, keys, problems) -> dict:
-    """The finite numbers among a section's known keys; any other value is a problem."""
-    numbers = {}
-    for key, value in _build_section(raw, section, keys, problems).items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{section}{key}: expected a number, got {value!r}")
-        # JSON reads 1e400 as inf and accepts Infinity and NaN; an int compares exactly
-        elif not abs(value) < math.inf:
-            problems.append(f"{section}{key}: expected a finite number, got {value!r}")
+    kinds = {field.name: type(field.default) for field in dataclasses.fields(section)}
+    for key in sorted(set(raw) - set(kinds)):
+        problems.append(f"{name}.{key}: unknown key")
+    values = {}
+    for key, kind in kinds.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        if kind is str:
+            values[key] = value
+        elif isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            expected = "an integer" if kind is int else "a number"
+            problems.append(f"{name}.{key}: expected {expected}, got {value!r}")
+        # JSON reads 1e400 as inf and accepts Infinity and NaN; an int compares
+        # exactly, and one beyond the float range would overflow on conversion
+        elif not abs(value) <= sys.float_info.max:
+            problems.append(f"{name}.{key}: expected a finite number, got {value!r}")
         else:
-            numbers[key] = value
-    return numbers
+            values[key] = value
+    return values
 
 
 def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfig:
     """Load and fully validate a JSON scenario config.
 
     Unknown keys anywhere are rejected. Named scenarios may not override the
-    params section (the scenario pins the physics); batch settings (sampler,
-    integrator, stats, output_dir) may be adjusted for any scenario. Raises
-    ConfigError carrying one diagnostic per offending field.
+    params section (the scenario pins the physics), and fig4a/fig4b, whose
+    pairs start from fixed releases, may not override the sampler's method or
+    n_pairs; a pinned key validates only as an exact echo. The other batch
+    settings (sampler seed, integrator, stats, output_dir) may be adjusted
+    for any scenario. Raises ConfigError carrying one diagnostic per
+    offending field.
     """
     problems: list[str] = []
     try:
@@ -164,42 +189,27 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
         )
 
     cfg = default_config(scenario)
-
-    if "params" in raw:
-        numbers = _number_section(raw["params"], "params.", _PARAM_KEYS, problems)
-        if scenario != "custom":
-            # named scenarios pin the physics; tolerate an exact echo so a
-            # serialized config validates, reject any actual override
-            for key, value in numbers.items():
-                pinned = getattr(cfg.params, key)
-                if value != pinned:
-                    problems.append(
-                        f"params.{key}: the {scenario!r} scenario pins this to {pinned!r}; "
-                        "only 'custom' accepts overrides"
-                    )
+    for name, section in _SECTIONS.items():
+        if name not in raw:
+            continue
+        values = _typed_section(raw[name], name, section, problems)
+        current = getattr(cfg, name)
+        if name == "params" and scenario != "custom":
+            pinned, why = tuple(values), "only 'custom' accepts overrides"
+        elif name == "sampler" and _SCENARIOS[scenario].releases is not None:
+            pinned, why = ("method", "n_pairs"), "its pairs start from fixed releases"
         else:
-            try:
-                cfg = replace(cfg, params=replace(cfg.params, **numbers))
-            except ValueError as exc:
-                problems.append(f"params.{exc}")
-
-    if "sampler" in raw:
-        fields = _build_section(raw["sampler"], "sampler.", _SAMPLER_KEYS, problems)
-        for key in ("n_pairs", "seed"):
-            if key in fields and (isinstance(fields[key], bool) or not isinstance(fields[key], int)):
-                problems.append(f"sampler.{key}: expected an integer, got {fields[key]!r}")
-                fields.pop(key)
+            pinned = ()
+        # tolerate an exact echo of a pinned value, so that a serialized
+        # config validates; reject any actual override
+        for key in [k for k in values if k in pinned]:
+            if values.pop(key) != getattr(current, key):
+                problems.append(f"{name}.{key}: the {scenario!r} scenario pins this to "
+                                f"{getattr(current, key)!r}; {why}")
         try:
-            cfg = replace(cfg, sampler=replace(cfg.sampler, **fields))
+            cfg = replace(cfg, **{name: replace(current, **values)})
         except ValueError as exc:
-            problems.append(f"sampler.{exc}")
-
-    if "integrator" in raw:
-        numbers = _number_section(raw["integrator"], "integrator.", _INTEGRATOR_KEYS, problems)
-        try:
-            cfg = replace(cfg, integrator=replace(cfg.integrator, **numbers))
-        except ValueError as exc:
-            problems.append(f"integrator.{exc}")
+            problems.append(f"{name}.{exc}")
 
     if "stats" in raw:
         try:
@@ -215,18 +225,6 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def _pinned_initials(cfg: ScenarioConfig) -> np.ndarray | None:
-    """Fixed initial (y1, y2) for the three-pair scenarios, else None."""
-    Y, s0 = cfg.params.Y, cfg.params.sigma0
-    if cfg.scenario == "fig4a":
-        uppers = (Y - 1.5 * s0, Y, Y + 1.5 * s0)
-        return np.array([(y, -y) for y in uppers])
-    if cfg.scenario == "fig4b":
-        lowers = (-Y + 1.5 * s0, -Y, -Y - 1.5 * s0)
-        return np.array([(Y, y2) for y2 in lowers])
-    return None
 
 
 _CSV_HEADER = b"t,x1,y1,x2,y2,vy1,vy2\r\n"
@@ -401,21 +399,17 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     if cfg.scenario == "four-slit-check":
         return _run_four_slit_check(cfg, out)
 
+    spec = _SCENARIOS[cfg.scenario]
     t_end = cfg.params.flight_time
-    if cfg.scenario == "equivariance":
-        sample_times = np.array([0.0, t_end])
-    else:
-        sample_times = np.linspace(0.0, t_end, _N_TIMES_TRAJECTORIES)
-        sample_times[-1] = t_end
-    # Pinned initials skip the sampler; everything after sampling is shared.
-    initials = _pinned_initials(cfg)
-    if initials is None:
+    sample_times = np.linspace(0.0, t_end, spec.n_times)
+    # Pinned releases skip the sampler; everything after sampling is shared.
+    if spec.releases is None:
         result = run_ensemble(cfg.sampler, cfg.integrator, cfg.stats, cfg.params, t_end,
                               sample_times=sample_times)
     else:
         # three pairs, too few to score, so the baseline draw never runs
-        result = transport_ensemble(initials, cfg.integrator, cfg.stats, cfg.params, t_end,
-                                    sample_times=sample_times,
+        result = transport_ensemble(spec.releases(cfg.params), cfg.integrator, cfg.stats,
+                                    cfg.params, t_end, sample_times=sample_times,
                                     rng=np.random.default_rng(cfg.sampler.seed))
 
     out.mkdir(parents=True, exist_ok=True)
@@ -473,7 +467,7 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     if args.seed is not None:
         cfg = replace(cfg, sampler=_flagged("--seed", cfg.sampler, seed=args.seed))
     if args.n_pairs is not None:
-        if cfg.scenario in ("fig4a", "fig4b"):
+        if _SCENARIOS[cfg.scenario].releases is not None:
             print(f"{cfg.scenario} uses fixed initial conditions; --n-pairs ignored",
                   file=sys.stderr)
         else:
@@ -500,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        sp = sub.add_parser(name, help=_SCENARIO_HELP[name])
+    for name, spec in _SCENARIOS.items():
+        sp = sub.add_parser(name, help=spec.help)
         sp.add_argument("--config", help="JSON config file (flags win over file values)")
         sp.add_argument("--seed", type=int, help="sampler seed")
         sp.add_argument("--n-pairs", type=int, dest="n_pairs", help="batch size")

@@ -382,36 +382,29 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
         landing = h >= remaining
         h_step = remaining if landing else h
         T_new = T + h_step
-        k2, den = vel(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
-        if den < NODE_GUARD:
-            break
-        k3, den = vel(d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign)
-        if den < NODE_GUARD:
-            break
-        k4, den = vel(
+        k2, den2 = vel(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
+        k3, den3 = vel(d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign)
+        k4, den4 = vel(
             d + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3), T + _C4 * h_step, beta, sign
         )
-        if den < NODE_GUARD:
-            break
-        k5, den = vel(
+        k5, den5 = vel(
             d + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
             T + _C5 * h_step,
             beta,
             sign,
         )
-        if den < NODE_GUARD:
-            break
-        k6, den = vel(
+        k6, den6 = vel(
             d + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
             T_new,
             beta,
             sign,
         )
-        if den < NODE_GUARD:
-            break
         new = d + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         k7, den = vel(new, T_new, beta, sign)
-        if den < NODE_GUARD:
+        # One test for all six stages, as in _advance_batch. The stages after
+        # a node run on its NaN velocity, and their NaN denominators never
+        # win min over the node's finite one.
+        if min(den2, den3, den4, den5, den6, den) < NODE_GUARD:
             break
         err = abs(
             h_step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)

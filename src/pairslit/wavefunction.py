@@ -62,12 +62,17 @@ def pair_images(c: PairConfiguration, p: PhysicalParams):
     setup are the x-reflections of those two. One amplitude call covers all
     eight images.
     """
+    return _images(c, p, _IMAGE_SIGNS)
+
+
+def _images(c: PairConfiguration, p: PhysicalParams, signs: np.ndarray):
+    """The rows of the pair_images stack whose (x, y) signs are the rows of signs."""
     shape = (2, *np.broadcast(c.x1, c.y1, c.x2, c.y2, c.t).shape)
     x, y = np.empty(shape), np.empty(shape)
     x[0], x[1], y[0], y[1] = c.x1, c.x2, c.y1, c.y2
     x_h = x / p.sigma0
     eta = y / p.sigma0
-    signs = _IMAGE_SIGNS.reshape((4, 2) + (1,) * x.ndim)
+    signs = signs.reshape((len(signs), 2) + (1,) * x.ndim)
     value = _upper_amplitude(signs[:, 0] * x_h, signs[:, 1] * eta, c.t / p.tau, p)
     return value / math.sqrt(p.sigma0)
 
@@ -85,7 +90,7 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     coordinate arrays in c; a scalar c gives a complex scalar.
     """
     n = math.sqrt(normalization_N(stats, p))
-    (u1, u2), (l1, l2) = pair_images(c, p)[:2]
+    (u1, u2), (l1, l2) = _images(c, p, _IMAGE_SIGNS[:2])
     return n * (u1 * l2 + stats.sign * (u2 * l1))
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -73,6 +75,17 @@ def test_serialize_round_trip(tmp_path):
         assert validate_config(path, expected_scenario=scenario) == cfg
 
 
+def test_readme_schema_is_the_custom_default():
+    # the section keys come from the dataclass fields, so a new field would
+    # widen the config schema; the README documents it in field order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    schema = serialize_config(default_config("custom"))
+    assert block == schema
+    for section in ("params", "sampler", "integrator"):
+        assert list(block[section]) == list(schema[section])
+
+
 def test_validate_collects_all_problems(tmp_path):
     payload = {
         "scenario": "custom",
@@ -108,6 +121,26 @@ def test_named_scenario_pins_physics(tmp_path):
     pinned = serialize_config(default_config("fig3a"))["params"]
     path = write_json(tmp_path / "echo.json", {"scenario": "fig3a", "params": pinned})
     assert validate_config(path, expected_scenario="fig3a") == default_config("fig3a")
+
+
+@pytest.mark.parametrize("scenario", ["fig4a", "fig4b"])
+def test_fixed_release_scenarios_pin_their_sampler(tmp_path, scenario):
+    # these runs start three pairs from fixed releases, so a sampler method or
+    # pair count in the file would be recorded in summary.json but not used
+    payload = {"scenario": scenario, "sampler": {"n_pairs": 7, "method": "exact_rejection"}}
+    path = write_json(tmp_path / "pin.json", payload)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(path, expected_scenario=scenario)
+    assert [problem.split(":")[0] for problem in exc.value.problems] == [
+        "sampler.method", "sampler.n_pairs"]
+    assert all("pins this" in problem for problem in exc.value.problems)
+    assert run_main(tmp_path, scenario, "--config", path) == 1
+    assert not (tmp_path / "out").exists()
+    # an exact echo validates, and the seed stays settable
+    pinned = {**serialize_config(default_config(scenario))["sampler"], "seed": 5}
+    path = write_json(tmp_path / "echo.json", {"scenario": scenario, "sampler": pinned})
+    cfg = validate_config(path, expected_scenario=scenario)
+    assert cfg.sampler == replace(default_config(scenario).sampler, seed=5)
 
 
 def test_scenario_subcommand_mismatch(tmp_path):
@@ -259,6 +292,17 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("params", "sigma0"), ("integrator", "rel_tol")])
+def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys, section, key):
+    # JSON reads it as an exact int, which overflowed where the run made it a float
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"{section}": {{"{key}": 1{"0" * 400}}}}}')
+    assert run_main(tmp_path, "custom", "--config", str(path), "--n-pairs", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key}: expected a finite number, got 1000")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_successive_main_calls_see_only_their_own_arguments(tmp_path, monkeypatch):
     # the parser is built once per process and reused by every main call
     assert _build_parser() is _build_parser()
@@ -276,6 +320,25 @@ def test_successive_main_calls_see_only_their_own_arguments(tmp_path, monkeypatc
                              sampler=replace(default_config("fig3a").sampler, n_pairs=4))
 
 
+@pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "custom"])
+def test_replayed_config_reproduces_the_run(tmp_path, capsys, scenario):
+    # summary.json records the resolved config; running it again as --config
+    # must write the same files
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([scenario, "--seed", "7", "--stats", "fermion", "--out", str(first)]) in (0, 2)
+    summary = json.loads((first / "summary.json").read_text())
+    config = write_json(tmp_path / "replay.json", summary["config"])
+    assert main([scenario, "--config", config, "--out", str(second)]) in (0, 2)
+    csvs = sorted(path.name for path in first.glob("*.csv"))
+    assert csvs == sorted(path.name for path in second.glob("*.csv"))
+    for name in csvs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    replayed = json.loads((second / "summary.json").read_text())
+    assert replayed["config"].pop("output_dir") == str(second)
+    summary["config"].pop("output_dir")
+    assert replayed == summary
+
+
 def test_main_bad_usage_exit_code(capsys):
     assert main(["fig9"]) == 1
     assert main([]) == 1
@@ -284,6 +347,15 @@ def test_main_bad_usage_exit_code(capsys):
 def test_main_version_flag(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m runs src/pairslit/__main__.py, which nothing imports
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "pairslit", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"pairslit {__version__}\n", "")
 
 
 def test_main_abort_threshold_exit_code(tmp_path, capsys):
