@@ -67,15 +67,21 @@ def reduced_velocity(d: float, T: float, beta: float, sign: int) -> tuple[float,
     return d * (T / s2) - w * num / den, den
 
 
-def reduced_velocity_array(d, T, beta: float, sign: int):
+def reduced_velocity_array(d, T, beta: float, sign: int, w=None, g=None):
     """Array twin of reduced_velocity over arrays d and T; returns (v, den).
+
+    w and g are the stage-time factors beta / (1 + T^2) and T / (1 + T^2).
+    A caller that evaluates several stages at once may pass them in,
+    computed as here from the same T, to save the kernel those numpy calls;
+    the result is the same to the bit. Without them the kernel forms both.
 
     Where den falls below NODE_GUARD the velocity is meaningless (not NaN as
     from the scalar kernel); callers silence numpy's floating-point warnings,
     which only such pairs can trigger.
     """
-    s2 = 1.0 + T * T
-    w = beta / s2
+    if w is None:
+        s2 = 1.0 + T * T
+        w, g = beta / s2, T / s2
     x = d * w
     e = np.exp(-2.0 * np.abs(x))
     t = np.tan(T * x)
@@ -89,5 +95,5 @@ def reduced_velocity_array(d, T, beta: float, sign: int):
     else:
         den = m * m + q * tt
         num = tail - q * t
-    return d * (T / s2) - w * num / den, den
+    return d * g - w * num / den, den
 

@@ -125,9 +125,10 @@ _MAX_STEPS = 100_000
 # acceleration off the velocity kernel.
 _T_PROBE = 1e-7
 
-# Live pairs below which the scalar loop beats the batch loop: a numpy call
-# costs tens of microseconds against about 1.4 us per scalar kernel call.
-# Measured crossover in CHANGES.md.
+# Live pairs below which the scalar loop beats the batch loop. A batch
+# iteration makes about 200 numpy calls of 0.5-1.7 us each, so it costs over
+# 100 us however few lanes it has, against about 9 us per scalar step (six
+# kernel calls on plain floats). Measured crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -472,42 +473,54 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             h_step = np.where(landing, remaining, h)
             T_st = T + _C_COL * h_step
             T_new = T_st[4]
+            # the kernel's stage-time factors, formed once for all stages
+            S2 = 1.0 + T_st * T_st
+            W, G = beta / S2, T_st / S2
             K = np.empty((7, idx.size))
             K[0] = K1
             den = np.empty((6, idx.size))
             for s, a_col in enumerate(_A_COLS, start=1):
                 z = D + h_step * np.add.reduce(a_col * K[:s], axis=0)
-                K[s], den[s - 1] = vel(z, T_st[s - 1], beta, sign)
+                K[s], den[s - 1] = vel(z, T_st[s - 1], beta, sign, W[s - 1], G[s - 1])
             D_new = D + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
-            K[6], den[5] = vel(D_new, T_new, beta, sign)
-            on_node = (den < NODE_GUARD).any(axis=0)
+            K[6], den[5] = vel(D_new, T_new, beta, sign, W[4], G[4])
+            # fmin, like any over the comparison, passes over NaN denominators
+            on_node = np.fmin.reduce(den, axis=0) < NODE_GUARD
+            abs_new = np.abs(D_new)
             err = np.abs(h_step * np.add.reduce(_E_COL * K, axis=0)) / (
-                atol + rtol * np.maximum(np.abs(D), np.abs(D_new))
+                atol + rtol * np.maximum(np.abs(D), abs_new)
             )
 
             small = err <= 1.0
             accepted = small & ~on_node
             rejected = ~(small | on_node)
             # the density at the new states, over each pair's constant factor
-            s2 = 1.0 + T_new * T_new
-            r = np.abs(D_new) - beta
+            s2 = S2[4]
+            r = abs_new - beta
             below = accepted & (den[5] / s2 * np.exp(-(r * r) / s2) < THR)
             accepted &= ~below
 
-            # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
-            h_next = h_step * np.fmax(_MIN_FACTOR, _SAFETY * err**-0.2)
-            underflow = (rejected & (h_next < h_min)) | (tried == _MAX_STEPS)
+            # An error of 0 gives 0**-alpha = inf, and the clamp _MAX_FACTOR,
+            # since err_prev >= 1e-10 (the scalar loop, on Python floats,
+            # must branch instead).
             factor = np.minimum(
                 _MAX_FACTOR,
                 np.maximum(_MIN_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA),
             )
-            grown = h_step * np.where(err == 0.0, _MAX_FACTOR, factor)
-            h = np.where(accepted, grown, np.where(rejected, h_next, h))
+            h = h_step * factor
+            # A pair that neither accepts nor rejects aborts, and leaves the
+            # batch with its step size unread.
+            underflow = None
+            if np.count_nonzero(rejected):
+                # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
+                h_next = h_step * np.fmax(_MIN_FACTOR, _SAFETY * err**-0.2)
+                underflow = rejected & (h_next < h_min)
+                h = np.where(accepted, h, h_next)
             err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
             if end > 1:
                 hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
                 covers = accepted & (hi > j)
-                if covers.any():
+                if np.count_nonzero(covers):
                     steps.append(np.column_stack((idx, j, hi, T, h_step, D, K[0], K[2:].T))[covers])
                     j = np.where(covers, hi, j)
             T = np.where(accepted, np.where(landing, t_end, T_new), T)
@@ -515,8 +528,12 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             K1 = np.where(accepted, K[6], K1)
             landed = accepted & landing
             aborted = on_node | below
-            done = aborted | underflow | landed
-            if not done.any():
+            done = aborted | landed
+            if underflow is not None:
+                done |= underflow
+            if tried == _MAX_STEPS:
+                done[:] = True
+            elif not np.count_nonzero(done):
                 continue
             status[idx[landed]] = TrajectoryStatus.COMPLETED
             status[idx[aborted]] = TrajectoryStatus.NODE_PROXIMITY_ABORT

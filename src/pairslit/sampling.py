@@ -48,14 +48,6 @@ class SamplerConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _envelope_draw(n: int, beta: float, s: float, rng: np.random.Generator) -> np.ndarray:
-    """Equal mixture of the two packet-product Gaussians, width s (packet units)."""
-    swap = rng.random(n) < 0.5
-    mu1 = np.where(swap, -beta, beta)
-    centers = np.stack([mu1, -mu1], axis=1)
-    return centers + s * rng.normal(size=(n, 2))
-
-
 def sample_joint_y(
     n: int,
     t: float,
@@ -65,11 +57,20 @@ def sample_joint_y(
 ) -> np.ndarray:
     """Draw n transverse pairs (m) from the exact joint density at time t.
 
-    Rejection from the interference-free packet mixture. The acceptance
-    ratio reduces to (1 + q + sign * 2 sqrt(q) cos(phi)) / (c (1 + q)) with
+    Rejection from the interference-free packet mixture: an equal mixture of
+    the two packet-product Gaussians of width sqrt(1 + T^2) in packet units.
+    The acceptance ratio reduces to
+    (1 + q + sign * 2 sqrt(q) cos(phi)) / (c (1 + q)) with
     q = min(F, G)/max(F, G), which is computed in log space and never
     overflows. The envelope constant is c = 2 except for the fermion state
     at t = 0, where the interference term is nonpositive and c = 1 works.
+
+    Proposals come in batches of _BATCH, each drawn whole (swap uniforms,
+    normals, then keep uniforms), so the stream consumed and the generator's
+    end state depend only on the number of batches. A batch scores a prefix
+    of about twice the pairs still needed first, and the rest only if that
+    prefix falls short or the stall test below reads the whole batch's
+    acceptance count; the draws are those of scoring every proposal.
 
     Raises RejectionStallError if the running acceptance rate falls below
     1e-3 (the envelope no longer covers the density efficiently).
@@ -86,22 +87,31 @@ def sample_joint_y(
     proposed = 0
     accepted = 0
     while filled < n:
-        eta = _envelope_draw(_BATCH, beta, s, rng)
-        diff = eta[:, 0] - eta[:, 1]
-        log_q = -abs(2.0 * beta / s2) * np.abs(diff)
-        q = np.exp(log_q)
-        cos_phi = np.cos(T * beta * diff / s2)
-        ratio = (1.0 + q + sign * 2.0 * np.exp(0.5 * log_q) * cos_phi) / (
-            c_env * (1.0 + q)
-        )
-        keep = rng.random(_BATCH) < ratio
-        kept = eta[keep]
-        take = min(n - filled, kept.shape[0])
-        out[filled : filled + take] = kept[:take]
-        filled += take
+        swap = rng.random(_BATCH) < 0.5
+        noise = rng.normal(size=(_BATCH, 2))
+        u = rng.random(_BATCH)
         proposed += _BATCH
-        accepted += int(keep.sum())
-        if proposed >= _STALL_MIN_PROPOSALS and accepted < _STALL_RATE * proposed:
+        stall_test = proposed >= _STALL_MIN_PROPOSALS
+        cut = _BATCH if stall_test else min(_BATCH, 2 * (n - filled) + 64)
+        for lo, hi in ((0, cut), (cut, _BATCH)):
+            if lo == hi or filled == n:
+                break
+            mu1 = np.where(swap[lo:hi], -beta, beta)
+            eta = np.stack([mu1, -mu1], axis=1) + s * noise[lo:hi]
+            diff = eta[:, 0] - eta[:, 1]
+            log_q = -abs(2.0 * beta / s2) * np.abs(diff)
+            q = np.exp(log_q)
+            cos_phi = np.cos(T * beta * diff / s2)
+            ratio = (1.0 + q + sign * 2.0 * np.exp(0.5 * log_q) * cos_phi) / (
+                c_env * (1.0 + q)
+            )
+            keep = u[lo:hi] < ratio
+            kept = eta[keep]
+            take = min(n - filled, kept.shape[0])
+            out[filled : filled + take] = kept[:take]
+            filled += take
+            accepted += kept.shape[0]
+        if stall_test and accepted < _STALL_RATE * proposed:
             raise RejectionStallError(
                 f"acceptance rate {accepted / proposed:.2e} below {_STALL_RATE:.0e}"
             )

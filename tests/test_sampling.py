@@ -121,3 +121,59 @@ def test_rejection_stall_raises(p_fast):
     with pytest.raises(RejectionStallError):
         sample_joint_y(100, 0.0, SpinStatistics.FERMION, p, np.random.default_rng(0))
 
+
+def whole_batch_reference(n, t, stats, p, rng):
+    """sample_joint_y as it was before prefix scoring: every proposal scored."""
+    T = t / p.tau
+    s2 = 1.0 + T * T
+    s = math.sqrt(s2)
+    beta, sign = p.beta, stats.sign
+    c_env = 1.0 if (sign < 0 and T == 0.0) else 2.0
+    out = np.empty((n, 2))
+    filled = proposed = accepted = 0
+    while filled < n:
+        mu1 = np.where(rng.random(4096) < 0.5, -beta, beta)
+        eta = np.stack([mu1, -mu1], axis=1) + s * rng.normal(size=(4096, 2))
+        diff = eta[:, 0] - eta[:, 1]
+        log_q = -abs(2.0 * beta / s2) * np.abs(diff)
+        q = np.exp(log_q)
+        cos_phi = np.cos(T * beta * diff / s2)
+        ratio = (1.0 + q + sign * 2.0 * np.exp(0.5 * log_q) * cos_phi) / (c_env * (1.0 + q))
+        keep = rng.random(4096) < ratio
+        kept = eta[keep]
+        take = min(n - filled, kept.shape[0])
+        out[filled : filled + take] = kept[:take]
+        filled += take
+        proposed += 4096
+        accepted += int(keep.sum())
+        if proposed >= 8192 and accepted < 1e-3 * proposed:
+            raise RejectionStallError(f"acceptance rate {accepted / proposed:.2e} below 1e-03")
+    return out * p.sigma0
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-7])
+@pytest.mark.parametrize("n", [1, 250, 1500, 5000])
+def test_prefix_scoring_keeps_the_whole_batch_stream(p_slow, stats, n, t):
+    # scoring only the proposals a batch needs changes no draw and leaves the
+    # generator where scoring them all leaves it. At seed 1500 the boson
+    # prefix falls short and the batch's rest is scored; 5000 pairs take
+    # several batches, and from the second on the stall test reads them whole
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = sample_joint_y(n, t, stats, p_slow, got_rng)
+    want = whole_batch_reference(n, t, stats, p_slow, want_rng)
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("y_slit, n, seed", [(1e-4, 100, 0), (2e-2, 1, 33)])
+def test_prefix_scoring_stalls_where_whole_batches_do(p_fast, y_slit, n, seed):
+    # In the second case the batch that stalls fills the request from its
+    # first proposals, and only its whole acceptance count gives the rate
+    # that whole batches report.
+    p = dataclasses.replace(p_fast, Y=y_slit * p_fast.sigma0)
+    stats = SpinStatistics.FERMION
+    with pytest.raises(RejectionStallError) as want:
+        whole_batch_reference(n, 0.0, stats, p, np.random.default_rng(seed))
+    with pytest.raises(RejectionStallError) as got:
+        sample_joint_y(n, 0.0, stats, p, np.random.default_rng(seed))
+    assert str(got.value) == str(want.value)

@@ -229,6 +229,14 @@ def test_half_angle_kernels_at_large_phases(beta, beta_d, T, c0, sign):
     v_arr, den_arr = reduced_velocity_array(np.array([d]), np.array([T]), beta, sign)
     assert abs(den_arr[0] - den) <= 16 * EPS * (den + 4.0 * e * (1.0 + abs(phase)))
     assert abs(v_arr[0] - v) <= 16 * EPS * scale
+    # given the stage-time factors, as the batch loop passes them, it gives
+    # the same bits
+    T_arr = np.array([T])
+    s2_arr = 1.0 + T_arr * T_arr
+    factored = reduced_velocity_array(
+        np.array([d]), T_arr, beta, sign, beta / s2_arr, T_arr / s2_arr
+    )
+    np.testing.assert_array_equal(factored, (v_arr, den_arr))
 
     # the step loops' floor test reads the density off the denominator; with
     # sigma0 = tau = 1 the joint density takes beta, eta and T unrounded
