@@ -1,12 +1,13 @@
 """Hot-path kernels in packet-width / spreading-time units.
 
-These are the only functions evaluated inside integration loops. The scalar
-velocity kernel uses the math module on plain floats (roughly 20x faster than
-numpy scalars) and serves the scalar step loop; its array twin evaluates the
-same expressions, in the same order, over arrays for the batched loop. The
+These are the only functions evaluated inside integration loops. Both
+velocity kernels come from one body: reduced_velocity runs it on plain floats
+through the math module (roughly 20x faster than numpy scalars) for the
+scalar step loop, and reduced_velocity_array runs it on arrays through numpy
+for the batch loop; only the transcendentals and the node return differ. The
 step loops, and integrate_pairs at release, read the joint density off the
-velocity kernels' denominator. Tests pin the twins against each other, and
-that density against wavefunction.joint_density_y.
+velocity kernels' denominator. Tests pin that density against
+wavefunction.joint_density_y.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
@@ -27,8 +28,42 @@ import numpy as np
 NODE_GUARD = 1e-13
 
 
-def reduced_velocity(d: float, T: float, beta: float, sign: int) -> tuple[float, float]:
-    """Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2, and its denominator.
+def _velocity_kernel(name, exp, tan, copysign, fabs, nan_on_node, doc):
+    """The velocity kernel over the given exp, tan, copysign and abs.
+
+    With nan_on_node its velocity is NaN where den < NODE_GUARD, a test only
+    a scalar den can take.
+    """
+
+    def kernel(d, T, beta, sign, w=None, g=None):
+        if w is None:
+            s2 = 1.0 + T * T
+            w, g = beta / s2, T / s2
+        x = d * w
+        e = exp(-2.0 * fabs(x))
+        t = tan(T * x)
+        tt = t * t
+        q = 4.0 * e / (1.0 + tt)
+        tail = T * copysign(1.0 - e * e, x)
+        m = 1.0 - e
+        if sign > 0:
+            den = m * m + q
+            num = q * t + tail
+        else:
+            den = m * m + q * tt
+            num = tail - q * t
+        if nan_on_node and den < NODE_GUARD:
+            return math.nan, den
+        return d * g - w * num / den, den
+
+    kernel.__name__ = kernel.__qualname__ = name
+    kernel.__doc__ = doc
+    return kernel
+
+
+reduced_velocity = _velocity_kernel(
+    "reduced_velocity", math.exp, math.tan, math.copysign, abs, nan_on_node=True,
+    doc="""Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2, and its denominator.
 
     With x = beta d / (1 + T^2), e = exp(-2 |x|) and t = tan(T x), the
     interference denominator, with the dominant exponential factored out, is
@@ -46,29 +81,15 @@ def reduced_velocity(d: float, T: float, beta: float, sign: int) -> tuple[float,
     n2 / (2 pi s2) exp(-c0^2) den exp(-(|d| - beta)^2 / s2) with
     s2 = 1 + T^2 and c0 = c / sqrt(s2) the initial centre of mass, which is
     how the step loops test the density floor.
-    """
-    s2 = 1.0 + T * T
-    w = beta / s2
-    x = d * w
-    e = math.exp(-2.0 * abs(x))
-    t = math.tan(T * x)
-    tt = t * t
-    q = 4.0 * e / (1.0 + tt)
-    tail = T * math.copysign(1.0 - e * e, x)
-    m = 1.0 - e
-    if sign > 0:
-        den = m * m + q
-        num = q * t + tail
-    else:
-        den = m * m + q * tt
-        num = tail - q * t
-    if den < NODE_GUARD:
-        return math.nan, den
-    return d * (T / s2) - w * num / den, den
 
+    d and T are floats. w and g, if given, are the stage-time factors
+    beta / (1 + T^2) and T / (1 + T^2), as reduced_velocity_array takes them.
+    """,
+)
 
-def reduced_velocity_array(d, T, beta: float, sign: int, w=None, g=None):
-    """Array twin of reduced_velocity over arrays d and T; returns (v, den).
+reduced_velocity_array = _velocity_kernel(
+    "reduced_velocity_array", np.exp, np.tan, np.copysign, np.abs, nan_on_node=False,
+    doc="""reduced_velocity over arrays d and T, through numpy; returns (v, den).
 
     w and g are the stage-time factors beta / (1 + T^2) and T / (1 + T^2).
     A caller that evaluates several stages at once may pass them in,
@@ -78,22 +99,5 @@ def reduced_velocity_array(d, T, beta: float, sign: int, w=None, g=None):
     Where den falls below NODE_GUARD the velocity is meaningless (not NaN as
     from the scalar kernel); callers silence numpy's floating-point warnings,
     which only such pairs can trigger.
-    """
-    if w is None:
-        s2 = 1.0 + T * T
-        w, g = beta / s2, T / s2
-    x = d * w
-    e = np.exp(-2.0 * np.abs(x))
-    t = np.tan(T * x)
-    tt = t * t
-    q = 4.0 * e / (1.0 + tt)
-    tail = T * np.copysign(1.0 - e * e, x)
-    m = 1.0 - e
-    if sign > 0:
-        den = m * m + q
-        num = q * t + tail
-    else:
-        den = m * m + q * tt
-        num = tail - q * t
-    return d * g - w * num / den, den
-
+    """,
+)

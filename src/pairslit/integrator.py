@@ -23,12 +23,14 @@ trajectories attracted toward the nodal diagonal are handled.
 
 integrate_pairs is the one entry point, for a single pair as for an
 ensemble; every pair is released at t = 0. Two step loops behind it share the
-scaled problem, the tableau, the controller, the interior-sample fill and the
-SI sample table: a numpy loop that advances every live pair of a batch
-together, each with its own step size and controller state, and a scalar loop
-on plain floats. integrate_pairs uses the batch loop while at least
-_BATCH_MIN pairs are live and hands smaller batches and remainders to the
-scalar loop, whose per-step cost does not carry numpy's per-call overhead.
+scaled problem, the step itself (_dp_step, whose arithmetic runs alike on
+floats and on arrays), the controller constants, the interior-sample fill
+and the SI sample table, and keep only their control flow: a numpy loop that
+advances every live pair of a batch together under masks, each with its own
+step size and controller state, and a scalar loop that branches on plain
+floats. integrate_pairs uses the batch loop while at least _BATCH_MIN pairs
+are live and hands smaller batches and remainders to the scalar loop, whose
+per-step cost does not carry numpy's per-call overhead.
 
 Neither loop writes a pair's last row or raises. Each only advances pairs
 and reports how a pair ended: its status, its last accepted state and the
@@ -75,25 +77,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
-# The same tableau as coefficient columns for the batch loop, which forms the
-# stage sums of all pairs as products summed over axis 0. That reduction adds
-# term by term in order, like the scalar loop; the zeros for B2 and E2 add
-# exactly nothing.
-_A_COLS = tuple(
-    np.array(row).reshape(-1, 1)
-    for row in (
-        (_A21,),
-        (_A31, _A32),
-        (_A41, _A42, _A43),
-        (_A51, _A52, _A53, _A54),
-        (_A61, _A62, _A63, _A64, _A65),
-    )
-)
 # Stage times of stages 2 to 6 (stage 7 shares stage 6's) as fractions of
-# the step, one row each.
+# the step, one row each, for the batch loop.
 _C_COL = np.array((_C2, _C3, _C4, _C5, 1.0)).reshape(-1, 1)
-_B_COL = np.array((_B1, 0.0, _B3, _B4, _B5, _B6)).reshape(-1, 1)
-_E_COL = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7)).reshape(-1, 1)
 
 # Continuous extension of a step (the coefficients of scipy's RK45 dense
 # output): over a step of size h from (T, d), the position at T + theta h is
@@ -126,9 +112,10 @@ _MAX_STEPS = 100_000
 _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
-# iteration makes about 200 numpy calls of 0.5-1.7 us each, so it costs over
-# 100 us however few lanes it has, against about 9 us per scalar step (six
-# kernel calls on plain floats). Measured crossover in CHANGES.md.
+# iteration makes about 250 numpy calls (ufuncs and array functions), so it
+# costs about 130 us at 32 lanes and hardly less at fewer, against about
+# 5.5 us per scalar step (six kernel calls on plain floats). Measured
+# crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -356,6 +343,34 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
 
 
+def _dp_step(vel, d, h, k1, Ts, W, G, beta, sign):
+    """One Dormand-Prince 5(4) step of size h from d, on floats or on arrays.
+
+    vel is the velocity kernel and k1 its velocity at d. Ts holds the times
+    of stages 2 to 6 (stage 7 shares stage 6's), and W and G the kernel's
+    stage-time factors there, or Nones for a kernel that forms its own.
+    Returns the new state, the stages (k1, k3, k4, k5, k6, k7) in
+    _fill_interior's order, the denominators of stages 2 to 7 and the signed
+    error sum, which times h is the embedded error estimate. Each sum adds
+    its terms left to right, so floats and every lane of an array get the
+    same bits.
+    """
+    T2, T3, T4, T5, T6 = Ts
+    W2, W3, W4, W5, W6 = W
+    G2, G3, G4, G5, G6 = G
+    k2, den2 = vel(d + h * (_A21 * k1), T2, beta, sign, W2, G2)
+    k3, den3 = vel(d + h * (_A31 * k1 + _A32 * k2), T3, beta, sign, W3, G3)
+    k4, den4 = vel(d + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), T4, beta, sign, W4, G4)
+    k5, den5 = vel(d + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), T5, beta, sign, W5, G5)
+    k6, den6 = vel(
+        d + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), T6, beta, sign, W6, G6
+    )
+    new = d + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7, den7 = vel(new, T6, beta, sign, W6, G6)
+    err = _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
+    return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
+
+
 def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     """Scalar step loop: carry pair i from an accepted state to its end.
 
@@ -378,50 +393,33 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity
+    nones = (None,) * 5  # the kernel forms its own stage-time factors
     for _ in range(tried, _MAX_STEPS):
         remaining = t_end - T
         landing = h >= remaining
         h_step = remaining if landing else h
         T_new = T + h_step
-        k2, den2 = vel(d + h_step * (_A21 * k1), T + _C2 * h_step, beta, sign)
-        k3, den3 = vel(d + h_step * (_A31 * k1 + _A32 * k2), T + _C3 * h_step, beta, sign)
-        k4, den4 = vel(
-            d + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3), T + _C4 * h_step, beta, sign
-        )
-        k5, den5 = vel(
-            d + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-            T + _C5 * h_step,
-            beta,
-            sign,
-        )
-        k6, den6 = vel(
-            d + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-            T_new,
-            beta,
-            sign,
-        )
-        new = d + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7, den = vel(new, T_new, beta, sign)
+        Ts = (T + _C2 * h_step, T + _C3 * h_step, T + _C4 * h_step, T + _C5 * h_step, T_new)
+        new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, nones, nones, beta, sign)
         # One test for all six stages, as in _advance_batch. The stages after
         # a node run on its NaN velocity, and their NaN denominators never
         # win min over the node's finite one.
-        if min(den2, den3, den4, den5, den6, den) < NODE_GUARD:
+        if min(dens) < NODE_GUARD:
             break
-        err = abs(
-            h_step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        ) / (atol + rtol * max(abs(d), abs(new)))
+        err = abs(h_step * e_sum) / (atol + rtol * max(abs(d), abs(new)))
 
         if err <= 1.0:
             # the density at the new state, over the pair's constant factor
             s2 = 1.0 + T_new * T_new
             r = abs(new) - beta
-            if den / s2 * math.exp(-(r * r) / s2) < thr:
+            if dens[5] / s2 * math.exp(-(r * r) / s2) < thr:
                 break
             if j < end and (landing or grid[j] <= T_new):
                 hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
-                covering.extend((i, j, hi, T, h_step, d, k1, k3, k4, k5, k6, k7))
+                covering.extend((i, j, hi, T, h_step, d))
+                covering.extend(stages)
                 j = hi
-            T, d, k1 = (t_end if landing else T_new), new, k7
+            T, d, k1 = (t_end if landing else T_new), new, stages[5]
             if landing:
                 return TrajectoryStatus.COMPLETED, (T, d, k1, j)
             if err == 0.0:
@@ -442,20 +440,20 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
 
 
 def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
-    """Batch twin of _advance: step all live pairs together while enough remain.
+    """Batch step loop: step all live pairs together while enough remain.
 
     state holds (idx, T, D, THR, K1, h, err_prev, j) with one entry per live
     pair: its state (T, d), density threshold and velocity dd/dT, and the
     index of its next sample time; idx is the pair's index in status and
-    ends. Each pair runs the scalar loop's arithmetic, in the same order,
-    with its own step size and controller memory. A pair that lands or
-    aborts reports as _advance does: status[i] gets its status and ends[i]
-    its (T, d, dd/dT, j). A step underflow, or reaching _MAX_STEPS steps,
-    leaves both untouched. Every live pair attempts one step per iteration.
-    Each accepted step that covers interior samples appends its
-    _fill_interior row to steps. Returns the state of the pairs still live
-    once fewer than _BATCH_MIN remain, and the number of steps each of them
-    has attempted.
+    ends. Each pair takes the scalar loop's _dp_step and controller, with
+    masks for its branches, and its own step size and controller memory. A
+    pair that lands or aborts reports as _advance does: status[i] gets its
+    status and ends[i] its (T, d, dd/dT, j). A step underflow, or reaching
+    _MAX_STEPS steps, leaves both untouched. Every live pair attempts one
+    step per iteration. Each accepted step that covers interior samples
+    appends its _fill_interior row to steps. Returns the state of the pairs
+    still live once fewer than _BATCH_MIN remain, and the number of steps
+    each of them has attempted.
     """
     grid = np.asarray(prob.grid)
     end = grid.size - 1
@@ -476,20 +474,11 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             # the kernel's stage-time factors, formed once for all stages
             S2 = 1.0 + T_st * T_st
             W, G = beta / S2, T_st / S2
-            K = np.empty((7, idx.size))
-            K[0] = K1
-            den = np.empty((6, idx.size))
-            for s, a_col in enumerate(_A_COLS, start=1):
-                z = D + h_step * np.add.reduce(a_col * K[:s], axis=0)
-                K[s], den[s - 1] = vel(z, T_st[s - 1], beta, sign, W[s - 1], G[s - 1])
-            D_new = D + h_step * np.add.reduce(_B_COL * K[:6], axis=0)
-            K[6], den[5] = vel(D_new, T_new, beta, sign, W[4], G[4])
+            D_new, stages, dens, e_sum = _dp_step(vel, D, h_step, K1, T_st, W, G, beta, sign)
             # fmin, like any over the comparison, passes over NaN denominators
-            on_node = np.fmin.reduce(den, axis=0) < NODE_GUARD
+            on_node = np.fmin.reduce(dens, axis=0) < NODE_GUARD
             abs_new = np.abs(D_new)
-            err = np.abs(h_step * np.add.reduce(_E_COL * K, axis=0)) / (
-                atol + rtol * np.maximum(np.abs(D), abs_new)
-            )
+            err = np.abs(h_step * e_sum) / (atol + rtol * np.maximum(np.abs(D), abs_new))
 
             small = err <= 1.0
             accepted = small & ~on_node
@@ -497,7 +486,7 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             # the density at the new states, over each pair's constant factor
             s2 = S2[4]
             r = abs_new - beta
-            below = accepted & (den[5] / s2 * np.exp(-(r * r) / s2) < THR)
+            below = accepted & (dens[5] / s2 * np.exp(-(r * r) / s2) < THR)
             accepted &= ~below
 
             # An error of 0 gives 0**-alpha = inf, and the clamp _MAX_FACTOR,
@@ -521,11 +510,11 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
                 hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
                 covers = accepted & (hi > j)
                 if np.count_nonzero(covers):
-                    steps.append(np.column_stack((idx, j, hi, T, h_step, D, K[0], K[2:].T))[covers])
+                    steps.append(np.column_stack((idx, j, hi, T, h_step, D) + stages)[covers])
                     j = np.where(covers, hi, j)
             T = np.where(accepted, np.where(landing, t_end, T_new), T)
             D = np.where(accepted, D_new, D)
-            K1 = np.where(accepted, K[6], K1)
+            K1 = np.where(accepted, stages[5], K1)
             landed = accepted & landing
             aborted = on_node | below
             done = aborted | landed

@@ -8,9 +8,11 @@ tests/ (oracles.py, fd_reference.py, endpoint_oracle.py, pair_transport.py).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pairslit
+from pairslit import _kernels, integrator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +38,28 @@ def test_every_export_is_used_by_the_program():
     read = set().union(*(names_read(f) for f in program_files()))
     assert all(hasattr(pairslit, name) for name in pairslit.__all__)
     assert [name for name in pairslit.__all__ if name not in read] == []
+
+
+def traced_functions(module):
+    """The functions of module that perfbench/tracer.py wraps: its public ones defined there."""
+    return {
+        name: obj
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+
+
+def test_the_tracer_sees_each_kernel_and_one_integrator_span():
+    # The tracer counts velocity evaluations only for kernels whose
+    # __name__ contains "velocity", from the size of their first argument:
+    # a kernel left named after its factory's closure would count 0. Every
+    # public function of the integrator is one traced span per call, so a
+    # public step function would record one span per step.
+    kernels = traced_functions(_kernels)
+    assert sorted(kernels) == ["reduced_velocity", "reduced_velocity_array"]
+    for name, fn in kernels.items():
+        assert fn.__name__ == fn.__qualname__ == name
+        assert next(iter(inspect.signature(fn).parameters)) == "d"
+    assert sorted(traced_functions(integrator)) == ["integrate_pairs"]

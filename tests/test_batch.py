@@ -332,6 +332,70 @@ def test_extension_coefficients_reduce_to_the_step():
     np.testing.assert_array_equal(integrator._P, np.delete(rk45.P, 1, axis=0))
 
 
+def stub_velocity(d, T, beta, sign, w, g):
+    """A kernel of +, -, * and / alone, which floats and numpy arrays round alike.
+
+    An infinite w gives a NaN velocity and a zero denominator, as at a node.
+    """
+    den = (1.0 + d * d) / (1.0 + w)
+    return d * g - T * w / (1.0 + w) + sign * beta * den, den
+
+
+def flat_step(out):
+    """The new state, the six stages, the six denominators and the error sum, in one array."""
+    new, stages, dens, err = out
+    return np.array([new, *stages, *dens, err], dtype=float)
+
+
+def bits(x):
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def test_dp_step_is_lane_exact(rng):
+    # One step on Python floats and on an array of lanes gives each lane the
+    # same bits: every stage sum adds its terms left to right on both. The
+    # stub kernel keeps libm's and numpy's transcendentals out. Lane 3 meets
+    # a node at stage 3, and NaN carries through its later stages.
+    n = 8
+    d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
+    T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
+    Ts = T + integrator._C_COL * h
+    W, G = rng.uniform(0.1, 5.0, (5, n)), rng.uniform(0.0, 1.0, (5, n))
+    W[1, 3] = np.inf
+    with np.errstate(all="ignore"):
+        lanes = flat_step(integrator._dp_step(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1))
+    for k in range(n):
+        out = integrator._dp_step(
+            stub_velocity, float(d[k]), float(h[k]), float(k1[k]),
+            Ts[:, k].tolist(), W[:, k].tolist(), G[:, k].tolist(), 5.0, -1,
+        )
+        assert all(type(x) is float for x in (out[0], *out[1], *out[2], out[3]))
+        np.testing.assert_array_equal(bits(lanes[:, k]), bits(flat_step(out)))
+    # rows: new, k1, k3 .. k7, den2 .. den7, err
+    assert np.isnan(lanes[[0, 2, 3, 4, 5, 6, 13], 3]).all() and lanes[8, 3] == 0.0
+    assert np.isfinite(np.delete(lanes, 3, axis=1)).all()
+
+
+def test_dp_step_returns_the_stages_in_fill_order():
+    # _fill_interior reads the stages as (k1, k3, k4, k5, k6, k7); k2 has no
+    # weight in the continuous extension. Stage 7 runs at the new state.
+    calls = []
+
+    def recording(d, T, beta, sign, w, g):
+        v, den = stub_velocity(d, T, beta, sign, w, g)
+        calls.append((d, T, v, den))
+        return v, den
+
+    Ts = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+    new, stages, dens, _ = integrator._dp_step(
+        recording, 0.5, 1.0, 0.25, Ts, (1.0,) * 5, (0.5,) * 5, 5.0, 1
+    )
+    assert [T for _, T, _, _ in calls] == [*Ts, Ts[4]]
+    assert stages == (0.25, *(v for _, _, v, _ in calls[1:]))
+    assert dens == tuple(den for *_, den in calls)
+    assert calls[5][0] == new
+
+
 def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
     # Equal stages k make the extension a straight line, d + h k theta. Aim it
     # at the fermion node d = 0 at sample 3, where the kernel divides by ~0.
