@@ -23,7 +23,8 @@ trajectories attracted toward the nodal diagonal are handled.
 
 integrate_pairs is the one entry point, for a single pair as for an
 ensemble; every pair is released at t = 0. Two step loops behind it share the
-scaled problem, the step itself (_dp_step, whose arithmetic runs alike on
+scaled problem, the step itself (one body, built as _dp_step on a float
+tableau and as _dp_step_array on 0-d arrays, whose arithmetic runs alike on
 floats and on arrays), the controller constants, the interior-sample fill
 and the SI sample table, and keep only their control flow: a numpy loop that
 advances every live pair of a batch together under masks, each with its own
@@ -112,10 +113,10 @@ _MAX_STEPS = 100_000
 _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
-# iteration makes about 250 numpy calls (ufuncs and array functions), so it
-# costs about 130 us at 32 lanes and hardly less at fewer, against about
-# 5.5 us per scalar step (six kernel calls on plain floats). Measured
-# crossover in CHANGES.md.
+# iteration makes about 250 numpy calls (ufuncs and array functions), each
+# on arrays alone, so it costs about 115 us at 32 lanes and hardly less at
+# fewer, against about 5.3 us per scalar step (six kernel calls on plain
+# floats). Measured crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -343,32 +344,49 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
 
 
-def _dp_step(vel, d, h, k1, Ts, W, G, beta, sign):
-    """One Dormand-Prince 5(4) step of size h from d, on floats or on arrays.
+def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+                B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
+    """The Dormand-Prince 5(4) step over the given tableau: floats or 0-d arrays."""
 
-    vel is the velocity kernel and k1 its velocity at d. Ts holds the times
-    of stages 2 to 6 (stage 7 shares stage 6's), and W and G the kernel's
-    stage-time factors there, or Nones for a kernel that forms its own.
-    Returns the new state, the stages (k1, k3, k4, k5, k6, k7) in
-    _fill_interior's order, the denominators of stages 2 to 7 and the signed
-    error sum, which times h is the embedded error estimate. Each sum adds
-    its terms left to right, so floats and every lane of an array get the
-    same bits.
-    """
-    T2, T3, T4, T5, T6 = Ts
-    W2, W3, W4, W5, W6 = W
-    G2, G3, G4, G5, G6 = G
-    k2, den2 = vel(d + h * (_A21 * k1), T2, beta, sign, W2, G2)
-    k3, den3 = vel(d + h * (_A31 * k1 + _A32 * k2), T3, beta, sign, W3, G3)
-    k4, den4 = vel(d + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), T4, beta, sign, W4, G4)
-    k5, den5 = vel(d + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), T5, beta, sign, W5, G5)
-    k6, den6 = vel(
-        d + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), T6, beta, sign, W6, G6
-    )
-    new = d + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7, den7 = vel(new, T6, beta, sign, W6, G6)
-    err = _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-    return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
+    def step(vel, d, h, k1, Ts, W, G, beta, sign):
+        """One Dormand-Prince 5(4) step of size h from d.
+
+        vel is the velocity kernel and k1 its velocity at d. Ts holds the
+        times of stages 2 to 6 (stage 7 shares stage 6's), and W and G the
+        kernel's stage-time factors there, or Nones for a kernel that forms
+        its own. Returns the new state, the stages (k1, k3, k4, k5, k6, k7)
+        in _fill_interior's order, the denominators of stages 2 to 7 and the
+        signed error sum, which times h is the embedded error estimate. Each
+        sum adds its terms left to right, so floats and every lane of an
+        array get the same bits.
+        """
+        T2, T3, T4, T5, T6 = Ts
+        W2, W3, W4, W5, W6 = W
+        G2, G3, G4, G5, G6 = G
+        k2, den2 = vel(d + h * (A21 * k1), T2, beta, sign, W2, G2)
+        k3, den3 = vel(d + h * (A31 * k1 + A32 * k2), T3, beta, sign, W3, G3)
+        k4, den4 = vel(d + h * (A41 * k1 + A42 * k2 + A43 * k3), T4, beta, sign, W4, G4)
+        k5, den5 = vel(d + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4), T5, beta, sign, W5, G5)
+        k6, den6 = vel(
+            d + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5), T6, beta, sign, W6, G6
+        )
+        new = d + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+        k7, den7 = vel(new, T6, beta, sign, W6, G6)
+        err = E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7
+        return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
+
+    return step
+
+
+_TABLEAU = (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
+)
+# The scalar loop's step runs on Python floats, the batch loop's on 0-d
+# float64 arrays of the same doubles: numpy takes a 0-d array operand at
+# less cost than a Python float, for the same bits.
+_dp_step = _dp_stepper(*_TABLEAU)
+_dp_step_array = _dp_stepper(*map(np.array, _TABLEAU))
 
 
 def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
@@ -445,7 +463,7 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     state holds (idx, T, D, THR, K1, h, err_prev, j) with one entry per live
     pair: its state (T, d), density threshold and velocity dd/dT, and the
     index of its next sample time; idx is the pair's index in status and
-    ends. Each pair takes the scalar loop's _dp_step and controller, with
+    ends. Each pair takes the scalar loop's step and controller, with
     masks for its branches, and its own step size and controller memory. A
     pair that lands or aborts reports as _advance does: status[i] gets its
     status and ends[i] its (T, d, dd/dT, j). A step underflow, or reaching
@@ -457,10 +475,17 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     """
     grid = np.asarray(prob.grid)
     end = grid.size - 1
-    t_end = grid[end]
-    sign, beta = prob.sign, prob.beta
-    h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
-    vel = reduced_velocity_array
+    sign = prob.sign
+    # Every float the loop meets an array with, as a 0-d float64 array: numpy
+    # takes one at less cost than a Python float, for the same bits.
+    (
+        t_end, beta, h_min, rtol, atol, guard, one,
+        safety, min_factor, max_factor, neg_alpha, pi_beta, err_min, neg_fifth,
+    ) = map(np.array, (
+        grid[end], prob.beta, prob.h_min, prob.rtol, prob.atol, NODE_GUARD, 1.0,
+        _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -_PI_ALPHA, _PI_BETA, 1e-10, -0.2,
+    ))
+    vel, step = reduced_velocity_array, _dp_step_array
     idx, T, D, THR, K1, h, err_prev, j = state
     tried = 0
     with np.errstate(all="ignore"):
@@ -472,15 +497,15 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             T_st = T + _C_COL * h_step
             T_new = T_st[4]
             # the kernel's stage-time factors, formed once for all stages
-            S2 = 1.0 + T_st * T_st
+            S2 = one + T_st * T_st
             W, G = beta / S2, T_st / S2
-            D_new, stages, dens, e_sum = _dp_step(vel, D, h_step, K1, T_st, W, G, beta, sign)
+            D_new, stages, dens, e_sum = step(vel, D, h_step, K1, T_st, W, G, beta, sign)
             # fmin, like any over the comparison, passes over NaN denominators
-            on_node = np.fmin.reduce(dens, axis=0) < NODE_GUARD
+            on_node = np.fmin.reduce(dens, axis=0) < guard
             abs_new = np.abs(D_new)
             err = np.abs(h_step * e_sum) / (atol + rtol * np.maximum(np.abs(D), abs_new))
 
-            small = err <= 1.0
+            small = err <= one
             accepted = small & ~on_node
             rejected = ~(small | on_node)
             # the density at the new states, over each pair's constant factor
@@ -493,8 +518,8 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             # since err_prev >= 1e-10 (the scalar loop, on Python floats,
             # must branch instead).
             factor = np.minimum(
-                _MAX_FACTOR,
-                np.maximum(_MIN_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA),
+                max_factor,
+                np.maximum(min_factor, safety * err**neg_alpha * err_prev**pi_beta),
             )
             h = h_step * factor
             # A pair that neither accepts nor rejects aborts, and leaves the
@@ -502,10 +527,10 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             underflow = None
             if np.count_nonzero(rejected):
                 # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
-                h_next = h_step * np.fmax(_MIN_FACTOR, _SAFETY * err**-0.2)
+                h_next = h_step * np.fmax(min_factor, safety * err**neg_fifth)
                 underflow = rejected & (h_next < h_min)
                 h = np.where(accepted, h, h_next)
-            err_prev = np.where(accepted, np.maximum(err, 1e-10), err_prev)
+            err_prev = np.where(accepted, np.maximum(err, err_min), err_prev)
             if end > 1:
                 hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
                 covers = accepted & (hi > j)

@@ -353,9 +353,11 @@ def bits(x):
 
 def test_dp_step_is_lane_exact(rng):
     # One step on Python floats and on an array of lanes gives each lane the
-    # same bits: every stage sum adds its terms left to right on both. The
-    # stub kernel keeps libm's and numpy's transcendentals out. Lane 3 meets
-    # a node at stage 3, and NaN carries through its later stages.
+    # same bits: every stage sum adds its terms left to right on both. Each
+    # side runs its own loop's step, the scalar one on its float tableau and
+    # the batch one on its 0-d tableau. The stub kernel keeps libm's and
+    # numpy's transcendentals out. Lane 3 meets a node at stage 3, and NaN
+    # carries through its later stages.
     n = 8
     d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
     T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
@@ -363,7 +365,7 @@ def test_dp_step_is_lane_exact(rng):
     W, G = rng.uniform(0.1, 5.0, (5, n)), rng.uniform(0.0, 1.0, (5, n))
     W[1, 3] = np.inf
     with np.errstate(all="ignore"):
-        lanes = flat_step(integrator._dp_step(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1))
+        lanes = flat_step(integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1))
     for k in range(n):
         out = integrator._dp_step(
             stub_velocity, float(d[k]), float(h[k]), float(k1[k]),
@@ -378,22 +380,86 @@ def test_dp_step_is_lane_exact(rng):
 
 def test_dp_step_returns_the_stages_in_fill_order():
     # _fill_interior reads the stages as (k1, k3, k4, k5, k6, k7); k2 has no
-    # weight in the continuous extension. Stage 7 runs at the new state.
-    calls = []
-
-    def recording(d, T, beta, sign, w, g):
-        v, den = stub_velocity(d, T, beta, sign, w, g)
-        calls.append((d, T, v, den))
-        return v, den
-
+    # weight in the continuous extension. Stage 7 runs at the new state. The
+    # scalar loop's step runs on floats, the batch loop's on one lane here.
     Ts = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-    new, stages, dens, _ = integrator._dp_step(
-        recording, 0.5, 1.0, 0.25, Ts, (1.0,) * 5, (0.5,) * 5, 5.0, 1
-    )
-    assert [T for _, T, _, _ in calls] == [*Ts, Ts[4]]
-    assert stages == (0.25, *(v for _, _, v, _ in calls[1:]))
-    assert dens == tuple(den for *_, den in calls)
-    assert calls[5][0] == new
+    backs = ((integrator._dp_step, float), (integrator._dp_step_array, lambda x: np.array([x])))
+    for step, val in backs:
+        calls = []
+
+        def recording(d, T, beta, sign, w, g):
+            v, den = stub_velocity(d, T, beta, sign, w, g)
+            calls.append((d, T, v, den))
+            return v, den
+
+        new, stages, dens, _ = step(
+            recording, val(0.5), val(1.0), val(0.25), [val(T) for T in Ts],
+            [val(1.0)] * 5, [val(0.5)] * 5, 5.0, 1,
+        )
+        assert [T for _, T, _, _ in calls] == [*Ts, Ts[4]]
+        assert stages == (0.25, *(v for _, _, v, _ in calls[1:]))
+        assert dens == tuple(den for *_, den in calls)
+        assert calls[5][0] == new
+
+
+def closed_over(fn):
+    """The names and values a function's closure holds."""
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@pytest.mark.parametrize(
+    "scalar, array",
+    [
+        (integrator._dp_step, integrator._dp_step_array),
+        (reduced_velocity, reduced_velocity_array),
+    ],
+    ids=["tableau", "kernel"],
+)
+def test_both_back_ends_close_over_the_same_doubles(scalar, array):
+    # The scalar loop's step and kernel hold Python floats and the batch
+    # loop's 0-d float64 arrays, each of the same double.
+    floats = {k: v for k, v in closed_over(scalar).items() if type(v) is float}
+    zero_d = {k: v for k, v in closed_over(array).items() if isinstance(v, np.ndarray)}
+    assert len(floats) >= 3 and floats.keys() == zero_d.keys()
+    for name, x in floats.items():
+        a = zero_d[name]
+        assert a.shape == () and a.dtype == np.float64
+        assert a.view(np.uint64) == np.float64(x).view(np.uint64), name
+
+
+class OperandLog(np.ndarray):
+    """An ndarray that logs the operand types of every ufunc call it meets."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        OperandLog.calls.append((ufunc.__name__, [type(x) for x in inputs]))
+        plain = [x.view(np.ndarray) if isinstance(x, OperandLog) else x for x in inputs]
+        return np.asarray(getattr(ufunc, method)(*plain, **kwargs)).view(OperandLog)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["boson", "fermion"])
+def test_the_batch_step_gives_numpy_no_python_scalar(rng, sign):
+    # numpy takes a Python float or int operand at more cost than a 0-d
+    # array, for the same bits, so every constant that the array kernel and
+    # the batch loop's step meet is a 0-d array.
+    def lanes(*shape):
+        return rng.uniform(0.1, 1.0, shape).view(OperandLog)
+
+    beta = np.array(5.0).view(OperandLog)
+    OperandLog.calls = []
+    with np.errstate(all="ignore"):
+        integrator._dp_step_array(
+            reduced_velocity_array, lanes(8), lanes(8), lanes(8), lanes(5, 8), lanes(5, 8),
+            lanes(5, 8), beta, sign,
+        )
+        # the kernel alone, forming its own stage-time factors
+        reduced_velocity_array(lanes(8), lanes(8), beta, sign)
+    calls = OperandLog.calls
+    # six kernel calls with the step's sums, and one kernel call on its own
+    assert len(calls) > 7 * 20
+    scalars = [(f, types) for f, types in calls if not all(issubclass(t, np.ndarray) for t in types)]
+    assert scalars == []
 
 
 def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
