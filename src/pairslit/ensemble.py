@@ -154,12 +154,23 @@ def binned_tv_distance(
 
     The plane is cut into a 40 x 40 grid spanning +-10 |sigma_t| plus a
     single catch-all for everything outside. Exact cell masses come from
-    per-cell Gauss-Legendre quadrature of the joint density.
+    per-cell Gauss-Legendre quadrature of the joint density. As in
+    numpy.histogram2d, each cell is closed on the left and the last cell is
+    also closed on the right; points outside the grid, +-inf and NaN count
+    in the catch-all cell. points must be a non-empty (n, 2) array.
     """
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != 2:
+        raise ValueError(f"binned_tv_distance needs a non-empty (n, 2) array, got {points.shape}")
     edges, masses, outside_mass = _exact_bin_masses(float(t), stats, p)
-    pts = np.asarray(points) / p.sigma0
-    counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
-    empirical = counts / pts.shape[0]
+    pts = points / p.sigma0
+    # Per coordinate, index 0 is below the grid and m - 1 above it or NaN;
+    # the border rows and columns of the (m, m) count are the catch-all.
+    m = edges.size + 1
+    cell = np.searchsorted(edges, pts, side="right")
+    cell[pts == edges[-1]] -= 1
+    counts = np.bincount(cell[:, 0] * m + cell[:, 1], minlength=m * m)
+    empirical = counts.reshape(m, m)[1:-1, 1:-1] / pts.shape[0]
     outside_empirical = 1.0 - empirical.sum()
     return 0.5 * (
         np.abs(empirical - masses).sum() + abs(outside_empirical - outside_mass)

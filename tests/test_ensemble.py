@@ -108,6 +108,67 @@ def test_points_are_binned_on_the_integrated_grid(p_slow, p_fast, stats, regime)
     assert binned_tv_distance(points, t, stats, p) == want
 
 
+def histogram2d_tv(points, t, stats, p):
+    # the distance with the counts taken by np.histogram2d on the same grid
+    edges, masses, outside_mass = _exact_bin_masses(t, stats, p)
+    pts = points / p.sigma0
+    counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
+    empirical = counts / pts.shape[0]
+    return 0.5 * (
+        np.abs(empirical - masses).sum() + abs(1.0 - empirical.sum() - outside_mass)
+    )
+
+
+def on_grid(v, p):
+    # a length in meters that is v exactly once divided by sigma0
+    x = v * p.sigma0
+    for x in (x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)):
+        if x / p.sigma0 == v:
+            return x
+    raise AssertionError(f"no double next to {v!r} sigma0 maps onto it")
+
+
+@pytest.mark.parametrize("regime", ["slow", "fast"])
+def test_binned_counts_match_histogram2d(p_slow, p_fast, stats, regime):
+    # The distance counts its points with searchsorted and bincount; it must
+    # give np.histogram2d's counts bit for bit: cells closed on the left, the
+    # last cell closed on the right too, and everything off the grid, +-inf
+    # and NaN in the catch-all cell.
+    p = p_slow if regime == "slow" else p_fast
+    for t in (0.0, p.flight_time):
+        edges = _exact_bin_masses(t, stats, p)[0]
+        first, inner, last = edges[0], edges[17], edges[-1]
+        beyond = np.nextafter(last, math.inf)
+        marks = [on_grid(v, p) for v in (first, inner, last, beyond)]
+        assert [x / p.sigma0 for x in marks] == [first, inner, last, beyond]
+        rng = np.random.default_rng(31)
+        cases = [np.array([[x, y] for x in marks for y in marks])]
+        cases += [np.array([[x, 0.0], [0.0, x], [x, x]]) for x in marks]
+        for special in (math.inf, -math.inf, math.nan):
+            cases.append(np.array([[special, 0.0], [0.0, special], [marks[1], special]]))
+        for n, mark in ((1, marks[0]), (100, marks[2]), (250, marks[1])):
+            draw = sample_joint_y(n, t, stats, p, rng)
+            cases.append(draw)
+            edged = draw.copy()
+            edged[: n // 2 + 1, 1] = mark
+            edged[-1] = [math.nan, -math.inf]
+            cases.append(edged)
+        for points in cases:
+            assert binned_tv_distance(points, t, stats, p) == histogram2d_tv(points, t, stats, p)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 2), (250, 3), (250, 1), (250,), (0,)],
+    ids=["empty", "3-col", "1-col", "flat", "flat-empty"],
+)
+def test_binned_tv_distance_needs_a_point_array(p_fast, shape):
+    # an empty array gave NaN with a RuntimeWarning, and an (n, 3) array was
+    # scored on its first two columns
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        binned_tv_distance(np.zeros(shape), 1e-8, SpinStatistics.BOSON, p_fast)
+
+
 def test_tight_com_selection_forces_opposite_sides(p_slow):
     # conditioning on a tight centre of mass at release suppresses same-side
     # detections; the selection weight stays near erf(0.1), nowhere near 1
