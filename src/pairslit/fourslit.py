@@ -21,9 +21,9 @@ Two models of the post-passage state are implemented:
   longitudinal track. Overall constants (normalization, exchange sign) are
   dropped; they cancel from every guidance velocity.
 
-The amplitudes broadcast over coordinate arrays in the PairConfiguration, so
-a finite-difference velocity evaluates its whole stencil in one call
-(_log_gradient_velocity).
+Each state is one table of product terms (_table), read by both its
+amplitude, which broadcasts over coordinate arrays in the PairConfiguration,
+and its exact guidance velocity (_velocity).
 property_report runs the numeric checks of both models that the
 four-slit-check scenario prints.
 """
@@ -31,7 +31,9 @@ four-slit-check scenario prints.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import NodeProximityError, RegionViolationError
 from .integrator import IntegratorConfig, integrate_pairs
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
-from .wavefunction import pair_images, psi_pair
+from .wavefunction import _IMAGE_SIGNS, pair_images, psi_pair
 
 _RELATIVE_NODE_GUARD = 1e-12
 # Longest span (s) over which property_report integrates its mapped
@@ -72,10 +74,38 @@ def region_of(c: PairConfiguration, p: PhysicalParams) -> SlitRegion:
     )
 
 
-def _naive(images, stats: SpinStatistics):
-    (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = images
-    sign = stats.sign
-    return u1 * ml2 + sign * (u2 * ml1) + l1 * mu2 + sign * (l2 * mu1)
+def _table(*orders):
+    """Product terms (a, b, i, weight) of a four-slit state.
+
+    A term is image a of particle i times image b of the other particle, in
+    that operand order, times weight (None for 1). Every state pairs the
+    same pair_images rows, right-upper with left-lower and right-lower with
+    left-upper; orders gives the (i, weight) of each pairing's terms, i = 0
+    for the forward assignment (particle 1 takes the first image) and i = 1
+    for the exchanged one.
+    """
+    return [(a, b, i, w) for a, b in ((0, 3), (1, 2)) for i, w in orders]
+
+
+def _naive_table(stats: SpinStatistics):
+    return _table((0, None), (1, stats.sign))
+
+
+def _corrected_table(region: SlitRegion, c: PairConfiguration, p: PhysicalParams):
+    """The corrected state's table in region, once every point of c is checked to lie there."""
+    if region_of(c, p) is not region:
+        raise RegionViolationError(f"configuration is not in region {region.value}")
+    return _table((0 if region is SlitRegion.RIGHT_LEFT else 1, None))
+
+
+def _products(table, c: PairConfiguration, p: PhysicalParams):
+    """Psi, the table's weighted products at c that it adds left to right, and the images."""
+    images = pair_images(c, p)
+    terms = []
+    for a, b, i, w in table:
+        term = images[a, i] * images[b, 1 - i]
+        terms.append(term if w is None else w * term)
+    return functools.reduce(operator.add, terms), terms, images
 
 
 def _node_scale(images):
@@ -84,30 +114,13 @@ def _node_scale(images):
     return mags[:, 0].max(axis=0) * mags[:, 1].max(axis=0)
 
 
-def _naive_state(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
-    """naive_four_slit_psi at c and the slit images it is built from."""
-    images = pair_images(c, p)
-    return _naive(images, stats), images
-
-
 def naive_four_slit_psi(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     """Globally symmetrized four-slit state (unnormalized).
 
     Sum of right-upper with left-lower and right-lower with left-upper
     assignments, each (anti)symmetrized over particle exchange.
     """
-    return _naive_state(stats, c, p)[0]
-
-
-def _corrected_state(region: SlitRegion, c: PairConfiguration, p: PhysicalParams):
-    """corrected_four_slit_psi at c and the slit images it is built from."""
-    if region_of(c, p) is not region:
-        raise RegionViolationError(f"configuration is not in region {region.value}")
-    images = pair_images(c, p)
-    (u1, u2), (l1, l2), (mu1, mu2), (ml1, ml2) = images
-    if region is SlitRegion.RIGHT_LEFT:
-        return u1 * ml2 + l1 * mu2, images
-    return u2 * ml1 + l2 * mu1, images
+    return _products(_naive_table(stats), c, p)[0]
 
 
 def corrected_four_slit_psi(region: SlitRegion, c: PairConfiguration, p: PhysicalParams):
@@ -118,61 +131,46 @@ def corrected_four_slit_psi(region: SlitRegion, c: PairConfiguration, p: Physica
     Raises RegionViolationError when any point of c lies outside the claimed
     region.
     """
-    return _corrected_state(region, c, p)[0]
+    return _products(_corrected_table(region, c, p), c, p)[0]
 
 
-def _log_gradient_velocity(amplitude, c: PairConfiguration, p: PhysicalParams) -> PairVelocity:
-    """(hbar/m) Im[grad Psi / Psi] at c by central differences of amplitude.
+def _velocity(table, c: PairConfiguration, p: PhysicalParams) -> PairVelocity:
+    """Exact (hbar/m) Im[grad Psi / Psi] of the table's state at the single point c.
 
-    amplitude is a callable (x1, y1, x2, y2, t) -> complex that broadcasts
-    over coordinate arrays. It is called once, on the whole stencil: c
-    first, then the points c + h_q e_q and c - h_q e_q for each coordinate
-    q, all at the one time c.t. The transverse step is 1e-4 sigma0; the
-    longitudinal step is 1e-3 / kx, so the sampled phase difference stays
-    small: a sigma0-scale step would alias the plane wave completely.
-    Callers guard against near-zero |Psi| themselves, and may do so inside
-    that call; this helper only differentiates.
+    grad Psi / Psi = sum_k P_k grad log P_k / Psi over the products P_k, and
+    grad log P_k is the sum of its two images' log-gradients. With an image's
+    signs (s_x, s_y) and eta = y / sigma0, d/dx log phi = i kx s_x and
+    d/dy log phi = -s_y (s_y eta - beta) / (2 sigma0 (1 + i T)). The node
+    guard compares |Psi| with the largest single product term, so the
+    missing normalization cannot move it.
     """
-    h_x, h_y = 1e-3 / p.kx, 1e-4 * p.sigma0
-    h = np.array([h_x, h_y, h_x, h_y])
-    # stencil rows: c, then c + h_q e_q for q = 0..3, then c - h_q e_q
-    steps = np.concatenate([np.zeros((1, 4)), np.diag(h), np.diag(-h)])
-    psi = amplitude(*(np.array([c.x1, c.y1, c.x2, c.y2]) + steps).T, c.t)
-    grad = ((psi[1:5] - psi[5:]) / (2.0 * h * psi[0])).imag
-    return PairVelocity(*(p.hbar / p.m * grad).tolist())
-
-
-def _guarded_fd_velocity(state, c: PairConfiguration, p: PhysicalParams):
-    """_log_gradient_velocity of the amplitude that state(c) returns with its slit images.
-
-    One state call covers the whole stencil. Its row 0 is c itself, where a
-    relative node guard compares |Psi| against the largest single product
-    term, so the criterion is insensitive to the missing normalization.
-    """
-
-    def amplitude(x1, y1, x2, y2, t):
-        psi, images = state(PairConfiguration(x1, y1, x2, y2, t))
-        if abs(psi[0]) < _RELATIVE_NODE_GUARD * _node_scale(images[..., 0]):
-            raise NodeProximityError("four-slit amplitude too close to a node")
-        return psi
-
-    return _log_gradient_velocity(amplitude, c, p)
+    psi, terms, images = _products(table, c, p)
+    if abs(psi) < _RELATIVE_NODE_GUARD * _node_scale(images):
+        raise NodeProximityError("four-slit amplitude too close to a node")
+    # slits[k, n]: the image that particle n takes in term k
+    slits = np.array([(a, b) if i == 0 else (b, a) for a, b, i, _ in table])
+    s_x, s_y = _IMAGE_SIGNS[slits, 0], _IMAGE_SIGNS[slits, 1]
+    eta = np.array([c.y1, c.y2]) / p.sigma0
+    g_y = -s_y * (s_y * eta - p.beta) / (2.0 * p.sigma0 * (1.0 + 1j * (c.t / p.tau)))
+    # grad[q, n]: the derivative of Psi by coordinate q (x, y) of particle n, over Psi
+    grad = np.array(terms) @ np.array([1j * p.kx * s_x, g_y]) / psi
+    (vx1, vx2), (vy1, vy2) = p.hbar / p.m * grad.imag
+    return PairVelocity(float(vx1), float(vy1), float(vx2), float(vy2))
 
 
 def naive_velocity(c: PairConfiguration, stats: SpinStatistics, p: PhysicalParams) -> PairVelocity:
-    """Guidance velocity of the naive state by central differences (m/s)."""
-    return _guarded_fd_velocity(lambda cs: _naive_state(stats, cs, p), c, p)
+    """Exact guidance velocity of the naive state at the point c (m/s)."""
+    return _velocity(_naive_table(stats), c, p)
 
 
 def corrected_velocity(
     region: SlitRegion, c: PairConfiguration, p: PhysicalParams
 ) -> PairVelocity:
-    """Guidance velocity of the post-detection state by central differences.
+    """Exact guidance velocity of the post-detection state at the point c (m/s).
 
-    Longitudinal steps are kept small enough that every probe point stays in
-    the region, so no RegionViolationError can fire off a valid interior c.
+    Raises RegionViolationError when c lies outside the region.
     """
-    return _guarded_fd_velocity(lambda cs: _corrected_state(region, cs, p), c, p)
+    return _velocity(_corrected_table(region, c, p), c, p)
 
 
 def property_report(
@@ -194,8 +192,8 @@ def property_report(
         checks.append((name, bool(ok), detail))
 
     # Longitudinal freeze of the globally symmetrized state, both signs.
-    # Skip draws too close to an interference node, where the amplitude ratio
-    # in the finite difference is dominated by rounding.
+    # Skip draws too close to an interference node, where the ratio to Psi
+    # in the velocity is dominated by rounding.
     def well_conditioned_draw(stats: SpinStatistics) -> PairConfiguration:
         while True:
             c = PairConfiguration(
@@ -205,7 +203,7 @@ def property_report(
                 float(rng.uniform(-2 * p.Y, 2 * p.Y)),
                 float(rng.uniform(0.0, p.flight_time)),
             )
-            psi, images = _naive_state(stats, c, p)
+            psi, _, images = _products(_naive_table(stats), c, p)
             if abs(psi) > _WELL_CONDITIONED * _node_scale(images):
                 return c
 
@@ -286,10 +284,10 @@ def property_report(
     worst_y = worst_x = 0.0
     for t, y1, y2, vy1, vy2 in table[np.arange(times.size) < count[:, None]].tolist():
         x1 = x0 + v * t
-        fd = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, -x1, y2, t), p)
+        vc = corrected_velocity(SlitRegion.RIGHT_LEFT, PairConfiguration(x1, y1, -x1, y2, t), p)
         v_scale = max(abs(vy1), abs(vy2), 1e-9 * v)
-        worst_y = max(worst_y, abs(fd.vy1 - vy1) / v_scale, abs(fd.vy2 - vy2) / v_scale)
-        worst_x = max(worst_x, abs(fd.vx1 - v) / v, abs(fd.vx2 + v) / v)
+        worst_y = max(worst_y, abs(vc.vy1 - vy1) / v_scale, abs(vc.vy2 - vy2) / v_scale)
+        worst_x = max(worst_x, abs(vc.vx1 - v) / v, abs(vc.vx2 + v) / v)
     lost = sum(st is None for st in status)
     note = f"; {lost} of {len(status)} pairs could not be integrated" if lost else ""
     record(

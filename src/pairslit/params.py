@@ -116,8 +116,7 @@ class PairConfiguration:
     """A configuration-space point (x1, y1, x2, y2) at time t, all SI.
 
     The fields may also be numpy arrays that broadcast together, a set of
-    points such as a finite-difference stencil; the amplitudes broadcast
-    over them.
+    points; the amplitudes broadcast over them.
     """
 
     x1: float

@@ -1,11 +1,10 @@
-"""Per-point central differences, the reference for fourslit._log_gradient_velocity.
+"""Per-point central differences of an amplitude, a reference for guidance velocities.
 
-The package evaluates a finite-difference velocity's whole stencil in one
-array call of the amplitude. This is the loop that call replaced: one
-amplitude call per stencil point, on plain floats, and one complex ratio per
-coordinate. The two agree up to rounding, which numpy's array arithmetic
-does in a different order; tests bound the difference. With a step and
-Richardson extrapolation of its own, it is also the differentiation behind
+One amplitude call per displaced point, on plain floats, and one complex
+ratio per coordinate. It shares nothing with the package's closed-form
+log-gradients, so with Richardson extrapolation it is the independent
+reference for the four-slit velocities of pairslit.fourslit; tests bound the
+difference. With a step of its own it is also the differentiation behind
 oracles.velocity_oracle. Not package API.
 """
 
@@ -16,9 +15,10 @@ def reference_velocity(amplitude, c, p, step=None, richardson=False) -> PairVelo
     """(hbar/m) Im[grad Psi / Psi] at c, stepping one coordinate at a time.
 
     amplitude is a callable (x1, y1, x2, y2, t) -> complex. step is the
-    transverse step, 1e-4 sigma0 by default as in the package; the
-    longitudinal step is 1e-3 / kx. richardson combines steps h and h/2 for
-    fourth-order accuracy.
+    transverse step, 1e-4 sigma0 by default; the longitudinal step is
+    1e-3 / kx, so the sampled phase difference of the plane wave stays small:
+    a sigma0-scale step would alias it completely. richardson combines steps
+    h and h/2 for fourth-order accuracy.
     """
     psi0 = amplitude(c.x1, c.y1, c.x2, c.y2, c.t)
     h_y = 1e-4 * p.sigma0 if step is None else step

@@ -263,12 +263,12 @@ def test_criterion_8_four_slit_reductions():
         )
         mapped = map_trajectory_to_double_slit(traj, SlitRegion.RIGHT_LEFT)
         for conf, vel in samples(mapped):
-            fd = corrected_velocity(SlitRegion.RIGHT_LEFT, conf, p)
+            vc = corrected_velocity(SlitRegion.RIGHT_LEFT, conf, p)
             v_scale = max(abs(vel.vy1), abs(vel.vy2), 1e-3)
-            worst_y = max(worst_y, abs(fd.vy1 - vel.vy1) / v_scale,
-                          abs(fd.vy2 - vel.vy2) / v_scale)
-            worst_x = max(worst_x, abs(fd.vx1 - vel.vx1) / p.x_speed,
-                          abs(fd.vx2 - vel.vx2) / p.x_speed)
+            worst_y = max(worst_y, abs(vc.vy1 - vel.vy1) / v_scale,
+                          abs(vc.vy2 - vel.vy2) / v_scale)
+            worst_x = max(worst_x, abs(vc.vx1 - vel.vx1) / p.x_speed,
+                          abs(vc.vx2 - vel.vx2) / p.x_speed)
     ok = worst_freeze <= 1e-5 and worst_y <= 1e-5 and worst_x <= 1e-4
     report(8, "four-slit reductions", ok,
            f"naive |vx|/drift {worst_freeze:.1e} (both signs); mapped trajectories vs "
