@@ -221,7 +221,9 @@ def property_report(
     # Factorization: the state times the longitudinal factor evaluated at
     # swapped x-pairs is symmetric (ratio identity without division). The
     # factor's argument is ~1e6 rad, so near its zeros rounding dominates;
-    # redraw unless both factors clear the same cut as above.
+    # redraw unless both factors clear the same cut as above. Its phase is
+    # formed as the amplitudes form theirs, so that both round alike.
+    k = p.kx * s0
     worst = 0.0
     for stats in SpinStatistics:
         factor = math.cos if stats is SpinStatistics.BOSON else math.sin
@@ -230,7 +232,8 @@ def property_report(
             y1, y2 = rng.uniform(-2 * p.Y, 2 * p.Y, size=2)
             xa, xb, xc, xd = rng.uniform(-3 * s0, 3 * s0, size=4)
             t = float(rng.uniform(0.0, p.flight_time))
-            f_ab, f_cd = factor(p.kx * (xa - xb)), factor(p.kx * (xc - xd))
+            f_ab = factor(k * (xa / s0) - k * (xb / s0))
+            f_cd = factor(k * (xc / s0) - k * (xd / s0))
             if min(abs(f_ab), abs(f_cd)) < _WELL_CONDITIONED:
                 continue
             found += 1

@@ -4,6 +4,8 @@ Three generators for the transverse coordinates (y1, y2):
 
 * exact_rejection draws from the true joint density of the pair state, so
   ensembles transported by the guidance law stay distributed like |Psi|^2.
+  It draws the centre of mass exactly and the half-separation by rejection,
+  in fixed rounds of proposals (see sample_joint_y).
 * independent_gaussian puts particle 1 in the upper packet and particle 2 in
   the lower one, ignoring exchange symmetry. For well-separated slits it is
   statistically indistinguishable from the exact density.
@@ -24,7 +26,7 @@ from .errors import RejectionStallError
 from .params import PhysicalParams, SpinStatistics
 
 _METHODS = ("exact_rejection", "independent_gaussian", "all_symmetric")
-_BATCH = 4096  # fixed so the RNG stream consumed is reproducible
+_ROUND = 512  # proposals per round, fixed so the stream consumed is reproducible
 _STALL_MIN_PROPOSALS = 8192
 _STALL_RATE = 1e-3
 # The most pairs a batch may request: the (n, 2) release array of more needs
@@ -57,61 +59,51 @@ def sample_joint_y(
 ) -> np.ndarray:
     """Draw n transverse pairs (m) from the exact joint density at time t.
 
-    Rejection from the interference-free packet mixture: an equal mixture of
-    the two packet-product Gaussians of width sqrt(1 + T^2) in packet units.
-    The acceptance ratio reduces to
-    (1 + q + sign * 2 sqrt(q) cos(phi)) / (c (1 + q)) with
-    q = min(F, G)/max(F, G), which is computed in log space and never
-    overflows. The envelope constant is c = 2 except for the fermion state
-    at t = 0, where the interference term is nonpositive and c = 1 works.
+    In packet units (eta = y / sigma0, T = t / tau, s^2 = 1 + T^2) the density
+    factorizes as exp(-c^2 / s^2) g_T(d) in the centre c = (eta1 + eta2) / 2
+    and the half-separation d = (eta1 - eta2) / 2, with
+    g_T = a^2 + b^2 + sign * 2 a b cos(2 T beta d / s^2) and a, b the packet
+    factors exp(-(d -+ beta)^2 / (2 s^2)). So c is an exact normal of variance
+    s^2 / 2, and d is drawn by rejection from the envelope (a + b)^2 >= g_T: a
+    mixture of three normals of variance s^2 / 2, centred at beta and -beta
+    with weight 1 each and at 0 with weight 2 exp(-beta^2 / s^2). A proposal
+    is kept with probability 1 - 4q / (1 + q)^2 * trig(T beta d / s^2)^2,
+    q = exp(-2 beta |d| / s^2), trig = sin for bosons and cos for fermions;
+    bosons at t = 0 keep every proposal.
 
-    Proposals come in batches of _BATCH, each drawn whole (swap uniforms,
-    normals, then keep uniforms), so the stream consumed and the generator's
-    end state depend only on the number of batches. A batch scores a prefix
-    of about twice the pairs still needed first, and the rest only if that
-    prefix falls short or the stall test below reads the whole batch's
-    acceptance count; the draws are those of scoring every proposal.
+    Proposals come in rounds of _ROUND, each drawn whole: its component
+    uniforms, its (d, c) normal pairs, then its keep uniforms. The draws are
+    the first n kept proposals in round order, so they are the first n rows
+    of any larger request from the same generator state, and the generator's
+    end state depends only on the number of rounds.
 
-    Raises RejectionStallError if the running acceptance rate falls below
-    1e-3 (the envelope no longer covers the density efficiently).
+    Raises RejectionStallError if, from _STALL_MIN_PROPOSALS proposals on, the
+    acceptance rate falls below 1e-3 (the envelope no longer covers the
+    density efficiently).
     """
     T = t / p.tau
     s2 = 1.0 + T * T
-    s = math.sqrt(s2)
     beta = p.beta
-    sign = stats.sign
-    c_env = 1.0 if (sign < 0 and T == 0.0) else 2.0
+    centre_weight = 2.0 * math.exp(-beta * beta / s2)
+    width = math.sqrt(0.5 * s2)
+    trig = np.sin if stats.sign > 0 else np.cos
 
     out = np.empty((n, 2))
-    filled = 0
-    proposed = 0
-    accepted = 0
+    filled = proposed = accepted = 0
     while filled < n:
-        swap = rng.random(_BATCH) < 0.5
-        noise = rng.normal(size=(_BATCH, 2))
-        u = rng.random(_BATCH)
-        proposed += _BATCH
-        stall_test = proposed >= _STALL_MIN_PROPOSALS
-        cut = _BATCH if stall_test else min(_BATCH, 2 * (n - filled) + 64)
-        for lo, hi in ((0, cut), (cut, _BATCH)):
-            if lo == hi or filled == n:
-                break
-            mu1 = np.where(swap[lo:hi], -beta, beta)
-            eta = np.stack([mu1, -mu1], axis=1) + s * noise[lo:hi]
-            diff = eta[:, 0] - eta[:, 1]
-            log_q = -abs(2.0 * beta / s2) * np.abs(diff)
-            q = np.exp(log_q)
-            cos_phi = np.cos(T * beta * diff / s2)
-            ratio = (1.0 + q + sign * 2.0 * np.exp(0.5 * log_q) * cos_phi) / (
-                c_env * (1.0 + q)
-            )
-            keep = u[lo:hi] < ratio
-            kept = eta[keep]
-            take = min(n - filled, kept.shape[0])
-            out[filled : filled + take] = kept[:take]
-            filled += take
-            accepted += kept.shape[0]
-        if stall_test and accepted < _STALL_RATE * proposed:
+        pick = rng.random(_ROUND) * (2.0 + centre_weight)
+        z = rng.normal(0.0, width, size=(_ROUND, 2))
+        u = rng.random(_ROUND)
+        d = np.where(pick < 1.0, beta, np.where(pick < 2.0, -beta, 0.0)) + z[:, 0]
+        q = np.exp(-2.0 * beta / s2 * np.abs(d))
+        keep = u < 1.0 - 4.0 * q / ((1.0 + q) * (1.0 + q)) * trig(T * beta / s2 * d) ** 2
+        rows = np.flatnonzero(keep)
+        proposed, accepted = proposed + _ROUND, accepted + rows.size
+        rows = rows[: n - filled]
+        c, d = z[rows, 1], d[rows]
+        out[filled : filled + c.size] = np.column_stack((c + d, c - d))
+        filled += c.size
+        if proposed >= _STALL_MIN_PROPOSALS and accepted < _STALL_RATE * proposed:
             raise RejectionStallError(
                 f"acceptance rate {accepted / proposed:.2e} below {_STALL_RATE:.0e}"
             )

@@ -374,9 +374,11 @@ def test_property_report_for_seeds_0_to_39(p_slow, p_fast, regime):
     # At the fast one the mapped trajectories reach x of about 0.2 m, where a
     # central-difference step of 1e-3 / kx spans only a few hundred ulps of
     # x; the exact velocities take no step, so the mapped checks pass there
-    # too. (The fast factorization check misses its bound at seeds 33 and 36
-    # by the rounding of cos(kx (xa - xb)) at up to about 1e6 rad.)
-    p, checked = (p_slow, REPORT_NAMES) if regime == "slow" else (p_fast, REPORT_NAMES[3:])
+    # too. So does the factorization check, whose longitudinal factor takes
+    # its phase of up to about 1e6 rad from kx sigma0 and x / sigma0 as the
+    # amplitudes do: its worst asymmetry over these seeds is 5.6e-10.
+    fast_checks = [REPORT_NAMES[1], *REPORT_NAMES[3:]]
+    p, checked = (p_slow, REPORT_NAMES) if regime == "slow" else (p_fast, fast_checks)
     for seed in range(40):
         checks = property_report(p, IntegratorConfig(), np.random.default_rng(seed))
         assert [name for name, _, _ in checks] == REPORT_NAMES

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sstats
 
 from pairslit import (
+    PhysicalParams,
     RejectionStallError,
     SamplerConfig,
     SpinStatistics,
@@ -122,58 +124,89 @@ def test_rejection_stall_raises(p_fast):
         sample_joint_y(100, 0.0, SpinStatistics.FERMION, p, np.random.default_rng(0))
 
 
-def whole_batch_reference(n, t, stats, p, rng):
-    """sample_joint_y as it was before prefix scoring: every proposal scored."""
-    T = t / p.tau
-    s2 = 1.0 + T * T
-    s = math.sqrt(s2)
-    beta, sign = p.beta, stats.sign
-    c_env = 1.0 if (sign < 0 and T == 0.0) else 2.0
-    out = np.empty((n, 2))
-    filled = proposed = accepted = 0
-    while filled < n:
-        mu1 = np.where(rng.random(4096) < 0.5, -beta, beta)
-        eta = np.stack([mu1, -mu1], axis=1) + s * rng.normal(size=(4096, 2))
-        diff = eta[:, 0] - eta[:, 1]
-        log_q = -abs(2.0 * beta / s2) * np.abs(diff)
-        q = np.exp(log_q)
-        cos_phi = np.cos(T * beta * diff / s2)
-        ratio = (1.0 + q + sign * 2.0 * np.exp(0.5 * log_q) * cos_phi) / (c_env * (1.0 + q))
-        keep = rng.random(4096) < ratio
-        kept = eta[keep]
-        take = min(n - filled, kept.shape[0])
-        out[filled : filled + take] = kept[:take]
-        filled += take
-        proposed += 4096
-        accepted += int(keep.sum())
-        if proposed >= 8192 and accepted < 1e-3 * proposed:
-            raise RejectionStallError(f"acceptance rate {accepted / proposed:.2e} below 1e-03")
-    return out * p.sigma0
+ROUND = 512  # proposals per round of sample_joint_y
+# (params, t_end) of both baseline regimes, and of slits one packet width from
+# the axis, where the exchange term shapes the half-separation for both
+# statistics; at the baseline's beta = 5 it is about exp(-25) at release
+GEOMETRIES = {
+    "fast": (PhysicalParams.baseline(x_speed=2.0e7), 1e-8),
+    "slow": (PhysicalParams.baseline(x_speed=2.0e6), 1e-7),
+    "close": (dataclasses.replace(PhysicalParams.baseline(x_speed=2.0e6), Y=1.0e-6), 1e-7),
+}
+
+
+def centre_and_half_separation(ys, p):
+    eta = ys / p.sigma0
+    return 0.5 * (eta[:, 0] + eta[:, 1]), 0.5 * (eta[:, 0] - eta[:, 1])
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-7])
-@pytest.mark.parametrize("n", [1, 250, 1500, 5000])
-def test_prefix_scoring_keeps_the_whole_batch_stream(p_slow, stats, n, t):
-    # scoring only the proposals a batch needs changes no draw and leaves the
-    # generator where scoring them all leaves it. At seed 1500 the boson
-    # prefix falls short and the batch's rest is scored; 5000 pairs take
-    # several batches, and from the second on the stall test reads them whole
-    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
-    got = sample_joint_y(n, t, stats, p_slow, got_rng)
-    want = whole_batch_reference(n, t, stats, p_slow, want_rng)
-    np.testing.assert_array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+@pytest.mark.parametrize("n", [1, 250, 511, 512, 513, 1500, 5000])
+def test_draws_are_the_prefix_of_a_larger_request(p_slow, stats, n, t):
+    def draw(count):
+        rng = np.random.default_rng(n)
+        return sample_joint_y(count, t, stats, p_slow, rng), rng.bit_generator.state
+
+    small, small_state = draw(n)
+    large, _ = draw(10_000)
+    np.testing.assert_array_equal(small, large[:n])
+    again, again_state = draw(n)
+    np.testing.assert_array_equal(again, small)
+    assert again_state == small_state
 
 
-@pytest.mark.parametrize("y_slit, n, seed", [(1e-4, 100, 0), (2e-2, 1, 33)])
-def test_prefix_scoring_stalls_where_whole_batches_do(p_fast, y_slit, n, seed):
-    # In the second case the batch that stalls fills the request from its
-    # first proposals, and only its whole acceptance count gives the rate
-    # that whole batches report.
-    p = dataclasses.replace(p_fast, Y=y_slit * p_fast.sigma0)
-    stats = SpinStatistics.FERMION
-    with pytest.raises(RejectionStallError) as want:
-        whole_batch_reference(n, 0.0, stats, p, np.random.default_rng(seed))
-    with pytest.raises(RejectionStallError) as got:
-        sample_joint_y(n, 0.0, stats, p, np.random.default_rng(seed))
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("n", [1, 250, 511, 512, 513, 1024, 1025, 3000])
+def test_bosons_at_release_keep_every_proposal(p_fast, n):
+    # at t = 0 the boson density is the envelope itself, so a request takes
+    # ceil(n / 512) rounds, each drawn as component uniforms, (d, c) normals
+    # and keep uniforms
+    got = np.random.default_rng(n)
+    sample_joint_y(n, 0.0, SpinStatistics.BOSON, p_fast, got)
+    want = np.random.default_rng(n)
+    for _ in range(-(-n // ROUND)):
+        want.random(ROUND)
+        want.normal(size=(ROUND, 2))
+        want.random(ROUND)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["release", "t_end"])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_centre_is_an_exact_normal(stats, geometry, at_end):
+    p, t_end = GEOMETRIES[geometry]
+    t = t_end if at_end else 0.0
+    T = t / p.tau
+    ys = sample_joint_y(20000, t, stats, p, np.random.default_rng(11))
+    c, _ = centre_and_half_separation(ys, p)
+    # 1e-3 per case, as twelve cases share the family-wise chance of a miss
+    assert sstats.kstest(c, "norm", args=(0.0, math.sqrt(0.5 * (1.0 + T * T)))).pvalue > 1e-3
+
+
+def half_separation_moments(T, beta, sign):
+    """<d^2> and <d^4> of g_T(d) = a^2 + b^2 + sign 2 a b cos(2 T beta d / s^2), by quadrature."""
+    s2 = 1.0 + T * T
+
+    def g(d):
+        a2 = math.exp(-((d - beta) ** 2) / s2)
+        b2 = math.exp(-((d + beta) ** 2) / s2)
+        return a2 + b2 + sign * 2.0 * math.sqrt(a2 * b2) * math.cos(2.0 * T * beta * d / s2)
+
+    reach = beta + 40.0 * math.sqrt(s2)
+    mass = integrate.quad(g, -reach, reach, limit=200, points=(-beta, 0.0, beta))[0]
+    return [
+        integrate.quad(lambda d: d**k * g(d), -reach, reach, limit=200, points=(-beta, 0.0, beta))[0]
+        / mass
+        for k in (2, 4)
+    ]
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["release", "t_end"])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_half_separation_moments_match_quadrature(stats, geometry, at_end):
+    p, t_end = GEOMETRIES[geometry]
+    t = t_end if at_end else 0.0
+    n = 20000
+    ys = sample_joint_y(n, t, stats, p, np.random.default_rng(12))
+    _, d = centre_and_half_separation(ys, p)
+    m2, m4 = half_separation_moments(t / p.tau, p.beta, stats.sign)
+    assert abs(np.mean(d * d) - m2) <= 4.0 * math.sqrt((m4 - m2 * m2) / n)
