@@ -140,6 +140,68 @@ def centre_and_half_separation(ys, p):
     return 0.5 * (eta[:, 0] + eta[:, 1]), 0.5 * (eta[:, 0] - eta[:, 1])
 
 
+def whole_round_reference(n, t, stats, p, rng):
+    """The stream sample_joint_y defines, written out round by round.
+
+    Every round keeps all its accepted proposals, and each proposal is kept
+    with probability g_T(d) / (a + b)^2 in its own form: with q = b / a the
+    ratio is (1 + q^2 + sign 2 q cos(2 T beta d / s^2)) / (1 + q)^2.
+    """
+    T = t / p.tau
+    s2 = 1.0 + T * T
+    beta = p.beta
+    centre_weight = 2.0 * math.exp(-beta * beta / s2)
+    kept = []
+    proposed = accepted = 0
+    while sum(len(k) for k in kept) < n:
+        pick = rng.random(ROUND) * (2.0 + centre_weight)
+        z = math.sqrt(0.5 * s2) * rng.normal(size=(ROUND, 2))
+        u = rng.random(ROUND)
+        d = np.select([pick < 1.0, pick < 2.0], [beta, -beta], 0.0) + z[:, 0]
+        q = np.exp(-2.0 * beta * np.abs(d) / s2)
+        cos_phi = np.cos(2.0 * T * beta * d / s2)
+        ratio = (1.0 + q * q + stats.sign * 2.0 * q * cos_phi) / (1.0 + q) ** 2
+        keep = u < ratio
+        kept.append(np.column_stack((z[keep, 1] + d[keep], z[keep, 1] - d[keep])))
+        proposed += ROUND
+        accepted += int(keep.sum())
+        if proposed >= 8192 and accepted < 1e-3 * proposed:
+            raise RejectionStallError(f"acceptance rate {accepted / proposed:.2e} below 1e-03")
+    return np.concatenate(kept)[:n] * p.sigma0
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-7])
+@pytest.mark.parametrize("n", [1, 250, 1500, 5000])
+def test_prefix_scoring_keeps_the_whole_batch_stream(p_slow, stats, n, t):
+    # the draws are the prefix of the stream of whole rounds, each scored in
+    # full, and the generator ends where drawing those rounds leaves it; 5000
+    # pairs take several rounds for both statistics
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = sample_joint_y(n, t, stats, p_slow, got_rng)
+    want = whole_round_reference(n, t, stats, p_slow, want_rng)
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("y_slit, n, seed", [(1e-4, 100, 0), (2e-2, 1, 33)])
+def test_prefix_scoring_stalls_where_whole_batches_do(p_fast, y_slit, n, seed):
+    # fermions from nearly coincident slits: the stall test reads the counts
+    # of whole rounds, so the sampler stalls where the reference does, with
+    # its message (both cases stall), and otherwise returns its draws
+    p = dataclasses.replace(p_fast, Y=y_slit * p_fast.sigma0)
+    stats = SpinStatistics.FERMION
+
+    def outcome(draw):
+        try:
+            return draw(n, 0.0, stats, p, np.random.default_rng(seed))
+        except RejectionStallError as exc:
+            return str(exc)
+
+    got, want = outcome(sample_joint_y), outcome(whole_round_reference)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("t", [0.0, 1e-7])
 @pytest.mark.parametrize("n", [1, 250, 511, 512, 513, 1500, 5000])
 def test_draws_are_the_prefix_of_a_larger_request(p_slow, stats, n, t):
