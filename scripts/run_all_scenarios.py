@@ -5,16 +5,18 @@ Usage:
 
 Each scenario writes trajectory CSVs plus summary.json into
 RUNS_DIR/<scenario>/. The script prints one line per scenario and exits
-nonzero if any scenario does.
+nonzero if any scenario does. The configs pass the same validator as the
+CLI's flags, so a negative seed prints its config error and exits 1 before
+any scenario runs.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from pairslit.cli import SCENARIOS, default_config, run_scenario
+from pairslit import ConfigError
+from pairslit.cli import SCENARIOS, run_scenario, validate_config
 
 
 def main(argv=None) -> int:
@@ -24,15 +26,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     root = Path(args.root)
+    # every config passes the CLI's validator before any scenario runs
+    try:
+        configs = [
+            validate_config(None, name, {"--out": str(root / name), "--seed": args.seed})
+            for name in SCENARIOS
+            if name != "custom"
+        ]
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 1
     worst = 0
-    for name in SCENARIOS:
-        if name == "custom":
-            continue
-        cfg = default_config(name, output_dir=str(root / name))
-        if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, sampler=dataclasses.replace(cfg.sampler, seed=args.seed)
-            )
+    for cfg in configs:
+        name = cfg.scenario
         code = run_scenario(cfg)
         worst = max(worst, code)
         summary_path = root / name / "summary.json"

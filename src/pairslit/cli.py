@@ -4,8 +4,9 @@ Each subcommand runs one scenario of the _SCENARIOS table and writes
 per-trajectory CSV files plus a summary.json into the output directory.
 Physics for the named scenarios is pinned in code; a JSON config file
 (documented in the README, versioned via config_version) can adjust batch
-settings everywhere, except the sampler of the fixed-release scenarios, and
-the physics for the custom scenario. Command-line flags win over file values.
+settings everywhere, except those a scenario's run does not read, and the
+physics for the custom scenario. Each flag sets one config key (_FLAGS), wins
+over the file's value and is validated with the file by validate_config.
 
 Exit codes: 0 success; 1 configuration problem, or an error that ends the
 run (such as an array too large to allocate); 2 runtime failure (abort
@@ -50,10 +51,14 @@ class _Scenario:
     n_times: int = 101  # sample times per trajectory
     # fixed (y1, y2) releases from the physics, which take the sampler's place
     releases: Callable[[PhysicalParams], np.ndarray] | None = None
+    # config keys the run does not read; each validates only as an exact echo
+    pins: tuple[str, ...] = ()
 
 
 _FAN = SamplerConfig(method="independent_gaussian", n_pairs=25)
-_THREE = SamplerConfig(method="all_symmetric", n_pairs=3)
+_THREE = SamplerConfig(n_pairs=3)
+# the sampler settings of a run that draws no releases from it
+_UNSAMPLED = ("sampler.method", "sampler.n_pairs")
 _SCENARIOS = {
     "fig3a": _Scenario("fan of sampled pair trajectories, fast flight (packets barely spread)",
                        _SPEED_FAST, _FAN),
@@ -62,13 +67,16 @@ _SCENARIOS = {
     "fig4a": _Scenario(
         "three mirror-symmetric pairs whose tracks stay symmetric", _SPEED_SLOW, _THREE,
         releases=lambda p: np.array(
-            [(y, -y) for y in (p.Y - 1.5 * p.sigma0, p.Y, p.Y + 1.5 * p.sigma0)])),
+            [(y, -y) for y in (p.Y - 1.5 * p.sigma0, p.Y, p.Y + 1.5 * p.sigma0)]),
+        pins=_UNSAMPLED),
     "fig4b": _Scenario(
         "three pairs released off-axis; one lower track crosses the axis", _SPEED_SLOW, _THREE,
         releases=lambda p: np.array(
-            [(p.Y, y2) for y2 in (-p.Y + 1.5 * p.sigma0, -p.Y, -p.Y - 1.5 * p.sigma0)])),
+            [(p.Y, y2) for y2 in (-p.Y + 1.5 * p.sigma0, -p.Y, -p.Y - 1.5 * p.sigma0)]),
+        pins=_UNSAMPLED),
+    # property_report reads the physics, the integrator and the seed only
     "four-slit-check": _Scenario("pass/fail property report for the facing double-slit setup",
-                                 _SPEED_SLOW, SamplerConfig()),
+                                 _SPEED_SLOW, SamplerConfig(), pins=(*_UNSAMPLED, "stats")),
     "equivariance": _Scenario("transported ensemble scored against the exact density",
                               _SPEED_SLOW, SamplerConfig(n_pairs=1000), n_times=2),
     "custom": _Scenario("physics and batch settings taken from a config file",
@@ -79,6 +87,16 @@ SCENARIOS = tuple(_SCENARIOS)
 # The config file's sections; each one's keys are its dataclass's fields.
 _SECTIONS = {"params": PhysicalParams, "sampler": SamplerConfig, "integrator": IntegratorConfig}
 _TOP_KEYS = ("config_version", "scenario", "stats", "output_dir", *_SECTIONS)
+# Each flag sets the config key it names, with its argparse keywords.
+_FLAGS = {
+    "--seed": ("sampler.seed", {"type": int, "help": "sampler seed"}),
+    "--n-pairs": ("sampler.n_pairs", {"type": int, "help": "batch size"}),
+    "--out": ("output_dir", {"help": "output directory"}),
+    "--stats": ("stats", {"choices": ["boson", "fermion"], "help": "exchange statistics"}),
+    "--rel-tol": ("integrator.rel_tol", {"type": float, "help": "integrator relative tolerance"}),
+    "--abs-tol": ("integrator.abs_tol",
+                  {"type": float, "help": "integrator absolute tolerance (units of sigma0)"}),
+}
 
 
 @dataclass(frozen=True)
@@ -93,7 +111,7 @@ class ScenarioConfig:
     output_dir: str
 
 
-def default_config(scenario: str, output_dir: str | None = None) -> ScenarioConfig:
+def default_config(scenario: str) -> ScenarioConfig:
     """Pinned defaults for a named scenario (electron baseline geometry)."""
     if scenario not in SCENARIOS:
         raise ConfigError([f"scenario: unknown name {scenario!r}"])
@@ -104,7 +122,7 @@ def default_config(scenario: str, output_dir: str | None = None) -> ScenarioConf
         sampler=spec.sampler,
         integrator=IntegratorConfig(),
         stats=SpinStatistics.BOSON,
-        output_dir=output_dir or "runs_" + scenario.replace("-", "_"),
+        output_dir="runs_" + scenario.replace("-", "_"),
     )
 
 
@@ -150,28 +168,41 @@ def _typed_section(raw, name: str, section: type, problems: list[str]) -> dict:
     return values
 
 
-def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfig:
-    """Load and fully validate a JSON scenario config.
+def validate_config(path=None, expected_scenario: str | None = None,
+                    flags: dict | None = None) -> ScenarioConfig:
+    """Load and fully validate a JSON scenario config, with flags laid over it.
 
+    path names the JSON file; without one the config starts empty. flags maps
+    flags of _FLAGS to their values (None for a flag not given); each given
+    flag sets the key it names, over the file's value, so it passes the same
+    checks as that key, and a problem with its value names the flag first.
     Unknown keys anywhere are rejected. Named scenarios may not override the
-    params section (the scenario pins the physics), and fig4a/fig4b, whose
-    pairs start from fixed releases, may not override the sampler's method or
-    n_pairs; a pinned key validates only as an exact echo. The other batch
-    settings (sampler seed, integrator, stats, output_dir) may be adjusted
-    for any scenario. Raises ConfigError carrying one diagnostic per
-    offending field.
+    params section (the scenario pins the physics), nor the keys their run
+    does not read (_Scenario.pins); a pinned key validates only as an exact
+    echo. The other batch settings (sampler seed, integrator, stats,
+    output_dir) may be adjusted for any scenario. Raises ConfigError carrying
+    one diagnostic per offending field.
     """
     problems: list[str] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError([f"cannot read config: {exc}"]) from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(["top level: expected an object"])
+    raw = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError([f"cannot read config: {exc}"]) from exc
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(["top level: expected an object"])
+    given = {flag: value for flag, value in (flags or {}).items() if value is not None}
+    for flag, value in given.items():
+        name, _, key = _FLAGS[flag][0].rpartition(".")
+        if not name:
+            raw[key] = value
+        elif isinstance(raw.setdefault(name, {}), dict):  # else the section is a problem
+            raw[name] = {**raw[name], key: value}
 
     for key in sorted(set(raw) - set(_TOP_KEYS)):
         problems.append(f"{key}: unknown key")
@@ -189,29 +220,33 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
         )
 
     cfg = default_config(scenario)
+    pins = _SCENARIOS[scenario].pins
+
+    def check_echo(key, value, echo, why="its run does not read it"):
+        # tolerate an exact echo of a pinned value, so that a serialized
+        # config validates; reject any actual override
+        if value != echo:
+            problems.append(f"{key}: the {scenario!r} scenario pins this to {echo!r}; {why}")
+
     for name, section in _SECTIONS.items():
         if name not in raw:
             continue
         values = _typed_section(raw[name], name, section, problems)
         current = getattr(cfg, name)
         if name == "params" and scenario != "custom":
-            pinned, why = tuple(values), "only 'custom' accepts overrides"
-        elif name == "sampler" and _SCENARIOS[scenario].releases is not None:
-            pinned, why = ("method", "n_pairs"), "its pairs start from fixed releases"
-        else:
-            pinned = ()
-        # tolerate an exact echo of a pinned value, so that a serialized
-        # config validates; reject any actual override
-        for key in [k for k in values if k in pinned]:
-            if values.pop(key) != getattr(current, key):
-                problems.append(f"{name}.{key}: the {scenario!r} scenario pins this to "
-                                f"{getattr(current, key)!r}; {why}")
+            for key in list(values):
+                check_echo(f"params.{key}", values.pop(key), getattr(current, key),
+                           "only 'custom' accepts overrides")
+        for key in [k for k in values if f"{name}.{k}" in pins]:
+            check_echo(f"{name}.{key}", values.pop(key), getattr(current, key))
         try:
             cfg = replace(cfg, **{name: replace(current, **values)})
         except ValueError as exc:
             problems.append(f"{name}.{exc}")
 
-    if "stats" in raw:
+    if "stats" in pins and "stats" in raw:
+        check_echo("stats", raw["stats"], cfg.stats.value)
+    elif "stats" in raw:
         try:
             cfg = replace(cfg, stats=SpinStatistics(raw["stats"]))
         except ValueError:
@@ -223,6 +258,10 @@ def validate_config(path, expected_scenario: str | None = None) -> ScenarioConfi
             problems.append("output_dir: expected a non-empty string")
 
     if problems:
+        for flag in given:
+            key = _FLAGS[flag][0]
+            problems = [f"{flag}: {problem}" if problem.startswith((f"{key}:", f"{key} "))
+                        else problem for problem in problems]
         raise ConfigError(problems)
     return cfg
 
@@ -455,36 +494,6 @@ def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
     return 0 if all_ok else 2
 
 
-def _flagged(flag: str, section, **change):
-    """section with change applied; a ValueError becomes a ConfigError naming flag."""
-    try:
-        return replace(section, **change)
-    except ValueError as exc:
-        raise ConfigError([f"{flag}: {exc}"]) from exc
-
-
-def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, sampler=_flagged("--seed", cfg.sampler, seed=args.seed))
-    if args.n_pairs is not None:
-        if _SCENARIOS[cfg.scenario].releases is not None:
-            print(f"{cfg.scenario} uses fixed initial conditions; --n-pairs ignored",
-                  file=sys.stderr)
-        else:
-            cfg = replace(cfg, sampler=_flagged("--n-pairs", cfg.sampler, n_pairs=args.n_pairs))
-    if args.out is not None:
-        if not args.out:  # as output_dir in a config file
-            raise ConfigError(["--out: expected a non-empty path"])
-        cfg = replace(cfg, output_dir=args.out)
-    if args.stats is not None:
-        cfg = replace(cfg, stats=SpinStatistics(args.stats))
-    for flag, key in (("--rel-tol", "rel_tol"), ("--abs-tol", "abs_tol")):
-        value = getattr(args, key)
-        if value is not None:
-            cfg = replace(cfg, integrator=_flagged(flag, cfg.integrator, **{key: value}))
-    return cfg
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; each parse_args fills a fresh namespace."""
@@ -497,13 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, spec in _SCENARIOS.items():
         sp = sub.add_parser(name, help=spec.help)
         sp.add_argument("--config", help="JSON config file (flags win over file values)")
-        sp.add_argument("--seed", type=int, help="sampler seed")
-        sp.add_argument("--n-pairs", type=int, dest="n_pairs", help="batch size")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--stats", choices=["boson", "fermion"], help="exchange statistics")
-        sp.add_argument("--rel-tol", type=float, dest="rel_tol", help="integrator relative tolerance")
-        sp.add_argument("--abs-tol", type=float, dest="abs_tol",
-                        help="integrator absolute tolerance (units of sigma0)")
+        for flag, (_, kwargs) in _FLAGS.items():
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -514,12 +518,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; fold that into the config-error code.
         return 0 if exc.code in (0, None) else 1
+    flags = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _FLAGS}  # argparse's dests
     try:
-        if args.config is not None:
-            cfg = validate_config(args.config, expected_scenario=args.scenario)
-        else:
-            cfg = default_config(args.scenario)
-        cfg = _apply_flags(cfg, args)
+        cfg = validate_config(args.config, args.scenario, flags)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

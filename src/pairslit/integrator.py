@@ -140,8 +140,9 @@ class IntegratorConfig:
     density_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be finite and > 0")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not self.density_floor > 0.0:
             raise ValueError("density_floor must be > 0")
 

@@ -1,6 +1,6 @@
 """Monte Carlo draws of initial pair positions.
 
-Three generators for the transverse coordinates (y1, y2):
+Two generators for the transverse coordinates (y1, y2):
 
 * exact_rejection draws from the true joint density of the pair state, so
   ensembles transported by the guidance law stay distributed like |Psi|^2.
@@ -9,8 +9,6 @@ Three generators for the transverse coordinates (y1, y2):
 * independent_gaussian puts particle 1 in the upper packet and particle 2 in
   the lower one, ignoring exchange symmetry. For well-separated slits it is
   statistically indistinguishable from the exact density.
-* all_symmetric draws particle 1 from the upper packet and forces
-  y2 = -y1, so every pair starts mirror-symmetric about the axis.
 
 Longitudinal coordinates start at x = 0 and t = 0.
 """
@@ -25,7 +23,7 @@ import numpy as np
 from .errors import RejectionStallError
 from .params import PhysicalParams, SpinStatistics
 
-_METHODS = ("exact_rejection", "independent_gaussian", "all_symmetric")
+_METHODS = ("exact_rejection", "independent_gaussian")
 _ROUND = 512  # proposals per round, fixed so the stream consumed is reproducible
 _STALL_MIN_PROPOSALS = 8192
 _STALL_RATE = 1e-3
@@ -126,8 +124,5 @@ def sample_initial(
     n = cfg.n_pairs
     if cfg.method == "exact_rejection":
         return sample_joint_y(n, 0.0, stats, p, rng)
-    if cfg.method == "independent_gaussian":
-        centers = np.array([p.Y, -p.Y])
-        return centers + p.sigma0 * rng.normal(size=(n, 2))
-    upper = p.Y + p.sigma0 * rng.normal(size=n)
-    return np.stack([upper, -upper], axis=1)
+    centers = np.array([p.Y, -p.Y])
+    return centers + p.sigma0 * rng.normal(size=(n, 2))

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -61,7 +63,7 @@ def test_default_configs():
     assert fast.params.x_speed == pytest.approx(2e7)
     assert slow.params.x_speed == pytest.approx(2e6)
     assert fast.sampler.method == "independent_gaussian" and fast.sampler.n_pairs == 25
-    assert default_config("fig4a").sampler.method == "all_symmetric"
+    assert default_config("fig4a").sampler.method == "exact_rejection"
     assert default_config("equivariance").sampler.method == "exact_rejection"
     assert default_config("custom").stats is SpinStatistics.BOSON
     with pytest.raises(ConfigError):
@@ -92,7 +94,7 @@ def test_validate_collects_all_problems(tmp_path):
         "junk": 1,
         "params": {"sigma0": -2.0, "bogus": 7},
         "sampler": {"n_pairs": "ten", "seed": 1.5},
-        "integrator": {"rel_tol": "tight"},
+        "integrator": {"rel_tol": "tight", "abs_tol": 0},
         "stats": "anyon",
         "output_dir": "",
     }
@@ -107,10 +109,16 @@ def test_validate_collects_all_problems(tmp_path):
         "sampler.n_pairs: expected an integer",
         "sampler.seed: expected an integer",
         "integrator.rel_tol: expected a number",
+        "integrator.abs_tol must be finite and > 0",
         "stats: expected 'boson' or 'fermion'",
         "output_dir: expected a non-empty string",
     ):
         assert needle in problems
+    # each tolerance is checked on its own, so a problem names its key
+    path = write_json(tmp_path / "tol.json", {"integrator": {"rel_tol": -1, "abs_tol": 0}})
+    with pytest.raises(ConfigError) as exc:
+        validate_config(path)
+    assert exc.value.problems == ["integrator.rel_tol must be finite and > 0"]
 
 
 def test_named_scenario_pins_physics(tmp_path):
@@ -123,24 +131,60 @@ def test_named_scenario_pins_physics(tmp_path):
     assert validate_config(path, expected_scenario="fig3a") == default_config("fig3a")
 
 
-@pytest.mark.parametrize("scenario", ["fig4a", "fig4b"])
-def test_fixed_release_scenarios_pin_their_sampler(tmp_path, scenario):
-    # these runs start three pairs from fixed releases, so a sampler method or
-    # pair count in the file would be recorded in summary.json but not used
-    payload = {"scenario": scenario, "sampler": {"n_pairs": 7, "method": "exact_rejection"}}
-    path = write_json(tmp_path / "pin.json", payload)
+# the settings each scenario's run does not read: fig4a and fig4b start three
+# pairs from fixed releases, and the four-slit checks test both statistics
+# and integrate boson pairs of their own; such a setting would be recorded
+# in summary.json but not used
+PINNED = {
+    "fig4a": ("sampler.method", "sampler.n_pairs"),
+    "fig4b": ("sampler.method", "sampler.n_pairs"),
+    "four-slit-check": ("sampler.method", "sampler.n_pairs", "stats"),
+}
+OVERRIDES = {"sampler.method": "independent_gaussian", "sampler.n_pairs": 7, "stats": "fermion"}
+# the config key each flag sets
+FLAG_KEYS = {"--seed": "sampler.seed", "--n-pairs": "sampler.n_pairs", "--stats": "stats",
+             "--rel-tol": "integrator.rel_tol", "--abs-tol": "integrator.abs_tol",
+             "--out": "output_dir"}
+FLAG_OF = {key: flag for flag, key in FLAG_KEYS.items()}
+
+
+def nested(values):
+    """A config object holding values, keyed by dotted config keys."""
+    config = {}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = value
+    return config
+
+
+@pytest.mark.parametrize("scenario", list(PINNED))
+def test_fixed_release_scenarios_pin_their_sampler(tmp_path, capsys, scenario):
+    keys = PINNED[scenario]
+    path = write_json(tmp_path / "pin.json",
+                      {"scenario": scenario, **nested({k: OVERRIDES[k] for k in keys})})
     with pytest.raises(ConfigError) as exc:
         validate_config(path, expected_scenario=scenario)
-    assert [problem.split(":")[0] for problem in exc.value.problems] == [
-        "sampler.method", "sampler.n_pairs"]
+    assert [problem.split(":")[0] for problem in exc.value.problems] == list(keys)
     assert all("pins this" in problem for problem in exc.value.problems)
     assert run_main(tmp_path, scenario, "--config", path) == 1
     assert not (tmp_path / "out").exists()
+    # a flag is refused alike, and named first
+    flags = [arg for key in keys if key in FLAG_OF for arg in (FLAG_OF[key], str(OVERRIDES[key]))]
+    capsys.readouterr()
+    assert run_main(tmp_path, scenario, *flags) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {FLAG_OF[problem.split(':')[0]]}: {problem}"
+        for problem in exc.value.problems if problem.split(":")[0] in FLAG_OF]
+    assert not (tmp_path / "out").exists()
     # an exact echo validates, and the seed stays settable
-    pinned = {**serialize_config(default_config(scenario))["sampler"], "seed": 5}
-    path = write_json(tmp_path / "echo.json", {"scenario": scenario, "sampler": pinned})
+    echo = serialize_config(default_config(scenario))
+    pinned = {**echo["sampler"], "seed": 5}
+    path = write_json(tmp_path / "echo.json", {"scenario": scenario, "sampler": pinned,
+                                               "stats": echo["stats"]})
     cfg = validate_config(path, expected_scenario=scenario)
     assert cfg.sampler == replace(default_config(scenario).sampler, seed=5)
+    assert validate_config(None, scenario, {"--seed": 5, "--n-pairs": pinned["n_pairs"],
+                                            "--stats": echo["stats"]}) == cfg
 
 
 def test_scenario_subcommand_mismatch(tmp_path):
@@ -261,9 +305,14 @@ def test_main_stats_flag(tmp_path):
     assert summary["config"]["stats"] == "fermion"
 
 
-def test_main_n_pairs_ignored_for_pinned_initials(tmp_path, capsys):
-    assert run_main(tmp_path, "fig4a", "--n-pairs", "7") == 0
-    assert "ignored" in capsys.readouterr().err
+def test_main_n_pairs_refused_for_pinned_initials(tmp_path, capsys):
+    # a flag passes the checks of the key it sets: fig4a pins sampler.n_pairs
+    assert run_main(tmp_path, "fig4a", "--n-pairs", "7") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --n-pairs: sampler.n_pairs: the 'fig4a' scenario pins this")
+    assert not (tmp_path / "out").exists()
+    # an exact echo of the pinned count runs
+    assert run_main(tmp_path, "fig4a", "--n-pairs", "3") == 0
     assert len(list((tmp_path / "out").glob("trajectory_*.csv"))) == 3
 
 
@@ -325,7 +374,8 @@ def test_replayed_config_reproduces_the_run(tmp_path, capsys, scenario):
     # summary.json records the resolved config; running it again as --config
     # must write the same files
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main([scenario, "--seed", "7", "--stats", "fermion", "--out", str(first)]) in (0, 2)
+    stats = [] if "stats" in PINNED.get(scenario, ()) else ["--stats", "fermion"]
+    assert main([scenario, "--seed", "7", *stats, "--out", str(first)]) in (0, 2)
     summary = json.loads((first / "summary.json").read_text())
     config = write_json(tmp_path / "replay.json", summary["config"])
     assert main([scenario, "--config", config, "--out", str(second)]) in (0, 2)
@@ -371,7 +421,7 @@ def test_main_abort_threshold_exit_code(tmp_path, capsys):
 
 
 def test_run_scenario_four_slit_check(tmp_path, capsys):
-    cfg = default_config("four-slit-check", output_dir=str(tmp_path / "fsc"))
+    cfg = replace(default_config("four-slit-check"), output_dir=str(tmp_path / "fsc"))
     assert isinstance(cfg, ScenarioConfig)
     assert run_scenario(cfg) == 0
     out = capsys.readouterr().out
@@ -411,8 +461,8 @@ def test_four_slit_check_fails_when_a_pair_is_not_integrated(tmp_path, capsys, i
 def test_step_budget_ends_a_run_that_cannot_meet_its_tolerance(tmp_path, scenario):
     # at 1e-25 error control accepts only steps just above the smallest one, so
     # a pair would need far more steps than its budget allows; the run ends
-    code = run_main(tmp_path, scenario, "--rel-tol", "1e-25", "--abs-tol", "1e-25",
-                    "--n-pairs", "1")
+    n_pairs = ["--n-pairs", "1"] if scenario == "custom" else []  # four-slit-check pins it
+    code = run_main(tmp_path, scenario, "--rel-tol", "1e-25", "--abs-tol", "1e-25", *n_pairs)
     assert code == 2
     text = (tmp_path / "out" / "summary.json").read_text()
     summary = json.loads(text, parse_constant=_refuse_nan)
@@ -651,6 +701,18 @@ def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scenario_script_refuses_a_bad_seed(tmp_path, capsys):
+    # the script's configs pass the CLI's validator before any scenario runs
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--root", str(tmp_path / "runs"), "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "config error: --seed: sampler.seed must be >= 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_that_fails_creates_no_output_directory(tmp_path, capsys):
     out = tmp_path / "runs" / "big"
     assert main(["fig3a", "--n-pairs", str(10**15), "--out", str(out)]) == 1
@@ -713,8 +775,8 @@ _SCHEMA = {
                         for k in ("m", "hbar", "sigma0", "Y", "kx", "d", "L")}),
     "sampler": _section({
         "method": _mostly(
-            st.sampled_from(("exact_rejection", "independent_gaussian", "all_symmetric")),
-            st.sampled_from(("", "gibbs", 1))),
+            st.sampled_from(("exact_rejection", "independent_gaussian")),
+            st.sampled_from(("", "gibbs", 1, "all_symmetric"))),
         "seed": _seed,
     }),
     "integrator": _section({"rel_tol": _tolerance, "abs_tol": _tolerance,
@@ -728,22 +790,30 @@ def _flag_value(value):
 
 @st.composite
 def _cli_inputs(draw):
-    """(subcommand, config or None, flags), running at most 5 pairs."""
+    """(subcommand, config or None, flags), running at most 5 pairs.
+
+    A pair count and stats are drawn only for the scenarios that read them;
+    the others pin them, and would refuse nearly every draw.
+    """
     scenario = draw(st.sampled_from(SCENARIOS))
+    pinned = PINNED.get(scenario, ())
+    schema = {key: values for key, values in _SCHEMA.items() if key not in pinned}
     config = draw(st.one_of(st.none(), st.fixed_dictionaries({}, optional={
-        **_SCHEMA, "scenario": _mostly(st.just(scenario), st.sampled_from(SCENARIOS + ("", 1))),
+        **schema, "scenario": _mostly(st.just(scenario), st.sampled_from(SCENARIOS + ("", 1))),
     })))
     flags = []
     count = draw(_pair_count)
-    # the default counts run 25 to 1,000 pairs: every run gets one of _pair_count
+    # the default counts run 25 to 1,000 pairs: every run that reads one gets one of _pair_count
     sampler = config.get("sampler") if config is not None else None
-    if isinstance(sampler, dict) and draw(st.booleans()):
+    if "sampler.n_pairs" in pinned:
+        pass
+    elif isinstance(sampler, dict) and draw(st.booleans()):
         sampler["n_pairs"] = count
     else:
         flags.append(f"--n-pairs={_flag_value(count)}")
     for flag, values in (
         ("--seed", _seed),
-        ("--stats", _stats),
+        *([] if "stats" in pinned else [("--stats", _stats)]),
         ("--rel-tol", _tolerance),
         ("--abs-tol", _tolerance),
         ("--out", _mostly(st.just("out_flag"), st.just(""))),
@@ -751,6 +821,21 @@ def _cli_inputs(draw):
         if draw(st.booleans()):
             flags.append(f"{flag}={_flag_value(draw(values))}")
     return scenario, config, flags
+
+
+def _main_in(directory, argv):
+    """main(argv) run in directory, so that a relative output directory lands there.
+
+    Returns the exit code and what main wrote to stderr.
+    """
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
+    finally:
+        os.chdir(cwd)
 
 
 @settings(max_examples=500, deadline=None)
@@ -776,17 +861,70 @@ def test_any_input_exits_cleanly(inputs):
         argv = [scenario, *flags]
         if config is not None:
             argv += ["--config", write_json(tmp / "config.json", config)]
-        err = io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(tmp)  # a relative output directory lands in tmp
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
+        code, err = _main_in(tmp, argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         for path in tmp.rglob("summary.json"):
             summary = json.loads(path.read_text(), parse_constant=_refuse_nan)
             echo = write_json(tmp / "echo.json", summary["config"])
             assert serialize_config(validate_config(echo, summary["scenario"])) == summary["config"]
+
+
+# Flag values that argparse accepts. Each run has at most 5 pairs: a scenario
+# that reads the pair count always gets one, valid or refused before anything
+# is allocated.
+_bad_tolerance = st.sampled_from((0.0, -1.0, math.inf, math.nan))
+_FLAG_VALUES = {
+    "--seed": _mostly(st.integers(0, 2**64), st.just(-1)),
+    "--stats": st.sampled_from(("boson", "fermion")),
+    "--rel-tol": _mostly(_decades(1e-8, 2.0, 2.0), _bad_tolerance),
+    "--abs-tol": _mostly(_decades(1e-8, 2.0, 2.0), _bad_tolerance),
+    "--out": _mostly(st.just("out_flag"), st.just("")),
+}
+
+
+@st.composite
+def _flag_runs(draw):
+    """(subcommand, {flag: value}) for flags that argparse accepts."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    pinned = PINNED.get(scenario, ())
+    flags = {}
+    if "sampler.n_pairs" in pinned:  # an echo, or a count the run does not read
+        if draw(st.booleans()):
+            flags["--n-pairs"] = draw(st.sampled_from((3, 7, 1000, 0)))
+    else:
+        flags["--n-pairs"] = draw(_mostly(st.integers(1, 5), st.sampled_from((0, -1, 2**63))))
+    for flag, values in _FLAG_VALUES.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(values)
+    return scenario, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_flag_runs())
+@example(run=("fig4a", {"--n-pairs": 7}))
+@example(run=("four-slit-check", {"--stats": "fermion", "--rel-tol": -1.0}))
+@example(run=("fig3a", {"--n-pairs": 2, "--seed": -1, "--abs-tol": math.nan, "--out": ""}))
+def test_flags_and_file_give_the_same_run(run):
+    # a flag is validated as the key it sets: the run is the same as with a
+    # file holding those keys, and only the problems' "--flag: " prefix differs
+    scenario, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        by_flag, by_file = Path(tmp, "flag"), Path(tmp, "file")
+        by_flag.mkdir()
+        by_file.mkdir()
+        config = write_json(Path(tmp, "config.json"),
+                            nested({FLAG_KEYS[flag]: value for flag, value in flags.items()}))
+        flag_code, flag_err = _main_in(by_flag, [scenario, *(f"{f}={v}" for f, v in flags.items())])
+        file_code, file_err = _main_in(by_file, [scenario, "--config", config])
+        assert flag_code == file_code
+        assert [re.sub(r"^config error: --[a-z-]+: ", "config error: ", line)
+                for line in flag_err.splitlines()] == file_err.splitlines()
+        assert not any(line.startswith(f"config error: {FLAG_KEYS[flag]}")
+                       for line in flag_err.splitlines() for flag in flags)
+        summaries = [sorted(root.rglob("summary.json")) for root in (by_flag, by_file)]
+        assert [[p.relative_to(root) for p in found]
+                for root, found in zip((by_flag, by_file), summaries)] == [
+            [p.relative_to(by_file) for p in summaries[1]]] * 2
+        for flag_summary, file_summary in zip(*summaries):
+            assert flag_summary.read_text() == file_summary.read_text()

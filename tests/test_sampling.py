@@ -42,15 +42,6 @@ def test_initial_configurations_at_release(p_fast, stats):
     assert np.isfinite(ys).all()
 
 
-def test_all_symmetric_forces_mirror(p_fast, stats):
-    cfg = SamplerConfig(method="all_symmetric", n_pairs=500, seed=3)
-    ys = sample_initial(cfg, stats, p_fast)
-    assert np.all(ys[:, 1] == -ys[:, 0])
-    # upper coordinate ~ N(Y, sigma0^2)
-    assert ys[:, 0].mean() == pytest.approx(p_fast.Y, abs=4 * p_fast.sigma0 / math.sqrt(500))
-    assert ys[:, 0].std(ddof=1) == pytest.approx(p_fast.sigma0, rel=0.15)
-
-
 def test_independent_gaussian_moments(p_fast, stats):
     cfg = SamplerConfig(method="independent_gaussian", n_pairs=4000, seed=4)
     ys = sample_initial(cfg, stats, p_fast)
