@@ -83,8 +83,9 @@ reduced_velocity = _velocity_kernel(
 
     The denominator also gives the joint density at the configuration:
     n2 / (2 pi s2) exp(-c0^2) den exp(-(|d| - beta)^2 / s2) with
-    s2 = 1 + T^2 and c0 = c / sqrt(s2) the initial centre of mass, which is
-    how the step loops test the density floor.
+    s2 = 1 + T^2 and c0 = c / sqrt(s2) the initial centre of mass. The step
+    loops test the floor on it over n2 / (2 pi) exp(-c0^2), as integrator._peak
+    does.
 
     d and T are floats. w and g, if given, are the stage-time factors
     beta / (1 + T^2) and T / (1 + T^2), as reduced_velocity_array takes them.

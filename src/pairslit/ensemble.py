@@ -108,7 +108,9 @@ def transport_ensemble(
     ends = table[status == TrajectoryStatus.COMPLETED, -1, 1:3]
     com = 0.5 * (initial[:, 0] + initial[:, 1])
 
-    same_side = float(np.mean(ends[:, 0] * ends[:, 1] > 0.0)) if len(ends) else math.nan
+    # the product of the signs: that of the coordinates can overflow
+    same_side = np.sign(ends[:, 0]) * np.sign(ends[:, 1]) > 0.0
+    same_side = float(np.mean(same_side)) if len(ends) else math.nan
     distance = baseline = None
     if len(ends) >= _TV_MIN_POINTS:
         distance, baseline = density_distance(ends, stats, p, t_end, rng=rng)

@@ -52,7 +52,6 @@ import numpy as np
 
 from ._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from .params import PhysicalParams, SpinStatistics
-from .wavefunction import initial_density_peak, normalization_N
 
 # Dormand-Prince 5(4) tableau. B propagates the fifth-order solution; E gives
 # the embedded error estimate. Stage 7 is FSAL.
@@ -132,7 +131,7 @@ class IntegratorConfig:
     rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
     bound the local error of the half-separation (y1 - y2) / 2; the step
     size is left to the controller. density_floor is relative to the t = 0
-    peak of the joint density.
+    peak of the joint density, its exact maximum (see _peak).
     """
 
     rel_tol: float = 1e-9
@@ -156,8 +155,7 @@ class _Scaled:
     tau: float
     sign: int
     beta: float
-    n2: float
-    floor: float
+    floor: float  # density_floor times _peak
     h_min: float
     rtol: float
     atol: float
@@ -177,22 +175,49 @@ def _scaled_problem(
     ):
         raise ValueError("sample_times must run strictly from 0 to t_end")
     tau = p.tau
-    # Peak of the dimensionless density; the SI peak carries 1/sigma0^2.
-    peak = initial_density_peak(stats, p) * p.sigma0**2
     return _Scaled(
         grid=tuple(t / tau for t in out_t),
         times=np.array(out_t),
         tau=tau,
         sign=stats.sign,
         beta=p.beta,
-        n2=normalization_N(stats, p),
-        floor=cfg.density_floor * peak,
+        floor=cfg.density_floor * _peak(p.beta, stats.sign),
         # The smallest step error control may ask for, as a fraction of the
         # span; each pair's first trial step is set in integrate_pairs.
         h_min=1e-12 * t_end / tau,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
     )
+
+
+def _peak(beta: float, sign: int) -> float:
+    """The t = 0 peak of the joint density in the step loops' units.
+
+    That is the maximum over d of the kernel's den exp(-(|d| - beta)^2) at
+    T = 0, g0(d) = exp(-(|d| - beta)^2) (1 + sign exp(-2 beta |d|))^2. It
+    lies at d = 0 for bosons with beta <= 1, else at the root of
+    d = beta tanh(beta d) (bosons) or d tanh(beta d) = beta (fermions), which
+    bisection finds within 80 halvings: the root lies in (0, beta), above
+    3e-8, for bosons and in (max(1, beta), d+) for fermions, where
+    d+^2 = 1 + beta d+ by x / (1 + x) <= tanh x.
+    """
+    if sign > 0 and beta <= 1.0:
+        return 4.0 * math.exp(-beta * beta)
+    if sign > 0:
+        lo, hi = 0.0, beta
+    else:
+        lo, hi = max(1.0, beta), 0.5 * (beta + math.sqrt(beta * beta + 4.0))
+    d = 0.5 * (lo + hi)
+    while lo < d < hi:
+        t = math.tanh(beta * d)
+        if (beta * t > d) if sign > 0 else (d * t < beta):
+            lo = d
+        else:
+            hi = d
+        d = 0.5 * (lo + hi)
+    m = -math.expm1(-2.0 * beta * d)  # 1 - exp(-2 beta d), without cancelling
+    r = d - beta
+    return math.exp(-(r * r)) * (2.0 - m if sign > 0 else m) ** 2
 
 
 def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
@@ -260,10 +285,10 @@ def integrate_pairs(
     with np.errstate(all="ignore"):
         k1, den = reduced_velocity_array(d, 0.0, prob.beta, prob.sign)
         # Each pair's density floor over the factor n2 / (2 pi) exp(-c0^2) of
-        # its density, which the step loops' floor test leaves out (see
+        # its density, which the loops' floor test and _peak leave out (see
         # _kernels.reduced_velocity). A pair released on a node or below the
         # floor is not integrated; the floor test is the loops' own at s2 = 1.
-        thr = prob.floor * (2.0 * math.pi / prob.n2) * np.exp(c0 * c0)
+        thr = prob.floor * np.exp(c0 * c0)
         r = np.abs(d) - prob.beta
         idx = np.flatnonzero(~(den < NODE_GUARD) & ~(den * np.exp(-(r * r)) < thr))
         k1, thr = k1[idx], thr[idx]

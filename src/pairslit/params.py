@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR
 
-# The largest Y / sigma0 accepted. The t = 0 density peak is searched on a
-# 0.02 sigma0 grid out to Y + 4 sigma0 (wavefunction.initial_density_peak);
-# beyond this float64 positions near Y are spaced wider than that grid.
+# The largest Y / sigma0 accepted: beyond it, float64 positions near Y are
+# spaced wider than 0.02 sigma0.
 _MAX_BETA = 0.02 * 2.0**52
 
 
@@ -74,16 +74,18 @@ class PhysicalParams:
                 f"Y must be at most {_MAX_BETA:.4g} sigma0, got {self.beta:.4g} sigma0"
             )
         # Extreme inputs can underflow or overflow the derived time scales;
-        # the integrator divides by tau and steps over flight_time / tau.
+        # the integrator divides by tau and splits flight_time / tau into
+        # sample times, which a subnormal span has too few floats for.
         try:
             tau = self.tau
         except OverflowError:  # sigma0**2 raises where a product would give inf
             tau = math.inf
-        for name, value in (("tau", tau), ("flight_time", self.flight_time)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not 0.0 < self.flight_time / tau < math.inf:
-            raise ValueError("flight_time / tau must be finite and > 0")
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+        t, tiny = self.flight_time, sys.float_info.min
+        for name, value in (("flight_time", t), ("flight_time / tau", t / tau)):
+            if not tiny <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= {tiny!r}, got {value!r}")
 
     @classmethod
     def baseline(cls, x_speed: float = 2.0e7) -> "PhysicalParams":

@@ -13,7 +13,6 @@ tau so intermediates stay near unity.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -120,35 +119,3 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
     total = 4.0 * a * b * trig**2 + (a - b) ** 2
     return n2 / (2.0 * np.pi * s2) * total / p.sigma0**2
-
-
-@functools.lru_cache(maxsize=32)
-def initial_density_peak(stats: SpinStatistics, p: PhysicalParams) -> float:
-    """Maximum of the t = 0 joint density (m^-2), by grid search.
-
-    Reference value for relative density floors. At t = 0 the density
-    factorizes as exp(-c^2 / sigma0^2) g(y1 - y2) in the centre of mass
-    c = (y1 + y2) / 2, so its peak lies on the line c = 0, and a search along
-    y2 = -y1 suffices. The density is smooth on the sigma0 scale, so a
-    0.02*sigma0 grid over the packet region nails the peak far beyond
-    floor-setting needs.
-
-    On that line both Gaussian factors of the density fall below e^-8 more
-    than 4 sigma0 from y1 = -Y, 0 and Y, so only the grid points within
-    those three windows are evaluated: cost and memory stay fixed as Y /
-    sigma0 grows. For Y <= 8 sigma0 the windows cover the whole grid.
-    """
-    span = p.Y + 4.0 * p.sigma0
-    last = int(2 * span / (0.02 * p.sigma0))
-    # y_k = -span + k step, with numpy.linspace's arithmetic and its exact endpoint
-    step = (span - -span) / last
-    reach = 4.0 * p.sigma0
-    # Overlapping windows repeat points, which leaves the maximum unchanged.
-    k = np.concatenate([
-        np.arange(max(0, math.floor((c - reach + span) / step)),
-                  min(last, math.ceil((c + reach + span) / step)) + 1)
-        for c in (-p.Y, 0.0, p.Y)
-    ])
-    y = k * step - span
-    y[k == last] = span
-    return float(joint_density_y(y, -y, 0.0, stats, p).max())

@@ -5,17 +5,20 @@ pairslit._kernels. This module restates the same physics per point in SI,
 so that the tests can check the package against it: the closed-form
 velocity of one configuration, the transverse centre-of-mass law, a velocity
 oracle by central differences of the full complex amplitude, the same-side
-probability by quadrature, and the negative control of independent packet
-spreading. Not package API.
+probability by quadrature, the t = 0 density peak in SI units, and the
+negative control of independent packet spreading. Not package API.
 """
+
+import math
 
 import numpy as np
 
 from fd_reference import reference_velocity
 from pairslit import NodeProximityError, PairConfiguration, PairVelocity, psi_pair, sigma_t
 from pairslit._kernels import NODE_GUARD, reduced_velocity
+from pairslit.integrator import _peak
 from pairslit.quadrature import gauss_legendre
-from pairslit.wavefunction import initial_density_peak, joint_density_y
+from pairslit.wavefunction import joint_density_y, normalization_N
 
 # Minimum |Psi|^2 at the oracle's point, relative to the t = 0 density peak,
 # below which it refuses to divide by Psi.
@@ -51,6 +54,11 @@ def com_closed_form(y0, t, p) -> float:
     flow: y(t) = y(0) |sigma_t| / sigma0, independent of statistics.
     """
     return y0 * abs(sigma_t(t, p)) / p.sigma0
+
+
+def initial_density_peak(stats, p) -> float:
+    """The t = 0 peak of the joint density (m^-2): integrator._peak in SI units."""
+    return normalization_N(stats, p) / (2.0 * math.pi * p.sigma0**2) * _peak(p.beta, stats.sign)
 
 
 def joint_density(c, stats, p):

@@ -20,10 +20,9 @@ from pairslit import integrator
 from pairslit._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
-from pairslit.wavefunction import initial_density_peak
 
 from endpoint_oracle import oracle_endpoints, oracle_paths
-from oracles import com_closed_form
+from oracles import com_closed_form, initial_density_peak
 from pair_transport import endpoint, integrate_one, trajectories
 
 REGIMES = {

@@ -38,6 +38,7 @@ from pairslit.cli import (
     validate_config,
 )
 from pairslit.integrator import integrate_pairs
+from pairslit.params import _MAX_BETA
 
 
 def write_json(path, payload):
@@ -823,6 +824,24 @@ def _cli_inputs(draw):
     return scenario, config, flags
 
 
+@st.composite
+def _corner_inputs(draw):
+    """(custom, config, flags) drawn at beta = Y / sigma0 and T_end = flight_time / tau.
+
+    The per-key draws of _cli_inputs seldom reach small beta or long flights,
+    where pairs stall in the sampler or abort on the density floor. With the
+    baseline sigma0 and kx, Y = beta sigma0 and L = 2 kx sigma0^2 T_end.
+    """
+    beta = 10.0 ** draw(st.floats(-3.0, math.log10(_MAX_BETA)))
+    t_end = 10.0 ** draw(st.floats(-3.0, 6.0))
+    sigma0 = _BASELINE.sigma0
+    config = {
+        "stats": draw(st.sampled_from(("boson", "fermion"))),
+        "params": {"Y": beta * sigma0, "L": 2.0 * _BASELINE.kx * sigma0**2 * t_end},
+    }
+    return "custom", config, [f"--n-pairs={draw(st.integers(1, 5))}"]
+
+
 def _main_in(directory, argv):
     """main(argv) run in directory, so that a relative output directory lands there.
 
@@ -839,8 +858,13 @@ def _main_in(directory, argv):
 
 
 @settings(max_examples=500, deadline=None)
-@given(inputs=_cli_inputs())
+@given(inputs=st.one_of(_cli_inputs(), _corner_inputs()))
 @example(inputs=("custom", {"params": {"Y": 1e13}}, ["--n-pairs=2"]))
+# beta = 0.01 fermions stall in the sampler (exit 1); at T_end = 6e5 pairs
+# abort on the density floor (exit 2); a flight time of 4.3e-322 s is refused
+@example(inputs=("custom", {"stats": "fermion", "params": {"Y": 1e-8}}, ["--n-pairs=2"]))
+@example(inputs=("custom", {"params": {"L": 207311.8}}, ["--n-pairs=5"]))
+@example(inputs=("custom", {"params": {"L": 5e-26, "kx": 1e300}}, ["--n-pairs=2"]))
 @example(inputs=("fig3a", None, [f"--n-pairs={10**15}"]))
 @example(inputs=("fig3a", None, [f"--n-pairs={2**63}"]))
 @example(inputs=("fig4a", None, ["--out="]))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +41,18 @@ def test_result_shape(p_fast, stats):
     assert 0.0 <= res.same_side_fraction <= 1.0
     assert res.samples.shape == (150, 2, 5) and res.sample_count.shape == (150,)
     assert res.density_distance is not None and res.density_distance_baseline is not None
+
+
+def test_same_side_fraction_at_a_wide_geometry_warns_of_nothing(p_fast):
+    # Y = 5e155 m, beta = 5e13: the product y1 y2 of two endpoints overflows
+    # float64, the product of their signs does not
+    p = dataclasses.replace(p_fast, sigma0=1e142, Y=5e155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = small_run(p, SpinStatistics.BOSON, n=2)
+    assert res.n_completed == 2
+    assert (np.abs(res.endpoints) > 1e155).all()
+    assert res.same_side_fraction == 0.0  # each particle stays behind its slit
 
 
 def test_seed_determinism(p_fast):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 
 import pytest
 
@@ -26,6 +28,17 @@ def test_positive_fields_enforced(p_fast, field):
         dataclasses.replace(p_fast, **{field: 0.0})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(p_fast, **{field: -1.0})
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"L": 5e-26, "kx": 1e300}, "flight_time"),  # 4.3e-322 s
+    ({"m": 1.0, "hbar": 1.0, "sigma0": 1e5, "L": 1e-300, "kx": 1.0}, "flight_time / tau"),
+])
+def test_subnormal_time_spans_refused(p_fast, fields, name):
+    # a subnormal span repeats values once split into sample times
+    bound = f"{name} must be finite and >= {sys.float_info.min!r}, got "
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        dataclasses.replace(p_fast, **fields)
 
 
 def test_params_frozen(p_fast):

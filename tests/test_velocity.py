@@ -15,9 +15,14 @@ from pairslit import (
     sigma_t,
 )
 from pairslit._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
-from pairslit.wavefunction import initial_density_peak
 
-from oracles import com_closed_form, joint_density, velocity_closed_form, velocity_oracle
+from oracles import (
+    com_closed_form,
+    initial_density_peak,
+    joint_density,
+    velocity_closed_form,
+    velocity_oracle,
+)
 
 
 def random_points(p, rng, n, min_gap=0.0):
