@@ -9,8 +9,10 @@ the node return differ. The array kernel closes over its constants as 0-d
 float64 arrays: at the batch loop's widths numpy takes one as an operand
 about 0.2 us faster than a Python float, for the same bits. The step
 loops, and integrate_pairs at release, read the joint density off the
-velocity kernels' denominator. Tests pin that density against
-wavefunction.joint_density_y.
+velocity kernels' denominator den. den is the pair-density bracket g of
+wavefunction._pair_bracket, written inline in the kernel's own terms (its
+tan serves the velocity too); tests pin that density against
+wavefunction.joint_density_y, which evaluates the bracket through the helper.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of

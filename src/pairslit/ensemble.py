@@ -186,14 +186,16 @@ def _exact_bin_masses(t: float, stats: SpinStatistics, p: PhysicalParams):
     The grid has 40 x 40 cells on [-half, half]^2, in packet-width units,
     with half = 10 |sigma_t| / sigma0 rounded to 12 decimals. Each cell's
     mass is an 8 x 8-point Gauss-Legendre quadrature of the joint density.
+    The density is evaluated one row of cells at a time, so the peak memory
+    is that of 8 x 320 points rather than of the whole 320 x 320 grid.
     """
     half = round(_TV_HALF_WIDTHS * abs(sigma_t(t, p)) / p.sigma0, 12)
     edges = np.linspace(-half, half, _TV_BINS + 1)
     x, w = gauss_legendre(edges[:-1, None], edges[1:, None], _GL_PER_BIN)
-    x, w = x.ravel(), w.ravel()
-    dens = joint_density_y(
-        x[:, None] * p.sigma0, x[None, :] * p.sigma0, t, stats, p
-    ) * p.sigma0**2
-    cellwise = (w[:, None] * w[None, :]) * dens
-    masses = cellwise.reshape(_TV_BINS, _GL_PER_BIN, _TV_BINS, _GL_PER_BIN).sum(axis=(1, 3))
+    y2, w2 = x.ravel() * p.sigma0, w.ravel()
+    masses = np.empty((_TV_BINS, _TV_BINS))
+    for row, (x1, w1) in enumerate(zip(x, w)):
+        dens = joint_density_y(x1[:, None] * p.sigma0, y2, t, stats, p) * p.sigma0**2
+        cellwise = (w1[:, None] * w2) * dens
+        masses[row] = cellwise.reshape(_GL_PER_BIN, _TV_BINS, _GL_PER_BIN).sum(axis=(0, 2))
     return edges, masses, float(max(0.0, 1.0 - masses.sum()))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import RejectionStallError
 from .params import PhysicalParams, SpinStatistics
+from .wavefunction import _pair_bracket
 
 _METHODS = ("exact_rejection", "independent_gaussian")
 _ROUND = 512  # proposals per round, fixed so the stream consumed is reproducible
@@ -58,16 +59,17 @@ def sample_joint_y(
     """Draw n transverse pairs (m) from the exact joint density at time t.
 
     In packet units (eta = y / sigma0, T = t / tau, s^2 = 1 + T^2) the density
-    factorizes as exp(-c^2 / s^2) g_T(d) in the centre c = (eta1 + eta2) / 2
-    and the half-separation d = (eta1 - eta2) / 2, with
-    g_T = a^2 + b^2 + sign * 2 a b cos(2 T beta d / s^2) and a, b the packet
-    factors exp(-(d -+ beta)^2 / (2 s^2)). So c is an exact normal of variance
-    s^2 / 2, and d is drawn by rejection from the envelope (a + b)^2 >= g_T: a
-    mixture of three normals of variance s^2 / 2, centred at beta and -beta
-    with weight 1 each and at 0 with weight 2 exp(-beta^2 / s^2). A proposal
-    is kept with probability 1 - 4q / (1 + q)^2 * trig(T beta d / s^2)^2,
-    q = exp(-2 beta |d| / s^2), trig = sin for bosons and cos for fermions;
-    bosons at t = 0 keep every proposal.
+    factorizes as exp(-c^2 / s^2) in the centre c = (eta1 + eta2) / 2 times
+    exp(-(|d| - beta)^2 / s^2) g in the half-separation d = (eta1 - eta2) / 2,
+    g being wavefunction._pair_bracket, the bracket joint_density_y also
+    evaluates. So c is an exact normal of variance s^2 / 2, and d is drawn by
+    rejection from the envelope that takes g at its bound over the phase,
+    (1 + q)^2 with q = exp(-2 beta |d| / s^2): a mixture of three normals of
+    variance s^2 / 2, centred at beta and -beta with weight 1 each and at 0
+    with weight 2 exp(-beta^2 / s^2). A proposal is kept when its keep
+    uniform times the bound is below g; the bracket is exact near the
+    fermion diagonal, and bosons at t = 0, where g is its bound to the bit,
+    keep every proposal.
 
     Proposals come in rounds of _ROUND, each drawn whole: its component
     uniforms, its (d, c) normal pairs, then its keep uniforms. The draws are
@@ -84,7 +86,6 @@ def sample_joint_y(
     beta = p.beta
     centre_weight = 2.0 * math.exp(-beta * beta / s2)
     width = math.sqrt(0.5 * s2)
-    trig = np.sin if stats.sign > 0 else np.cos
 
     out = np.empty((n, 2))
     filled = proposed = accepted = 0
@@ -93,8 +94,8 @@ def sample_joint_y(
         z = rng.normal(0.0, width, size=(_ROUND, 2))
         u = rng.random(_ROUND)
         d = np.where(pick < 1.0, beta, np.where(pick < 2.0, -beta, 0.0)) + z[:, 0]
-        q = np.exp(-2.0 * beta / s2 * np.abs(d))
-        keep = u < 1.0 - 4.0 * q / ((1.0 + q) * (1.0 + q)) * trig(T * beta / s2 * d) ** 2
+        g, bound = _pair_bracket(d, T, beta, stats.sign)
+        keep = u * bound < g
         rows = np.flatnonzero(keep)
         proposed, accepted = proposed + _ROUND, accepted + rows.size
         rows = rows[: n - filled]

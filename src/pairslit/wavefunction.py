@@ -77,8 +77,13 @@ def _images(c: PairConfiguration, p: PhysicalParams, signs: np.ndarray):
 
 
 def normalization_N(stats: SpinStatistics, p: PhysicalParams) -> float:
-    """|N|^2 of the (anti)symmetrized pair state, 1 / (2 (1 +- e^{-Y^2/sigma0^2}))."""
-    return 0.5 / (1.0 + stats.sign * math.exp(-p.beta**2))
+    """|N|^2 of the (anti)symmetrized pair state, 1 / (2 (1 +- e^{-Y^2/sigma0^2})).
+
+    The overlap term is taken through expm1, so the fermion value stays exact
+    at small Y / sigma0, where 1 - e^{-beta^2} would cancel.
+    """
+    sign = stats.sign
+    return 0.5 / ((1 + sign) + sign * math.expm1(-p.beta**2))
 
 
 def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
@@ -93,19 +98,44 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
     return n * (u1 * l2 + stats.sign * (u2 * l1))
 
 
+def _pair_bracket(d, T: float, beta: float, sign: int):
+    """The interference bracket of the pair density, and its bound over the phase.
+
+    In packet units, with half-separation d, s^2 = 1 + T^2, u = beta d / s^2
+    and q = exp(-2 |u|), the joint density is, up to its Gaussian factor,
+
+        g = (1 - q)^2 + 4 q trig(T u)^2,
+
+    trig being cos for bosons and sin for fermions. That is
+    (a^2 + b^2 +- 2 a b cos(2 T u)) / max(a, b)^2, a and b being the two
+    Gaussian packet products, written as a sum of squares: the same bracket
+    as the velocity kernels' den. 1 - q is -expm1(-2 |u|), so g stays
+    exact near the fermion diagonal, where the packet products a and b agree.
+    The bound at trig^2 = 1, (1 - q)^2 + 4 q = (1 + q)^2, is formed from the
+    same two terms, so where trig is exactly 1 (bosons at T = 0) g equals it
+    to the bit. Returns (g, bound).
+    """
+    u = beta / (1.0 + T * T) * d
+    m = np.expm1(-2.0 * np.abs(u))  # q - 1
+    m2, q4 = m * m, 4.0 * (1.0 + m)
+    trig = (np.cos if sign > 0 else np.sin)(T * u)
+    return m2 + q4 * (trig * trig), m2 + q4
+
+
 def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     """Exact joint density in the transverse plane at time t (m^-2), vectorized.
 
     The longitudinal factors are pure phases, so |Psi|^2 depends only on
-    (y1, y2, t):
+    (y1, y2, t). In packet units (eta = y / sigma0, T = t / tau,
+    s^2 = 1 + T^2), with centre c = (eta1 + eta2) / 2 and half-separation
+    d = (eta1 - eta2) / 2,
 
-        P = |N|^2 (2 pi s^2)^-1 [F + G +- 2 sqrt(F G) cos(phi)],
+        P = |N|^2 (2 pi s^2 sigma0^2)^-1 exp(-(c^2 + (|d| - beta)^2) / s^2) g,
 
-    with s = |sigma_t|, F and G the two Gaussian product terms centred on
-    (Y, -Y) and (-Y, Y), and phi = t Y (y1 - y2) / (tau s^2) the interference
-    phase. Integrates to 1 for every t. The bracket is evaluated as the sum of
-    squares (a - b)^2 + 4 a b cos^2(phi/2) (bosons) or ... sin^2(phi/2)
-    (fermions), with a = sqrt(F) and b = sqrt(G), so it never cancels below 0.
+    g being the interference bracket of _pair_bracket, the one the sampler
+    draws from. Integrates to 1 for every t. g is a sum of squares formed
+    through expm1, so P never cancels below 0 and stays exact to a few ulps
+    near the fermion diagonal.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -114,8 +144,7 @@ def joint_density_y(y1, y2, t: float, stats: SpinStatistics, p: PhysicalParams):
     n2 = normalization_N(stats, p)
     T, beta = t / p.tau, p.beta
     s2 = 1.0 + T * T
-    trig = (np.cos if stats.sign > 0 else np.sin)(0.5 * T * beta * (e1 - e2) / s2)
-    a = np.exp(-((e1 - beta) ** 2 + (e2 + beta) ** 2) / (4.0 * s2))
-    b = np.exp(-((e2 - beta) ** 2 + (e1 + beta) ** 2) / (4.0 * s2))
-    total = 4.0 * a * b * trig**2 + (a - b) ** 2
-    return n2 / (2.0 * np.pi * s2) * total / p.sigma0**2
+    c, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
+    r = np.abs(d) - beta
+    g, _ = _pair_bracket(d, T, beta, stats.sign)
+    return n2 / (2.0 * np.pi * s2) * np.exp(-(c * c + r * r) / s2) * g / p.sigma0**2

@@ -14,6 +14,9 @@ prints one line, "<case> <sha256>", per case:
 - sample_joint_y draws and the generator's end state, and sample_initial for
   each method;
 - binned_tv_distance on points on the grid's edges, at +-inf and NaN;
+- joint_density_y on both TV grids' quadrature nodes at t = 0 and t_end,
+  and at small beta next to the fermion diagonal; normalization_N from
+  beta = 1e-6 to 10;
 - the four-slit amplitudes on point arrays, and the velocities at points;
 - every file that scripts/run_all_scenarios.py --seed SEED writes.
 
@@ -123,6 +126,42 @@ def scoring_cases(pairslit):
                            f"T={t / p.tau:.6g}/{label}", sha(np.float64(tv)))
 
 
+def density_cases(pairslit):
+    """joint_density_y on the TV grids' quadrature nodes and next to the diagonal; normalization_N.
+
+    The TV grids are the nodes of ensemble._exact_bin_masses. The small-beta
+    points take sigma0 = tau = 1, so beta, eta and T reach the density
+    unrounded, with half-separations from 1e-9 to 1 at centres 0 and 1.3.
+    """
+    from pairslit.ensemble import _GL_PER_BIN, _exact_bin_masses
+    from pairslit.quadrature import gauss_legendre
+
+    def unit(beta):
+        return pairslit.PhysicalParams(m=0.5, hbar=1.0, sigma0=1.0, Y=beta, kx=1.0, d=1.0, L=1.0)
+
+    for regime, speed in (("fast", 2.0e7), ("slow", 2.0e6)):
+        p = pairslit.PhysicalParams.baseline(x_speed=speed)
+        for stats in pairslit.SpinStatistics:
+            for t in (0.0, p.flight_time):
+                edges = _exact_bin_masses(t, stats, p)[0]
+                x = gauss_legendre(edges[:-1, None], edges[1:, None], _GL_PER_BIN)[0].ravel()
+                y = x * p.sigma0
+                yield (f"joint_density_y/{regime}/{stats.value}/T={t / p.tau:.6g}/tv_grid",
+                       sha(pairslit.joint_density_y(y[:, None], y[None, :], t, stats, p)))
+    d = np.concatenate([-np.logspace(-9.0, 0.0, 37), [0.0], np.logspace(-9.0, 0.0, 37)])
+    for beta in (1e-6, 1e-4, 1e-2, 0.3, 1.0, 5.0):
+        for stats in pairslit.SpinStatistics:
+            for T in (0.0, 0.1, 1.0):
+                values = [pairslit.joint_density_y(c + d, c - d, T, stats, unit(beta))
+                          for c in (0.0, 1.3)]
+                yield (f"joint_density_y/unit/{stats.value}/beta={beta:g}/T={T:g}/near_diagonal",
+                       sha(np.stack(values)))
+    for stats in pairslit.SpinStatistics:
+        values = [pairslit.normalization_N(stats, unit(float(beta)))
+                  for beta in np.logspace(-6.0, 1.0, 57)]
+        yield f"normalization_N/{stats.value}", sha(np.array(values))
+
+
 def fourslit_cases(pairslit):
     from pairslit import fourslit
 
@@ -190,7 +229,8 @@ def main(argv=None) -> int:
     if not Path(pairslit.__file__).resolve().is_relative_to(repo):
         raise SystemExit(f"pairslit was imported from {pairslit.__file__}, not from {repo}")
     for cases in (integrate_cases(pairslit), sampling_cases(pairslit), scoring_cases(pairslit),
-                  fourslit_cases(pairslit), scenario_files(repo, args.seed)):
+                  density_cases(pairslit), fourslit_cases(pairslit),
+                  scenario_files(repo, args.seed)):
         for name, digest in cases:
             print(name, digest)
     return 0

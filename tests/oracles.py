@@ -5,10 +5,12 @@ pairslit._kernels. This module restates the same physics per point in SI,
 so that the tests can check the package against it: the closed-form
 velocity of one configuration, the transverse centre-of-mass law, a velocity
 oracle by central differences of the full complex amplitude, the same-side
-probability by quadrature, the t = 0 density peak in SI units, and the
+probability by quadrature, the t = 0 density peak in SI units, 50-digit
+decimal evaluations of the pair density and its normalization, and the
 negative control of independent packet spreading. Not package API.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -105,3 +107,51 @@ def scaled_independent_endpoints(ys0, t, p) -> np.ndarray:
     distribution should be measurably wrong wherever interference matters.
     """
     return np.asarray(ys0) * (abs(sigma_t(t, p)) / p.sigma0)
+
+
+# 50 digits of working precision for the decimal references, and pi to match.
+_DIGITS = 50
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _decimal_trig(x, cosine):
+    """cos or sin of a Decimal x by its Taylor series (|x| of order 1)."""
+    term = decimal.Decimal(1) if cosine else x
+    total, n, x2 = term, 1 if cosine else 2, x * x
+    while True:
+        term = -term * x2 / (n * (n + 1))
+        if total + term == total:
+            return total
+        total, n = total + term, n + 2
+
+
+def _decimal_normalization(b, sign):
+    """|N|^2 = 1 / (2 (1 + sign exp(-b^2))) of a Decimal b, in the current context."""
+    return decimal.Decimal("0.5") / (1 + sign * (-b * b).exp())
+
+
+def normalization_decimal(beta: float, sign: int) -> float:
+    """|N|^2 at the float beta, evaluated in 50-digit decimal and rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = _DIGITS
+        return float(_decimal_normalization(decimal.Decimal(beta), sign))
+
+
+def joint_density_decimal(e1: float, e2: float, T: float, beta: float, sign: int) -> float:
+    """The joint density at sigma0 = tau = 1 from its textbook bracket, in 50-digit decimal.
+
+    |N|^2 / (2 pi s^2) (4 a b trig^2 + (a - b)^2) with s^2 = 1 + T^2, the packet
+    products a = exp(-((e1 - beta)^2 + (e2 + beta)^2) / (4 s^2)) and
+    b = exp(-((e2 - beta)^2 + (e1 + beta)^2) / (4 s^2)), and trig the cos
+    (bosons) or sin (fermions) of T beta (e1 - e2) / (2 s^2). The floats e1, e2,
+    T and beta are taken exactly; the result is rounded once, to float.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = _DIGITS
+        e1, e2, T, b = (decimal.Decimal(v) for v in (e1, e2, T, beta))
+        s2 = 1 + T * T
+        a_ = (-((e1 - b) ** 2 + (e2 + b) ** 2) / (4 * s2)).exp()
+        b_ = (-((e2 - b) ** 2 + (e1 + b) ** 2) / (4 * s2)).exp()
+        trig = _decimal_trig(T * b * (e1 - e2) / (2 * s2), cosine=sign > 0)
+        bracket = 4 * a_ * b_ * trig * trig + (a_ - b_) ** 2
+        return float(_decimal_normalization(b, sign) / (2 * _PI * s2) * bracket)

@@ -15,6 +15,7 @@ from pairslit import (
     sample_initial,
     sample_joint_y,
 )
+from pairslit.wavefunction import _pair_bracket
 
 
 def test_config_validation():
@@ -221,6 +222,17 @@ def test_bosons_at_release_keep_every_proposal(p_fast, n):
         want.normal(size=(ROUND, 2))
         want.random(ROUND)
     assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.3, 1.0, 5.0, 30.0])
+def test_boson_release_bracket_is_its_bound_to_the_bit(beta):
+    # so the keep test u * bound < g holds for every keep uniform u < 1, not
+    # only for the uniforms a given seed happens to draw
+    d = np.concatenate([np.linspace(-beta - 10.0, beta + 10.0, 100_001),
+                        np.logspace(-12.0, 0.0, 1001)])
+    g, bound = _pair_bracket(d, 0.0, beta, 1)
+    np.testing.assert_array_equal(g, bound)
+    assert (np.nextafter(1.0, 0.0) * bound < g).all()
 
 
 @pytest.mark.parametrize("at_end", [False, True], ids=["release", "t_end"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pairslit import (
     PairConfiguration,
+    PhysicalParams,
     SpinStatistics,
     joint_density_y,
     normalization_N,
@@ -18,7 +19,13 @@ from pairslit.integrator import _peak
 from pairslit.quadrature import gauss_legendre
 from pairslit.wavefunction import pair_images
 
-from oracles import initial_density_peak, joint_density, same_side_probability
+from oracles import (
+    initial_density_peak,
+    joint_density,
+    joint_density_decimal,
+    normalization_decimal,
+    same_side_probability,
+)
 
 # Complex width at the two scenario flight times, frozen from tau above.
 SPREAD_FAST = 1.1554452124260477  # |sigma_t| / sigma0 at t = 1e-8 s
@@ -247,7 +254,41 @@ def test_exact_peak_is_the_maximum_of_the_t0_density(p_fast, beta, stats):
         k = int(density.argmax())
         lo, hi = u[max(k - 2, 0)], u[min(k + 2, 1000)]
     found = density[k] * 2.0 * math.pi * p.sigma0**2 / normalization_N(stats, p)
-    # For fermions joint_density_y forms (a - b)^2 with b / a = exp(-2 beta d),
-    # d >= 1 at the peak, which rounds to about eps / (1 - exp(-2 beta)) of the value.
-    oracle = 0.0 if sign > 0 else 4.0 * EPS / -math.expm1(-2.0 * beta)
-    assert abs(found - peak) <= (1e-14 + oracle) * peak
+    assert abs(found - peak) <= 1e-14 * peak
+
+
+def unit_params(beta):
+    """sigma0 = tau = 1, so beta, eta and T reach the density unrounded."""
+    return PhysicalParams(m=0.5, hbar=1.0, sigma0=1.0, Y=beta, kx=1.0, d=1.0, L=1.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda k: 10.0**k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=log_uniform(-6.0, 1.0), stats=st.sampled_from(list(SpinStatistics)))
+@example(beta=1e-4, stats=SpinStatistics.FERMION)  # 1 + sign e^(-beta^2) cancelled to 1.1e-9
+@example(beta=1e-6, stats=SpinStatistics.FERMION)  # ... and to 2.2e-5
+def test_normalization_matches_decimal(beta, stats):
+    # |N|^2 within a few ulps of a 50-digit evaluation, also for fermions at
+    # small beta, where 1 - e^(-beta^2) cancels unless taken through expm1
+    want = normalization_decimal(beta, stats.sign)
+    assert abs(normalization_N(stats, unit_params(beta)) - want) <= 4.0 * EPS * want
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=log_uniform(-6.0, 0.0), d=log_uniform(-9.0, 0.3), side=st.sampled_from([-1.0, 1.0]),
+       c=st.floats(-2.0, 2.0), T=st.floats(0.0, 1.0), stats=st.sampled_from(list(SpinStatistics)))
+@example(beta=5.0, d=1e-6, side=1.0, c=0.0, T=1.0, stats=SpinStatistics.FERMION)  # (a - b)^2 was off 1.5e-10
+@example(beta=1e-3, d=1e-9, side=-1.0, c=0.7, T=0.5, stats=SpinStatistics.FERMION)
+def test_density_near_the_fermion_diagonal_matches_decimal(beta, d, side, c, T, stats):
+    # joint_density_y against a 50-digit evaluation of the textbook bracket
+    # 4 a b trig^2 + (a - b)^2, at small beta and half-separations down to
+    # 1e-9 sigma0: a few ulps, times 1 + the Gaussian's exponent, whose
+    # argument rounds by a few ulps of itself
+    e1, e2 = c + side * d, c - side * d
+    got = float(joint_density_y(e1, e2, T, stats, unit_params(beta)))
+    want = joint_density_decimal(e1, e2, T, beta, stats.sign)
+    exponent = (c * c + (d - beta) ** 2) / (1.0 + T * T)
+    assert abs(got - want) <= 8.0 * EPS * (1.0 + exponent) * want
