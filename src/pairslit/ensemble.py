@@ -108,16 +108,18 @@ def transport_ensemble(
     ends = table[status == TrajectoryStatus.COMPLETED, -1, 1:3]
     com = 0.5 * (initial[:, 0] + initial[:, 1])
 
-    # the product of the signs: that of the coordinates can overflow
+    # the product of the signs: that of the coordinates can overflow. Both
+    # summaries are Python floats, equal to the bit to float(np.mean(...)) of
+    # their definitions.
     same_side = np.sign(ends[:, 0]) * np.sign(ends[:, 1]) > 0.0
-    same_side = float(np.mean(same_side)) if len(ends) else math.nan
+    same_side = float(np.count_nonzero(same_side)) / len(ends) if len(ends) else math.nan
     distance = baseline = None
     if len(ends) >= _TV_MIN_POINTS:
         distance, baseline = density_distance(ends, stats, p, t_end, rng=rng)
     return EnsembleResult(
         endpoints=ends,
         same_side_fraction=same_side,
-        delta_y0_estimate=float(np.sqrt(np.mean(com**2))),
+        delta_y0_estimate=math.sqrt(np.add.reduce(com * com) / com.size),
         density_distance=distance,
         density_distance_baseline=baseline,
         samples=table,

@@ -34,10 +34,11 @@ are live and hands smaller batches and remainders to the scalar loop, whose
 per-step cost does not carry numpy's per-call overhead.
 
 Neither loop writes a pair's last row or raises. Each only advances pairs
-and reports how a pair ended: its status, its last accepted state and the
-first sample time no accepted step covered. A pair that underflows or runs
-out of steps reports nothing. integrate_pairs then writes every landing or
-truncation row, and every sample count, in one pass.
+and reports how a pair ended: an int8 end code (1 completed, 2 aborted), its
+last accepted state and the first sample time no accepted step covered. A
+pair that underflows or runs out of steps reports nothing and keeps code 0.
+integrate_pairs then writes every landing or truncation row, and every sample
+count, in one pass, and turns the codes into statuses once, at return.
 """
 
 from __future__ import annotations
@@ -112,16 +113,26 @@ _MAX_STEPS = 100_000
 _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
-# iteration makes about 250 numpy calls (ufuncs and array functions), each
-# on arrays alone, so it costs about 115 us at 32 lanes and hardly less at
-# fewer, against about 5.3 us per scalar step (six kernel calls on plain
-# floats). Measured crossover in CHANGES.md.
+# iteration without rejections makes about 246 numpy calls (ufuncs and
+# array functions; 195 in the step), each on arrays alone, so it costs about
+# 80 us at 32 lanes and 76 us at 8 on a 2-CPU Xeon with AVX-512, against
+# about 4 us per scalar step (six kernel calls on plain floats). Measured
+# crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
 class TrajectoryStatus(enum.Enum):
     COMPLETED = "completed"
     NODE_PROXIMITY_ABORT = "node_proximity_abort"
+
+
+# The step loops report a pair's end as an int8 code: 0 while it has none
+# (not integrated), _COMPLETED or _ABORTED; integrate_pairs turns the codes
+# into statuses once, by indexing _STATUS.
+_COMPLETED, _ABORTED = 1, 2
+_STATUS = np.array(
+    (None, TrajectoryStatus.COMPLETED, TrajectoryStatus.NODE_PROXIMITY_ABORT), dtype=object
+)
 
 
 @dataclass(frozen=True)
@@ -170,8 +181,9 @@ def _scaled_problem(
     if sample_times is None:
         sample_times = (0.0, t_end)
     out_t = [float(t) for t in sample_times]
+    # not b > a, so that a NaN time fails the order test
     if out_t[0] != 0.0 or out_t[-1] != t_end or any(
-        b <= a for a, b in zip(out_t, out_t[1:])
+        not b > a for a, b in zip(out_t, out_t[1:])
     ):
         raise ValueError("sample_times must run strictly from 0 to t_end")
     tau = p.tau
@@ -229,16 +241,20 @@ def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarr
     their velocities are c T / (1 + T^2) +- dd/dT. A row on the grid gets its
     requested time; only an abort's off-grid truncation row gets T tau.
     """
-    T, d, w = np.moveaxis(rows, -1, 0)
+    T, d, w = rows[..., 0], rows[..., 1], rows[..., 2]
     k = T.shape[-1]
     s2 = 1.0 + T * T
     c = np.expand_dims(c0, -1) * np.sqrt(s2)
     drift = c * (T / s2)
     t = np.where(T == np.asarray(prob.grid[:k]), prob.times[:k], T * prob.tau)
     v = p.sigma0 / prob.tau
-    return np.stack(
-        (t, (c + d) * p.sigma0, (c - d) * p.sigma0, (drift + w) * v, (drift - w) * v), axis=-1
-    )
+    out = np.empty(T.shape + (5,))
+    out[..., 0] = t
+    out[..., 1] = (c + d) * p.sigma0
+    out[..., 2] = (c - d) * p.sigma0
+    out[..., 3] = (drift + w) * v
+    out[..., 4] = (drift - w) * v
+    return out
 
 
 def integrate_pairs(
@@ -257,7 +273,10 @@ def integrate_pairs(
     Every pair runs the same step control, which lands on t_end alone; the
     other sample times are filled from the continuous extension of the steps
     that cover them. A pair that cannot be integrated gets a status, never an
-    exception.
+    exception. The step loops report each pair's end as an int8 code, 0 not
+    integrated, 1 completed or 2 aborted, with its last accepted state;
+    integrate_pairs writes the last rows and counts from those reports, and
+    builds the status array from the codes once, at return.
 
     Returns
     -------
@@ -291,37 +310,39 @@ def integrate_pairs(
         thr = prob.floor * np.exp(c0 * c0)
         r = np.abs(d) - prob.beta
         idx = np.flatnonzero(~(den < NODE_GUARD) & ~(den * np.exp(-(r * r)) < thr))
-        k1, thr = k1[idx], thr[idx]
+        k1, thr, d0 = k1[idx], thr[idx], d[idx]
         # Every pair starts at rest (k1 = 0), so its first trial step is
         # scaled from its release acceleration d''(0): the start-step estimate
         # of Hairer, Norsett and Wanner (Solving ODEs I, sec. II.4), without
         # its cap at 100 times a velocity-scaled guess, which k1 = 0 would
         # shrink to 1e-4. The velocity is odd in T, so v / T at _T_PROBE is
         # d''(0) to about 1e-13; a pair with no acceleration tries the span.
-        acc = reduced_velocity_array(d[idx], _T_PROBE, prob.beta, prob.sign)[0] / _T_PROBE
-        scale = prob.atol + prob.rtol * np.abs(d[idx])
+        acc = reduced_velocity_array(d0, _T_PROBE, prob.beta, prob.sign)[0] / _T_PROBE
+        scale = prob.atol + prob.rtol * np.abs(d0)
         h0 = np.fmin(prob.grid[-1], (0.01 * scale / np.abs(acc)) ** 0.2)
     m = idx.size
 
     rows = np.full((n, len(prob.grid), 3), np.nan)
-    rows[idx, 0] = np.column_stack((np.zeros(m), d[idx], k1))
-    status = np.full(n, None, dtype=object)
-    # Row i holds pair i's end (T, d, dd/dT, j) once a step loop gives it a
-    # status: its last accepted state and the index of the first sample time
-    # that no accepted step covered.
+    rows[idx, 0, 0] = 0.0
+    rows[idx, 0, 1] = d0
+    rows[idx, 0, 2] = k1
+    # code[i] is pair i's end code, and row i of ends its end (T, d, dd/dT, j)
+    # once a step loop reports one: its last accepted state and the index of
+    # the first sample time that no accepted step covered.
+    code = np.zeros(n, dtype=np.int8)
     ends = np.zeros((n, 4))
     state = (
-        idx, np.zeros(m), d[idx], thr, k1,
+        idx, np.zeros(m), d0, thr, k1,
         h0, np.ones(m), np.ones(m, dtype=np.intp),
     )
     steps: list[np.ndarray] = []
-    live, tried = _advance_batch(prob, state, status, ends, steps)
+    live, tried = _advance_batch(prob, state, code, ends, steps)
 
     covering = array("d")
     for i, T, d_i, thr_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
         end = _advance(prob, i, T, d_i, thr_i, k1_i, h, err_prev, j, tried, covering)
         if end is not None:
-            status[i], ends[i] = end
+            code[i], ends[i] = end
     if covering:
         steps.append(np.frombuffer(covering).reshape(-1, 12))
     if steps:
@@ -329,13 +350,13 @@ def integrate_pairs(
 
     # An end past the last covered sample time is the pair's last row: the
     # landing on t_end, or an abort's truncation between two sample times.
-    ended = np.flatnonzero(status != None)  # elementwise over the object array
+    ended = np.flatnonzero(code)
     j = ends[ended, 3].astype(np.intp)
     past = np.asarray(prob.grid)[j - 1] < ends[ended, 0]
     rows[ended[past], j[past]] = ends[ended[past], :3]
     count = np.zeros(n, dtype=np.intp)
     count[ended] = j + past
-    return _si_rows(rows, c0, prob, p), count, status
+    return _si_rows(rows, c0, prob, p), count, _STATUS[code]
 
 
 def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
@@ -367,7 +388,10 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
         q, theta = q[on_node], theta[on_node]
         slope = q[:, 0] + theta * (2.0 * q[:, 1] + theta * (3.0 * q[:, 2] + theta * 4.0 * q[:, 3]))
         v[on_node] = slope / h[on_node]
-    rows[pair[owner], j] = np.column_stack((T_s, d_s, v))
+    i = pair[owner]
+    rows[i, j, 0] = T_s
+    rows[i, j, 1] = d_s
+    rows[i, j, 2] = v
 
 
 def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
@@ -413,6 +437,13 @@ _TABLEAU = (
 # less cost than a Python float, for the same bits.
 _dp_step = _dp_stepper(*_TABLEAU)
 _dp_step_array = _dp_stepper(*map(np.array, _TABLEAU))
+# The batch loop's constants that do not depend on the problem, as 0-d
+# float64 arrays for the same reason: the node guard, 1, the controller's
+# safety factor, step-factor clamps and PI exponents, the floor of its error
+# memory and the rejection exponent.
+_BATCH_CONSTANTS = tuple(map(np.array, (
+    NODE_GUARD, 1.0, _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -_PI_ALPHA, _PI_BETA, 1e-10, -0.2,
+)))
 
 
 def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
@@ -425,11 +456,12 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     onto t_end is clipped; each accepted step that covers interior samples
     appends its _fill_interior row to the flat float array covering.
 
-    Returns the pair's report (status, (T, d, dd/dT, j)): its last accepted
-    state, which is the landing on t_end or the state before an abort, and
-    the index of the first sample time that no accepted step covered. Returns
-    None if error control would need a step below h_min, or if the pair has
-    not landed within _MAX_STEPS attempted steps.
+    Returns the pair's report (code, (T, d, dd/dT, j)): its end code,
+    _COMPLETED or _ABORTED, its last accepted state, which is the landing on
+    t_end or the state before an abort, and the index of the first sample
+    time that no accepted step covered. Returns None if error control would
+    need a step below h_min, or if the pair has not landed within _MAX_STEPS
+    attempted steps.
     """
     grid = prob.grid
     end = len(grid) - 1
@@ -465,7 +497,7 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
                 j = hi
             T, d, k1 = (t_end if landing else T_new), new, stages[5]
             if landing:
-                return TrajectoryStatus.COMPLETED, (T, d, k1, j)
+                return _COMPLETED, (T, d, k1, j)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -480,19 +512,19 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     else:
         return None
     # a node or the density floor ended the pair after its last accepted state
-    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1, j)
+    return _ABORTED, (T, d, k1, j)
 
 
-def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
+def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, steps: list):
     """Batch step loop: step all live pairs together while enough remain.
 
     state holds (idx, T, D, THR, K1, h, err_prev, j) with one entry per live
     pair: its state (T, d), density threshold and velocity dd/dT, and the
-    index of its next sample time; idx is the pair's index in status and
+    index of its next sample time; idx is the pair's index in code and
     ends. Each pair takes the scalar loop's step and controller, with
     masks for its branches, and its own step size and controller memory. A
-    pair that lands or aborts reports as _advance does: status[i] gets its
-    status and ends[i] its (T, d, dd/dT, j). A step underflow, or reaching
+    pair that lands or aborts reports as _advance does: code[i] gets its
+    end code and ends[i] its (T, d, dd/dT, j). A step underflow, or reaching
     _MAX_STEPS steps, leaves both untouched. Every live pair attempts one
     step per iteration. Each accepted step that covers interior samples
     appends its _fill_interior row to steps. Returns the state of the pairs
@@ -504,13 +536,12 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
     sign = prob.sign
     # Every float the loop meets an array with, as a 0-d float64 array: numpy
     # takes one at less cost than a Python float, for the same bits.
-    (
-        t_end, beta, h_min, rtol, atol, guard, one,
-        safety, min_factor, max_factor, neg_alpha, pi_beta, err_min, neg_fifth,
-    ) = map(np.array, (
-        grid[end], prob.beta, prob.h_min, prob.rtol, prob.atol, NODE_GUARD, 1.0,
-        _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -_PI_ALPHA, _PI_BETA, 1e-10, -0.2,
-    ))
+    t_end, beta, h_min, rtol, atol = map(
+        np.array, (grid[end], prob.beta, prob.h_min, prob.rtol, prob.atol)
+    )
+    guard, one, safety, min_factor, max_factor, neg_alpha, pi_beta, err_min, neg_fifth = (
+        _BATCH_CONSTANTS
+    )
     vel, step = reduced_velocity_array, _dp_step_array
     idx, T, D, THR, K1, h, err_prev, j = state
     tried = 0
@@ -519,7 +550,7 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             tried += 1
             remaining = t_end - T
             landing = h >= remaining
-            h_step = np.where(landing, remaining, h)
+            h_step = np.minimum(h, remaining)  # remaining where landing holds
             T_st = T + _C_COL * h_step
             T_new = T_st[4]
             # the kernel's stage-time factors, formed once for all stages
@@ -532,13 +563,14 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
             err = np.abs(h_step * e_sum) / (atol + rtol * np.maximum(np.abs(D), abs_new))
 
             small = err <= one
-            accepted = small & ~on_node
+            # on booleans a > b is a & ~b, in one call (here and for below)
+            accepted = small > on_node
             rejected = ~(small | on_node)
             # the density at the new states, over each pair's constant factor
             s2 = S2[4]
             r = abs_new - beta
             below = accepted & (dens[5] / s2 * np.exp(-(r * r) / s2) < THR)
-            accepted &= ~below
+            accepted = accepted > below
 
             # An error of 0 gives 0**-alpha = inf, and the clamp _MAX_FACTOR,
             # since err_prev >= 1e-10 (the scalar loop, on Python floats,
@@ -561,7 +593,7 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
                 hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
                 covers = accepted & (hi > j)
                 if np.count_nonzero(covers):
-                    steps.append(np.column_stack((idx, j, hi, T, h_step, D) + stages)[covers])
+                    steps.append(np.array((idx, j, hi, T, h_step, D) + stages).T[covers])
                     j = np.where(covers, hi, j)
             T = np.where(accepted, np.where(landing, t_end, T_new), T)
             D = np.where(accepted, D_new, D)
@@ -575,10 +607,10 @@ def _advance_batch(prob: _Scaled, state, status, ends: np.ndarray, steps: list):
                 done[:] = True
             elif not np.count_nonzero(done):
                 continue
-            status[idx[landed]] = TrajectoryStatus.COMPLETED
-            status[idx[aborted]] = TrajectoryStatus.NODE_PROXIMITY_ABORT
+            code[idx[landed]] = _COMPLETED
+            code[idx[aborted]] = _ABORTED
             ended = landed | aborted
-            ends[idx[ended]] = np.column_stack((T, D, K1, j))[ended]
+            ends[idx[ended]] = np.array((T, D, K1, j)).T[ended]
             keep = ~done
             idx, T, D, THR, K1, h, err_prev, j = (
                 col[keep] for col in (idx, T, D, THR, K1, h, err_prev, j)

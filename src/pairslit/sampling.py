@@ -100,8 +100,10 @@ def sample_joint_y(
         proposed, accepted = proposed + _ROUND, accepted + rows.size
         rows = rows[: n - filled]
         c, d = z[rows, 1], d[rows]
-        out[filled : filled + c.size] = np.column_stack((c + d, c - d))
-        filled += c.size
+        k = filled + c.size
+        out[filled:k, 0] = c + d
+        out[filled:k, 1] = c - d
+        filled = k
         if proposed >= _STALL_MIN_PROPOSALS and accepted < _STALL_RATE * proposed:
             raise RejectionStallError(
                 f"acceptance rate {accepted / proposed:.2e} below {_STALL_RATE:.0e}"

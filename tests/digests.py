@@ -13,6 +13,9 @@ prints one line, "<case> <sha256>", per case:
   and next to the diagonal;
 - sample_joint_y draws and the generator's end state, and sample_initial for
   each method;
+- run_ensemble as the benchmark runs it (exact rejection, 250 pairs, the
+  default IntegratorConfig, endpoints only) over both regimes and statistics
+  at seeds 5 and 31, every EnsembleResult field by value and Python type;
 - binned_tv_distance on points on the grid's edges, at +-inf and NaN;
 - joint_density_y on both TV grids' quadrature nodes at t = 0 and t_end,
   and at small beta next to the fermion diagonal; normalization_N from
@@ -34,6 +37,7 @@ libm differ in the last bits too.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -103,6 +107,19 @@ def sampling_cases(pairslit):
                 cfg = pairslit.SamplerConfig(method=method, n_pairs=300, seed=11)
                 yield (f"sample_initial/{regime}/{stats.value}/{method}",
                        sha(pairslit.sample_initial(cfg, stats, p)))
+
+
+def ensemble_cases(pairslit):
+    for regime, speed in (("fast", 2.0e7), ("slow", 2.0e6)):
+        p = pairslit.PhysicalParams.baseline(x_speed=speed)
+        for stats in pairslit.SpinStatistics:
+            for seed in (5, 31):
+                sampler = pairslit.SamplerConfig("exact_rejection", 250, seed)
+                result = pairslit.run_ensemble(
+                    sampler, pairslit.IntegratorConfig(), stats, p, p.flight_time)
+                fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
+                yield (f"run_ensemble/{regime}/{stats.value}/seed={seed}",
+                       sha(*fields, [type(v).__name__ for v in fields]))
 
 
 def scoring_cases(pairslit):
@@ -228,8 +245,8 @@ def main(argv=None) -> int:
 
     if not Path(pairslit.__file__).resolve().is_relative_to(repo):
         raise SystemExit(f"pairslit was imported from {pairslit.__file__}, not from {repo}")
-    for cases in (integrate_cases(pairslit), sampling_cases(pairslit), scoring_cases(pairslit),
-                  density_cases(pairslit), fourslit_cases(pairslit),
+    for cases in (integrate_cases(pairslit), sampling_cases(pairslit), ensemble_cases(pairslit),
+                  scoring_cases(pairslit), density_cases(pairslit), fourslit_cases(pairslit),
                   scenario_files(repo, args.seed)):
         for name, digest in cases:
             print(name, digest)

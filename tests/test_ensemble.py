@@ -16,7 +16,7 @@ from pairslit import (
     sample_joint_y,
     sigma_t,
 )
-from pairslit.ensemble import _exact_bin_masses
+from pairslit.ensemble import _exact_bin_masses, transport_ensemble
 
 from oracles import scaled_independent_endpoints
 from pair_transport import endpoint, integrate_one
@@ -68,6 +68,23 @@ def test_seed_determinism(p_fast):
 def test_com_spread_estimate(p_fast, stats):
     res = small_run(p_fast, stats, n=4000, seed=23)
     assert res.delta_y0_estimate == pytest.approx(p_fast.sigma0 / math.sqrt(2), rel=0.05)
+
+
+def test_summaries_are_the_floats_of_their_means(p_fast, stats):
+    # 257 drawn pairs and three at (Y, Y), whose density lies below the
+    # floor: the fraction's denominator is not the release count
+    initial = sample_joint_y(257, 0.0, stats, p_fast, np.random.default_rng(28))
+    initial = np.concatenate([initial, np.full((3, 2), p_fast.Y)])
+    res = transport_ensemble(initial, IntegratorConfig(), stats, p_fast, 1e-8,
+                             rng=np.random.default_rng(0))
+    assert res.n_completed == 257
+    ends = res.endpoints
+    same_side = float(np.mean(np.sign(ends[:, 0]) * np.sign(ends[:, 1]) > 0.0))
+    com = 0.5 * (initial[:, 0] + initial[:, 1])
+    spread = float(np.sqrt(np.mean(com**2)))
+    assert type(res.same_side_fraction) is float and type(res.delta_y0_estimate) is float
+    assert res.same_side_fraction.hex() == same_side.hex()
+    assert res.delta_y0_estimate.hex() == spread.hex()
 
 
 def test_kept_trajectories(p_fast):

@@ -200,7 +200,9 @@ def test_bad_t_end_rejected(p_fast):
 
 def test_bad_sample_times_rejected(p_fast):
     start = PairConfiguration(0, 5e-6, 0, -4e-6, 0)
-    for times in ([0.0, 5e-9, 4e-9, 1e-8], [1e-9, 1e-8], [0.0, 5e-9]):
+    nan = np.nan
+    for times in ([0.0, 5e-9, 4e-9, 1e-8], [1e-9, 1e-8], [0.0, 5e-9], [0.0, nan, 1e-8],
+                  [0.0, 3e-9, nan, 6e-9, 1e-8]):
         with pytest.raises(ValueError):
             integrate_one(
                 start, 1e-8, IntegratorConfig(), SpinStatistics.BOSON, p_fast, np.array(times)
