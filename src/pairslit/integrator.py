@@ -23,15 +23,18 @@ trajectories attracted toward the nodal diagonal are handled.
 
 integrate_pairs is the one entry point, for a single pair as for an
 ensemble; every pair is released at t = 0. Two step loops behind it share the
-scaled problem, the step itself (one body, built as _dp_step on a float
-tableau and as _dp_step_array on 0-d arrays, whose arithmetic runs alike on
-floats and on arrays), the controller constants, the interior-sample fill
-and the SI sample table, and keep only their control flow: a numpy loop that
-advances every live pair of a batch together under masks, each with its own
-step size and controller state, and a scalar loop that branches on plain
-floats. integrate_pairs uses the batch loop while at least _BATCH_MIN pairs
-are live and hands smaller batches and remainders to the scalar loop, whose
-per-step cost does not carry numpy's per-call overhead.
+scaled problem, the step's arithmetic, the controller constants, the
+interior-sample fill and the SI sample table, and keep only their control
+flow: a numpy loop that advances every live pair of a batch together under
+masks, each with its own step size and controller state, and a scalar loop
+that branches on plain floats. The step has two bodies of the same
+operations in the same order: _dp_step on a float tableau, and _dp_step_array
+on 0-d arrays, which writes its stage arguments and partial sums in place
+into a workspace that each _advance_batch call allocates once, at its
+starting width, and shares with the kernel. integrate_pairs uses the batch
+loop while at least _BATCH_MIN pairs are live and hands smaller batches and
+remainders to the scalar loop, whose per-step cost does not carry numpy's
+per-call overhead.
 
 Neither loop writes a pair's last row or raises. Each only advances pairs
 and reports how a pair ended: an int8 end code (1 completed, 2 aborted), its
@@ -114,10 +117,11 @@ _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
 # iteration without rejections makes about 246 numpy calls (ufuncs and
-# array functions; 195 in the step), each on arrays alone, so it costs about
-# 80 us at 32 lanes and 76 us at 8 on a 2-CPU Xeon with AVX-512, against
-# about 4 us per scalar step (six kernel calls on plain floats). Measured
-# crossover in CHANGES.md.
+# array functions; 195 in the step, 181 of them in place in the workspace),
+# each on arrays alone, so it costs about 97 us at 32 lanes and 121 us at
+# 250 on a 2-CPU Xeon with AVX-512, against about 5.8 us per scalar step
+# (six kernel calls on plain floats) on the same host. Measured crossover in
+# CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -396,7 +400,7 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
 
 def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
                 B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
-    """The Dormand-Prince 5(4) step over the given tableau: floats or 0-d arrays."""
+    """The scalar loop's Dormand-Prince 5(4) step over a tableau of floats."""
 
     def step(vel, d, h, k1, Ts, W, G, beta, sign):
         """One Dormand-Prince 5(4) step of size h from d.
@@ -407,8 +411,8 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
         its own. Returns the new state, the stages (k1, k3, k4, k5, k6, k7)
         in _fill_interior's order, the denominators of stages 2 to 7 and the
         signed error sum, which times h is the embedded error estimate. Each
-        sum adds its terms left to right, so floats and every lane of an
-        array get the same bits.
+        sum adds its terms left to right, as the batch loop's step does, so
+        floats and every lane of an array get the same bits.
         """
         T2, T3, T4, T5, T6 = Ts
         W2, W3, W4, W5, W6 = W
@@ -428,6 +432,68 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
     return step
 
 
+def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+                      B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
+    """The batch loop's Dormand-Prince 5(4) step over a tableau of 0-d arrays.
+
+    Its arithmetic is _dp_stepper's, operation for operation; each stage
+    argument and partial sum is written in place (numpy's positional out)
+    into a row of a workspace.
+    """
+    mul, add = np.multiply, np.add
+
+    def step(vel, d, h, k1, Ts, W, G, beta, sign, space):
+        """_dp_stepper's step on arrays, in the workspace space.
+
+        space holds eight arrays of the lanes' shape, such as the rows of an
+        (8, n) block: the step sums into the first two and hands the other
+        six to the kernel as its workspace. The stage arguments live there,
+        so vel must not keep d. The new state, the stages, the
+        denominators and the error sum are new arrays, which outlive the
+        next step on the same workspace.
+        """
+        T2, T3, T4, T5, T6 = Ts
+        W2, W3, W4, W5, W6 = W
+        G2, G3, G4, G5, G6 = G
+        a, b, ks = space[0], space[1], space[2:]
+        mul(A21, k1, a)
+        k2, den2 = vel(add(d, mul(h, a, a), a), T2, beta, sign, W2, G2, ks)
+        mul(A31, k1, a)
+        add(a, mul(A32, k2, b), a)
+        k3, den3 = vel(add(d, mul(h, a, a), a), T3, beta, sign, W3, G3, ks)
+        mul(A41, k1, a)
+        add(a, mul(A42, k2, b), a)
+        add(a, mul(A43, k3, b), a)
+        k4, den4 = vel(add(d, mul(h, a, a), a), T4, beta, sign, W4, G4, ks)
+        mul(A51, k1, a)
+        add(a, mul(A52, k2, b), a)
+        add(a, mul(A53, k3, b), a)
+        add(a, mul(A54, k4, b), a)
+        k5, den5 = vel(add(d, mul(h, a, a), a), T5, beta, sign, W5, G5, ks)
+        mul(A61, k1, a)
+        add(a, mul(A62, k2, b), a)
+        add(a, mul(A63, k3, b), a)
+        add(a, mul(A64, k4, b), a)
+        add(a, mul(A65, k5, b), a)
+        k6, den6 = vel(add(d, mul(h, a, a), a), T6, beta, sign, W6, G6, ks)
+        mul(B1, k1, a)
+        add(a, mul(B3, k3, b), a)
+        add(a, mul(B4, k4, b), a)
+        add(a, mul(B5, k5, b), a)
+        add(a, mul(B6, k6, b), a)
+        new = add(d, mul(h, a, a))
+        k7, den7 = vel(new, T6, beta, sign, W6, G6, ks)
+        mul(E1, k1, a)
+        add(a, mul(E3, k3, b), a)
+        add(a, mul(E4, k4, b), a)
+        add(a, mul(E5, k5, b), a)
+        add(a, mul(E6, k6, b), a)
+        err = add(a, mul(E7, k7, b))
+        return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
+
+    return step
+
+
 _TABLEAU = (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
@@ -436,7 +502,7 @@ _TABLEAU = (
 # float64 arrays of the same doubles: numpy takes a 0-d array operand at
 # less cost than a Python float, for the same bits.
 _dp_step = _dp_stepper(*_TABLEAU)
-_dp_step_array = _dp_stepper(*map(np.array, _TABLEAU))
+_dp_step_array = _dp_stepper_array(*map(np.array, _TABLEAU))
 # The batch loop's constants that do not depend on the problem, as 0-d
 # float64 arrays for the same reason: the node guard, 1, the controller's
 # safety factor, step-factor clamps and PI exponents, the floor of its error
@@ -544,6 +610,11 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
     )
     vel, step = reduced_velocity_array, _dp_step_array
     idx, T, D, THR, K1, h, err_prev, j = state
+    # One workspace for the call, at the starting width: two rows for the
+    # step's sums and six for the kernel's temporaries. After each compaction
+    # the loop takes the rows' leading columns.
+    block = np.empty((8, idx.size))
+    space = tuple(block)
     tried = 0
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
@@ -556,7 +627,7 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             # the kernel's stage-time factors, formed once for all stages
             S2 = one + T_st * T_st
             W, G = beta / S2, T_st / S2
-            D_new, stages, dens, e_sum = step(vel, D, h_step, K1, T_st, W, G, beta, sign)
+            D_new, stages, dens, e_sum = step(vel, D, h_step, K1, T_st, W, G, beta, sign, space)
             # fmin, like any over the comparison, passes over NaN denominators
             on_node = np.fmin.reduce(dens, axis=0) < guard
             abs_new = np.abs(D_new)
@@ -615,4 +686,5 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             idx, T, D, THR, K1, h, err_prev, j = (
                 col[keep] for col in (idx, T, D, THR, K1, h, err_prev, j)
             )
+            space = tuple(block[:, :idx.size])
     return (idx, T, D, THR, K1, h, err_prev, j), tried

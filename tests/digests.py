@@ -10,7 +10,8 @@ prints one line, "<case> <sha256>", per case:
 - integrate_pairs (table, count, status) in dispatch, batch-only and
   scalar-only modes, over both regimes and statistics, density floors 1e-12,
   1e-4 and 1e-2 and 2, 11 and 101 samples; fermion batches add releases on
-  and next to the diagonal;
+  and next to the diagonal; and 4,096 slow pairs per statistics in dispatch
+  mode with 2 samples, the default IntegratorConfig;
 - sample_joint_y draws and the generator's end state, and sample_initial for
   each method;
 - run_ensemble as the benchmark runs it (exact rejection, 250 pairs, the
@@ -62,6 +63,11 @@ def sha(*parts) -> str:
     return h.hexdigest()
 
 
+def digest(table, count, status) -> str:
+    """sha over an integrate_pairs result, its statuses by value."""
+    return sha(table, np.asarray(count, np.int64), [None if s is None else s.value for s in status])
+
+
 def integrate_cases(pairslit):
     from pairslit import integrator
 
@@ -89,8 +95,14 @@ def integrate_cases(pairslit):
                         finally:
                             integrator._BATCH_MIN = modes["dispatch"]
                         name = f"integrate_pairs/{regime}/{stats.value}/floor={floor:g}/S={samples}/{mode}"
-                        yield name, sha(table, np.asarray(count, np.int64),
-                                        [None if s is None else s.value for s in status])
+                        yield name, digest(table, count, status)
+    # one wide batch per statistics, which the batch loop carries for
+    # hundreds of steps at thousands of lanes
+    p = pairslit.PhysicalParams.baseline(x_speed=2.0e6)
+    for k, stats in enumerate(pairslit.SpinStatistics):
+        initial = pairslit.sample_initial(pairslit.SamplerConfig(n_pairs=4096, seed=200 + k), stats, p)
+        out = integrator.integrate_pairs(initial, p.flight_time, pairslit.IntegratorConfig(), stats, p)
+        yield f"integrate_pairs/slow/{stats.value}/n=4096/S=2/dispatch", digest(*out)
 
 
 def sampling_cases(pairslit):

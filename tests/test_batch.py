@@ -17,7 +17,9 @@ from pairslit import (
     sample_initial,
 )
 from pairslit import integrator
-from pairslit._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
+from pairslit._kernels import (
+    NODE_GUARD, _velocity_kernel, reduced_velocity, reduced_velocity_array,
+)
 from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
 
@@ -78,10 +80,24 @@ def test_velocity_twin_matches_scalar_kernel(rng):
     d = rng.uniform(-12.0, 12.0, 400)
     T = rng.uniform(0.0, 6.0, 400)
     d[:10] = 0.0  # fermion nodes on the diagonal
+    # The float body over numpy's transcendentals, on one lane at a time: the
+    # in-place array body must give each lane its bits, so the two bodies
+    # differ only in libm's and numpy's exp and tan.
+    numpy_body = _velocity_kernel(np.exp, np.tan, np.copysign, np.abs, 1.0, -2.0, 4.0)
+    s2 = 1.0 + T * T
     for sign in (1, -1):
         with np.errstate(all="ignore"):
             v, den = reduced_velocity_array(d, T, 5.0, sign)
+            # the batch loop's call: stage-time factors and a used workspace
+            in_space = reduced_velocity_array(
+                d, T, 5.0, sign, 5.0 / s2, T / s2, tuple(np.full((6, d.size), np.nan))
+            )
+            lanes = [numpy_body(d[k:k + 1], T[k:k + 1], 5.0, sign) for k in range(d.size)]
+        np.testing.assert_array_equal(in_space, (v, den))
         on_node = den < NODE_GUARD
+        v_lanes, den_lanes = (np.concatenate([np.ravel(x) for x in col]) for col in zip(*lanes))
+        np.testing.assert_array_equal(den_lanes, den)
+        np.testing.assert_array_equal(v_lanes[~on_node], v[~on_node])
         for k in range(d.size):
             w, den_k = reduced_velocity(d[k], T[k], 5.0, sign)
             assert den_k == pytest.approx(den[k], rel=1e-12, abs=1e-300)
@@ -91,6 +107,7 @@ def test_velocity_twin_matches_scalar_kernel(rng):
             else:
                 assert v[k] == pytest.approx(w, rel=1e-12, abs=1e-12)
         assert on_node[:10].all() == (sign < 0)
+        assert not on_node[10:].any()
 
 
 def test_denominator_density_matches_wavefunction(p_slow, stats, rng):
@@ -335,13 +352,17 @@ def test_extension_coefficients_reduce_to_the_step():
     np.testing.assert_array_equal(integrator._P, np.delete(rk45.P, 1, axis=0))
 
 
-def stub_velocity(d, T, beta, sign, w, g):
+def stub_velocity(d, T, beta, sign, w, g, space=()):
     """A kernel of +, -, * and / alone, which floats and numpy arrays round alike.
 
     An infinite w gives a NaN velocity and a zero denominator, as at a node.
+    Like the array kernel, it overwrites every row of a workspace it is given.
     """
     den = (1.0 + d * d) / (1.0 + w)
-    return d * g - T * w / (1.0 + w) + sign * beta * den, den
+    v = d * g - T * w / (1.0 + w) + sign * beta * den
+    for row in space:
+        row.fill(np.nan)
+    return v, den
 
 
 def flat_step(out):
@@ -358,17 +379,22 @@ def test_dp_step_is_lane_exact(rng):
     # One step on Python floats and on an array of lanes gives each lane the
     # same bits: every stage sum adds its terms left to right on both. Each
     # side runs its own loop's step, the scalar one on its float tableau and
-    # the batch one on its 0-d tableau. The stub kernel keeps libm's and
-    # numpy's transcendentals out. Lane 3 meets a node at stage 3, and NaN
-    # carries through its later stages.
-    n = 8
+    # the batch one, in place in a NaN-filled workspace, on its 0-d tableau.
+    # The stub kernel keeps libm's and numpy's transcendentals out, and
+    # overwrites the kernel's rows of the workspace at every call. Lane 3
+    # meets a node at stage 3, and NaN carries through its later stages. A
+    # sum taken in another order rounds differently in some of the 64 lanes.
+    n = 64
     d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
     T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
     Ts = T + integrator._C_COL * h
     W, G = rng.uniform(0.1, 5.0, (5, n)), rng.uniform(0.0, 1.0, (5, n))
     W[1, 3] = np.inf
+    space = tuple(np.full((8, n), np.nan))
     with np.errstate(all="ignore"):
-        lanes = flat_step(integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1))
+        lanes = flat_step(
+            integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1, space)
+        )
     for k in range(n):
         out = integrator._dp_step(
             stub_velocity, float(d[k]), float(h[k]), float(k1[k]),
@@ -384,20 +410,24 @@ def test_dp_step_is_lane_exact(rng):
 def test_dp_step_returns_the_stages_in_fill_order():
     # _fill_interior reads the stages as (k1, k3, k4, k5, k6, k7); k2 has no
     # weight in the continuous extension. Stage 7 runs at the new state. The
-    # scalar loop's step runs on floats, the batch loop's on one lane here.
+    # scalar loop's step runs on floats, the batch loop's on one lane, in a
+    # workspace, here.
     Ts = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-    backs = ((integrator._dp_step, float), (integrator._dp_step_array, lambda x: np.array([x])))
-    for step, val in backs:
+    backs = (
+        (integrator._dp_step, float, ()),
+        (integrator._dp_step_array, lambda x: np.array([x]), (tuple(np.empty((8, 1))),)),
+    )
+    for step, val, space in backs:
         calls = []
 
-        def recording(d, T, beta, sign, w, g):
-            v, den = stub_velocity(d, T, beta, sign, w, g)
+        def recording(d, T, beta, sign, w, g, *space):
+            v, den = stub_velocity(d, T, beta, sign, w, g, *space)
             calls.append((d, T, v, den))
             return v, den
 
         new, stages, dens, _ = step(
             recording, val(0.5), val(1.0), val(0.25), [val(T) for T in Ts],
-            [val(1.0)] * 5, [val(0.5)] * 5, 5.0, 1,
+            [val(1.0)] * 5, [val(0.5)] * 5, 5.0, 1, *space,
         )
         assert [T for _, T, _, _ in calls] == [*Ts, Ts[4]]
         assert stages == (0.25, *(v for _, _, v, _ in calls[1:]))
@@ -420,10 +450,13 @@ def closed_over(fn):
 )
 def test_both_back_ends_close_over_the_same_doubles(scalar, array):
     # The scalar loop's step and kernel hold Python floats and the batch
-    # loop's 0-d float64 arrays, each of the same double.
+    # loop's 0-d float64 arrays, each of the same double. They are separate
+    # bodies, so neither may hold the other's kind.
     floats = {k: v for k, v in closed_over(scalar).items() if type(v) is float}
     zero_d = {k: v for k, v in closed_over(array).items() if isinstance(v, np.ndarray)}
     assert len(floats) >= 3 and floats.keys() == zero_d.keys()
+    assert not any(isinstance(v, np.ndarray) for v in closed_over(scalar).values())
+    assert not any(isinstance(v, float) for v in closed_over(array).values())
     for name, x in floats.items():
         a = zero_d[name]
         assert a.shape == () and a.dtype == np.float64
@@ -431,21 +464,27 @@ def test_both_back_ends_close_over_the_same_doubles(scalar, array):
 
 
 class OperandLog(np.ndarray):
-    """An ndarray that logs the operand types of every ufunc call it meets."""
+    """An ndarray that logs every ufunc call it meets: its operand types and its out types."""
 
     calls: list = []
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        OperandLog.calls.append((ufunc.__name__, [type(x) for x in inputs]))
-        plain = [x.view(np.ndarray) if isinstance(x, OperandLog) else x for x in inputs]
-        return np.asarray(getattr(ufunc, method)(*plain, **kwargs)).view(OperandLog)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        OperandLog.calls.append((ufunc.__name__, [type(x) for x in inputs], [type(x) for x in out]))
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, OperandLog) else x for x in xs)
+
+        if out:
+            kwargs["out"] = plain(out)
+        return np.asarray(getattr(ufunc, method)(*plain(inputs), **kwargs)).view(OperandLog)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["boson", "fermion"])
 def test_the_batch_step_gives_numpy_no_python_scalar(rng, sign):
     # numpy takes a Python float or int operand at more cost than a 0-d
     # array, for the same bits, so every constant that the array kernel and
-    # the batch loop's step meet is a 0-d array.
+    # the batch loop's step meet is a 0-d array. The workspace logs too, so
+    # the calls that write into it are seen even where no other operand logs.
     def lanes(*shape):
         return rng.uniform(0.1, 1.0, shape).view(OperandLog)
 
@@ -454,15 +493,63 @@ def test_the_batch_step_gives_numpy_no_python_scalar(rng, sign):
     with np.errstate(all="ignore"):
         integrator._dp_step_array(
             reduced_velocity_array, lanes(8), lanes(8), lanes(8), lanes(5, 8), lanes(5, 8),
-            lanes(5, 8), beta, sign,
+            lanes(5, 8), beta, sign, tuple(lanes(8, 8)),
         )
-        # the kernel alone, forming its own stage-time factors
+        # the kernel alone, forming its own stage-time factors and workspace
         reduced_velocity_array(lanes(8), lanes(8), beta, sign)
     calls = OperandLog.calls
     # six kernel calls with the step's sums, and one kernel call on its own
     assert len(calls) > 7 * 20
-    scalars = [(f, types) for f, types in calls if not all(issubclass(t, np.ndarray) for t in types)]
+    # written in place: the step's 55 sums and products into its stage
+    # arguments, new state and error sum, and at least 21 temporaries in
+    # each of its kernel calls
+    assert sum(1 for _, _, out in calls if out) >= 55 + 6 * 21
+    scalars = [
+        (f, types + outs) for f, types, outs in calls
+        if not all(issubclass(t, np.ndarray) for t in types + outs)
+    ]
     assert scalars == []
+
+
+def test_the_batch_step_returns_nothing_in_its_workspace(rng):
+    # The batch loop keeps the new state, the stages, the denominators and
+    # the error sum past the next step, which overwrites the workspace; so
+    # none of them may share its memory, and another step leaves them as
+    # they were.
+    n = 40
+    block = np.full((8, n), np.nan)
+
+    def step(sign):
+        d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
+        T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
+        Ts = T + integrator._C_COL * h
+        S2 = 1.0 + Ts * Ts
+        with np.errstate(all="ignore"):
+            new, stages, dens, err = integrator._dp_step_array(
+                reduced_velocity_array, d, h, k1, Ts, 5.0 / S2, Ts / S2, np.array(5.0), sign,
+                tuple(block),
+            )
+        return (new, *stages, *dens, err)
+
+    for sign in (1, -1):
+        first = step(sign)
+        kept = [x.copy() for x in first]
+        assert not any(np.shares_memory(x, block) for x in first)
+        step(-sign)
+        for x, y in zip(first, kept):
+            np.testing.assert_array_equal(x, y)
+    # Each integrate_pairs call starts from its own workspace: a call of
+    # another width and statistics in between leaves a batch's table, counts
+    # and statuses bitwise as they were.
+    cfg = IntegratorConfig()
+    initial, p, t_end = draw("slow", SpinStatistics.BOSON, seed=7)
+    other = draw("slow", SpinStatistics.FERMION, seed=8, n=2 * N_BATCH + 5)[0]
+    first = integrate_pairs(initial, t_end, cfg, SpinStatistics.BOSON, p)
+    integrate_pairs(other, t_end, cfg, SpinStatistics.FERMION, p)
+    again = integrate_pairs(initial, t_end, cfg, SpinStatistics.BOSON, p)
+    np.testing.assert_array_equal(bits(again[0]), bits(first[0]))
+    np.testing.assert_array_equal(again[1], first[1])
+    assert list(again[2]) == list(first[2])
 
 
 def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
