@@ -7,17 +7,19 @@ reduced_velocity runs them on plain floats through the math module (roughly
 reduced_velocity_array on arrays through numpy for the batch loop, writing
 each temporary in place into a row of a workspace (numpy's positional out),
 so that, given a workspace, a call allocates only the velocity and
-denominator it returns. Only the transcendentals, the type of the constants
-and the node return differ; tests/test_batch.py checks the array body lane
-by lane, bit for bit, against the float body run on numpy's exp and tan. The
-array kernel closes over its constants as 0-d float64 arrays: at the batch
-loop's widths numpy takes one as an operand about 0.2 us faster than a
-Python float, for the same bits. The step loops, and integrate_pairs at
-release, read the joint density off the velocity kernels' denominator den.
-den is the pair-density bracket g of wavefunction._pair_bracket, written
-inline in the kernel's own terms (its tan serves the velocity too); tests pin
-that density against wavefunction.joint_density_y, which evaluates the
-bracket through the helper.
+denominator it returns. Only the transcendentals, the constants, the node
+return and the stage-time factors differ: the float kernel writes its
+constants as literals and forms its own factors; the array kernel closes over
+0-d float64 arrays (at the batch loop's widths numpy takes one as an operand
+about 0.2 us faster than a Python float, for the same bits) and may be given
+the factors, formed once per step for all stages. tests/test_batch.py checks
+the array body lane by lane, bit for bit, against the float body run on
+numpy's exp and tan. The step loops, and integrate_pairs at release, read the
+joint density off the velocity kernels' denominator den. den is the
+pair-density bracket g of wavefunction._pair_bracket, written inline in the
+kernel's own terms (its tan serves the velocity too); tests pin that density
+against wavefunction.joint_density_y, which evaluates the bracket through the
+helper.
 
 The velocity kernels return the velocity of the half-separation
 d = (eta1 - eta2) / 2 alone: the interference term cancels from the centre of
@@ -38,15 +40,15 @@ import numpy as np
 NODE_GUARD = 1e-13
 
 
-def _velocity_kernel(exp, tan, copysign, fabs, one, minus_two, four):
+def _velocity_kernel(exp, tan, copysign, fabs):
     """The float velocity kernel over the given exp, tan, copysign and abs.
 
-    one, minus_two and four are the body's constants as floats. The body
-    reads the functions and constants as closure cells, which Python loads
-    faster than module attributes.
+    The body reads the functions as closure cells, which Python loads faster
+    than module attributes, and its constants as literals, which it loads
+    faster still.
     """
 
-    def reduced_velocity(d, T, beta, sign, w=None, g=None):
+    def reduced_velocity(d, T, beta, sign):
         """Velocity dd/dT of the half-separation d = (eta1 - eta2) / 2, and its denominator.
 
         With x = beta d / (1 + T^2), e = exp(-2 |x|) and t = tan(T x), the
@@ -66,20 +68,16 @@ def _velocity_kernel(exp, tan, copysign, fabs, one, minus_two, four):
         s2 = 1 + T^2 and c0 = c / sqrt(s2) the initial centre of mass. The step
         loops test the floor on it over n2 / (2 pi) exp(-c0^2), as integrator._peak
         does.
-
-        d and T are floats. w and g, if given, are the stage-time factors
-        beta / (1 + T^2) and T / (1 + T^2), as reduced_velocity_array takes them.
         """
-        if w is None:
-            s2 = one + T * T
-            w, g = beta / s2, T / s2
+        s2 = 1.0 + T * T
+        w, g = beta / s2, T / s2
         x = d * w
-        e = exp(minus_two * fabs(x))
+        e = exp(-2.0 * fabs(x))
         t = tan(T * x)
         tt = t * t
-        q = four * e / (one + tt)
-        tail = T * copysign(one - e * e, x)
-        m = one - e
+        q = 4.0 * e / (1.0 + tt)
+        tail = T * copysign(1.0 - e * e, x)
+        m = 1.0 - e
         if sign > 0:
             den = m * m + q
             num = q * t + tail
@@ -152,5 +150,5 @@ def _array_kernel(one, minus_two, four):
     return reduced_velocity_array
 
 
-reduced_velocity = _velocity_kernel(math.exp, math.tan, math.copysign, abs, 1.0, -2.0, 4.0)
+reduced_velocity = _velocity_kernel(math.exp, math.tan, math.copysign, abs)
 reduced_velocity_array = _array_kernel(np.array(1.0), np.array(-2.0), np.array(4.0))

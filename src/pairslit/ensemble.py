@@ -106,7 +106,13 @@ def transport_ensemble(
         initial, t_end, integrator, stats, p, sample_times=sample_times
     )
     ends = table[status == TrajectoryStatus.COMPLETED, -1, 1:3]
-    com = 0.5 * (initial[:, 0] + initial[:, 1])
+    with np.errstate(over="ignore"):
+        com = 0.5 * (initial[:, 0] + initial[:, 1])
+        spread = math.sqrt(np.add.reduce(com * com) / com.size)
+    if math.isinf(spread):  # the squares overflow: scale by 2^-e, which is exact
+        e = math.frexp(np.abs(initial).max())[1]
+        com = 0.5 * (np.ldexp(initial[:, 0], -e) + np.ldexp(initial[:, 1], -e))
+        spread = math.ldexp(math.sqrt(np.add.reduce(com * com) / com.size), e)
 
     # the product of the signs: that of the coordinates can overflow. Both
     # summaries are Python floats, equal to the bit to float(np.mean(...)) of
@@ -119,7 +125,7 @@ def transport_ensemble(
     return EnsembleResult(
         endpoints=ends,
         same_side_fraction=same_side,
-        delta_y0_estimate=math.sqrt(np.add.reduce(com * com) / com.size),
+        delta_y0_estimate=spread,
         density_distance=distance,
         density_distance_baseline=baseline,
         samples=table,

@@ -28,13 +28,14 @@ interior-sample fill and the SI sample table, and keep only their control
 flow: a numpy loop that advances every live pair of a batch together under
 masks, each with its own step size and controller state, and a scalar loop
 that branches on plain floats. The step has two bodies of the same
-operations in the same order: _dp_step on a float tableau, and _dp_step_array
-on 0-d arrays, which writes its stage arguments and partial sums in place
-into a workspace that each _advance_batch call allocates once, at its
-starting width, and shares with the kernel. integrate_pairs uses the batch
-loop while at least _BATCH_MIN pairs are live and hands smaller batches and
-remainders to the scalar loop, whose per-step cost does not carry numpy's
-per-call overhead.
+operations in the same order: _dp_step on a float tableau, whose kernel forms
+its own stage-time factors, and _dp_step_array on 0-d arrays, which takes
+those factors formed once for all stages and writes its stage arguments and
+partial sums in place into a workspace that each _advance_batch call
+allocates once, at its starting width, and shares with the kernel.
+integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
+and hands smaller batches and remainders to the scalar loop, whose per-step
+cost does not carry numpy's per-call overhead.
 
 Neither loop writes a pair's last row or raises. Each only advances pairs
 and reports how a pair ended: an int8 end code (1 completed, 2 aborted), its
@@ -146,7 +147,8 @@ class IntegratorConfig:
     rel_tol is dimensionless; abs_tol is measured in units of sigma0. Both
     bound the local error of the half-separation (y1 - y2) / 2; the step
     size is left to the controller. density_floor is relative to the t = 0
-    peak of the joint density, its exact maximum (see _peak).
+    peak of the joint density, its exact maximum (see _peak). All three must
+    be finite and > 0.
     """
 
     rel_tol: float = 1e-9
@@ -154,11 +156,9 @@ class IntegratorConfig:
     density_floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
+        for name in ("rel_tol", "abs_tol", "density_floor"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not self.density_floor > 0.0:
-            raise ValueError("density_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -402,30 +402,25 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
                 B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
     """The scalar loop's Dormand-Prince 5(4) step over a tableau of floats."""
 
-    def step(vel, d, h, k1, Ts, W, G, beta, sign):
+    def step(vel, d, h, k1, Ts, beta, sign):
         """One Dormand-Prince 5(4) step of size h from d.
 
-        vel is the velocity kernel and k1 its velocity at d. Ts holds the
-        times of stages 2 to 6 (stage 7 shares stage 6's), and W and G the
-        kernel's stage-time factors there, or Nones for a kernel that forms
-        its own. Returns the new state, the stages (k1, k3, k4, k5, k6, k7)
-        in _fill_interior's order, the denominators of stages 2 to 7 and the
-        signed error sum, which times h is the embedded error estimate. Each
-        sum adds its terms left to right, as the batch loop's step does, so
-        floats and every lane of an array get the same bits.
+        vel is the velocity kernel, which forms its own stage-time factors,
+        and k1 its velocity at d. Ts holds the times of stages 2 to 6 (stage
+        7 shares stage 6's). Returns the new state, the stages (k1, k3, k4,
+        k5, k6, k7) in _fill_interior's order, the denominators of stages 2
+        to 7 and the signed error sum, which times h is the embedded error
+        estimate. Each sum adds its terms left to right, as the batch loop's
+        step does, so floats and every lane of an array get the same bits.
         """
         T2, T3, T4, T5, T6 = Ts
-        W2, W3, W4, W5, W6 = W
-        G2, G3, G4, G5, G6 = G
-        k2, den2 = vel(d + h * (A21 * k1), T2, beta, sign, W2, G2)
-        k3, den3 = vel(d + h * (A31 * k1 + A32 * k2), T3, beta, sign, W3, G3)
-        k4, den4 = vel(d + h * (A41 * k1 + A42 * k2 + A43 * k3), T4, beta, sign, W4, G4)
-        k5, den5 = vel(d + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4), T5, beta, sign, W5, G5)
-        k6, den6 = vel(
-            d + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5), T6, beta, sign, W6, G6
-        )
+        k2, den2 = vel(d + h * (A21 * k1), T2, beta, sign)
+        k3, den3 = vel(d + h * (A31 * k1 + A32 * k2), T3, beta, sign)
+        k4, den4 = vel(d + h * (A41 * k1 + A42 * k2 + A43 * k3), T4, beta, sign)
+        k5, den5 = vel(d + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4), T5, beta, sign)
+        k6, den6 = vel(d + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5), T6, beta, sign)
         new = d + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        k7, den7 = vel(new, T6, beta, sign, W6, G6)
+        k7, den7 = vel(new, T6, beta, sign)
         err = E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7
         return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
 
@@ -445,12 +440,13 @@ def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62
     def step(vel, d, h, k1, Ts, W, G, beta, sign, space):
         """_dp_stepper's step on arrays, in the workspace space.
 
-        space holds eight arrays of the lanes' shape, such as the rows of an
-        (8, n) block: the step sums into the first two and hands the other
-        six to the kernel as its workspace. The stage arguments live there,
-        so vel must not keep d. The new state, the stages, the
-        denominators and the error sum are new arrays, which outlive the
-        next step on the same workspace.
+        W and G hold the kernel's stage-time factors beta / (1 + T^2) and
+        T / (1 + T^2) at the stage times Ts. space holds eight arrays of the
+        lanes' shape, such as the rows of an (8, n) block: the step sums into
+        the first two and hands the other six to the kernel as its
+        workspace. The stage arguments live there, so vel must not keep d.
+        The new state, the stages, the denominators and the error sum are new
+        arrays, which outlive the next step on the same workspace.
         """
         T2, T3, T4, T5, T6 = Ts
         W2, W3, W4, W5, W6 = W
@@ -535,14 +531,13 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity
-    nones = (None,) * 5  # the kernel forms its own stage-time factors
     for _ in range(tried, _MAX_STEPS):
         remaining = t_end - T
         landing = h >= remaining
         h_step = remaining if landing else h
         T_new = T + h_step
         Ts = (T + _C2 * h_step, T + _C3 * h_step, T + _C4 * h_step, T + _C5 * h_step, T_new)
-        new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, nones, nones, beta, sign)
+        new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, beta, sign)
         # One test for all six stages, as in _advance_batch. The stages after
         # a node run on its NaN velocity, and their NaN denominators never
         # win min over the node's finite one.

@@ -83,7 +83,7 @@ def test_velocity_twin_matches_scalar_kernel(rng):
     # The float body over numpy's transcendentals, on one lane at a time: the
     # in-place array body must give each lane its bits, so the two bodies
     # differ only in libm's and numpy's exp and tan.
-    numpy_body = _velocity_kernel(np.exp, np.tan, np.copysign, np.abs, 1.0, -2.0, 4.0)
+    numpy_body = _velocity_kernel(np.exp, np.tan, np.copysign, np.abs)
     s2 = 1.0 + T * T
     for sign in (1, -1):
         with np.errstate(all="ignore"):
@@ -352,13 +352,18 @@ def test_extension_coefficients_reduce_to_the_step():
     np.testing.assert_array_equal(integrator._P, np.delete(rk45.P, 1, axis=0))
 
 
-def stub_velocity(d, T, beta, sign, w, g, space=()):
+def stub_velocity(d, T, beta, sign, w=None, g=None, space=()):
     """A kernel of +, -, * and / alone, which floats and numpy arrays round alike.
 
-    An infinite w gives a NaN velocity and a zero denominator, as at a node.
-    Like the array kernel, it overwrites every row of a workspace it is given.
+    Like the kernels, it forms the stage-time factors w and g from T when it
+    is not given them. An infinite T gives a NaN velocity and a zero
+    denominator, as at a node. Like the array kernel, it overwrites every row
+    of a workspace it is given.
     """
-    den = (1.0 + d * d) / (1.0 + w)
+    if w is None:
+        s2 = 1.0 + T * T
+        w, g = beta / s2, T / s2
+    den = (1.0 + d * d) / (1.0 + T * T)
     v = d * g - T * w / (1.0 + w) + sign * beta * den
     for row in space:
         row.fill(np.nan)
@@ -379,26 +384,28 @@ def test_dp_step_is_lane_exact(rng):
     # One step on Python floats and on an array of lanes gives each lane the
     # same bits: every stage sum adds its terms left to right on both. Each
     # side runs its own loop's step, the scalar one on its float tableau and
-    # the batch one, in place in a NaN-filled workspace, on its 0-d tableau.
-    # The stub kernel keeps libm's and numpy's transcendentals out, and
-    # overwrites the kernel's rows of the workspace at every call. Lane 3
-    # meets a node at stage 3, and NaN carries through its later stages. A
-    # sum taken in another order rounds differently in some of the 64 lanes.
+    # the batch one, in place in a NaN-filled workspace, on its 0-d tableau,
+    # given the stage-time factors that the batch loop forms from the same
+    # stage times. The stub kernel keeps libm's and numpy's transcendentals
+    # out, and overwrites the kernel's rows of the workspace at every call.
+    # Lane 3 meets a node at stage 3, whose time is infinite, and NaN carries
+    # through its later stages. A sum taken in another order rounds
+    # differently in some of the 64 lanes.
     n = 64
     d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
     T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
     Ts = T + integrator._C_COL * h
-    W, G = rng.uniform(0.1, 5.0, (5, n)), rng.uniform(0.0, 1.0, (5, n))
-    W[1, 3] = np.inf
+    Ts[1, 3] = np.inf
     space = tuple(np.full((8, n), np.nan))
     with np.errstate(all="ignore"):
+        S2 = 1.0 + Ts * Ts
+        W, G = 5.0 / S2, Ts / S2
         lanes = flat_step(
             integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1, space)
         )
     for k in range(n):
         out = integrator._dp_step(
-            stub_velocity, float(d[k]), float(h[k]), float(k1[k]),
-            Ts[:, k].tolist(), W[:, k].tolist(), G[:, k].tolist(), 5.0, -1,
+            stub_velocity, float(d[k]), float(h[k]), float(k1[k]), Ts[:, k].tolist(), 5.0, -1
         )
         assert all(type(x) is float for x in (out[0], *out[1], *out[2], out[3]))
         np.testing.assert_array_equal(bits(lanes[:, k]), bits(flat_step(out)))
@@ -410,24 +417,31 @@ def test_dp_step_is_lane_exact(rng):
 def test_dp_step_returns_the_stages_in_fill_order():
     # _fill_interior reads the stages as (k1, k3, k4, k5, k6, k7); k2 has no
     # weight in the continuous extension. Stage 7 runs at the new state. The
-    # scalar loop's step runs on floats, the batch loop's on one lane, in a
-    # workspace, here.
+    # scalar loop's step runs on floats, the batch loop's on one lane, given
+    # stage-time factors, in a workspace, here.
     Ts = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+
+    def lane(x):
+        return np.array([x])
+
     backs = (
-        (integrator._dp_step, float, ()),
-        (integrator._dp_step_array, lambda x: np.array([x]), (tuple(np.empty((8, 1))),)),
+        (integrator._dp_step, float, (), ()),
+        (
+            integrator._dp_step_array, lane,
+            ([lane(1.0)] * 5, [lane(0.5)] * 5), (tuple(np.empty((8, 1))),),
+        ),
     )
-    for step, val, space in backs:
+    for step, val, factors, space in backs:
         calls = []
 
-        def recording(d, T, beta, sign, w, g, *space):
-            v, den = stub_velocity(d, T, beta, sign, w, g, *space)
+        def recording(d, T, beta, sign, *rest):
+            v, den = stub_velocity(d, T, beta, sign, *rest)
             calls.append((d, T, v, den))
             return v, den
 
         new, stages, dens, _ = step(
             recording, val(0.5), val(1.0), val(0.25), [val(T) for T in Ts],
-            [val(1.0)] * 5, [val(0.5)] * 5, 5.0, 1, *space,
+            *factors, 5.0, 1, *space,
         )
         assert [T for _, T, _, _ in calls] == [*Ts, Ts[4]]
         assert stages == (0.25, *(v for _, _, v, _ in calls[1:]))
@@ -450,17 +464,23 @@ def closed_over(fn):
 )
 def test_both_back_ends_close_over_the_same_doubles(scalar, array):
     # The scalar loop's step and kernel hold Python floats and the batch
-    # loop's 0-d float64 arrays, each of the same double. They are separate
-    # bodies, so neither may hold the other's kind.
+    # loop's 0-d float64 arrays, each of the same double. The step closes
+    # over its tableau, matched by name; the float kernel writes its
+    # constants as literals, matched by value. They are separate bodies, so
+    # neither may hold the other's kind.
     floats = {k: v for k, v in closed_over(scalar).items() if type(v) is float}
+    literals = sorted(x for x in scalar.__code__.co_consts if type(x) is float)
     zero_d = {k: v for k, v in closed_over(array).items() if isinstance(v, np.ndarray)}
-    assert len(floats) >= 3 and floats.keys() == zero_d.keys()
+    assert len(zero_d) >= 3 and floats.keys() <= zero_d.keys()
     assert not any(isinstance(v, np.ndarray) for v in closed_over(scalar).values())
     assert not any(isinstance(v, float) for v in closed_over(array).values())
-    for name, x in floats.items():
-        a = zero_d[name]
+    assert not any(type(x) is float for x in array.__code__.co_consts)
+    pairs = [(x, zero_d.pop(name)) for name, x in floats.items()]
+    assert len(literals) == len(zero_d)
+    pairs += zip(literals, sorted(zero_d.values(), key=float))
+    for x, a in pairs:
         assert a.shape == () and a.dtype == np.float64
-        assert a.view(np.uint64) == np.float64(x).view(np.uint64), name
+        assert a.view(np.uint64) == np.float64(x).view(np.uint64), x
 
 
 class OperandLog(np.ndarray):

@@ -868,6 +868,9 @@ def _main_in(directory, argv):
 @example(inputs=("fig3a", None, [f"--n-pairs={10**15}"]))
 @example(inputs=("fig3a", None, [f"--n-pairs={2**63}"]))
 @example(inputs=("fig4a", None, ["--out="]))
+# the squares of the centres of mass overflow: the summary's spread stays finite
+@example(inputs=("custom", {"params": {"m": 1e-10, "hbar": 1.0, "sigma0": 1.3e154, "Y": 5e154,
+                                       "kx": 1e-10, "d": 1.0, "L": 1e10}}, ["--n-pairs=5"]))
 # the rows of the old table of inputs that once ran unbounded or ended in a traceback
 @example(inputs=("custom", {"sampler": {"seed": -1}}, ["--n-pairs=2"]))
 @example(inputs=("custom", {"params": {"sigma0": 1e-300}}, ["--n-pairs=2"]))

@@ -8,6 +8,7 @@ import pytest
 from pairslit import (
     EnsembleResult,
     IntegratorConfig,
+    PhysicalParams,
     SamplerConfig,
     SpinStatistics,
     binned_tv_distance,
@@ -84,6 +85,27 @@ def test_summaries_are_the_floats_of_their_means(p_fast, stats):
     spread = float(np.sqrt(np.mean(com**2)))
     assert type(res.same_side_fraction) is float and type(res.delta_y0_estimate) is float
     assert res.same_side_fraction.hex() == same_side.hex()
+    assert res.delta_y0_estimate.hex() == spread.hex()
+
+
+def test_centre_spread_of_a_wide_geometry_is_finite(stats):
+    # Y = 5e154 m, and one pair at (Y, Y): the squares of the centres of mass
+    # overflow float64, those of the centres scaled by 2^-600 do not, and
+    # scaling by a power of two is exact, so the spread is that RMS scaled
+    # back, to the bit
+    p = PhysicalParams(m=1e-10, hbar=1.0, sigma0=1.3e154, Y=5e154, kx=1e-10, d=1.0, L=1e10)
+    initial = sample_joint_y(4, 0.0, stats, p, np.random.default_rng(0))
+    initial = np.concatenate([initial, np.full((1, 2), p.Y)])
+    com = 0.5 * (initial[:, 0] + initial[:, 1])
+    with np.errstate(over="ignore"):
+        assert np.sum(com * com) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = transport_ensemble(initial, IntegratorConfig(), stats, p, p.flight_time,
+                                 rng=np.random.default_rng(0))
+    scaled = com * 2.0**-600
+    spread = float(np.sqrt(np.mean(scaled * scaled))) * 2.0**600
+    assert math.isfinite(res.delta_y0_estimate)
     assert res.delta_y0_estimate.hex() == spread.hex()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,11 +32,18 @@ def test_config_defaults():
         {"abs_tol": 0.0},
         {"density_floor": 0.0},
         {"abs_tol": -1e-9},
+        # an infinite floor would abort every pair at release without a word
+        {"density_floor": math.inf},
+        {"density_floor": math.nan},
     ],
 )
 def test_config_rejects_nonpositive(kw):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{next(iter(kw))} must be finite and > 0"):
         IntegratorConfig(**kw)
+
+
+def test_config_accepts_a_floor_above_the_peak():
+    assert IntegratorConfig(density_floor=2.0).density_floor == 2.0
 
 
 def test_com_matches_closed_form(p_fast, p_slow, stats):
