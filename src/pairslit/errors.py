@@ -20,9 +20,9 @@ class RejectionStallError(PairslitError):
 class StepUnderflowError(PairslitError):
     """Adaptive integrator cannot land a pair.
 
-    pairslit no longer raises it: such a pair gets status None from
-    integrate_pairs instead. It stays exported only for the perfbench smoke
-    test that raises it, and goes together with that test.
+    pairslit no longer raises it: integrate_pairs gives such a pair the end
+    code NOT_INTEGRATED instead. It stays exported only for the perfbench
+    smoke test that raises it, and goes together with that test.
     """
 
 

@@ -39,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import NodeProximityError, RegionViolationError
-from .integrator import IntegratorConfig, integrate_pairs
+from .integrator import IntegratorConfig, TrajectoryStatus, integrate_pairs
 from .params import PairConfiguration, PairVelocity, PhysicalParams, SpinStatistics
 from .wavefunction import _IMAGE_SIGNS, pair_images, psi_pair
 
@@ -291,8 +291,8 @@ def property_report(
         v_scale = max(abs(vy1), abs(vy2), 1e-9 * v)
         worst_y = max(worst_y, abs(vc.vy1 - vy1) / v_scale, abs(vc.vy2 - vy2) / v_scale)
         worst_x = max(worst_x, abs(vc.vx1 - v) / v, abs(vc.vx2 + v) / v)
-    lost = sum(st is None for st in status)
-    note = f"; {lost} of {len(status)} pairs could not be integrated" if lost else ""
+    lost = np.count_nonzero(status == TrajectoryStatus.NOT_INTEGRATED)
+    note = f"; {lost} of {status.size} pairs could not be integrated" if lost else ""
     record(
         "mapped trajectories: transverse velocities match the corrected state",
         worst_y < 1e-5 and not lost,

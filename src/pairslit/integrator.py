@@ -38,11 +38,11 @@ and hands smaller batches and remainders to the scalar loop, whose per-step
 cost does not carry numpy's per-call overhead.
 
 Neither loop writes a pair's last row or raises. Each only advances pairs
-and reports how a pair ended: an int8 end code (1 completed, 2 aborted), its
-last accepted state and the first sample time no accepted step covered. A
-pair that underflows or runs out of steps reports nothing and keeps code 0.
-integrate_pairs then writes every landing or truncation row, and every sample
-count, in one pass, and turns the codes into statuses once, at return.
+and reports how a pair ended: its int8 end code (a TrajectoryStatus value),
+its last accepted state and the first sample time no accepted step covered.
+A pair that underflows or runs out of steps reports nothing and keeps code
+NOT_INTEGRATED. integrate_pairs then writes every landing or truncation row,
+and every sample count, in one pass, and returns the codes as they are.
 """
 
 from __future__ import annotations
@@ -126,18 +126,17 @@ _T_PROBE = 1e-7
 _BATCH_MIN = 32
 
 
-class TrajectoryStatus(enum.Enum):
-    COMPLETED = "completed"
-    NODE_PROXIMITY_ABORT = "node_proximity_abort"
+class TrajectoryStatus(enum.IntEnum):
+    """How a pair ended: its int8 end code in integrate_pairs' status array.
 
+    0 NOT_INTEGRATED: no samples (see integrate_pairs); 1 COMPLETED: landed
+    on t_end; 2 NODE_PROXIMITY_ABORT: a node or the density floor ended it
+    in flight.
+    """
 
-# The step loops report a pair's end as an int8 code: 0 while it has none
-# (not integrated), _COMPLETED or _ABORTED; integrate_pairs turns the codes
-# into statuses once, by indexing _STATUS.
-_COMPLETED, _ABORTED = 1, 2
-_STATUS = np.array(
-    (None, TrajectoryStatus.COMPLETED, TrajectoryStatus.NODE_PROXIMITY_ABORT), dtype=object
-)
+    NOT_INTEGRATED = 0
+    COMPLETED = 1
+    NODE_PROXIMITY_ABORT = 2
 
 
 @dataclass(frozen=True)
@@ -276,11 +275,10 @@ def integrate_pairs(
     the table leaves it out.
     Every pair runs the same step control, which lands on t_end alone; the
     other sample times are filled from the continuous extension of the steps
-    that cover them. A pair that cannot be integrated gets a status, never an
-    exception. The step loops report each pair's end as an int8 code, 0 not
-    integrated, 1 completed or 2 aborted, with its last accepted state;
-    integrate_pairs writes the last rows and counts from those reports, and
-    builds the status array from the codes once, at return.
+    that cover them. A pair that cannot be integrated gets an end code, never
+    an exception. The step loops report each pair's end code with its last
+    accepted state; integrate_pairs writes the last rows and counts from
+    those reports.
 
     Returns
     -------
@@ -288,8 +286,8 @@ def integrate_pairs(
         table is the (n, S, 5) array of samples (t, y1, y2, vy1, vy2) in SI
         units, S being the number of sample times; pair i's samples are
         table[i, :count[i]], and later cells hold none. status[i] is its
-        TrajectoryStatus, or None, with count[i] = 0, when it cannot be
-        integrated: its initial density lies below the floor, its initial
+        int8 TrajectoryStatus code; it is 0 (NOT_INTEGRATED), with count[i]
+        = 0, when its initial density lies below the floor, its initial
         configuration on a node, or error control would need a step below
         1e-12 of the span or more than _MAX_STEPS steps.
 
@@ -360,7 +358,7 @@ def integrate_pairs(
     rows[ended[past], j[past]] = ends[ended[past], :3]
     count = np.zeros(n, dtype=np.intp)
     count[ended] = j + past
-    return _si_rows(rows, c0, prob, p), count, _STATUS[code]
+    return _si_rows(rows, c0, prob, p), count, code
 
 
 def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
@@ -519,11 +517,11 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     appends its _fill_interior row to the flat float array covering.
 
     Returns the pair's report (code, (T, d, dd/dT, j)): its end code,
-    _COMPLETED or _ABORTED, its last accepted state, which is the landing on
-    t_end or the state before an abort, and the index of the first sample
-    time that no accepted step covered. Returns None if error control would
-    need a step below h_min, or if the pair has not landed within _MAX_STEPS
-    attempted steps.
+    COMPLETED or NODE_PROXIMITY_ABORT, its last accepted state, which is the
+    landing on t_end or the state before an abort, and the index of the first
+    sample time that no accepted step covered. Returns None if error control
+    would need a step below h_min, or if the pair has not landed within
+    _MAX_STEPS attempted steps.
     """
     grid = prob.grid
     end = len(grid) - 1
@@ -558,7 +556,7 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
                 j = hi
             T, d, k1 = (t_end if landing else T_new), new, stages[5]
             if landing:
-                return _COMPLETED, (T, d, k1, j)
+                return TrajectoryStatus.COMPLETED, (T, d, k1, j)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -573,7 +571,7 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     else:
         return None
     # a node or the density floor ended the pair after its last accepted state
-    return _ABORTED, (T, d, k1, j)
+    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1, j)
 
 
 def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, steps: list):
@@ -673,8 +671,8 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
                 done[:] = True
             elif not np.count_nonzero(done):
                 continue
-            code[idx[landed]] = _COMPLETED
-            code[idx[aborted]] = _ABORTED
+            code[idx[landed]] = TrajectoryStatus.COMPLETED
+            code[idx[aborted]] = TrajectoryStatus.NODE_PROXIMITY_ABORT
             ended = landed | aborted
             ends[idx[ended]] = np.array((T, D, K1, j)).T[ended]
             keep = ~done

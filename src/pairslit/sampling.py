@@ -16,6 +16,7 @@ Longitudinal coordinates start at x = 0 and t = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
+        for name in ("n_pairs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_pairs <= _MAX_PAIRS:
             raise ValueError("n_pairs must be >= 1 and <= 2**53")
         if self.seed < 0:

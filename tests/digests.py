@@ -11,7 +11,10 @@ prints one line, "<case> <sha256>", per case:
   scalar-only modes, over both regimes and statistics, density floors 1e-12,
   1e-4 and 1e-2 and 2, 11 and 101 samples; fermion batches add releases on
   and next to the diagonal; and 4,096 slow pairs per statistics in dispatch
-  mode with 2 samples, the default IntegratorConfig;
+  mode with 2 samples, the default IntegratorConfig. Each pair's outcome is
+  hashed by name, None, "completed" or "node_proximity_abort", whether the
+  tree returns int8 end codes or an object array of TrajectoryStatus members
+  and None, as trees before the codes did;
 - sample_joint_y draws and the generator's end state, and sample_initial for
   each method;
 - run_ensemble as the benchmark runs it (exact rejection, 250 pairs, the
@@ -63,9 +66,19 @@ def sha(*parts) -> str:
     return h.hexdigest()
 
 
+# The outcome names of end codes 0, 1 and 2: None for a pair not integrated,
+# then the string values of the statuses of trees before the codes.
+OUTCOMES = (None, "completed", "node_proximity_abort")
+
+
 def digest(table, count, status) -> str:
-    """sha over an integrate_pairs result, its statuses by value."""
-    return sha(table, np.asarray(count, np.int64), [None if s is None else s.value for s in status])
+    """sha over an integrate_pairs result, each pair's outcome by name (see OUTCOMES)."""
+    status = np.asarray(status)
+    if status.dtype == object:
+        names = [None if s is None else s.value for s in status]
+    else:
+        names = [OUTCOMES[code] for code in status.tolist()]
+    return sha(table, np.asarray(count, np.int64), names)
 
 
 def integrate_cases(pairslit):

@@ -47,11 +47,15 @@ class Trajectory:
 
 
 def trajectories(initial, t_end, cfg, stats, p, times=None, x1=0.0, x2=0.0):
-    """integrate_pairs as one Trajectory, or None, per pair released at x1, x2."""
+    """integrate_pairs as one Trajectory per pair released at x1, x2, or None if not integrated.
+
+    Each Trajectory's status is the TrajectoryStatus member of its pair's end code.
+    """
     table, count, status = integrate_pairs(initial, t_end, cfg, stats, p, times)
     return [
-        None if st is None else Trajectory.from_rows(table[i, : count[i]], st, p, x1, x2)
-        for i, st in enumerate(status)
+        None if code == TrajectoryStatus.NOT_INTEGRATED
+        else Trajectory.from_rows(table[i, : count[i]], TrajectoryStatus(int(code)), p, x1, x2)
+        for i, code in enumerate(status)
     ]
 
 

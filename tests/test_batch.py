@@ -201,7 +201,7 @@ def test_endpoints_match_the_exact_map(case):
     want = oracle_endpoints(initial, t_end, stats, p)
     bound = ORACLE_BOUND[case[0]] * p.sigma0
     table, count, status = integrate_pairs(initial, t_end, IntegratorConfig(), stats, p)
-    assert all(s is TrajectoryStatus.COMPLETED for s in status)
+    assert (status == TrajectoryStatus.COMPLETED).all()
     assert np.abs(table[np.arange(len(initial)), count - 1, 1:3] - want).max() <= bound
     for y0, (y1, y2) in zip(initial, want):
         end = endpoint(integrate_one(release(*y0), t_end, IntegratorConfig(), stats, p))
@@ -227,7 +227,7 @@ def test_interior_samples_match_the_exact_map(case, loop):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_BATCH_MIN", LOOPS[loop])
         table, count, status = integrate_pairs(initial, t_end, IntegratorConfig(), stats, p, times)
-    assert all(s is TrajectoryStatus.COMPLETED for s in status)
+    assert (status == TrajectoryStatus.COMPLETED).all()
     assert np.isfinite(table).all()
     np.testing.assert_array_equal(table[:, :, 0], np.broadcast_to(times, (6, 101)))
     want = oracle_paths(initial, times[1:-1], stats, p)
@@ -291,7 +291,7 @@ def test_the_start_step_saves_kernel_evaluations(regime, stats):
 def assert_end_rule(table, count, status, times):
     """The rows and counts that integrate_pairs writes from each pair's end.
 
-    A pair with status None has no samples. Every other pair's samples are
+    A NOT_INTEGRATED pair has no samples. Every other pair's samples are
     finite and sit on their requested times, except that an aborted pair's
     last sample may fall strictly between two of them, before t_end; a
     completed pair has them all and ends on t_end exactly. Cells past the
@@ -299,13 +299,13 @@ def assert_end_rule(table, count, status, times):
     """
     for i, (n_i, status_i) in enumerate(zip(count, status)):
         assert np.isnan(table[i, n_i:]).all()
-        if status_i is None:
+        if status_i == TrajectoryStatus.NOT_INTEGRATED:
             assert n_i == 0
             continue
         assert np.isfinite(table[i, :n_i]).all()
         t = table[i, :n_i, 0]
         np.testing.assert_array_equal(t[:-1], times[: n_i - 1])
-        if status_i is TrajectoryStatus.COMPLETED:
+        if status_i == TrajectoryStatus.COMPLETED:
             assert n_i == times.size and t[-1] == times[-1]
         else:
             k = n_i - 1
@@ -338,6 +338,33 @@ def test_sample_grid_does_not_change_the_path(case, floor, batch_min):
     ends_coarse = coarse[last, n_coarse[last] - 1]
     ends_dense = dense[last, n_dense[last] - 1]
     assert ends_dense.tobytes() == ends_coarse.tobytes()
+
+
+@pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
+def test_status_is_the_int8_end_codes(batch_min):
+    # In one shuffled batch: 40 drawn fermion pairs, which land; 8 released
+    # 1e-6 sigma0 off the diagonal, which a node ends in flight (see
+    # test_node_aborts_in_flight_in_both_loops); and 2 released so far out
+    # that their density lies below even a floor of 1e-300. Each loop mode
+    # must give every pair the code of its kind.
+    stats = SpinStatistics.FERMION
+    drawn, p, t_end = draw("slow", stats, seed=31, n=40)
+    y1 = np.linspace(-3.0, 3.0, 8) * p.sigma0
+    near = np.column_stack((y1, y1 + 1e-6 * p.sigma0))
+    far = np.array([(60.0, 63.0), (-60.0, -57.0)]) * p.sigma0
+    kinds = (TrajectoryStatus.COMPLETED, TrajectoryStatus.NODE_PROXIMITY_ABORT,
+             TrajectoryStatus.NOT_INTEGRATED)
+    order = np.random.default_rng(0).permutation(50)
+    want = np.repeat(kinds, (40, 8, 2))[order]
+    initial = np.concatenate((drawn, near, far))[order]
+    cfg = IntegratorConfig(density_floor=1e-300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        _, count, status = integrate_pairs(initial, t_end, cfg, stats, p, np.linspace(0.0, t_end, 11))
+    assert status.dtype == np.int8
+    assert set(status.tolist()) <= set(TrajectoryStatus)
+    np.testing.assert_array_equal(status == TrajectoryStatus.NOT_INTEGRATED, count == 0)
+    np.testing.assert_array_equal(status, want)
 
 
 def test_extension_coefficients_reduce_to_the_step():
@@ -674,13 +701,13 @@ def test_density_floor_decisions_are_pinned(p_slow, batch_min):
             np.linspace(0.0, 1e-7, 11),
         )
     aborted = {i: n for i, (n, s) in enumerate(zip(count.tolist(), status))
-               if s is TrajectoryStatus.NODE_PROXIMITY_ABORT}
+               if s == TrajectoryStatus.NODE_PROXIMITY_ABORT}
     assert aborted == FLOOR_ABORTS
     # the pairs released below the floor are refused, the rest land
     below = joint_density_y(initial[:, 0], initial[:, 1], 0.0, stats, p_slow) < (
         0.01 * initial_density_peak(stats, p_slow)
     )
-    assert [s is None for s in status] == below.tolist()
+    np.testing.assert_array_equal(status == TrajectoryStatus.NOT_INTEGRATED, below)
     assert not count[below].any()
 
 
@@ -701,7 +728,7 @@ def test_node_aborts_in_flight_in_both_loops(p_slow, loop):
             initial, 1e-7, cfg, SpinStatistics.FERMION, p_slow, times
         )
     assert_end_rule(table, count, status, times)
-    assert all(s is TrajectoryStatus.NODE_PROXIMITY_ABORT for s in status)
+    assert (status == TrajectoryStatus.NODE_PROXIMITY_ABORT).all()
     last = table[np.arange(len(initial)), count - 1]
     assert np.isfinite(last).all()
     assert (last[:, 0] > 0.0).all() and (last[:, 0] < 1e-7).all()
@@ -794,7 +821,7 @@ def test_a_step_underflow_ends_the_pair_at_once(loop):
         mp.setattr(integrator, "_dp_step_array", spied(integrator._dp_step_array))
         tally = step_loop_evaluations(mp)
         _, count, status = integrate_pairs(initial, t_end, cfg, SpinStatistics.BOSON, p)
-    assert list(status) == [None] * 40 and not count.any()
+    assert (status == TrajectoryStatus.NOT_INTEGRATED).all() and not count.any()
     # each pair attempts once, and once more after each attempt of error 0;
     # so none attempts more than 1 + exact steps, within the budget
     assert attempts["lanes"] == 40 + attempts["exact"]
@@ -808,7 +835,7 @@ def test_start_on_a_node_is_not_integrated(p_fast):
     cfg = IntegratorConfig(density_floor=1e-30)
     y0 = (2e-6, 2e-6 + 1e-15)
     _, count, status = integrate_pairs(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast)
-    assert status[0] is None and count[0] == 0
+    assert status[0] == TrajectoryStatus.NOT_INTEGRATED and count[0] == 0
     assert trajectories(np.array([y0]), 1e-8, cfg, SpinStatistics.FERMION, p_fast) == [None]
 
 
@@ -820,12 +847,12 @@ def run_with_budget(initial, p, t_end, stats, max_steps, batch_min):
 
 
 def least_budget(initial, p, t_end, stats, batch_min):
-    """The smallest _MAX_STEPS under which every pair ends with a status."""
+    """The smallest _MAX_STEPS under which every pair lands or aborts."""
     lo, hi = 1, 1024
     while lo < hi:
         mid = (lo + hi) // 2
         status = run_with_budget(initial, p, t_end, stats, mid, batch_min)[2]
-        if all(s is not None for s in status):
+        if (status != TrajectoryStatus.NOT_INTEGRATED).all():
             hi = mid
         else:
             lo = mid + 1
@@ -851,9 +878,9 @@ def test_step_budget_counts_the_steps_of_both_loops(case):
     for batch_min in modes:
         table, count, status = run_with_budget(initial, p, t_end, stats, budget - 1, batch_min)
         full = run_with_budget(initial, p, t_end, stats, budget, batch_min)
-        cut = np.array([s is None for s in status])
+        cut = status == TrajectoryStatus.NOT_INTEGRATED
         assert cut.any() and (count[cut] == 0).all()
-        assert list(status[~cut]) == list(full[2][~cut])
+        np.testing.assert_array_equal(status[~cut], full[2][~cut])
         np.testing.assert_array_equal(count[~cut], full[1][~cut])
         np.testing.assert_array_equal(table[~cut], full[0][~cut])
 
@@ -902,7 +929,7 @@ def test_keeping_trajectories_changes_no_result(p_slow, n, stats, floor):
                                 rng=np.random.default_rng(3))
     assert result.samples.tobytes() == table.tobytes()
     np.testing.assert_array_equal(result.sample_count, count)
-    done = [i for i, st in enumerate(status) if st is TrajectoryStatus.COMPLETED]
+    done = np.flatnonzero(status == TrajectoryStatus.COMPLETED)
     assert result.n_completed == len(done) == n - result.aborted_count
     assert table[done, count[done] - 1, 1:3].tobytes() == result.endpoints.tobytes()
     if floor > 1e-12:

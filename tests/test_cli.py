@@ -515,7 +515,7 @@ def test_summary_is_strict_json_when_nothing_completes(tmp_path):
 
 def test_step_underflow_is_counted_as_abort(tmp_path, capsys):
     # 3 pairs take the scalar loop, 40 the batch loop; in both, an underflow
-    # leaves the pair's status None
+    # leaves the pair's end code NOT_INTEGRATED
     for n_pairs in (3, 40):
         path = write_json(tmp_path / "underflow.json", {
             "scenario": "equivariance",
@@ -659,7 +659,7 @@ def test_a_thousand_two_row_files_match_savetxt(tmp_path):
 
 
 def test_only_pairs_with_a_status_get_numbered_files(tmp_path, monkeypatch):
-    # A floor of half the peak leaves some releases below it (status None,
+    # A floor of half the peak leaves some releases below it (NOT_INTEGRATED,
     # no samples) and ends the others in flight; the table is the one the
     # run itself integrates.
     runs = []
@@ -675,7 +675,7 @@ def test_only_pairs_with_a_status_get_numbered_files(tmp_path, monkeypatch):
     })
     assert run_main(tmp_path, "custom", "--config", path) == 2
     (table, count, status), = runs
-    integrated = [i for i, st in enumerate(status) if st is not None]
+    integrated = np.flatnonzero(status != TrajectoryStatus.NOT_INTEGRATED).tolist()
     assert 0 < len(integrated) < n
     out = tmp_path / "out"
     files = sorted(out.glob("trajectory_*.csv"))
@@ -688,7 +688,7 @@ def test_only_pairs_with_a_status_get_numbered_files(tmp_path, monkeypatch):
         assert (len(lines), lines[-1]) == (2 + count[i], b"")
         assert lines[-2].decode() == ",".join("%.15e" % v for v in last)
     summary = json.loads((out / "summary.json").read_text())
-    completed = sum(st is TrajectoryStatus.COMPLETED for st in status)
+    completed = np.count_nonzero(status == TrajectoryStatus.COMPLETED)
     assert (summary["n_requested"], summary["n_completed"]) == (n, completed)
     assert summary["aborted_count"] == n - completed >= n - len(integrated)
 

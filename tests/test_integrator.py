@@ -170,7 +170,7 @@ def test_initial_density_below_floor_rejected(p_fast):
     _, count, status = integrate_pairs(
         np.array([(2e-6, 2e-6)]), 1e-8, IntegratorConfig(), SpinStatistics.FERMION, p_fast
     )
-    assert status[0] is None and count[0] == 0
+    assert status[0] == TrajectoryStatus.NOT_INTEGRATED and count[0] == 0
 
 
 def test_density_floor_abort_truncates(p_slow):
@@ -195,7 +195,7 @@ def test_step_underflow_is_not_integrated(p_slow):
     _, count, status = integrate_pairs(
         np.array([(5e-6, -4e-6)]), 1e-7, cfg, SpinStatistics.BOSON, p_slow
     )
-    assert status[0] is None and count[0] == 0
+    assert status[0] == TrajectoryStatus.NOT_INTEGRATED and count[0] == 0
 
 
 def test_bad_t_end_rejected(p_fast):

@@ -27,6 +27,22 @@ def test_config_validation():
         SamplerConfig(n_pairs=-5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_pairs", 2.5), ("n_pairs", 2.0), ("n_pairs", True), ("n_pairs", np.float64(3.0)),
+    ("seed", 1.5), ("seed", False), ("seed", np.bool_(True)),
+])
+def test_config_refuses_non_integers(field, value):
+    # each passes the range checks; all but seed=False would then end in a
+    # numpy TypeError inside run_ensemble, and a bool is refused like the CLI does
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SamplerConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers(p_fast):
+    cfg = SamplerConfig(n_pairs=np.int64(3), seed=np.uint32(4))
+    assert sample_initial(cfg, SpinStatistics.BOSON, p_fast).shape == (3, 2)
+
+
 def test_seed_determinism(p_fast, stats):
     cfg = SamplerConfig(method="exact_rejection", n_pairs=64, seed=99)
     a = sample_initial(cfg, stats, p_fast)
