@@ -37,12 +37,13 @@ integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
 and hands smaller batches and remainders to the scalar loop, whose per-step
 cost does not carry numpy's per-call overhead.
 
-Neither loop writes a pair's last row or raises. Each only advances pairs
-and reports how a pair ended: its int8 end code (a TrajectoryStatus value),
-its last accepted state and the first sample time no accepted step covered.
-A pair that underflows or runs out of steps reports nothing and keeps code
-NOT_INTEGRATED. integrate_pairs then writes every landing or truncation row,
-and every sample count, in one pass, and returns the codes as they are.
+Neither loop writes a pair's last row or raises. Each only advances pairs,
+records the steps that cover interior sample times (those in (T, T1] for a
+step from T to T1) and reports how a pair ended: its int8 end code (a
+TrajectoryStatus value) and its last accepted state. A pair that underflows
+or runs out of steps reports nothing and keeps code NOT_INTEGRATED.
+integrate_pairs then places every landing or truncation row, and every
+sample count, by the end's time in one pass, and returns the codes as is.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class IntegratorConfig:
 class _Scaled:
     """One integration problem in packet-width / spreading-time units."""
 
-    grid: tuple[float, ...]  # sample times over tau
+    grid: np.ndarray  # sample times over tau
     times: np.ndarray  # the requested sample times (s)
     tau: float
     sign: int
@@ -191,7 +192,7 @@ def _scaled_problem(
         raise ValueError("sample_times must run strictly from 0 to t_end")
     tau = p.tau
     return _Scaled(
-        grid=tuple(t / tau for t in out_t),
+        grid=np.array(out_t) / tau,
         times=np.array(out_t),
         tau=tau,
         sign=stats.sign,
@@ -245,11 +246,10 @@ def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarr
     requested time; only an abort's off-grid truncation row gets T tau.
     """
     T, d, w = rows[..., 0], rows[..., 1], rows[..., 2]
-    k = T.shape[-1]
     s2 = 1.0 + T * T
     c = np.expand_dims(c0, -1) * np.sqrt(s2)
     drift = c * (T / s2)
-    t = np.where(T == np.asarray(prob.grid[:k]), prob.times[:k], T * prob.tau)
+    t = np.where(T == prob.grid, prob.times, T * prob.tau)
     v = p.sigma0 / prob.tau
     out = np.empty(T.shape + (5,))
     out[..., 0] = t
@@ -324,38 +324,34 @@ def integrate_pairs(
         h0 = np.fmin(prob.grid[-1], (0.01 * scale / np.abs(acc)) ** 0.2)
     m = idx.size
 
-    rows = np.full((n, len(prob.grid), 3), np.nan)
+    rows = np.full((n, prob.grid.size, 3), np.nan)
     rows[idx, 0, 0] = 0.0
     rows[idx, 0, 1] = d0
     rows[idx, 0, 2] = k1
-    # code[i] is pair i's end code, and row i of ends its end (T, d, dd/dT, j)
-    # once a step loop reports one: its last accepted state and the index of
-    # the first sample time that no accepted step covered.
+    # code[i] is pair i's end code, and row i of ends its last accepted state
+    # (T, d, dd/dT), once a step loop reports one.
     code = np.zeros(n, dtype=np.int8)
-    ends = np.zeros((n, 4))
-    state = (
-        idx, np.zeros(m), d0, thr, k1,
-        h0, np.ones(m), np.ones(m, dtype=np.intp),
-    )
+    ends = np.zeros((n, 3))
+    state = (idx, np.zeros(m), d0, thr, k1, h0, np.ones(m))
     steps: list[np.ndarray] = []
     live, tried = _advance_batch(prob, state, code, ends, steps)
 
     covering = array("d")
-    for i, T, d_i, thr_i, k1_i, h, err_prev, j in zip(*(col.tolist() for col in live)):
-        end = _advance(prob, i, T, d_i, thr_i, k1_i, h, err_prev, j, tried, covering)
+    for i, T, d_i, thr_i, k1_i, h, err_prev in zip(*(col.tolist() for col in live)):
+        end = _advance(prob, i, T, d_i, thr_i, k1_i, h, err_prev, tried, covering)
         if end is not None:
             code[i], ends[i] = end
     if covering:
-        steps.append(np.frombuffer(covering).reshape(-1, 12))
+        steps.append(np.frombuffer(covering).reshape(-1, 11))
     if steps:
         _fill_interior(prob, rows, np.concatenate(steps))
 
-    # An end past the last covered sample time is the pair's last row: the
-    # landing on t_end, or an abort's truncation between two sample times.
+    # The steps filled the j sample times up to an end; an end past them is the
+    # last row: the landing on t_end, or an abort's truncation between two.
     ended = np.flatnonzero(code)
-    j = ends[ended, 3].astype(np.intp)
-    past = np.asarray(prob.grid)[j - 1] < ends[ended, 0]
-    rows[ended[past], j[past]] = ends[ended[past], :3]
+    j = np.searchsorted(prob.grid[:-1], ends[ended, 0], side="right")
+    past = prob.grid[j - 1] < ends[ended, 0]
+    rows[ended[past], j[past]] = ends[ended[past]]
     count = np.zeros(n, dtype=np.intp)
     count[ended] = j + past
     return _si_rows(rows, c0, prob, p), count, code
@@ -364,23 +360,26 @@ def integrate_pairs(
 def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     """Write every interior sample that an accepted step covers into rows.
 
-    steps holds one row (i, j_lo, j_hi, T, h, d, k1, k3, k4, k5, k6, k7) per
-    accepted step of size h from the state (T, d) of pair i whose interval
-    (T, T + h] covers the samples j_lo .. j_hi - 1. Each sample keeps its
-    requested time; its position comes from the continuous extension of the
-    step, its velocity from the kernel there. Where that position sits on a
-    node, the kernel's velocity is meaningless, and the sample takes the
-    extension's slope instead, so every sample stays finite.
+    steps holds one row (i, T, T1, h, d, k1, k3, k4, k5, k6, k7) per accepted
+    step of size h from the state (T, d) of pair i to the time T1, which is
+    t_end exactly on the landing step; the step covers the interior sample
+    times in (T, T1]. Each sample keeps its requested time; its position
+    comes from the continuous extension of the step, its velocity from the
+    kernel there. Where that position sits on a node, the kernel's velocity
+    is meaningless, and the sample takes the extension's slope instead, so
+    every sample stays finite.
     """
-    pair, lo, hi = steps[:, :3].astype(np.intp).T
+    T, T1, h, d = steps[:, 1:5].T
+    # each step's samples lo .. hi - 1, counted by time as the loops count them
+    lo, hi = np.searchsorted(prob.grid[:-1], (T, T1), side="right")
     n = hi - lo
     owner = np.repeat(np.arange(len(steps)), n)
     j = lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
     # Over each step the extension is d + theta (q0 + theta (q1 + theta (q2 +
     # theta q3))), with q = h K _P for the step's stages K.
-    q = (steps[:, 4:5] * np.einsum("si,im->sm", steps[:, 6:], _P))[owner]
-    T, h, d = steps[owner, 3:6].T
-    T_s = np.asarray(prob.grid)[j]
+    q = (h[:, None] * np.einsum("si,im->sm", steps[:, 5:], _P))[owner]
+    T, h, d = T[owner], h[owner], d[owner]
+    T_s = prob.grid[j]
     theta = (T_s - T) / h
     d_s = d + theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3])))
     with np.errstate(all="ignore"):
@@ -390,7 +389,7 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
         q, theta = q[on_node], theta[on_node]
         slope = q[:, 0] + theta * (2.0 * q[:, 1] + theta * (3.0 * q[:, 2] + theta * 4.0 * q[:, 3]))
         v[on_node] = slope / h[on_node]
-    i = pair[owner]
+    i = steps[owner, 0].astype(np.intp)
     rows[i, j, 0] = T_s
     rows[i, j, 1] = d_s
     rows[i, j, 2] = v
@@ -506,26 +505,27 @@ _BATCH_CONSTANTS = tuple(map(np.array, (
 )))
 
 
-def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
+def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, tried, covering):
     """Scalar step loop: carry pair i from an accepted state to its end.
 
     (T, d) is the state, thr the pair's density threshold (see
     integrate_pairs), k1 the velocity dd/dT at the state, h the next trial
-    step, err_prev the controller memory, j the index of the next sample time
-    and tried the number of steps the pair has attempted so far. Only the step
-    onto t_end is clipped; each accepted step that covers interior samples
-    appends its _fill_interior row to the flat float array covering.
+    step, err_prev the controller memory and tried the number of steps the
+    pair has attempted so far. Only the step onto t_end is clipped; each
+    accepted step that covers interior samples appends its _fill_interior
+    row to the flat float array covering.
 
-    Returns the pair's report (code, (T, d, dd/dT, j)): its end code,
-    COMPLETED or NODE_PROXIMITY_ABORT, its last accepted state, which is the
-    landing on t_end or the state before an abort, and the index of the first
-    sample time that no accepted step covered. Returns None if error control
-    would need a step below h_min, or if the pair has not landed within
-    _MAX_STEPS attempted steps.
+    Returns the pair's report (code, (T, d, dd/dT)): its end code, COMPLETED
+    or NODE_PROXIMITY_ABORT, and its last accepted state, which is the
+    landing on t_end or the state before an abort. Returns None if error
+    control would need a step below h_min, or if the pair has not landed
+    within _MAX_STEPS attempted steps.
     """
-    grid = prob.grid
+    grid = prob.grid.tolist()  # Python floats, like the rest of the scalar loop
     end = len(grid) - 1
     t_end = grid[end]
+    # the next interior sample time, grid[j], lies after T if j < end
+    j = bisect.bisect_right(grid, T, 0, end)
     sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity
@@ -549,14 +549,14 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
             r = abs(new) - beta
             if dens[5] / s2 * math.exp(-(r * r) / s2) < thr:
                 break
-            if j < end and (landing or grid[j] <= T_new):
-                hi = end if landing else bisect.bisect_right(grid, T_new, j, end)
-                covering.extend((i, j, hi, T, h_step, d))
+            T1 = t_end if landing else T_new
+            if j < end and grid[j] <= T1:
+                covering.extend((i, T, T1, h_step, d))
                 covering.extend(stages)
-                j = hi
-            T, d, k1 = (t_end if landing else T_new), new, stages[5]
+                j = bisect.bisect_right(grid, T1, j, end)
+            T, d, k1 = T1, new, stages[5]
             if landing:
-                return TrajectoryStatus.COMPLETED, (T, d, k1, j)
+                return TrajectoryStatus.COMPLETED, (T, d, k1)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -571,38 +571,36 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, j, tried, covering):
     else:
         return None
     # a node or the density floor ended the pair after its last accepted state
-    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1, j)
+    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1)
 
 
 def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, steps: list):
     """Batch step loop: step all live pairs together while enough remain.
 
-    state holds (idx, T, D, THR, K1, h, err_prev, j) with one entry per live
-    pair: its state (T, d), density threshold and velocity dd/dT, and the
-    index of its next sample time; idx is the pair's index in code and
-    ends. Each pair takes the scalar loop's step and controller, with
-    masks for its branches, and its own step size and controller memory. A
-    pair that lands or aborts reports as _advance does: code[i] gets its
-    end code and ends[i] its (T, d, dd/dT, j). A step underflow, or reaching
-    _MAX_STEPS steps, leaves both untouched. Every live pair attempts one
-    step per iteration. Each accepted step that covers interior samples
-    appends its _fill_interior row to steps. Returns the state of the pairs
-    still live once fewer than _BATCH_MIN remain, and the number of steps
-    each of them has attempted.
+    state holds (idx, T, D, THR, K1, h, err_prev) with one entry per live
+    pair: its state (T, d), density threshold and velocity dd/dT; idx is the
+    pair's index in code and ends. Each pair takes the scalar loop's step and
+    controller, with masks for its branches, and its own step size and
+    controller memory. A pair that lands or aborts reports as _advance does:
+    code[i] gets its end code and ends[i] its (T, d, dd/dT). A step
+    underflow, or reaching _MAX_STEPS steps, leaves both untouched. Every
+    live pair attempts one step per iteration. Each accepted step that
+    covers interior samples appends its _fill_interior row to steps. Returns
+    the state of the pairs still live once fewer than _BATCH_MIN remain, and
+    the number of steps each of them has attempted.
     """
-    grid = np.asarray(prob.grid)
-    end = grid.size - 1
+    before = prob.grid[:-1]  # the sample times before t_end
     sign = prob.sign
     # Every float the loop meets an array with, as a 0-d float64 array: numpy
     # takes one at less cost than a Python float, for the same bits.
     t_end, beta, h_min, rtol, atol = map(
-        np.array, (grid[end], prob.beta, prob.h_min, prob.rtol, prob.atol)
+        np.array, (prob.grid[-1], prob.beta, prob.h_min, prob.rtol, prob.atol)
     )
     guard, one, safety, min_factor, max_factor, neg_alpha, pi_beta, err_min, neg_fifth = (
         _BATCH_CONSTANTS
     )
     vel, step = reduced_velocity_array, _dp_step_array
-    idx, T, D, THR, K1, h, err_prev, j = state
+    idx, T, D, THR, K1, h, err_prev = state
     # One workspace for the call, at the starting width: two rows for the
     # step's sums and six for the kernel's temporaries. After each compaction
     # the loop takes the rows' leading columns.
@@ -653,13 +651,14 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
                 underflow = rejected & (h_next < h_min)
                 h = np.where(accepted, h, h_next)
             err_prev = np.where(accepted, np.maximum(err, err_min), err_prev)
-            if end > 1:
-                hi = np.where(landing, end, np.searchsorted(grid[:end], T_new, side="right"))
-                covers = accepted & (hi > j)
+            T1 = np.where(landing, t_end, T_new)
+            if before.size > 1:
+                # a step covers the interior sample times in (T, T1]
+                lo, hi = np.searchsorted(before, (T, T1), side="right")
+                covers = accepted & (hi > lo)
                 if np.count_nonzero(covers):
-                    steps.append(np.array((idx, j, hi, T, h_step, D) + stages).T[covers])
-                    j = np.where(covers, hi, j)
-            T = np.where(accepted, np.where(landing, t_end, T_new), T)
+                    steps.append(np.array((idx, T, T1, h_step, D) + stages).T[covers])
+            T = np.where(accepted, T1, T)
             D = np.where(accepted, D_new, D)
             K1 = np.where(accepted, stages[5], K1)
             landed = accepted & landing
@@ -674,10 +673,10 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             code[idx[landed]] = TrajectoryStatus.COMPLETED
             code[idx[aborted]] = TrajectoryStatus.NODE_PROXIMITY_ABORT
             ended = landed | aborted
-            ends[idx[ended]] = np.array((T, D, K1, j)).T[ended]
+            ends[idx[ended]] = np.array((T, D, K1)).T[ended]
             keep = ~done
-            idx, T, D, THR, K1, h, err_prev, j = (
-                col[keep] for col in (idx, T, D, THR, K1, h, err_prev, j)
+            idx, T, D, THR, K1, h, err_prev = (
+                col[keep] for col in (idx, T, D, THR, K1, h, err_prev)
             )
             space = tuple(block[:, :idx.size])
-    return (idx, T, D, THR, K1, h, err_prev, j), tried
+    return (idx, T, D, THR, K1, h, err_prev), tried

@@ -9,8 +9,9 @@ prints one line, "<case> <sha256>", per case:
 
 - integrate_pairs (table, count, status) in dispatch, batch-only and
   scalar-only modes, over both regimes and statistics, density floors 1e-12,
-  1e-4 and 1e-2 and 2, 11 and 101 samples; fermion batches add releases on
-  and next to the diagonal; and 4,096 slow pairs per statistics in dispatch
+  1e-4 and 1e-2 and 2, 11 and 101 samples, and at the default floor on an
+  uneven grid (UNEVEN); fermion batches add releases on and next to the
+  diagonal; and 4,096 slow pairs per statistics in dispatch
   mode with 2 samples, the default IntegratorConfig. Each pair's outcome is
   hashed by name, None, "completed" or "node_proximity_abort", whether the
   tree returns int8 end codes or an object array of TrajectoryStatus members
@@ -81,6 +82,11 @@ def digest(table, count, status) -> str:
     return sha(table, np.asarray(count, np.int64), names)
 
 
+# A sample grid that is not linspace, as fractions of t_end: several samples
+# inside one step, steps that cover none, and a sample just below t_end.
+UNEVEN = np.array((0.0, 1e-6, 2e-6, 1e-3, 0.3, 0.3 + 1e-9, 1.0 - 1e-6, 1.0))
+
+
 def integrate_cases(pairslit):
     from pairslit import integrator
 
@@ -96,19 +102,19 @@ def integrate_cases(pairslit):
                 near = [(y, y - gap * s0) for y in (0.3 * s0, -1.1 * s0, p.Y)
                         for gap in (0.0, 1e-9, 1e-6, 1e-3)]
                 initial = np.concatenate([initial, near])
-            for floor in (1e-12, 1e-4, 1e-2):
+            grids = {f"floor={floor:g}/S={samples}": (floor, np.linspace(0.0, t_end, samples))
+                     for floor in (1e-12, 1e-4, 1e-2) for samples in (2, 11, 101)}
+            grids["grid=uneven"] = (pairslit.IntegratorConfig().density_floor, t_end * UNEVEN)
+            for label, (floor, times) in grids.items():
                 cfg = pairslit.IntegratorConfig(density_floor=floor)
-                for samples in (2, 11, 101):
-                    times = np.linspace(0.0, t_end, samples)
-                    for mode, batch_min in modes.items():
-                        integrator._BATCH_MIN = batch_min
-                        try:
-                            table, count, status = integrator.integrate_pairs(
-                                initial, t_end, cfg, stats, p, sample_times=times)
-                        finally:
-                            integrator._BATCH_MIN = modes["dispatch"]
-                        name = f"integrate_pairs/{regime}/{stats.value}/floor={floor:g}/S={samples}/{mode}"
-                        yield name, digest(table, count, status)
+                for mode, batch_min in modes.items():
+                    integrator._BATCH_MIN = batch_min
+                    try:
+                        table, count, status = integrator.integrate_pairs(
+                            initial, t_end, cfg, stats, p, sample_times=times)
+                    finally:
+                        integrator._BATCH_MIN = modes["dispatch"]
+                    yield f"integrate_pairs/{regime}/{stats.value}/{label}/{mode}", digest(table, count, status)
     # one wide batch per statistics, which the batch loop carries for
     # hundreds of steps at thousands of lanes
     p = pairslit.PhysicalParams.baseline(x_speed=2.0e6)

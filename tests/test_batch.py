@@ -318,26 +318,29 @@ def assert_end_rule(table, count, status, times):
 @given(case=cases, floor=st.sampled_from([1e-12, 0.01]))
 @example(case=("slow", SpinStatistics.FERMION, 31), floor=0.01)
 def test_sample_grid_does_not_change_the_path(case, floor, batch_min):
-    # floor 0.01 aborts slow fermions in flight, so truncated paths are compared too
+    # floor 0.01 aborts slow fermions in flight, so truncated paths are compared
+    # too. The uneven grid puts several samples inside one step, has steps that
+    # cover none, and a sample just below t_end.
     initial, p, t_end = draw(*case)
     stats = case[1]
     cfg = IntegratorConfig(density_floor=floor)
     runs = []
-    for times in (None, np.linspace(0.0, t_end, 101)):
+    uneven = t_end * np.array((0.0, 1e-6, 2e-6, 1e-3, 0.3, 0.3 + 1e-9, 1.0 - 1e-6, 1.0))
+    for times in (None, np.linspace(0.0, t_end, 101), uneven):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "_BATCH_MIN", batch_min)
             tally = step_loop_evaluations(mp)
             runs.append((*integrate_pairs(initial, t_end, cfg, stats, p, times), tally["evals"]))
         assert_end_rule(*runs[-1][:3], np.array((0.0, t_end)) if times is None else times)
-    (coarse, n_coarse, st_coarse, evals_coarse), (dense, n_dense, st_dense, evals_dense) = runs
-    assert evals_dense == evals_coarse
-    assert list(st_dense) == list(st_coarse)
+    coarse, n_coarse, st_coarse, evals_coarse = runs[0]
     done = n_coarse > 0
-    np.testing.assert_array_equal(n_dense[~done], 0)
     last = np.flatnonzero(done)
     ends_coarse = coarse[last, n_coarse[last] - 1]
-    ends_dense = dense[last, n_dense[last] - 1]
-    assert ends_dense.tobytes() == ends_coarse.tobytes()
+    for table, count, status, evals in runs[1:]:
+        assert evals == evals_coarse
+        assert list(status) == list(st_coarse)
+        np.testing.assert_array_equal(count[~done], 0)
+        assert table[last, count[last] - 1].tobytes() == ends_coarse.tobytes()
 
 
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
@@ -601,20 +604,49 @@ def test_the_batch_step_returns_nothing_in_its_workspace(rng):
 
 def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
     # Equal stages k make the extension a straight line, d + h k theta. Aim it
-    # at the fermion node d = 0 at sample 3, where the kernel divides by ~0.
+    # at the fermion node d = 0 at sample 3, where the kernel divides by ~0,
+    # with a step from sample 2 that ends exactly on sample 3.
     times = np.linspace(0.0, 1e-7, 11)
     prob = integrator._scaled_problem(1e-7, IntegratorConfig(), SpinStatistics.FERMION, p_slow, times)
-    T, h, k = prob.grid[2], prob.grid[4] - prob.grid[2], 0.7
-    d = -k * (prob.grid[3] - T)
+    T, T1, k = prob.grid[2], prob.grid[3], 0.7
+    h = T1 - T
+    d = -k * h
     with np.errstate(all="ignore"):
-        _, den = reduced_velocity_array(np.array([0.0]), prob.grid[3], prob.beta, -1)
+        _, den = reduced_velocity_array(np.array([0.0]), T1, prob.beta, -1)
     assert (den < NODE_GUARD).all()
     rows = np.full((1, 11, 3), np.nan)
-    integrator._fill_interior(prob, rows, np.array([(0, 3, 4, T, h, d, *[k] * 6)]))
+    integrator._fill_interior(prob, rows, np.array([(0, T, T1, h, d, *[k] * 6)]))
     T_s, d_s, v = rows[0, 3]
     assert T_s == prob.grid[3] and abs(d_s) < 1e-15
     assert v == pytest.approx(k, rel=1e-12)
-    assert np.isnan(rows[0, [0, 1, 2, 4]]).all()
+    # a step covers the samples in (T, T1]: the one at its start is not its own
+    assert np.isnan(rows[0, 2]).all()
+    assert np.isnan(rows[0, [0, 1, 4]]).all()
+
+
+@pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
+def test_an_end_on_a_sample_time_adds_no_row(p_slow, batch_min):
+    # A pair released just above the density floor drops below it on its
+    # first accepted step, so it aborts on its release state: its end sits on
+    # the sample time 0, whose row it already has.
+    stats, cfg = SpinStatistics.BOSON, IntegratorConfig(density_floor=1e-2)
+    prob = integrator._scaled_problem(1e-7, cfg, stats, p_slow, None)
+
+    def above_floor(d):
+        _, den = reduced_velocity_array(np.array([d]), 0.0, prob.beta, prob.sign)
+        return den[0] * np.exp(-((d - prob.beta) ** 2)) >= prob.floor
+
+    lo, hi = prob.beta, prob.beta + 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above_floor(mid) else (lo, mid)
+    initial = np.array([(lo, -lo)]) * p_slow.sigma0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", batch_min)
+        table, count, status = integrate_pairs(initial, 1e-7, cfg, stats, p_slow, np.linspace(0.0, 1e-7, 11))
+    assert list(status) == [TrajectoryStatus.NODE_PROXIMITY_ABORT] and list(count) == [1]
+    np.testing.assert_array_equal(table[0, 0, :3], (0.0, *initial[0]))
+    assert np.isnan(table[0, 1:]).all()
 
 
 @settings(max_examples=5, deadline=None)
