@@ -7,8 +7,16 @@ velocity (see integrate_pairs). Longitudinal motion is exact (constant
 drift), and so is the transverse centre of mass c = (eta1 + eta2) / 2: the
 interference term cancels from it, leaving c(T) = c0 sqrt(1 + T^2), the
 spreading law that tests/oracles.py states as com_closed_form. Only the
-half-separation d = (eta1 - eta2) / 2 is integrated, one component per pair;
-the sample table rebuilds eta1, eta2 = c +- d from it.
+half-separation d = (eta1 - eta2) / 2 is integrated, one component per pair,
+and only its magnitude: its velocity is odd in d, so d = 0 is a fixed point
+and no pair crosses the exchange diagonal (Bohmian no-crossing in
+configuration space). integrate_pairs takes each pair's sign s = +-1 at
+release, runs the step loops on |d| and rebuilds eta1, eta2 = c +- s |d| in
+the sample table. On d >= 0 the velocity kernels need no abs or copysign. A
+step near the diagonal may still overshoot 0 within its tolerance, and the
+continuous extension of a step may dip below it: the steps and the
+interior-sample fill fold such a d back to |d|, the point the exact flow
+cannot leave.
 
 Steps are clipped only to land exactly on t_end, so the requested sample grid
 does not change the path: the accepted steps, the endpoint and the status of
@@ -32,7 +40,8 @@ operations in the same order: _dp_step on a float tableau, whose kernel forms
 its own stage-time factors, and _dp_step_array on 0-d arrays, which takes
 those factors formed once for all stages and writes its stage arguments and
 partial sums in place into a workspace that each _advance_batch call
-allocates once, at its starting width, and shares with the kernel.
+allocates once, at its starting width, and shares with the kernel, beside a
+block that takes the kernel's denominators.
 integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
 and hands smaller batches and remainders to the scalar loop, whose per-step
 cost does not carry numpy's per-call overhead.
@@ -118,12 +127,12 @@ _MAX_STEPS = 100_000
 _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
-# iteration without rejections makes about 246 numpy calls (ufuncs and
-# array functions; 195 in the step, 181 of them in place in the workspace),
-# each on arrays alone, so it costs about 97 us at 32 lanes and 121 us at
-# 250 on a 2-CPU Xeon with AVX-512, against about 5.8 us per scalar step
-# (six kernel calls on plain floats) on the same host. Measured crossover in
-# CHANGES.md.
+# iteration without rejections makes about 233 numpy calls (ufuncs and
+# array functions; 184 in the step, 176 of them in place in the workspace
+# and the denominator block), each on arrays alone. At 246 calls it cost
+# about 97 us at 32 lanes and 121 us at 250 on a 2-CPU Xeon with AVX-512,
+# against about 5.8 us per scalar step (six kernel calls on plain floats)
+# on the same host. Measured crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -236,16 +245,20 @@ def _peak(beta: float, sign: int) -> float:
     return math.exp(-(r * r)) * (2.0 - m if sign > 0 else m) ** 2
 
 
-def _si_rows(rows: np.ndarray, c0, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
-    """(t, y1, y2, vy1, vy2) in SI units from scaled rows (T, d, dd/dT).
+def _si_rows(rows: np.ndarray, c0, s, prob: _Scaled, p: PhysicalParams) -> np.ndarray:
+    """(t, y1, y2, vy1, vy2) in SI units from scaled rows (T, |d|, d|d|/dT).
 
     The last axis holds the columns, the one before it the sample index; c0
-    holds each pair's initial centre of mass, one per row block. The centre
-    c = c0 sqrt(1 + T^2) moves at c T / (1 + T^2), so eta1, eta2 = c +- d and
-    their velocities are c T / (1 + T^2) +- dd/dT. A row on the grid gets its
-    requested time; only an abort's off-grid truncation row gets T tau.
+    holds each pair's initial centre of mass and s the sign of its d, one
+    each per row block. d and dd/dT are odd in d, so they are s |d| and
+    s d|d|/dT. The centre c = c0 sqrt(1 + T^2) moves at c T / (1 + T^2), so
+    eta1, eta2 = c +- d and their velocities are c T / (1 + T^2) +- dd/dT. A
+    row on the grid gets its requested time; only an abort's off-grid
+    truncation row gets T tau.
     """
-    T, d, w = rows[..., 0], rows[..., 1], rows[..., 2]
+    T = rows[..., 0]
+    s = np.expand_dims(s, -1)
+    d, w = s * rows[..., 1], s * rows[..., 2]
     s2 = 1.0 + T * T
     c = np.expand_dims(c0, -1) * np.sqrt(s2)
     drift = c * (T / s2)
@@ -303,6 +316,8 @@ def integrate_pairs(
     e1 = initial[:, 0] / p.sigma0
     e2 = initial[:, 1] / p.sigma0
     c0, d = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
+    # the sign of d, a constant of the motion; the loops run on |d|
+    s, d = np.copysign(1.0, d), np.abs(d)
     with np.errstate(all="ignore"):
         k1, den = reduced_velocity_array(d, 0.0, prob.beta, prob.sign)
         # Each pair's density floor over the factor n2 / (2 pi) exp(-c0^2) of
@@ -310,7 +325,7 @@ def integrate_pairs(
         # _kernels.reduced_velocity). A pair released on a node or below the
         # floor is not integrated; the floor test is the loops' own at s2 = 1.
         thr = prob.floor * np.exp(c0 * c0)
-        r = np.abs(d) - prob.beta
+        r = d - prob.beta
         idx = np.flatnonzero(~(den < NODE_GUARD) & ~(den * np.exp(-(r * r)) < thr))
         k1, thr, d0 = k1[idx], thr[idx], d[idx]
         # Every pair starts at rest (k1 = 0), so its first trial step is
@@ -354,7 +369,7 @@ def integrate_pairs(
     rows[ended[past], j[past]] = ends[ended[past]]
     count = np.zeros(n, dtype=np.intp)
     count[ended] = j + past
-    return _si_rows(rows, c0, prob, p), count, code
+    return _si_rows(rows, c0, s, prob, p), count, code
 
 
 def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
@@ -365,9 +380,11 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     t_end exactly on the landing step; the step covers the interior sample
     times in (T, T1]. Each sample keeps its requested time; its position
     comes from the continuous extension of the step, its velocity from the
-    kernel there. Where that position sits on a node, the kernel's velocity
-    is meaningless, and the sample takes the extension's slope instead, so
-    every sample stays finite.
+    kernel there. A position that the extension puts below 0 is folded back
+    to |d|, as the steps fold their new states, so that no sample crosses
+    the exchange diagonal. Where that position sits on a node, the kernel's
+    velocity is meaningless, and the sample takes the extension's slope
+    instead, so every sample stays finite.
     """
     T, T1, h, d = steps[:, 1:5].T
     # each step's samples lo .. hi - 1, counted by time as the loops count them
@@ -381,7 +398,7 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
     T, h, d = T[owner], h[owner], d[owner]
     T_s = prob.grid[j]
     theta = (T_s - T) / h
-    d_s = d + theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3])))
+    d_s = np.abs(d + theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3]))))
     with np.errstate(all="ignore"):
         v, den = reduced_velocity_array(d_s, T_s, prob.beta, prob.sign)
     on_node = den < NODE_GUARD
@@ -400,15 +417,19 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
     """The scalar loop's Dormand-Prince 5(4) step over a tableau of floats."""
 
     def step(vel, d, h, k1, Ts, beta, sign):
-        """One Dormand-Prince 5(4) step of size h from d.
+        """One Dormand-Prince 5(4) step of size h from d >= 0.
 
         vel is the velocity kernel, which forms its own stage-time factors,
         and k1 its velocity at d. Ts holds the times of stages 2 to 6 (stage
         7 shares stage 6's). Returns the new state, the stages (k1, k3, k4,
         k5, k6, k7) in _fill_interior's order, the denominators of stages 2
         to 7 and the signed error sum, which times h is the embedded error
-        estimate. Each sum adds its terms left to right, as the batch loop's
-        step does, so floats and every lane of an array get the same bits.
+        estimate. The new state is folded to its magnitude before stage 7
+        is evaluated there: the exact flow never crosses d = 0, so a step
+        that overshoots it within the tolerance lands on its mirror point,
+        which lies no farther from the exact state. Each sum adds its terms
+        left to right, as the batch loop's step does, so floats and every
+        lane of an array get the same bits.
         """
         T2, T3, T4, T5, T6 = Ts
         k2, den2 = vel(d + h * (A21 * k1), T2, beta, sign)
@@ -416,7 +437,7 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
         k4, den4 = vel(d + h * (A41 * k1 + A42 * k2 + A43 * k3), T4, beta, sign)
         k5, den5 = vel(d + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4), T5, beta, sign)
         k6, den6 = vel(d + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5), T6, beta, sign)
-        new = d + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+        new = abs(d + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6))
         k7, den7 = vel(new, T6, beta, sign)
         err = E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7
         return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
@@ -432,9 +453,9 @@ def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62
     argument and partial sum is written in place (numpy's positional out)
     into a row of a workspace.
     """
-    mul, add = np.multiply, np.add
+    mul, add, fabs = np.multiply, np.add, np.abs
 
-    def step(vel, d, h, k1, Ts, W, G, beta, sign, space):
+    def step(vel, d, h, k1, Ts, W, G, beta, sign, space, dens):
         """_dp_stepper's step on arrays, in the workspace space.
 
         W and G hold the kernel's stage-time factors beta / (1 + T^2) and
@@ -442,47 +463,52 @@ def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62
         lanes' shape, such as the rows of an (8, n) block: the step sums into
         the first two and hands the other six to the kernel as its
         workspace. The stage arguments live there, so vel must not keep d.
-        The new state, the stages, the denominators and the error sum are new
-        arrays, which outlive the next step on the same workspace.
+        dens holds six more, outside space, such as the rows of a (6, n)
+        block: the kernel writes the denominators of stages 2 to 7 into
+        them, and the step returns them as its denominators, so a caller can
+        test all six on the block without stacking them. They hold until the
+        next step on the same arrays; the new state, the stages and the
+        error sum are new arrays, which outlive it.
         """
         T2, T3, T4, T5, T6 = Ts
         W2, W3, W4, W5, W6 = W
         G2, G3, G4, G5, G6 = G
+        den2, den3, den4, den5, den6, den7 = dens
         a, b, ks = space[0], space[1], space[2:]
         mul(A21, k1, a)
-        k2, den2 = vel(add(d, mul(h, a, a), a), T2, beta, sign, W2, G2, ks)
+        k2, _ = vel(add(d, mul(h, a, a), a), T2, beta, sign, W2, G2, ks, den2)
         mul(A31, k1, a)
         add(a, mul(A32, k2, b), a)
-        k3, den3 = vel(add(d, mul(h, a, a), a), T3, beta, sign, W3, G3, ks)
+        k3, _ = vel(add(d, mul(h, a, a), a), T3, beta, sign, W3, G3, ks, den3)
         mul(A41, k1, a)
         add(a, mul(A42, k2, b), a)
         add(a, mul(A43, k3, b), a)
-        k4, den4 = vel(add(d, mul(h, a, a), a), T4, beta, sign, W4, G4, ks)
+        k4, _ = vel(add(d, mul(h, a, a), a), T4, beta, sign, W4, G4, ks, den4)
         mul(A51, k1, a)
         add(a, mul(A52, k2, b), a)
         add(a, mul(A53, k3, b), a)
         add(a, mul(A54, k4, b), a)
-        k5, den5 = vel(add(d, mul(h, a, a), a), T5, beta, sign, W5, G5, ks)
+        k5, _ = vel(add(d, mul(h, a, a), a), T5, beta, sign, W5, G5, ks, den5)
         mul(A61, k1, a)
         add(a, mul(A62, k2, b), a)
         add(a, mul(A63, k3, b), a)
         add(a, mul(A64, k4, b), a)
         add(a, mul(A65, k5, b), a)
-        k6, den6 = vel(add(d, mul(h, a, a), a), T6, beta, sign, W6, G6, ks)
+        k6, _ = vel(add(d, mul(h, a, a), a), T6, beta, sign, W6, G6, ks, den6)
         mul(B1, k1, a)
         add(a, mul(B3, k3, b), a)
         add(a, mul(B4, k4, b), a)
         add(a, mul(B5, k5, b), a)
         add(a, mul(B6, k6, b), a)
-        new = add(d, mul(h, a, a))
-        k7, den7 = vel(new, T6, beta, sign, W6, G6, ks)
+        new = fabs(add(d, mul(h, a, a), a))
+        k7, _ = vel(new, T6, beta, sign, W6, G6, ks, den7)
         mul(E1, k1, a)
         add(a, mul(E3, k3, b), a)
         add(a, mul(E4, k4, b), a)
         add(a, mul(E5, k5, b), a)
         add(a, mul(E6, k6, b), a)
         err = add(a, mul(E7, k7, b))
-        return new, (k1, k3, k4, k5, k6, k7), (den2, den3, den4, den5, den6, den7), err
+        return new, (k1, k3, k4, k5, k6, k7), dens, err
 
     return step
 
@@ -508,7 +534,7 @@ _BATCH_CONSTANTS = tuple(map(np.array, (
 def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, tried, covering):
     """Scalar step loop: carry pair i from an accepted state to its end.
 
-    (T, d) is the state, thr the pair's density threshold (see
+    (T, d) is the state, d >= 0, thr the pair's density threshold (see
     integrate_pairs), k1 the velocity dd/dT at the state, h the next trial
     step, err_prev the controller memory and tried the number of steps the
     pair has attempted so far. Only the step onto t_end is clipped; each
@@ -541,12 +567,12 @@ def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, tried, covering):
         # win min over the node's finite one.
         if min(dens) < NODE_GUARD:
             break
-        err = abs(h_step * e_sum) / (atol + rtol * max(abs(d), abs(new)))
+        err = abs(h_step * e_sum) / (atol + rtol * max(d, new))
 
         if err <= 1.0:
             # the density at the new state, over the pair's constant factor
             s2 = 1.0 + T_new * T_new
-            r = abs(new) - beta
+            r = new - beta
             if dens[5] / s2 * math.exp(-(r * r) / s2) < thr:
                 break
             T1 = t_end if landing else T_new
@@ -578,7 +604,7 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
     """Batch step loop: step all live pairs together while enough remain.
 
     state holds (idx, T, D, THR, K1, h, err_prev) with one entry per live
-    pair: its state (T, d), density threshold and velocity dd/dT; idx is the
+    pair: its state (T, d), d >= 0, density threshold and velocity dd/dT; idx is the
     pair's index in code and ends. Each pair takes the scalar loop's step and
     controller, with masks for its branches, and its own step size and
     controller memory. A pair that lands or aborts reports as _advance does:
@@ -602,10 +628,12 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
     vel, step = reduced_velocity_array, _dp_step_array
     idx, T, D, THR, K1, h, err_prev = state
     # One workspace for the call, at the starting width: two rows for the
-    # step's sums and six for the kernel's temporaries. After each compaction
-    # the loop takes the rows' leading columns.
-    block = np.empty((8, idx.size))
-    space = tuple(block)
+    # step's sums and six for the kernel's temporaries; and one row for each
+    # of the six denominators, which the node test reduces as a block. After
+    # each compaction the loop takes the rows' leading columns.
+    block, den_block = np.empty((8, idx.size)), np.empty((6, idx.size))
+    space, dens = tuple(block), den_block
+    den_rows = tuple(dens)
     tried = 0
     with np.errstate(all="ignore"):
         while idx.size >= _BATCH_MIN:
@@ -618,11 +646,12 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             # the kernel's stage-time factors, formed once for all stages
             S2 = one + T_st * T_st
             W, G = beta / S2, T_st / S2
-            D_new, stages, dens, e_sum = step(vel, D, h_step, K1, T_st, W, G, beta, sign, space)
+            D_new, stages, _, e_sum = step(
+                vel, D, h_step, K1, T_st, W, G, beta, sign, space, den_rows
+            )
             # fmin, like any over the comparison, passes over NaN denominators
             on_node = np.fmin.reduce(dens, axis=0) < guard
-            abs_new = np.abs(D_new)
-            err = np.abs(h_step * e_sum) / (atol + rtol * np.maximum(np.abs(D), abs_new))
+            err = np.abs(h_step * e_sum) / (atol + rtol * np.maximum(D, D_new))
 
             small = err <= one
             # on booleans a > b is a & ~b, in one call (here and for below)
@@ -630,8 +659,8 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             rejected = ~(small | on_node)
             # the density at the new states, over each pair's constant factor
             s2 = S2[4]
-            r = abs_new - beta
-            below = accepted & (dens[5] / s2 * np.exp(-(r * r) / s2) < THR)
+            r = D_new - beta
+            below = accepted & (den_rows[5] / s2 * np.exp(-(r * r) / s2) < THR)
             accepted = accepted > below
 
             # An error of 0 gives 0**-alpha = inf, and the clamp _MAX_FACTOR,
@@ -678,5 +707,6 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             idx, T, D, THR, K1, h, err_prev = (
                 col[keep] for col in (idx, T, D, THR, K1, h, err_prev)
             )
-            space = tuple(block[:, :idx.size])
+            space, dens = tuple(block[:, :idx.size]), den_block[:, :idx.size]
+            den_rows = tuple(dens)
     return (idx, T, D, THR, K1, h, err_prev), tried

@@ -32,13 +32,15 @@ def velocity_closed_form(c, stats, p) -> PairVelocity:
 
     Longitudinal motion is the constant drift hbar kx / m for both particles.
     Transversally each particle moves with the centre of mass plus or minus
-    the half-separation velocity of _kernels.reduced_velocity. Raises
-    NodeProximityError when its interference denominator falls below
-    _kernels.NODE_GUARD (for fermions that happens on and near the diagonal
-    y1 = y2, where the state vanishes).
+    the half-separation velocity of _kernels.reduced_velocity, which takes
+    |d| and is odd in d. Raises NodeProximityError when its interference
+    denominator falls below _kernels.NODE_GUARD (for fermions that happens on
+    and near the diagonal y1 = y2, where the state vanishes).
     """
     e1, e2, T = c.y1 / p.sigma0, c.y2 / p.sigma0, c.t / p.tau
-    w, den = reduced_velocity(0.5 * (e1 - e2), T, p.beta, stats.sign)
+    d = 0.5 * (e1 - e2)
+    w, den = reduced_velocity(abs(d), T, p.beta, stats.sign)
+    w = math.copysign(1.0, d) * w
     if den < NODE_GUARD:
         raise NodeProximityError(
             f"interference denominator {den:.3e} below guard {NODE_GUARD:.1e}"

@@ -23,6 +23,7 @@ from pairslit._kernels import (
 from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
 
+from digests import UNEVEN
 from endpoint_oracle import oracle_endpoints, oracle_paths
 from oracles import com_closed_form, initial_density_peak
 from pair_transport import endpoint, integrate_one, trajectories
@@ -77,21 +78,25 @@ def assert_same_path(got, want, times, p):
 
 
 def test_velocity_twin_matches_scalar_kernel(rng):
-    d = rng.uniform(-12.0, 12.0, 400)
+    # the kernels' domain d >= 0; the mirror tests below cover the sign
+    d = np.abs(rng.uniform(-12.0, 12.0, 400))
     T = rng.uniform(0.0, 6.0, 400)
     d[:10] = 0.0  # fermion nodes on the diagonal
     # The float body over numpy's transcendentals, on one lane at a time: the
     # in-place array body must give each lane its bits, so the two bodies
     # differ only in libm's and numpy's exp and tan.
-    numpy_body = _velocity_kernel(np.exp, np.tan, np.copysign, np.abs)
+    numpy_body = _velocity_kernel(np.exp, np.tan)
     s2 = 1.0 + T * T
     for sign in (1, -1):
         with np.errstate(all="ignore"):
             v, den = reduced_velocity_array(d, T, 5.0, sign)
-            # the batch loop's call: stage-time factors and a used workspace
+            # the batch loop's call: stage-time factors, a used workspace and
+            # a used row of its denominator block
+            den_row = np.full(d.size, np.nan)
             in_space = reduced_velocity_array(
-                d, T, 5.0, sign, 5.0 / s2, T / s2, tuple(np.full((6, d.size), np.nan))
+                d, T, 5.0, sign, 5.0 / s2, T / s2, tuple(np.full((6, d.size), np.nan)), den_row
             )
+            assert in_space[1] is den_row
             lanes = [numpy_body(d[k:k + 1], T[k:k + 1], 5.0, sign) for k in range(d.size)]
         np.testing.assert_array_equal(in_space, (v, den))
         on_node = den < NODE_GUARD
@@ -121,7 +126,8 @@ def test_denominator_density_matches_wavefunction(p_slow, stats, rng):
         T = t / p_slow.tau
         s2 = 1.0 + T * T
         d, c0 = 0.5 * (e1 - e2), 0.5 * (e1 + e2) / np.sqrt(s2)
-        _, den = reduced_velocity_array(d, np.full(200, T), beta, stats.sign)
+        # den is even in d, and the kernel takes |d|
+        _, den = reduced_velocity_array(np.abs(d), np.full(200, T), beta, stats.sign)
         r = np.abs(d) - beta
         got = n2 / (2.0 * np.pi) * np.exp(-c0 * c0) * (den / s2 * np.exp(-(r * r) / s2))
         ref = joint_density_y(e1 * p_slow.sigma0, e2 * p_slow.sigma0, t, stats, p_slow)
@@ -159,8 +165,40 @@ def test_batch_exchange_swaps_endpoints(case):
     b = trajectories(initial[:, ::-1], t_end, IntegratorConfig(), stats, p)
     for ta, tb in zip(a, b):
         assert ta.status is tb.status
-        assert abs(endpoint(tb).y1 - endpoint(ta).y2) <= 1e-12 * p.sigma0
-        assert abs(endpoint(tb).y2 - endpoint(ta).y1) <= 1e-12 * p.sigma0
+        assert endpoint(tb).y1 == endpoint(ta).y2
+        assert endpoint(tb).y2 == endpoint(ta).y1
+
+
+MODES = {"dispatch": _BATCH_MIN, "batch": 1, "scalar": 10**9}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("grid", ["S=101", "uneven"])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("stats", list(SpinStatistics), ids=lambda s: s.value)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_swapped_releases_give_the_mirrored_table(stats, regime, grid, mode, seed):
+    # The velocity is odd in d = (y1 - y2) / 2, so swapping the particles of
+    # a release mirrors its whole path: every sample, count and end code is
+    # the original's, value for value, with y1 and y2 (and vy1 and vy2)
+    # swapped. Drawn pairs, plus pairs on and next to the diagonal (fermion
+    # ones are not integrated or end on the node, boson ones stay near
+    # d = 0) and one released below the floor, so that every end code and
+    # truncation row is mirrored too.
+    drawn, p, t_end = draw(regime, stats, seed, n=40)
+    s0 = p.sigma0
+    near = [(y, y + gap * s0) for y in (0.3 * s0, -1.1 * s0) for gap in (0.0, 1e-9, 1e-6)]
+    far = [(60.0 * s0, 63.0 * s0)]
+    initial = np.concatenate((drawn, near, far))
+    times = np.linspace(0.0, t_end, 101) if grid == "S=101" else t_end * UNEVEN
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", MODES[mode])
+        table, count, status = integrate_pairs(initial, t_end, IntegratorConfig(), stats, p, times)
+        swapped = integrate_pairs(initial[:, ::-1], t_end, IntegratorConfig(), stats, p, times)
+    np.testing.assert_array_equal(swapped[0], table[..., [0, 2, 1, 4, 3]])
+    np.testing.assert_array_equal(swapped[1], count)
+    np.testing.assert_array_equal(swapped[2], status)
 
 
 @settings(max_examples=5, deadline=None)
@@ -382,13 +420,13 @@ def test_extension_coefficients_reduce_to_the_step():
     np.testing.assert_array_equal(integrator._P, np.delete(rk45.P, 1, axis=0))
 
 
-def stub_velocity(d, T, beta, sign, w=None, g=None, space=()):
+def stub_velocity(d, T, beta, sign, w=None, g=None, space=(), den_out=None):
     """A kernel of +, -, * and / alone, which floats and numpy arrays round alike.
 
     Like the kernels, it forms the stage-time factors w and g from T when it
     is not given them. An infinite T gives a NaN velocity and a zero
     denominator, as at a node. Like the array kernel, it overwrites every row
-    of a workspace it is given.
+    of a workspace it is given, and writes its denominator into den_out.
     """
     if w is None:
         s2 = 1.0 + T * T
@@ -397,6 +435,9 @@ def stub_velocity(d, T, beta, sign, w=None, g=None, space=()):
     v = d * g - T * w / (1.0 + w) + sign * beta * den
     for row in space:
         row.fill(np.nan)
+    if den_out is not None:
+        den_out[...] = den
+        den = den_out
     return v, den
 
 
@@ -414,10 +455,11 @@ def test_dp_step_is_lane_exact(rng):
     # One step on Python floats and on an array of lanes gives each lane the
     # same bits: every stage sum adds its terms left to right on both. Each
     # side runs its own loop's step, the scalar one on its float tableau and
-    # the batch one, in place in a NaN-filled workspace, on its 0-d tableau,
-    # given the stage-time factors that the batch loop forms from the same
-    # stage times. The stub kernel keeps libm's and numpy's transcendentals
-    # out, and overwrites the kernel's rows of the workspace at every call.
+    # the batch one, in place in a NaN-filled workspace and denominator
+    # block, on its 0-d tableau, given the stage-time factors that the batch
+    # loop forms from the same stage times. The stub kernel keeps libm's and
+    # numpy's transcendentals out, and overwrites the kernel's rows of the
+    # workspace at every call. Both fold the new state to its magnitude.
     # Lane 3 meets a node at stage 3, whose time is infinite, and NaN carries
     # through its later stages. A sum taken in another order rounds
     # differently in some of the 64 lanes.
@@ -426,12 +468,12 @@ def test_dp_step_is_lane_exact(rng):
     T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
     Ts = T + integrator._C_COL * h
     Ts[1, 3] = np.inf
-    space = tuple(np.full((8, n), np.nan))
+    space, dens = tuple(np.full((8, n), np.nan)), tuple(np.full((6, n), np.nan))
     with np.errstate(all="ignore"):
         S2 = 1.0 + Ts * Ts
         W, G = 5.0 / S2, Ts / S2
         lanes = flat_step(
-            integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1, space)
+            integrator._dp_step_array(stub_velocity, d, h, k1, Ts, W, G, 5.0, -1, space, dens)
         )
     for k in range(n):
         out = integrator._dp_step(
@@ -448,7 +490,8 @@ def test_dp_step_returns_the_stages_in_fill_order():
     # _fill_interior reads the stages as (k1, k3, k4, k5, k6, k7); k2 has no
     # weight in the continuous extension. Stage 7 runs at the new state. The
     # scalar loop's step runs on floats, the batch loop's on one lane, given
-    # stage-time factors, in a workspace, here.
+    # stage-time factors, in a workspace, with a row for each denominator,
+    # here.
     Ts = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 
     def lane(x):
@@ -458,7 +501,7 @@ def test_dp_step_returns_the_stages_in_fill_order():
         (integrator._dp_step, float, (), ()),
         (
             integrator._dp_step_array, lane,
-            ([lane(1.0)] * 5, [lane(0.5)] * 5), (tuple(np.empty((8, 1))),),
+            ([lane(1.0)] * 5, [lane(0.5)] * 5), (tuple(np.empty((8, 1))), tuple(np.empty((6, 1)))),
         ),
     )
     for step, val, factors, space in backs:
@@ -543,17 +586,22 @@ def test_the_batch_step_gives_numpy_no_python_scalar(rng, sign):
     with np.errstate(all="ignore"):
         integrator._dp_step_array(
             reduced_velocity_array, lanes(8), lanes(8), lanes(8), lanes(5, 8), lanes(5, 8),
-            lanes(5, 8), beta, sign, tuple(lanes(8, 8)),
+            lanes(5, 8), beta, sign, tuple(lanes(8, 8)), tuple(lanes(6, 8)),
         )
+        step_calls = OperandLog.calls
+        OperandLog.calls = []
         # the kernel alone, forming its own stage-time factors and workspace
         reduced_velocity_array(lanes(8), lanes(8), beta, sign)
-    calls = OperandLog.calls
+    calls = step_calls + OperandLog.calls
     # six kernel calls with the step's sums, and one kernel call on its own
     assert len(calls) > 7 * 20
-    # written in place: the step's 55 sums and products into its stage
-    # arguments, new state and error sum, and at least 21 temporaries in
-    # each of its kernel calls
-    assert sum(1 for _, _, out in calls if out) >= 55 + 6 * 21
+    # written in place: the step's 56 sums and products into its stage
+    # arguments, new state and error sum, and in each of its kernel calls
+    # at least 19 temporaries and the denominator. Only the six velocities,
+    # the folded new state and the error sum get arrays of their own.
+    in_place = sum(1 for _, _, out in step_calls if out)
+    assert in_place >= 56 + 6 * 20
+    assert len(step_calls) - in_place == 6 + 2
     scalars = [
         (f, types + outs) for f, types, outs in calls
         if not all(issubclass(t, np.ndarray) for t in types + outs)
@@ -562,29 +610,31 @@ def test_the_batch_step_gives_numpy_no_python_scalar(rng, sign):
 
 
 def test_the_batch_step_returns_nothing_in_its_workspace(rng):
-    # The batch loop keeps the new state, the stages, the denominators and
-    # the error sum past the next step, which overwrites the workspace; so
-    # none of them may share its memory, and another step leaves them as
-    # they were.
+    # The batch loop keeps the new state, the stages and the error sum past
+    # the next step, which overwrites the workspace and the denominator
+    # block; so none of them may share their memory, and another step leaves
+    # them as they were. The denominators are the block's rows, which the
+    # loop reads before its next step.
     n = 40
-    block = np.full((8, n), np.nan)
+    block, den_block = np.full((8, n), np.nan), np.full((6, n), np.nan)
 
     def step(sign):
-        d, k1 = rng.uniform(-6.0, 6.0, n), rng.uniform(-2.0, 2.0, n)
+        d, k1 = np.abs(rng.uniform(-6.0, 6.0, n)), rng.uniform(-2.0, 2.0, n)
         T, h = rng.uniform(0.0, 4.0, n), rng.uniform(1e-3, 0.5, n)
         Ts = T + integrator._C_COL * h
         S2 = 1.0 + Ts * Ts
         with np.errstate(all="ignore"):
             new, stages, dens, err = integrator._dp_step_array(
                 reduced_velocity_array, d, h, k1, Ts, 5.0 / S2, Ts / S2, np.array(5.0), sign,
-                tuple(block),
+                tuple(block), tuple(den_block),
             )
-        return (new, *stages, *dens, err)
+        assert all(np.shares_memory(x, den_block) for x in dens)
+        return (new, *stages, err)
 
     for sign in (1, -1):
         first = step(sign)
         kept = [x.copy() for x in first]
-        assert not any(np.shares_memory(x, block) for x in first)
+        assert not any(np.shares_memory(x, y) for x in first for y in (block, den_block))
         step(-sign)
         for x, y in zip(first, kept):
             np.testing.assert_array_equal(x, y)
@@ -622,6 +672,73 @@ def test_a_sample_on_a_node_takes_the_slope_of_the_extension(p_slow):
     # a step covers the samples in (T, T1]: the one at its start is not its own
     assert np.isnan(rows[0, 2]).all()
     assert np.isnan(rows[0, [0, 1, 4]]).all()
+
+
+def test_a_sample_below_the_diagonal_is_folded_back(p_slow):
+    # Equal stages k < 0 make the extension the line d + h k theta from
+    # d = 0.5 h |k|, which crosses 0 halfway through the step: of the samples
+    # at theta = 1/3, 2/3 and 1, the last two lie below 0 on the line. Each
+    # sample is folded to |d| and takes the kernel's velocity there, as a
+    # step folds its new state; no sample crosses the exchange diagonal.
+    times = np.linspace(0.0, 1e-7, 11)
+    prob = integrator._scaled_problem(1e-7, IntegratorConfig(), SpinStatistics.BOSON, p_slow, times)
+    T, T1, k = prob.grid[2], prob.grid[5], -0.7
+    h = T1 - T
+    d = 0.5 * h * -k
+    rows = np.full((1, 11, 3), np.nan)
+    integrator._fill_interior(prob, rows, np.array([(0, T, T1, h, d, *[k] * 6)]))
+    T_s, d_s, v = rows[0, 3:6].T
+    np.testing.assert_array_equal(T_s, prob.grid[3:6])
+    line = d + k * (T_s - T)
+    assert line[0] > 0.0 > line[1] > line[2]
+    np.testing.assert_allclose(d_s, np.abs(line), rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(v, reduced_velocity_array(d_s, T_s, prob.beta, prob.sign)[0])
+    assert np.isnan(rows[0, [0, 1, 2, 6, 7, 8, 9, 10]]).all()
+
+
+# Boson pairs released within 1e-9 sigma0 of the diagonal, on either side of
+# it. At beta = 5 the flow contracts d toward 0, far below abs_tol, so some
+# steps overshoot 0 within the tolerance (15 of them on these 42 pairs in
+# either regime, with numpy's AVX-512 paths on or off) and the continuous
+# extension dips below 0 between states (168 slow and 387 fast samples at
+# 101 sample times).
+NEAR_DIAGONAL = np.array([(c + s * d, c - s * d)
+                          for c in (-1.0, 0.3, 2.0) for s in (1.0, -1.0)
+                          for d in (1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9)])
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_a_step_that_overshoots_the_diagonal_is_folded_back(regime, loop):
+    # Each step's new state is the magnitude of its Dormand-Prince sum, and
+    # the table keeps every pair on its release's side of the diagonal.
+    p, t_end = REGIMES[regime]
+    initial = NEAR_DIAGONAL * p.sigma0
+    times = np.linspace(0.0, t_end, 101)
+    B = (integrator._B1, integrator._B3, integrator._B4, integrator._B5, integrator._B6)
+    folds = []
+
+    def spied(step):
+        def folding(vel, d, h, *rest):
+            out = step(vel, d, h, *rest)
+            k1, k3, k4, k5, k6, _ = out[1]
+            unfolded = d + h * (B[0] * k1 + B[1] * k3 + B[2] * k4 + B[3] * k5 + B[4] * k6)
+            np.testing.assert_array_equal(out[0], np.abs(unfolded))
+            folds.append(np.count_nonzero(np.asarray(unfolded) < 0.0))
+            return out
+        return folding
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_BATCH_MIN", LOOPS[loop])
+        mp.setattr(integrator, "_dp_step", spied(integrator._dp_step))
+        mp.setattr(integrator, "_dp_step_array", spied(integrator._dp_step_array))
+        table, count, status = integrate_pairs(
+            initial, t_end, IntegratorConfig(), SpinStatistics.BOSON, p, times
+        )
+    assert sum(folds) > 0
+    assert (status == TrajectoryStatus.COMPLETED).all() and np.isfinite(table).all()
+    side = np.sign(initial[:, 0] - initial[:, 1])[:, None]
+    assert ((table[:, :, 1] - table[:, :, 2]) * side >= 0.0).all()
 
 
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
@@ -670,8 +787,10 @@ def test_batch_loop_matches_dop853(regime, stats):
         trajs = trajectories(initial, t_end, IntegratorConfig(), stats, p)
 
     def field(T, y):
-        # both coordinates, so the reference integrates the centre of mass too
-        w = reduced_velocity(0.5 * (y[0] - y[1]), T, p.beta, stats.sign)[0]
+        # both coordinates, so the reference integrates the centre of mass
+        # too; the kernel takes |d| and its velocity is odd in d
+        d = 0.5 * (y[0] - y[1])
+        w = np.copysign(1.0, d) * reduced_velocity(abs(d), T, p.beta, stats.sign)[0]
         drift = 0.5 * (y[0] + y[1]) * T / (1.0 + T * T)
         return drift + w, drift - w
 

@@ -230,6 +230,21 @@ def test_missing_file_reported(tmp_path):
         validate_config(str(tmp_path / "nope.json"))
 
 
+@pytest.mark.parametrize("payload, problem", [
+    (["custom"], "top level: expected an object"),
+    ({"scenario": "fig5"}, f"scenario: must be one of {', '.join(SCENARIOS)}"),
+], ids=["not_an_object", "unknown_scenario"])
+def test_config_file_refusals_exit_1(tmp_path, capsys, payload, problem):
+    # each refusal stops validation at once, with its one line
+    path = write_json(tmp_path / "c.json", payload)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(path)
+    assert exc.value.problems == [problem]
+    assert run_main(tmp_path, "custom", "--config", path) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_custom_config_overrides(tmp_path):
     payload = {
         "scenario": "custom",

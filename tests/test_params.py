@@ -41,6 +41,14 @@ def test_subnormal_time_spans_refused(p_fast, fields, name):
         dataclasses.replace(p_fast, **fields)
 
 
+def test_tau_whose_square_overflows_is_refused(p_fast):
+    # sigma0**2 raises OverflowError rather than giving inf
+    with pytest.raises(OverflowError):
+        1e200**2
+    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got inf")):
+        dataclasses.replace(p_fast, sigma0=1e200)
+
+
 def test_params_frozen(p_fast):
     with pytest.raises(dataclasses.FrozenInstanceError):
         p_fast.sigma0 = 2e-6

@@ -216,7 +216,8 @@ def test_half_angle_kernels_at_large_phases(beta, beta_d, T, c0, sign):
     s2 = 1.0 + T * T
     c = c0 * math.sqrt(s2)
     e1, e2 = c + beta_d / beta, c - beta_d / beta
-    d, c0 = 0.5 * (e1 - e2), 0.5 * (e1 + e2) / math.sqrt(s2)
+    # the kernels take |d|; the density below is exchange-symmetric in e1, e2
+    d, c0 = abs(0.5 * (e1 - e2)), 0.5 * (e1 + e2) / math.sqrt(s2)
     v, den = reduced_velocity(d, T, beta, sign)
     assume(den >= NODE_GUARD)
     w, x = beta / s2, beta * d / s2
@@ -255,3 +256,31 @@ def test_half_angle_kernels_at_large_phases(beta, beta_d, T, c0, sign):
     exponents = c0 * c0 + (d * d + beta * beta) / s2
     cond = (1.0 + 4.0 * e / den) * (1.0 + exponents + abs(T * x))
     assert abs(density - want) <= max(1e-12, 16 * EPS * cond) * want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=_magnitude(-2.0, 4.0),
+    beta_d=_magnitude(-12.0, -2.0),
+    T=st.one_of(st.just(0.0), _magnitude(-3.0, 3.0)),
+    sign=st.sampled_from((1, -1)),
+)
+def test_kernels_just_below_the_diagonal(beta, beta_d, T, sign):
+    # The kernels take d >= 0, but a stage of a step from a small d can land
+    # just below 0. There the velocity is still the odd one, to the large-
+    # phase test's rounding bound, and den carries a factor exp(4 |x|).
+    s2 = 1.0 + T * T
+    d = -beta_d / beta
+    v, den = reduced_velocity(d, T, beta, sign)
+    v_arr, den_arr = reduced_velocity_array(np.array([d]), np.array([T]), beta, sign)
+    assume(den >= NODE_GUARD and den_arr[0] >= NODE_GUARD)
+    w, x = beta / s2, beta * d / s2
+    e = math.exp(-2.0 * abs(x))
+    phase = 2.0 * T * x
+    v_ref, den_ref = sincos_velocity(d, T, beta, sign)
+    den_ref *= math.exp(4.0 * abs(x))
+    for v_k, den_k in ((v, den), (v_arr[0], den_arr[0])):
+        node = 1.0 + 4.0 * e * (1.0 + abs(phase)) / den_k
+        scale = abs(d * T / s2) + w * (1.0 + T) * node / den_k
+        assert abs(den_k - den_ref) <= 16 * EPS * (den_k + 4.0 * e * (1.0 + abs(phase)))
+        assert abs(v_k - v_ref) <= 16 * EPS * scale

@@ -51,6 +51,13 @@ def test_sigma_t_frozen_ratios(p_fast):
     assert abs(sigma_t(1e-7, p_fast)) / p_fast.sigma0 == pytest.approx(SPREAD_SLOW, rel=1e-12)
 
 
+def test_negative_times_are_refused(p_fast, stats):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        sigma_t(-1e-9, p_fast)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        joint_density_y(1e-6, -1e-6, -1e-9, stats, p_fast)
+
+
 def test_sigma_t_at_zero(p_fast):
     assert sigma_t(0.0, p_fast) == p_fast.sigma0
 
