@@ -241,8 +241,8 @@ def validate_config(path=None, expected_scenario: str | None = None,
             check_echo(f"{name}.{key}", values.pop(key), getattr(current, key))
         try:
             cfg = replace(cfg, **{name: replace(current, **values)})
-        except ValueError as exc:
-            problems.append(f"{name}.{exc}")
+        except ValueError as exc:  # one line per offending field
+            problems += [f"{name}.{line}" for line in str(exc).splitlines()]
 
     if "stats" in pins and "stats" in raw:
         check_echo("stats", raw["stats"], cfg.stats.value)

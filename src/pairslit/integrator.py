@@ -46,13 +46,14 @@ integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
 and hands smaller batches and remainders to the scalar loop, whose per-step
 cost does not carry numpy's per-call overhead.
 
-Neither loop writes a pair's last row or raises. Each only advances pairs,
-records the steps that cover interior sample times (those in (T, T1] for a
-step from T to T1) and reports how a pair ended: its int8 end code (a
-TrajectoryStatus value) and its last accepted state. A pair that underflows
-or runs out of steps reports nothing and keeps code NOT_INTEGRATED.
-integrate_pairs then places every landing or truncation row, and every
-sample count, by the end's time in one pass, and returns the codes as is.
+Both loops take the same live-pair state and outputs; neither writes a
+pair's last row or raises. Each appends the record of every accepted step
+that covers interior sample times (those in (T, T1] for a step from T to T1)
+to one flat float buffer, and writes the int8 end code (a TrajectoryStatus
+value) and last accepted state of a pair that lands or aborts; one that
+underflows or runs out of steps keeps code NOT_INTEGRATED. integrate_pairs
+fills the interior samples from the buffer, places every landing or
+truncation row and sample count by the end's time, and returns the codes.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ _T_PROBE = 1e-7
 # Live pairs below which the scalar loop beats the batch loop. A batch
 # iteration without rejections makes about 233 numpy calls (ufuncs and
 # array functions; 184 in the step, 176 of them in place in the workspace
-# and the denominator block), each on arrays alone. At 246 calls it cost
-# about 97 us at 32 lanes and 121 us at 250 on a 2-CPU Xeon with AVX-512,
-# against about 5.8 us per scalar step (six kernel calls on plain floats)
-# on the same host. Measured crossover in CHANGES.md.
+# and the denominator block), each on arrays alone. Such an iteration took
+# about 90 us at 32 lanes and 117 us at 250, and a scalar step (six kernel
+# calls on plain floats) about 4.8 us, on a 2-CPU Xeon with AVX-512 (steps
+# 2 to 20 of slow boson pairs, medians of 51 calls). Crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -165,9 +166,11 @@ class IntegratorConfig:
     density_floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "density_floor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        # one line of the ValueError for each field that fails its check
+        problems = [f"{name} must be finite and > 0" for name, value in vars(self).items()
+                    if not 0.0 < value < math.inf]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass(frozen=True)
@@ -289,9 +292,9 @@ def integrate_pairs(
     Every pair runs the same step control, which lands on t_end alone; the
     other sample times are filled from the continuous extension of the steps
     that cover them. A pair that cannot be integrated gets an end code, never
-    an exception. The step loops report each pair's end code with its last
-    accepted state; integrate_pairs writes the last rows and counts from
-    those reports.
+    an exception. The step loops write each pair's end and the records of
+    its covering steps; integrate_pairs writes the samples, last rows and
+    counts from those.
 
     Returns
     -------
@@ -343,23 +346,16 @@ def integrate_pairs(
     rows[idx, 0, 0] = 0.0
     rows[idx, 0, 1] = d0
     rows[idx, 0, 2] = k1
-    # code[i] is pair i's end code, and row i of ends its last accepted state
-    # (T, d, dd/dT), once a step loop reports one.
+    # code[i] gets pair i's end code and ends[i] its last accepted state
+    # (T, d, dd/dT); records, both loops' _fill_interior rows, 11 floats each.
     code = np.zeros(n, dtype=np.int8)
     ends = np.zeros((n, 3))
+    records = array("d")
     state = (idx, np.zeros(m), d0, thr, k1, h0, np.ones(m))
-    steps: list[np.ndarray] = []
-    live, tried = _advance_batch(prob, state, code, ends, steps)
-
-    covering = array("d")
-    for i, T, d_i, thr_i, k1_i, h, err_prev in zip(*(col.tolist() for col in live)):
-        end = _advance(prob, i, T, d_i, thr_i, k1_i, h, err_prev, tried, covering)
-        if end is not None:
-            code[i], ends[i] = end
-    if covering:
-        steps.append(np.frombuffer(covering).reshape(-1, 11))
-    if steps:
-        _fill_interior(prob, rows, np.concatenate(steps))
+    state, tried = _advance_batch(prob, state, code, ends, records)
+    _advance(prob, state, tried, code, ends, records)
+    if records:  # a fill of no records still costs about 30 us in numpy calls
+        _fill_interior(prob, rows, np.frombuffer(records).reshape(-1, 11))
 
     # The steps filled the j sample times up to an end; an end past them is the
     # last row: the landing on t_end, or an abort's truncation between two.
@@ -372,29 +368,29 @@ def integrate_pairs(
     return _si_rows(rows, c0, s, prob, p), count, code
 
 
-def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
+def _fill_interior(prob: _Scaled, rows: np.ndarray, records: np.ndarray) -> None:
     """Write every interior sample that an accepted step covers into rows.
 
-    steps holds one row (i, T, T1, h, d, k1, k3, k4, k5, k6, k7) per accepted
-    step of size h from the state (T, d) of pair i to the time T1, which is
-    t_end exactly on the landing step; the step covers the interior sample
-    times in (T, T1]. Each sample keeps its requested time; its position
-    comes from the continuous extension of the step, its velocity from the
-    kernel there. A position that the extension puts below 0 is folded back
-    to |d|, as the steps fold their new states, so that no sample crosses
-    the exchange diagonal. Where that position sits on a node, the kernel's
-    velocity is meaningless, and the sample takes the extension's slope
-    instead, so every sample stays finite.
+    records holds one row (i, T, T1, h, d, k1, k3, k4, k5, k6, k7) per
+    accepted step of size h from the state (T, d) of pair i to the time T1,
+    which is t_end exactly on the landing step; the step covers the interior
+    sample times in (T, T1]. Each sample keeps its requested time; its
+    position comes from the continuous extension of the step, its velocity
+    from the kernel there. A position that the extension puts below 0 is
+    folded back to |d|, as the steps fold their new states, so that no sample
+    crosses the exchange diagonal. Where that position sits on a node, the
+    kernel's velocity is meaningless, and the sample takes the extension's
+    slope instead, so every sample stays finite.
     """
-    T, T1, h, d = steps[:, 1:5].T
+    T, T1, h, d = records[:, 1:5].T
     # each step's samples lo .. hi - 1, counted by time as the loops count them
     lo, hi = np.searchsorted(prob.grid[:-1], (T, T1), side="right")
     n = hi - lo
-    owner = np.repeat(np.arange(len(steps)), n)
+    owner = np.repeat(np.arange(len(records)), n)
     j = lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
     # Over each step the extension is d + theta (q0 + theta (q1 + theta (q2 +
     # theta q3))), with q = h K _P for the step's stages K.
-    q = (h[:, None] * np.einsum("si,im->sm", steps[:, 5:], _P))[owner]
+    q = (h[:, None] * np.einsum("si,im->sm", records[:, 5:], _P))[owner]
     T, h, d = T[owner], h[owner], d[owner]
     T_s = prob.grid[j]
     theta = (T_s - T) / h
@@ -406,7 +402,7 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, steps: np.ndarray) -> None:
         q, theta = q[on_node], theta[on_node]
         slope = q[:, 0] + theta * (2.0 * q[:, 1] + theta * (3.0 * q[:, 2] + theta * 4.0 * q[:, 3]))
         v[on_node] = slope / h[on_node]
-    i = steps[owner, 0].astype(np.intp)
+    i = records[owner, 0].astype(np.intp)
     rows[i, j, 0] = T_s
     rows[i, j, 1] = d_s
     rows[i, j, 2] = v
@@ -531,87 +527,84 @@ _BATCH_CONSTANTS = tuple(map(np.array, (
 )))
 
 
-def _advance(prob: _Scaled, i, T, d, thr, k1, h, err_prev, tried, covering):
-    """Scalar step loop: carry pair i from an accepted state to its end.
+def _advance(prob: _Scaled, state, tried, code: np.ndarray, ends: np.ndarray, records: array):
+    """Scalar step loop: carry each live pair from its accepted state to its end.
 
-    (T, d) is the state, d >= 0, thr the pair's density threshold (see
-    integrate_pairs), k1 the velocity dd/dT at the state, h the next trial
-    step, err_prev the controller memory and tried the number of steps the
-    pair has attempted so far. Only the step onto t_end is clipped; each
-    accepted step that covers interior samples appends its _fill_interior
-    row to the flat float array covering.
-
-    Returns the pair's report (code, (T, d, dd/dT)): its end code, COMPLETED
-    or NODE_PROXIMITY_ABORT, and its last accepted state, which is the
-    landing on t_end or the state before an abort. Returns None if error
-    control would need a step below h_min, or if the pair has not landed
-    within _MAX_STEPS attempted steps.
+    state, code, ends and records are _advance_batch's, and tried is the
+    number of steps each live pair has attempted so far. The loop takes one
+    pair after the other on plain floats, with _advance_batch's step and
+    controller, and ends each pair, or leaves it NOT_INTEGRATED, as that
+    loop does.
     """
     grid = prob.grid.tolist()  # Python floats, like the rest of the scalar loop
     end = len(grid) - 1
     t_end = grid[end]
-    # the next interior sample time, grid[j], lies after T if j < end
-    j = bisect.bisect_right(grid, T, 0, end)
     sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity
-    for _ in range(tried, _MAX_STEPS):
-        remaining = t_end - T
-        landing = h >= remaining
-        h_step = remaining if landing else h
-        T_new = T + h_step
-        Ts = (T + _C2 * h_step, T + _C3 * h_step, T + _C4 * h_step, T + _C5 * h_step, T_new)
-        new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, beta, sign)
-        # One test for all six stages, as in _advance_batch. The stages after
-        # a node run on its NaN velocity, and their NaN denominators never
-        # win min over the node's finite one.
-        if min(dens) < NODE_GUARD:
-            break
-        err = abs(h_step * e_sum) / (atol + rtol * max(d, new))
-
-        if err <= 1.0:
-            # the density at the new state, over the pair's constant factor
-            s2 = 1.0 + T_new * T_new
-            r = new - beta
-            if dens[5] / s2 * math.exp(-(r * r) / s2) < thr:
+    for i, T, d, thr, k1, h, err_prev in zip(*(col.tolist() for col in state)):
+        # the next interior sample time, grid[j], lies after T if j < end
+        j = bisect.bisect_right(grid, T, 0, end)
+        status = TrajectoryStatus.NOT_INTEGRATED
+        for _ in range(tried, _MAX_STEPS):
+            remaining = t_end - T
+            landing = h >= remaining
+            h_step = remaining if landing else h
+            T_new = T + h_step
+            Ts = (T + _C2 * h_step, T + _C3 * h_step, T + _C4 * h_step, T + _C5 * h_step, T_new)
+            new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, beta, sign)
+            # One test for all six stages, as in _advance_batch. The stages
+            # after a node run on its NaN velocity, and their NaN denominators
+            # never win min over the node's finite one.
+            if min(dens) < NODE_GUARD:
+                status = TrajectoryStatus.NODE_PROXIMITY_ABORT
                 break
-            T1 = t_end if landing else T_new
-            if j < end and grid[j] <= T1:
-                covering.extend((i, T, T1, h_step, d))
-                covering.extend(stages)
-                j = bisect.bisect_right(grid, T1, j, end)
-            T, d, k1 = T1, new, stages[5]
-            if landing:
-                return TrajectoryStatus.COMPLETED, (T, d, k1)
-            if err == 0.0:
-                factor = _MAX_FACTOR
+            err = abs(h_step * e_sum) / (atol + rtol * max(d, new))
+
+            if err <= 1.0:
+                # the density at the new state, over the pair's constant factor
+                s2 = 1.0 + T_new * T_new
+                r = new - beta
+                if dens[5] / s2 * math.exp(-(r * r) / s2) < thr:
+                    status = TrajectoryStatus.NODE_PROXIMITY_ABORT
+                    break
+                T1 = t_end if landing else T_new
+                if j < end and grid[j] <= T1:
+                    records.extend((i, T, T1, h_step, d))
+                    records.extend(stages)
+                    j = bisect.bisect_right(grid, T1, j, end)
+                T, d, k1 = T1, new, stages[5]
+                if landing:
+                    status = TrajectoryStatus.COMPLETED
+                    break
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
+                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev = max(err, 1e-10)
+                h = h_step * factor
             else:
-                factor = _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-10)
-            h = h_step * factor
-        else:
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
-            if h < h_min:
-                return None
-    else:
-        return None
-    # a node or the density floor ended the pair after its last accepted state
-    return TrajectoryStatus.NODE_PROXIMITY_ABORT, (T, d, k1)
+                h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+                if h < h_min:
+                    break  # a step underflow leaves the pair NOT_INTEGRATED
+        if status:
+            code[i] = status
+            ends[i] = T, d, k1
 
 
-def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, steps: list):
+def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, records: array):
     """Batch step loop: step all live pairs together while enough remain.
 
-    state holds (idx, T, D, THR, K1, h, err_prev) with one entry per live
-    pair: its state (T, d), d >= 0, density threshold and velocity dd/dT; idx is the
-    pair's index in code and ends. Each pair takes the scalar loop's step and
-    controller, with masks for its branches, and its own step size and
-    controller memory. A pair that lands or aborts reports as _advance does:
-    code[i] gets its end code and ends[i] its (T, d, dd/dT). A step
-    underflow, or reaching _MAX_STEPS steps, leaves both untouched. Every
-    live pair attempts one step per iteration. Each accepted step that
-    covers interior samples appends its _fill_interior row to steps. Returns
+    state holds (idx, T, D, THR, K1, h, err_prev), one entry per live pair
+    each: its index in code and ends, its state (T, d), d >= 0, density
+    threshold (see integrate_pairs), velocity dd/dT, next trial step and
+    controller memory. Every live pair attempts one step per iteration, with
+    masks for the branches. A pair that lands, or that a node or the density
+    floor ends, gets its end code in code[i] and its last accepted state
+    (T, d, dd/dT) in ends[i]; a step underflow, or reaching _MAX_STEPS
+    steps, leaves both untouched. Each accepted step that covers interior
+    samples appends its _fill_interior row, 11 floats, to records. Returns
     the state of the pairs still live once fewer than _BATCH_MIN remain, and
     the number of steps each of them has attempted.
     """
@@ -662,6 +655,9 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             r = D_new - beta
             below = accepted & (den_rows[5] / s2 * np.exp(-(r * r) / s2) < THR)
             accepted = accepted > below
+            landed = accepted & landing
+            aborted = on_node | below
+            done = aborted | landed
 
             # An error of 0 gives 0**-alpha = inf, and the clamp _MAX_FACTOR,
             # since err_prev >= 1e-10 (the scalar loop, on Python floats,
@@ -673,11 +669,10 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
             h = h_step * factor
             # A pair that neither accepts nor rejects aborts, and leaves the
             # batch with its step size unread.
-            underflow = None
             if np.count_nonzero(rejected):
                 # fmax, like the scalar max, lets a NaN error shrink by _MIN_FACTOR.
                 h_next = h_step * np.fmax(min_factor, safety * err**neg_fifth)
-                underflow = rejected & (h_next < h_min)
+                done |= rejected & (h_next < h_min)  # a step underflow
                 h = np.where(accepted, h, h_next)
             err_prev = np.where(accepted, np.maximum(err, err_min), err_prev)
             T1 = np.where(landing, t_end, T_new)
@@ -686,15 +681,11 @@ def _advance_batch(prob: _Scaled, state, code: np.ndarray, ends: np.ndarray, ste
                 lo, hi = np.searchsorted(before, (T, T1), side="right")
                 covers = accepted & (hi > lo)
                 if np.count_nonzero(covers):
-                    steps.append(np.array((idx, T, T1, h_step, D) + stages).T[covers])
+                    covering = np.array((idx, T, T1, h_step, D) + stages).T[covers]
+                    records.frombytes(covering.tobytes())
             T = np.where(accepted, T1, T)
             D = np.where(accepted, D_new, D)
             K1 = np.where(accepted, stages[5], K1)
-            landed = accepted & landing
-            aborted = on_node | below
-            done = aborted | landed
-            if underflow is not None:
-                done |= underflow
             if tried == _MAX_STEPS:
                 done[:] = True
             elif not np.count_nonzero(done):

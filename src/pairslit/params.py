@@ -66,9 +66,11 @@ class PhysicalParams:
     L: float = 0.2
 
     def __post_init__(self):
-        for name in ("m", "hbar", "sigma0", "Y", "kx", "d", "L"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+        # one line of the ValueError for each field that fails its check; the
+        # checks that combine fields run once every field passes its own
+        problems = [f"{name} must be > 0" for name, value in vars(self).items() if not value > 0.0]
+        if problems:
+            raise ValueError("\n".join(problems))
         if not self.beta <= _MAX_BETA:
             raise ValueError(
                 f"Y must be at most {_MAX_BETA:.4g} sigma0, got {self.beta:.4g} sigma0"

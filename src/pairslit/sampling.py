@@ -42,16 +42,18 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        # one line of the ValueError for each field that fails its check
+        problems = [] if self.method in _METHODS else [f"method must be one of {_METHODS}"]
         for name in ("n_pairs", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.n_pairs <= _MAX_PAIRS:
-            raise ValueError("n_pairs must be >= 1 and <= 2**53")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif name == "n_pairs" and not 1 <= value <= _MAX_PAIRS:
+                problems.append("n_pairs must be >= 1 and <= 2**53")
+            elif name == "seed" and value < 0:
+                problems.append("seed must be >= 0")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def sample_joint_y(

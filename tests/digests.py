@@ -11,11 +11,13 @@ prints one line, "<case> <sha256>", per case:
   scalar-only modes, over both regimes and statistics, density floors 1e-12,
   1e-4 and 1e-2 and 2, 11 and 101 samples, and at the default floor on an
   uneven grid (UNEVEN); fermion batches add releases on and next to the
-  diagonal; and 4,096 slow pairs per statistics in dispatch
-  mode with 2 samples, the default IntegratorConfig. Each pair's outcome is
-  hashed by name, None, "completed" or "node_proximity_abort", whether the
-  tree returns int8 end codes or an object array of TrajectoryStatus members
-  and None, as trees before the codes did;
+  diagonal; the boson releases NEAR_DIAGONAL at 101 samples in each mode,
+  whose steps and samples fold back at d = 0; and 4,096 slow pairs per
+  statistics in dispatch mode with 2 samples, the default IntegratorConfig.
+  Each pair's outcome is hashed by name, None, "completed" or
+  "node_proximity_abort", whether the tree returns int8 end codes or an
+  object array of TrajectoryStatus members and None, as trees before the
+  codes did;
 - sample_joint_y draws and the generator's end state, and sample_initial for
   each method;
 - run_ensemble as the benchmark runs it (exact rejection, 250 pairs, the
@@ -86,11 +88,31 @@ def digest(table, count, status) -> str:
 # inside one step, steps that cover none, and a sample just below t_end.
 UNEVEN = np.array((0.0, 1e-6, 2e-6, 1e-3, 0.3, 0.3 + 1e-9, 1.0 - 1e-6, 1.0))
 
+# Boson pairs released within 1e-9 sigma0 of the diagonal, on either side of
+# it, as (y1, y2) / sigma0. At beta = 5 the flow contracts d toward 0, far
+# below abs_tol, so some steps overshoot 0 within the tolerance (15 of them
+# on these 42 pairs in either regime, with numpy's AVX-512 paths on or off)
+# and the continuous extension dips below 0 between states (168 slow and 387
+# fast samples at 101 sample times).
+NEAR_DIAGONAL = np.array([(c + s * d, c - s * d)
+                          for c in (-1.0, 0.3, 2.0) for s in (1.0, -1.0)
+                          for d in (1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9)])
+
 
 def integrate_cases(pairslit):
     from pairslit import integrator
 
     modes = {"dispatch": integrator._BATCH_MIN, "batch": 1, "scalar": 10**9}
+
+    def in_modes(*args, **kwargs):
+        for mode, batch_min in modes.items():
+            integrator._BATCH_MIN = batch_min
+            try:
+                out = integrator.integrate_pairs(*args, **kwargs)
+            finally:
+                integrator._BATCH_MIN = modes["dispatch"]
+            yield mode, out
+
     for regime, speed in (("fast", 2.0e7), ("slow", 2.0e6)):
         p = pairslit.PhysicalParams.baseline(x_speed=speed)
         t_end = p.flight_time
@@ -107,14 +129,12 @@ def integrate_cases(pairslit):
             grids["grid=uneven"] = (pairslit.IntegratorConfig().density_floor, t_end * UNEVEN)
             for label, (floor, times) in grids.items():
                 cfg = pairslit.IntegratorConfig(density_floor=floor)
-                for mode, batch_min in modes.items():
-                    integrator._BATCH_MIN = batch_min
-                    try:
-                        table, count, status = integrator.integrate_pairs(
-                            initial, t_end, cfg, stats, p, sample_times=times)
-                    finally:
-                        integrator._BATCH_MIN = modes["dispatch"]
-                    yield f"integrate_pairs/{regime}/{stats.value}/{label}/{mode}", digest(table, count, status)
+                for mode, out in in_modes(initial, t_end, cfg, stats, p, sample_times=times):
+                    yield f"integrate_pairs/{regime}/{stats.value}/{label}/{mode}", digest(*out)
+        times = np.linspace(0.0, t_end, 101)
+        for mode, out in in_modes(NEAR_DIAGONAL * p.sigma0, t_end, pairslit.IntegratorConfig(),
+                                  pairslit.SpinStatistics.BOSON, p, sample_times=times):
+            yield f"integrate_pairs/{regime}/boson/near-diagonal/{mode}", digest(*out)
     # one wide batch per statistics, which the batch loop carries for
     # hundreds of steps at thousands of lanes
     p = pairslit.PhysicalParams.baseline(x_speed=2.0e6)

@@ -1,5 +1,7 @@
 """The batched ensemble integrator against the scalar one and its invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from pairslit._kernels import (
 from pairslit.ensemble import transport_ensemble
 from pairslit.integrator import _BATCH_MIN, integrate_pairs
 
-from digests import UNEVEN
+from digests import NEAR_DIAGONAL, UNEVEN
 from endpoint_oracle import oracle_endpoints, oracle_paths
 from oracles import com_closed_form, initial_density_peak
 from pair_transport import endpoint, integrate_one, trajectories
@@ -696,17 +698,6 @@ def test_a_sample_below_the_diagonal_is_folded_back(p_slow):
     assert np.isnan(rows[0, [0, 1, 2, 6, 7, 8, 9, 10]]).all()
 
 
-# Boson pairs released within 1e-9 sigma0 of the diagonal, on either side of
-# it. At beta = 5 the flow contracts d toward 0, far below abs_tol, so some
-# steps overshoot 0 within the tolerance (15 of them on these 42 pairs in
-# either regime, with numpy's AVX-512 paths on or off) and the continuous
-# extension dips below 0 between states (168 slow and 387 fast samples at
-# 101 sample times).
-NEAR_DIAGONAL = np.array([(c + s * d, c - s * d)
-                          for c in (-1.0, 0.3, 2.0) for s in (1.0, -1.0)
-                          for d in (1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9)])
-
-
 @pytest.mark.parametrize("loop", sorted(LOOPS))
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_a_step_that_overshoots_the_diagonal_is_folded_back(regime, loop):
@@ -1085,3 +1076,21 @@ def test_keeping_trajectories_changes_no_result(p_slow, n, stats, floor):
     assert table[done, count[done] - 1, 1:3].tobytes() == result.endpoints.tobytes()
     if floor > 1e-12:
         assert result.aborted_count > _BATCH_MIN
+
+
+def test_the_step_records_are_held_once():
+    # The traced peak of integrate_pairs from the start of the call, per pair,
+    # on 1,000 slow boson pairs at 101 samples: 31.1 KiB while the batch loop
+    # kept a list of record arrays that np.concatenate copied before the
+    # fill, 26.6 KiB with both loops' records in one buffer (numpy 2.4). The
+    # rest of the peak is the interior fill's per-sample temporaries.
+    initial, p, t_end = draw("slow", SpinStatistics.BOSON, seed=0, n=1000)
+    args = (t_end, IntegratorConfig(), SpinStatistics.BOSON, p, np.linspace(0.0, t_end, 101))
+    integrate_pairs(initial[:50], *args)  # allocations a first call may leave behind
+    tracemalloc.start()
+    try:
+        integrate_pairs(initial, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(initial) < 29 * 1024

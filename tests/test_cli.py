@@ -115,11 +115,13 @@ def test_validate_collects_all_problems(tmp_path):
         "output_dir: expected a non-empty string",
     ):
         assert needle in problems
-    # each tolerance is checked on its own, so a problem names its key
+    # each tolerance is checked on its own, so each problem names its key
     path = write_json(tmp_path / "tol.json", {"integrator": {"rel_tol": -1, "abs_tol": 0}})
     with pytest.raises(ConfigError) as exc:
         validate_config(path)
-    assert exc.value.problems == ["integrator.rel_tol must be finite and > 0"]
+    assert exc.value.problems == [
+        "integrator.rel_tol must be finite and > 0", "integrator.abs_tol must be finite and > 0"
+    ]
 
 
 def test_named_scenario_pins_physics(tmp_path):
@@ -242,6 +244,20 @@ def test_config_file_refusals_exit_1(tmp_path, capsys, payload, problem):
     assert exc.value.problems == [problem]
     assert run_main(tmp_path, "custom", "--config", path) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_offending_field_gets_its_line(tmp_path, capsys):
+    # a section reports each field that fails its own check, not just its first
+    payload = {"sampler": {"n_pairs": 0, "seed": -1}, "integrator": {"rel_tol": 0, "abs_tol": -1}}
+    path = write_json(tmp_path / "c.json", payload)
+    assert run_main(tmp_path, "custom", "--config", path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sampler.n_pairs must be >= 1 and <= 2**53",
+        "config error: sampler.seed must be >= 0",
+        "config error: integrator.rel_tol must be finite and > 0",
+        "config error: integrator.abs_tol must be finite and > 0",
+    ]
     assert not (tmp_path / "out").exists()
 
 

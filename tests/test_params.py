@@ -30,6 +30,14 @@ def test_positive_fields_enforced(p_fast, field):
         dataclasses.replace(p_fast, **{field: -1.0})
 
 
+def test_every_nonpositive_field_is_reported(p_fast):
+    # one line per field; the checks of beta, tau and the flight time, which
+    # combine fields, wait until every field is positive
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(p_fast, sigma0=0.0, Y=1e300, L=-1.0)
+    assert str(exc.value).splitlines() == ["sigma0 must be > 0", "L must be > 0"]
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"L": 5e-26, "kx": 1e300}, "flight_time"),  # 4.3e-322 s
     ({"m": 1.0, "hbar": 1.0, "sigma0": 1e5, "L": 1e-300, "kx": 1.0}, "flight_time / tau"),

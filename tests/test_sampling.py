@@ -38,6 +38,16 @@ def test_config_refuses_non_integers(field, value):
         SamplerConfig(**{field: value})
 
 
+def test_config_reports_every_bad_field():
+    with pytest.raises(ValueError) as exc:
+        SamplerConfig(method="grid", n_pairs=0, seed=1.5)
+    assert str(exc.value).splitlines() == [
+        "method must be one of ('exact_rejection', 'independent_gaussian')",
+        "n_pairs must be >= 1 and <= 2**53",
+        "seed must be an integer, got 1.5",
+    ]
+
+
 def test_config_takes_numpy_integers(p_fast):
     cfg = SamplerConfig(n_pairs=np.int64(3), seed=np.uint32(4))
     assert sample_initial(cfg, SpinStatistics.BOSON, p_fast).shape == (3, 2)
