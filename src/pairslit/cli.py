@@ -79,8 +79,9 @@ _SCENARIOS = {
                                  _SPEED_SLOW, SamplerConfig(), pins=(*_UNSAMPLED, "stats")),
     "equivariance": _Scenario("transported ensemble scored against the exact density",
                               _SPEED_SLOW, SamplerConfig(n_pairs=1000), n_times=2),
+    # only the four-slit checks place sources at +-d
     "custom": _Scenario("physics and batch settings taken from a config file",
-                        _SPEED_FAST, SamplerConfig()),
+                        _SPEED_FAST, SamplerConfig(), pins=("params.d",)),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -35,13 +35,15 @@ scaled problem, the step's arithmetic, the controller constants, the
 interior-sample fill and the SI sample table, and keep only their control
 flow: a numpy loop that advances every live pair of a batch together under
 masks, each with its own step size and controller state, and a scalar loop
-that branches on plain floats. The step has two bodies of the same
-operations in the same order: _dp_step on a float tableau, whose kernel forms
-its own stage-time factors, and _dp_step_array on 0-d arrays, which takes
-those factors formed once for all stages and writes its stage arguments and
-partial sums in place into a workspace that each _advance_batch call
-allocates once, at its starting width, and shares with the kernel, beside a
-block that takes the kernel's denominators.
+that branches on plain floats. The Dormand-Prince tableau is written once,
+as one table (_C, _A, _E), and the step has two bodies over it of the same
+operations in the same order: _dp_step, spelled out on the table's floats,
+whose kernel forms its own stage-time factors, and _dp_step_array, a loop
+over the table's rows of 0-d arrays, which takes those factors formed once
+for all stages and writes its stage arguments and partial sums in place into
+a workspace that each _advance_batch call allocates once, at its starting
+width, and shares with the kernel, beside a block that takes the kernel's
+denominators.
 integrate_pairs uses the batch loop while at least _BATCH_MIN pairs are live
 and hands smaller batches and remainders to the scalar loop, whose per-step
 cost does not carry numpy's per-call overhead.
@@ -69,33 +71,29 @@ import numpy as np
 from ._kernels import NODE_GUARD, reduced_velocity, reduced_velocity_array
 from .params import PhysicalParams, SpinStatistics
 
-# Dormand-Prince 5(4) tableau. B propagates the fifth-order solution; E gives
-# the embedded error estimate. Stage 7 is FSAL.
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+# The Dormand-Prince 5(4) tableau, the one place its coefficients are written.
+# _C holds the times of stages 2 to 6 as fractions of the step; stage 7 is
+# FSAL and shares stage 6's. Each row of _A holds the nonzero weights (i, a)
+# of the stages k_i in the argument of stages 2 to 7, in the order the step
+# adds them; its last row is B, which propagates the fifth-order solution to
+# the new state, where stage 7 runs. _E holds those of the embedded error
+# estimate.
+_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+_A = (
+    ((1, 0.2),),
+    ((1, 3.0 / 40.0), (2, 9.0 / 40.0)),
+    ((1, 44.0 / 45.0), (2, -56.0 / 15.0), (3, 32.0 / 9.0)),
+    ((1, 19372.0 / 6561.0), (2, -25360.0 / 2187.0), (3, 64448.0 / 6561.0), (4, -212.0 / 729.0)),
+    ((1, 9017.0 / 3168.0), (2, -355.0 / 33.0), (3, 46732.0 / 5247.0), (4, 49.0 / 176.0),
+     (5, -5103.0 / 18656.0)),
+    ((1, 35.0 / 384.0), (3, 500.0 / 1113.0), (4, 125.0 / 192.0), (5, -2187.0 / 6784.0),
+     (6, 11.0 / 84.0)),
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+_E = ((1, 71.0 / 57600.0), (3, -71.0 / 16695.0), (4, 71.0 / 1920.0), (5, -17253.0 / 339200.0),
+      (6, 22.0 / 525.0), (7, -1.0 / 40.0))
 
-# Stage times of stages 2 to 6 (stage 7 shares stage 6's) as fractions of
-# the step, one row each, for the batch loop.
-_C_COL = np.array((_C2, _C3, _C4, _C5, 1.0)).reshape(-1, 1)
+# The stage-time fractions as one row each, for the batch loop.
+_C_COL = np.array(_C).reshape(-1, 1)
 
 # Continuous extension of a step (the coefficients of scipy's RK45 dense
 # output): over a step of size h from (T, d), the position at T + theta h is
@@ -129,11 +127,12 @@ _T_PROBE = 1e-7
 
 # Live pairs below which the scalar loop beats the batch loop. A batch
 # iteration without rejections makes about 233 numpy calls (ufuncs and
-# array functions; 184 in the step, 176 of them in place in the workspace
-# and the denominator block), each on arrays alone. Such an iteration took
-# about 90 us at 32 lanes and 117 us at 250, and a scalar step (six kernel
-# calls on plain floats) about 4.8 us, on a 2-CPU Xeon with AVX-512 (steps
-# 2 to 20 of slow boson pairs, medians of 51 calls). Crossover in CHANGES.md.
+# array functions; 184 ufunc calls in a boson step, 176 of them in place in
+# the workspace and the denominator block), each on arrays alone. Such an
+# iteration took about 90 us at 32 lanes and 117 us at 250, and a scalar
+# step (six kernel calls on plain floats) about 4.8 us, on a 2-CPU Xeon with
+# AVX-512 (steps 2 to 20 of slow boson pairs, medians of 51 calls).
+# Crossover in CHANGES.md.
 _BATCH_MIN = 32
 
 
@@ -408,9 +407,14 @@ def _fill_interior(prob: _Scaled, rows: np.ndarray, records: np.ndarray) -> None
     rows[i, j, 2] = v
 
 
-def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
-                B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
-    """The scalar loop's Dormand-Prince 5(4) step over a tableau of floats."""
+def _dp_stepper(A, E):
+    """The scalar loop's Dormand-Prince 5(4) step over the table's floats.
+
+    The factory unpacks the weights, in table order, into the step's closure
+    cells, which its spelled-out body reads by name.
+    """
+    (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+     B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = (a for row in (*A, E) for _, a in row)
 
     def step(vel, d, h, k1, Ts, beta, sign):
         """One Dormand-Prince 5(4) step of size h from d >= 0.
@@ -441,15 +445,27 @@ def _dp_stepper(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63,
     return step
 
 
-def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
-                      B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7):
-    """The batch loop's Dormand-Prince 5(4) step over a tableau of 0-d arrays.
+def _dp_stepper_array(A, E):
+    """The batch loop's Dormand-Prince 5(4) step over the table's 0-d arrays.
 
-    Its arithmetic is _dp_stepper's, operation for operation; each stage
-    argument and partial sum is written in place (numpy's positional out)
-    into a row of a workspace.
+    It makes _dp_stepper's operations in the same order, in a loop over the
+    rows of the table; each stage argument and partial sum is written in
+    place (numpy's positional out) into a row of a workspace.
     """
     mul, add, fabs = np.multiply, np.add, np.abs
+    # each row as its first term, which starts the sum, and the others
+    rows = tuple((row[0], row[1:]) for row in A)
+    stages, B = rows[:-1], rows[-1]
+    # the error sum's last term is added into a new array, which outlives the step
+    E_in_place, (i_last, e_last) = (E[0], E[1:-1]), E[-1]
+
+    def weigh(row, k, a, b):
+        """Write into a the sum of c k[i] over the row's terms (i, c), left to right."""
+        (i, c), terms = row
+        mul(c, k[i], a)
+        for i, c in terms:
+            add(a, mul(c, k[i], b), a)
+        return a
 
     def step(vel, d, h, k1, Ts, W, G, beta, sign, space, dens):
         """_dp_stepper's step on arrays, in the workspace space.
@@ -466,58 +482,27 @@ def _dp_stepper_array(A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62
         next step on the same arrays; the new state, the stages and the
         error sum are new arrays, which outlive it.
         """
-        T2, T3, T4, T5, T6 = Ts
-        W2, W3, W4, W5, W6 = W
-        G2, G3, G4, G5, G6 = G
-        den2, den3, den4, den5, den6, den7 = dens
         a, b, ks = space[0], space[1], space[2:]
-        mul(A21, k1, a)
-        k2, _ = vel(add(d, mul(h, a, a), a), T2, beta, sign, W2, G2, ks, den2)
-        mul(A31, k1, a)
-        add(a, mul(A32, k2, b), a)
-        k3, _ = vel(add(d, mul(h, a, a), a), T3, beta, sign, W3, G3, ks, den3)
-        mul(A41, k1, a)
-        add(a, mul(A42, k2, b), a)
-        add(a, mul(A43, k3, b), a)
-        k4, _ = vel(add(d, mul(h, a, a), a), T4, beta, sign, W4, G4, ks, den4)
-        mul(A51, k1, a)
-        add(a, mul(A52, k2, b), a)
-        add(a, mul(A53, k3, b), a)
-        add(a, mul(A54, k4, b), a)
-        k5, _ = vel(add(d, mul(h, a, a), a), T5, beta, sign, W5, G5, ks, den5)
-        mul(A61, k1, a)
-        add(a, mul(A62, k2, b), a)
-        add(a, mul(A63, k3, b), a)
-        add(a, mul(A64, k4, b), a)
-        add(a, mul(A65, k5, b), a)
-        k6, _ = vel(add(d, mul(h, a, a), a), T6, beta, sign, W6, G6, ks, den6)
-        mul(B1, k1, a)
-        add(a, mul(B3, k3, b), a)
-        add(a, mul(B4, k4, b), a)
-        add(a, mul(B5, k5, b), a)
-        add(a, mul(B6, k6, b), a)
-        new = fabs(add(d, mul(h, a, a), a))
-        k7, _ = vel(new, T6, beta, sign, W6, G6, ks, den7)
-        mul(E1, k1, a)
-        add(a, mul(E3, k3, b), a)
-        add(a, mul(E4, k4, b), a)
-        add(a, mul(E5, k5, b), a)
-        add(a, mul(E6, k6, b), a)
-        err = add(a, mul(E7, k7, b))
-        return new, (k1, k3, k4, k5, k6, k7), dens, err
+        k = [None, k1]  # k[i] is the velocity of stage i
+        for row, T, w, g, den in zip(stages, Ts, W, G, dens):  # stages 2 to 6
+            k.append(vel(add(d, mul(h, weigh(row, k, a, b), a), a), T, beta, sign, w, g, ks, den)[0])
+        # stage 7 runs at stage 6's time, at the new state folded to its magnitude
+        new = fabs(add(d, mul(h, weigh(B, k, a, b), a), a))
+        k.append(vel(new, T, beta, sign, w, g, ks, dens[5])[0])
+        err = add(weigh(E_in_place, k, a, b), mul(e_last, k[i_last], b))
+        return new, (k1, *k[3:]), dens, err
 
     return step
 
 
-_TABLEAU = (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
-)
 # The scalar loop's step runs on Python floats, the batch loop's on 0-d
 # float64 arrays of the same doubles: numpy takes a 0-d array operand at
 # less cost than a Python float, for the same bits.
-_dp_step = _dp_stepper(*_TABLEAU)
-_dp_step_array = _dp_stepper_array(*map(np.array, _TABLEAU))
+_dp_step = _dp_stepper(_A, _E)
+_dp_step_array = _dp_stepper_array(
+    tuple(tuple((i, np.array(a)) for i, a in row) for row in _A),
+    tuple((i, np.array(a)) for i, a in _E),
+)
 # The batch loop's constants that do not depend on the problem, as 0-d
 # float64 arrays for the same reason: the node guard, 1, the controller's
 # safety factor, step-factor clamps and PI exponents, the floor of its error
@@ -542,6 +527,7 @@ def _advance(prob: _Scaled, state, tried, code: np.ndarray, ends: np.ndarray, re
     sign, beta = prob.sign, prob.beta
     h_min, rtol, atol = prob.h_min, prob.rtol, prob.atol
     vel = reduced_velocity
+    C2, C3, C4, C5, _ = _C  # stage 6's time is T_new
     for i, T, d, thr, k1, h, err_prev in zip(*(col.tolist() for col in state)):
         # the next interior sample time, grid[j], lies after T if j < end
         j = bisect.bisect_right(grid, T, 0, end)
@@ -551,7 +537,7 @@ def _advance(prob: _Scaled, state, tried, code: np.ndarray, ends: np.ndarray, re
             landing = h >= remaining
             h_step = remaining if landing else h
             T_new = T + h_step
-            Ts = (T + _C2 * h_step, T + _C3 * h_step, T + _C4 * h_step, T + _C5 * h_step, T_new)
+            Ts = (T + C2 * h_step, T + C3 * h_step, T + C4 * h_step, T + C5 * h_step, T_new)
             new, stages, dens, e_sum = _dp_step(vel, d, h_step, k1, Ts, beta, sign)
             # One test for all six stages, as in _advance_batch. The stages
             # after a node run on its NaN velocity, and their NaN denominators

@@ -1,6 +1,7 @@
 """The batched ensemble integrator against the scalar one and its invariants."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -410,16 +411,35 @@ def test_status_is_the_int8_end_codes(batch_min):
     np.testing.assert_array_equal(status, want)
 
 
+def dense(row, n):
+    """A row of the tableau, its nonzero weights (i, a) of stages i, over stages 1 to n."""
+    out = np.zeros(n)
+    for i, a in row:
+        out[i - 1] = a
+    return out
+
+
 def test_extension_coefficients_reduce_to_the_step():
     # at theta = 1 the weights of (k1, k3, ..., k7) are B, with none on k7;
     # at theta = 0 the slope is k1 alone
-    b = (integrator._B1, integrator._B3, integrator._B4, integrator._B5, integrator._B6, 0.0)
+    b = np.delete(dense(integrator._A[-1], 7), 1)
     np.testing.assert_allclose(integrator._P.sum(axis=1), b, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(integrator._P[:, 0], (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     # the same coefficients as scipy's RK45 dense output, whose k2 row is zero
     rk45 = pytest.importorskip("scipy.integrate").RK45
     np.testing.assert_array_equal(rk45.P[1], 0.0)
     np.testing.assert_array_equal(integrator._P, np.delete(rk45.P, 1, axis=0))
+    # The tableau is scipy's RK45 tableau to the bit: the stage times, the
+    # rows of A, B and E, whose sign scipy takes the other way. The table
+    # holds only nonzero weights, each row's in the order of its stages.
+    for row in (*integrator._A, integrator._E):
+        stages = [i for i, _ in row]
+        assert stages == sorted(set(stages)) and all(a != 0.0 for _, a in row)
+    np.testing.assert_array_equal(bits(np.array(integrator._C)), bits(rk45.C[1:]))
+    A = np.array([dense(row, 5) for row in integrator._A[:-1]])
+    np.testing.assert_array_equal(A, rk45.A[1:])
+    np.testing.assert_array_equal(dense(integrator._A[-1], 6), rk45.B)
+    np.testing.assert_array_equal(dense(integrator._E, 7), -rk45.E)
 
 
 def stub_velocity(d, T, beta, sign, w=None, g=None, space=(), den_out=None):
@@ -529,6 +549,29 @@ def closed_over(fn):
     return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
 
 
+def held(fn):
+    """The values a function holds: its float literals and its closure's values.
+
+    Tuples in the closure are opened, and so are the functions there, so
+    that each constant is seen however the function stores it.
+    """
+    values = []
+
+    def walk(x):
+        if isinstance(x, tuple):
+            for y in x:
+                walk(y)
+        elif isinstance(x, types.FunctionType):
+            values.extend(c for c in x.__code__.co_consts if type(c) is float)
+            for cell in x.__closure__ or ():
+                walk(cell.cell_contents)
+        else:
+            values.append(x)
+
+    walk(fn)
+    return values
+
+
 @pytest.mark.parametrize(
     "scalar, array",
     [
@@ -539,23 +582,30 @@ def closed_over(fn):
 )
 def test_both_back_ends_close_over_the_same_doubles(scalar, array):
     # The scalar loop's step and kernel hold Python floats and the batch
-    # loop's 0-d float64 arrays, each of the same double. The step closes
-    # over its tableau, matched by name; the float kernel writes its
-    # constants as literals, matched by value. They are separate bodies, so
-    # neither may hold the other's kind.
-    floats = {k: v for k, v in closed_over(scalar).items() if type(v) is float}
-    literals = sorted(x for x in scalar.__code__.co_consts if type(x) is float)
-    zero_d = {k: v for k, v in closed_over(array).items() if isinstance(v, np.ndarray)}
-    assert len(zero_d) >= 3 and floats.keys() <= zero_d.keys()
-    assert not any(isinstance(v, np.ndarray) for v in closed_over(scalar).values())
-    assert not any(isinstance(v, float) for v in closed_over(array).values())
-    assert not any(type(x) is float for x in array.__code__.co_consts)
-    pairs = [(x, zero_d.pop(name)) for name, x in floats.items()]
-    assert len(literals) == len(zero_d)
-    pairs += zip(literals, sorted(zero_d.values(), key=float))
-    for x, a in pairs:
-        assert a.shape == () and a.dtype == np.float64
-        assert a.view(np.uint64) == np.float64(x).view(np.uint64), x
+    # loop's 0-d float64 arrays, each of the same double. The float step
+    # closes over the tableau's weights, one named cell each; the float
+    # kernel writes its constants as literals; the array step holds its
+    # rows of (stage, weight) terms and the array kernel its constants in
+    # their closures. They are separate bodies, so neither may hold the
+    # other's kind.
+    floats = [x for x in held(scalar) if type(x) is float]
+    zero_d = [x for x in held(array) if isinstance(x, np.ndarray)]
+    assert len(zero_d) >= 3 and len(floats) == len(zero_d)
+    assert not any(isinstance(x, np.ndarray) for x in held(scalar))
+    assert not any(type(x) is float for x in held(array))
+    assert all(a.shape == () and a.dtype == np.float64 for a in zero_d)
+    np.testing.assert_array_equal(bits(np.sort(floats)), bits(np.sort(zero_d)))
+    if scalar is integrator._dp_step:
+        # the float step's cells hold the table's doubles, in table order,
+        # under their names A21 .. A65, B1 .. B6 and E1 .. E7
+        A, E = integrator._A, integrator._E
+        names = [f"A{s}{i}" for s, row in enumerate(A[:-1], start=2) for i, _ in row]
+        names += [f"B{i}" for i, _ in A[-1]] + [f"E{i}" for i, _ in E]
+        doubles = [a for row in (*A, E) for _, a in row]
+        cells = closed_over(scalar)
+        assert sorted(cells) == sorted(names)
+        held_in_order = np.array([cells[name] for name in names])
+        np.testing.assert_array_equal(bits(held_in_order), bits(np.array(doubles)))
 
 
 class OperandLog(np.ndarray):
@@ -706,7 +756,7 @@ def test_a_step_that_overshoots_the_diagonal_is_folded_back(regime, loop):
     p, t_end = REGIMES[regime]
     initial = NEAR_DIAGONAL * p.sigma0
     times = np.linspace(0.0, t_end, 101)
-    B = (integrator._B1, integrator._B3, integrator._B4, integrator._B5, integrator._B6)
+    B = [a for _, a in integrator._A[-1]]
     folds = []
 
     def spied(step):

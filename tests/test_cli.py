@@ -10,7 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,15 +135,17 @@ def test_named_scenario_pins_physics(tmp_path):
 
 
 # the settings each scenario's run does not read: fig4a and fig4b start three
-# pairs from fixed releases, and the four-slit checks test both statistics
-# and integrate boson pairs of their own; such a setting would be recorded
-# in summary.json but not used
+# pairs from fixed releases, the four-slit checks test both statistics and
+# integrate boson pairs of their own, and only they place sources at +-d;
+# such a setting would be recorded in summary.json but not used
 PINNED = {
     "fig4a": ("sampler.method", "sampler.n_pairs"),
     "fig4b": ("sampler.method", "sampler.n_pairs"),
     "four-slit-check": ("sampler.method", "sampler.n_pairs", "stats"),
+    "custom": ("params.d",),
 }
-OVERRIDES = {"sampler.method": "independent_gaussian", "sampler.n_pairs": 7, "stats": "fermion"}
+OVERRIDES = {"sampler.method": "independent_gaussian", "sampler.n_pairs": 7, "stats": "fermion",
+             "params.d": 123.0}
 # the config key each flag sets
 FLAG_KEYS = {"--seed": "sampler.seed", "--n-pairs": "sampler.n_pairs", "--stats": "stats",
              "--rel-tol": "integrator.rel_tol", "--abs-tol": "integrator.abs_tol",
@@ -171,23 +173,49 @@ def test_fixed_release_scenarios_pin_their_sampler(tmp_path, capsys, scenario):
     assert all("pins this" in problem for problem in exc.value.problems)
     assert run_main(tmp_path, scenario, "--config", path) == 1
     assert not (tmp_path / "out").exists()
-    # a flag is refused alike, and named first
+    # a flag is refused alike, and named first (params.d has no flag)
     flags = [arg for key in keys if key in FLAG_OF for arg in (FLAG_OF[key], str(OVERRIDES[key]))]
-    capsys.readouterr()
-    assert run_main(tmp_path, scenario, *flags) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: {FLAG_OF[problem.split(':')[0]]}: {problem}"
-        for problem in exc.value.problems if problem.split(":")[0] in FLAG_OF]
-    assert not (tmp_path / "out").exists()
+    if flags:
+        capsys.readouterr()
+        assert run_main(tmp_path, scenario, *flags) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {FLAG_OF[problem.split(':')[0]]}: {problem}"
+            for problem in exc.value.problems if problem.split(":")[0] in FLAG_OF]
+        assert not (tmp_path / "out").exists()
     # an exact echo validates, and the seed stays settable
     echo = serialize_config(default_config(scenario))
     pinned = {**echo["sampler"], "seed": 5}
     path = write_json(tmp_path / "echo.json", {"scenario": scenario, "sampler": pinned,
-                                               "stats": echo["stats"]})
+                                               "stats": echo["stats"], "params": echo["params"]})
     cfg = validate_config(path, expected_scenario=scenario)
     assert cfg.sampler == replace(default_config(scenario).sampler, seed=5)
     assert validate_config(None, scenario, {"--seed": 5, "--n-pairs": pinned["n_pairs"],
                                             "--stats": echo["stats"]}) == cfg
+
+
+@pytest.mark.parametrize("key", [field.name for field in fields(default_config("custom").params)])
+def test_every_custom_param_changes_the_run_or_is_refused(tmp_path, capsys, key):
+    # custom takes its physics from the config file, but a params key that its
+    # run does not read would be recorded in summary.json and change nothing:
+    # custom pins such a key, as the other scenarios pin theirs
+    def run(name, params):
+        config = write_json(tmp_path / f"{name}.json", {"params": params})
+        return main(["custom", "--config", config, "--n-pairs", "2", "--out", str(tmp_path / name)])
+
+    def csvs(name):
+        return [path.read_bytes() for path in sorted((tmp_path / name).glob("*.csv"))]
+
+    assert run("base", {}) == 0
+    moved = getattr(default_config("custom").params, key) * 1.25
+    capsys.readouterr()
+    code = run("moved", {key: moved})
+    if code == 1:
+        assert capsys.readouterr().err.startswith(
+            f"config error: params.{key}: the 'custom' scenario pins this")
+        assert f"params.{key}" in PINNED["custom"]
+    else:
+        assert code in (0, 2) and csvs("moved") != csvs("base")
+        assert f"params.{key}" not in PINNED["custom"]
 
 
 def test_scenario_subcommand_mismatch(tmp_path):
@@ -799,12 +827,13 @@ _pair_count = _mostly(st.integers(1, 5),
 _seed = _mostly(st.integers(0, 2**64), st.sampled_from((-1, 10**30, 1.5, "", None)))
 _stats = _mostly(st.sampled_from(("boson", "fermion")), st.sampled_from(("anyon", "", 1)))
 _tolerance = _mostly(_decades(1.0, 16.0, 2.0))
+# the params section's keys; _cli_inputs draws those a scenario does not pin
+_PARAMS = {k: _mostly(_decades(getattr(_BASELINE, k), 3.0, 3.0))
+           for k in ("m", "hbar", "sigma0", "Y", "kx", "d", "L")}
 _SCHEMA = {
     "config_version": _mostly(st.just(3), st.sampled_from((2, "3", 3.5, None))),
     "stats": _stats,
     "output_dir": _mostly(st.just("out_file"), _wrong_type),
-    "params": _section({k: _mostly(_decades(getattr(_BASELINE, k), 3.0, 3.0))
-                        for k in ("m", "hbar", "sigma0", "Y", "kx", "d", "L")}),
     "sampler": _section({
         "method": _mostly(
             st.sampled_from(("exact_rejection", "independent_gaussian")),
@@ -824,12 +853,13 @@ def _flag_value(value):
 def _cli_inputs(draw):
     """(subcommand, config or None, flags), running at most 5 pairs.
 
-    A pair count and stats are drawn only for the scenarios that read them;
-    the others pin them, and would refuse nearly every draw.
+    A pair count, stats and params.d are drawn only for the scenarios that
+    read them; the others pin them, and would refuse nearly every draw.
     """
     scenario = draw(st.sampled_from(SCENARIOS))
     pinned = PINNED.get(scenario, ())
     schema = {key: values for key, values in _SCHEMA.items() if key not in pinned}
+    schema["params"] = _section({k: v for k, v in _PARAMS.items() if f"params.{k}" not in pinned})
     config = draw(st.one_of(st.none(), st.fixed_dictionaries({}, optional={
         **schema, "scenario": _mostly(st.just(scenario), st.sampled_from(SCENARIOS + ("", 1))),
     })))
@@ -901,7 +931,7 @@ def _main_in(directory, argv):
 @example(inputs=("fig4a", None, ["--out="]))
 # the squares of the centres of mass overflow: the summary's spread stays finite
 @example(inputs=("custom", {"params": {"m": 1e-10, "hbar": 1.0, "sigma0": 1.3e154, "Y": 5e154,
-                                       "kx": 1e-10, "d": 1.0, "L": 1e10}}, ["--n-pairs=5"]))
+                                       "kx": 1e-10, "L": 1e10}}, ["--n-pairs=5"]))
 # the rows of the old table of inputs that once ran unbounded or ended in a traceback
 @example(inputs=("custom", {"sampler": {"seed": -1}}, ["--n-pairs=2"]))
 @example(inputs=("custom", {"params": {"sigma0": 1e-300}}, ["--n-pairs=2"]))
