@@ -169,14 +169,15 @@ def _typed_section(raw, name: str, section: type, problems: list[str]) -> dict:
     return values
 
 
-def validate_config(path=None, expected_scenario: str | None = None,
-                    flags: dict | None = None) -> ScenarioConfig:
+def validate_config(path, expected_scenario: str, flags: dict | None = None) -> ScenarioConfig:
     """Load and fully validate a JSON scenario config, with flags laid over it.
 
-    path names the JSON file; without one the config starts empty. flags maps
-    flags of _FLAGS to their values (None for a flag not given); each given
-    flag sets the key it names, over the file's value, so it passes the same
-    checks as that key, and a problem with its value names the flag first.
+    path names the JSON file; with None the config starts empty.
+    expected_scenario is the subcommand's scenario, which the file's
+    "scenario" key may only repeat. flags maps flags of _FLAGS to their
+    values (None for a flag not given); each given flag sets the key it
+    names, over the file's value, so it passes the same checks as that key,
+    and a problem with its value names the flag first.
     Unknown keys anywhere are rejected. Named scenarios may not override the
     params section (the scenario pins the physics), nor the keys their run
     does not read (_Scenario.pins); a pinned key validates only as an exact
@@ -211,11 +212,11 @@ def validate_config(path=None, expected_scenario: str | None = None,
     if version != _CONFIG_VERSION:
         problems.append(f"config_version: expected {_CONFIG_VERSION}, got {version!r}")
 
-    scenario = raw.get("scenario", expected_scenario or "custom")
+    scenario = raw.get("scenario", expected_scenario)
     if scenario not in SCENARIOS:
         problems.append(f"scenario: must be one of {', '.join(SCENARIOS)}")
         raise ConfigError(problems)
-    if expected_scenario is not None and scenario != expected_scenario:
+    if scenario != expected_scenario:
         problems.append(
             f"scenario: file says {scenario!r} but the {expected_scenario!r} subcommand was invoked"
         )

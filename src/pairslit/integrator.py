@@ -337,7 +337,7 @@ def integrate_pairs(
         # shrink to 1e-4. The velocity is odd in T, so v / T at _T_PROBE is
         # d''(0) to about 1e-13; a pair with no acceleration tries the span.
         acc = reduced_velocity_array(d0, _T_PROBE, prob.beta, prob.sign)[0] / _T_PROBE
-        scale = prob.atol + prob.rtol * np.abs(d0)
+        scale = prob.atol + prob.rtol * d0
         h0 = np.fmin(prob.grid[-1], (0.01 * scale / np.abs(acc)) ** 0.2)
     m = idx.size
 

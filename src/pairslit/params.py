@@ -75,13 +75,11 @@ class PhysicalParams:
             raise ValueError(
                 f"Y must be at most {_MAX_BETA:.4g} sigma0, got {self.beta:.4g} sigma0"
             )
-        # Extreme inputs can underflow or overflow the derived time scales;
-        # the integrator divides by tau and splits flight_time / tau into
-        # sample times, which a subnormal span has too few floats for.
-        try:
-            tau = self.tau
-        except OverflowError:  # sigma0**2 raises where a product would give inf
-            tau = math.inf
+        # Extreme inputs can underflow or overflow the derived time scales
+        # (tau's product gives 0 or inf, never an error); the integrator
+        # divides by tau and splits flight_time / tau into sample times,
+        # which a subnormal span has too few floats for.
+        tau = self.tau
         if not 0.0 < tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {tau!r}")
         t, tiny = self.flight_time, sys.float_info.min
@@ -97,7 +95,7 @@ class PhysicalParams:
     @property
     def tau(self) -> float:
         """Natural spreading time 2 m sigma0^2 / hbar (s)."""
-        return 2.0 * self.m * self.sigma0**2 / self.hbar
+        return 2.0 * self.m * (self.sigma0 * self.sigma0) / self.hbar
 
     @property
     def beta(self) -> float:

@@ -122,15 +122,13 @@ def sample_initial(
     cfg: SamplerConfig,
     stats: SpinStatistics,
     p: PhysicalParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw cfg.n_pairs initial (y1, y2) pairs in metres, as an (n, 2) array.
 
-    Every pair starts at x = 0, t = 0. A fresh PCG64 generator is seeded from
-    cfg.seed unless rng is supplied.
+    Every pair starts at x = 0, t = 0. The draws come from rng; cfg.seed is
+    not read here, since run_ensemble spawns the sampler's generator from it.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n = cfg.n_pairs
     if cfg.method == "exact_rejection":
         return sample_joint_y(n, 0.0, stats, p, rng)

@@ -59,19 +59,14 @@ def pair_images(c: PairConfiguration, p: PhysicalParams):
     upper, mirror lower. The upper packet moves in +x from y = +Y; the lower
     one is its y-reflection, and the mirror slits of the facing double-slit
     setup are the x-reflections of those two. One amplitude call covers all
-    eight images.
+    eight images; psi_pair takes rows 0 and 1.
     """
-    return _images(c, p, _IMAGE_SIGNS)
-
-
-def _images(c: PairConfiguration, p: PhysicalParams, signs: np.ndarray):
-    """The rows of the pair_images stack whose (x, y) signs are the rows of signs."""
     shape = (2, *np.broadcast(c.x1, c.y1, c.x2, c.y2, c.t).shape)
     x, y = np.empty(shape), np.empty(shape)
     x[0], x[1], y[0], y[1] = c.x1, c.x2, c.y1, c.y2
     x_h = x / p.sigma0
     eta = y / p.sigma0
-    signs = signs.reshape((len(signs), 2) + (1,) * x.ndim)
+    signs = _IMAGE_SIGNS.reshape((4, 2) + (1,) * x.ndim)
     value = _upper_amplitude(signs[:, 0] * x_h, signs[:, 1] * eta, c.t / p.tau, p)
     return value / math.sqrt(p.sigma0)
 
@@ -91,10 +86,11 @@ def psi_pair(stats: SpinStatistics, c: PairConfiguration, p: PhysicalParams):
 
     The normalization constant is taken real positive. Under particle
     exchange the value picks up exactly the statistics sign. Broadcasts over
-    coordinate arrays in c; a scalar c gives a complex scalar.
+    coordinate arrays in c; a scalar c gives a complex scalar. The upper and
+    lower packets are rows 0 and 1 of pair_images.
     """
     n = math.sqrt(normalization_N(stats, p))
-    (u1, u2), (l1, l2) = _images(c, p, _IMAGE_SIGNS[:2])
+    (u1, u2), (l1, l2) = pair_images(c, p)[:2]
     return n * (u1 * l2 + stats.sign * (u2 * l1))
 
 

@@ -118,7 +118,7 @@ def integrate_cases(pairslit):
         t_end = p.flight_time
         for k, stats in enumerate(pairslit.SpinStatistics):
             sampler = pairslit.SamplerConfig(n_pairs=40, seed=100 + k)
-            initial = pairslit.sample_initial(sampler, stats, p)
+            initial = pairslit.sample_initial(sampler, stats, p, np.random.default_rng(sampler.seed))
             if stats is pairslit.SpinStatistics.FERMION:
                 s0 = p.sigma0
                 near = [(y, y - gap * s0) for y in (0.3 * s0, -1.1 * s0, p.Y)
@@ -139,7 +139,8 @@ def integrate_cases(pairslit):
     # hundreds of steps at thousands of lanes
     p = pairslit.PhysicalParams.baseline(x_speed=2.0e6)
     for k, stats in enumerate(pairslit.SpinStatistics):
-        initial = pairslit.sample_initial(pairslit.SamplerConfig(n_pairs=4096, seed=200 + k), stats, p)
+        sampler = pairslit.SamplerConfig(n_pairs=4096, seed=200 + k)
+        initial = pairslit.sample_initial(sampler, stats, p, np.random.default_rng(sampler.seed))
         out = integrator.integrate_pairs(initial, p.flight_time, pairslit.IntegratorConfig(), stats, p)
         yield f"integrate_pairs/slow/{stats.value}/n=4096/S=2/dispatch", digest(*out)
 
@@ -156,8 +157,8 @@ def sampling_cases(pairslit):
                            sha(draws, rng.bit_generator.state))
             for method in ("exact_rejection", "independent_gaussian"):
                 cfg = pairslit.SamplerConfig(method=method, n_pairs=300, seed=11)
-                yield (f"sample_initial/{regime}/{stats.value}/{method}",
-                       sha(pairslit.sample_initial(cfg, stats, p)))
+                initial = pairslit.sample_initial(cfg, stats, p, np.random.default_rng(cfg.seed))
+                yield f"sample_initial/{regime}/{stats.value}/{method}", sha(initial)
 
 
 def ensemble_cases(pairslit):

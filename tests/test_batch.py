@@ -48,7 +48,8 @@ cases = st.tuples(
 
 def draw(regime, stats, seed, n=N_BATCH):
     p, t_end = REGIMES[regime]
-    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=seed), stats, p,
+                             np.random.default_rng(seed))
     return initial, p, t_end
 
 
@@ -851,7 +852,8 @@ def test_density_floor_aborts_match_scalar_path(p_slow):
     # 60 of these 200 pairs fall below the floor in flight as the state spreads
     stats = SpinStatistics.FERMION
     cfg = IntegratorConfig(density_floor=0.01)
-    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow,
+                             np.random.default_rng(31))
     times = np.linspace(0.0, 1e-7, 11)
     scalar = [integrate_one(release(*y0), 1e-7, cfg, stats, p_slow, times) for y0 in initial]
     batch = trajectories(initial, 1e-7, cfg, stats, p_slow, times)
@@ -885,7 +887,8 @@ FLOOR_ABORTS = {
 @pytest.mark.parametrize("batch_min", [_BATCH_MIN, 1, 10**9], ids=["dispatch", "batch", "scalar"])
 def test_density_floor_decisions_are_pinned(p_slow, batch_min):
     stats = SpinStatistics.FERMION
-    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=200, seed=31), stats, p_slow,
+                             np.random.default_rng(31))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_BATCH_MIN", batch_min)
         _, count, status = integrate_pairs(
@@ -1114,7 +1117,8 @@ def test_samples_land_on_the_requested_times(p_slow, n_times, batch_min):
 def test_keeping_trajectories_changes_no_result(p_slow, n, stats, floor):
     # the result keeps integrate_pairs' own table, which ends on its endpoints
     cfg = IntegratorConfig(density_floor=floor)
-    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=31), stats, p_slow)
+    initial = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=31), stats, p_slow,
+                             np.random.default_rng(31))
     times = np.linspace(0.0, 1e-7, 11)
     table, count, status = integrate_pairs(initial, 1e-7, cfg, stats, p_slow, times)
     result = transport_ensemble(initial, cfg, stats, p_slow, 1e-7, times,

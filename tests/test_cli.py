@@ -101,7 +101,7 @@ def test_validate_collects_all_problems(tmp_path):
     }
     path = write_json(tmp_path / "bad.json", payload)
     with pytest.raises(ConfigError) as exc:
-        validate_config(path)
+        validate_config(path, expected_scenario="custom")
     problems = "\n".join(exc.value.problems)
     for needle in (
         "junk: unknown key",
@@ -118,7 +118,7 @@ def test_validate_collects_all_problems(tmp_path):
     # each tolerance is checked on its own, so each problem names its key
     path = write_json(tmp_path / "tol.json", {"integrator": {"rel_tol": -1, "abs_tol": 0}})
     with pytest.raises(ConfigError) as exc:
-        validate_config(path)
+        validate_config(path, expected_scenario="custom")
     assert exc.value.problems == [
         "integrator.rel_tol must be finite and > 0", "integrator.abs_tol must be finite and > 0"
     ]
@@ -229,7 +229,7 @@ def test_config_version_checked(tmp_path, capsys):
     for version in (1, 2, 9):
         path = write_json(tmp_path / "v.json", {"scenario": "custom", "config_version": version})
         with pytest.raises(ConfigError, match="config_version"):
-            validate_config(path)
+            validate_config(path, expected_scenario="custom")
         assert run_main(tmp_path, "custom", "--config", path, "--n-pairs", "5") == 1
         assert "config error: config_version: " in capsys.readouterr().err
 
@@ -252,12 +252,12 @@ def test_invalid_json_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        validate_config(str(path))
+        validate_config(str(path), expected_scenario="custom")
 
 
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
-        validate_config(str(tmp_path / "nope.json"))
+        validate_config(str(tmp_path / "nope.json"), expected_scenario="custom")
 
 
 @pytest.mark.parametrize("payload, problem", [
@@ -268,7 +268,7 @@ def test_config_file_refusals_exit_1(tmp_path, capsys, payload, problem):
     # each refusal stops validation at once, with its one line
     path = write_json(tmp_path / "c.json", payload)
     with pytest.raises(ConfigError) as exc:
-        validate_config(path)
+        validate_config(path, expected_scenario="custom")
     assert exc.value.problems == [problem]
     assert run_main(tmp_path, "custom", "--config", path) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
@@ -556,6 +556,20 @@ def test_pair_count_too_large_to_allocate_is_an_error(tmp_path, capsys, source):
     assert run_main(tmp_path, "fig3a", *args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_output_path_that_cannot_be_a_directory_is_an_error(tmp_path, capsys, under):
+    # the run's mkdir raises an OSError (File exists, Not a directory), which
+    # main reports in one line
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert main(["fig4a", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and str(out) in err
     assert "Traceback" not in err
 
 

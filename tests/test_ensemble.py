@@ -14,6 +14,7 @@ from pairslit import (
     binned_tv_distance,
     density_distance,
     run_ensemble,
+    sample_initial,
     sample_joint_y,
     sigma_t,
 )
@@ -54,6 +55,25 @@ def test_same_side_fraction_at_a_wide_geometry_warns_of_nothing(p_fast):
     assert res.n_completed == 2
     assert (np.abs(res.endpoints) > 1e155).all()
     assert res.same_side_fraction == 0.0  # each particle stays behind its slit
+
+
+@pytest.mark.parametrize("method", ["exact_rejection", "independent_gaussian"])
+def test_the_seed_spawns_the_release_and_baseline_streams(p_fast, stats, method):
+    # run_ensemble draws the releases from the first child of
+    # SeedSequence(seed) and the baseline of density_distance from the second
+    cfg = SamplerConfig(method=method, n_pairs=150, seed=44)
+    result = run_ensemble(cfg, IntegratorConfig(), stats, p_fast, p_fast.flight_time)
+    a, b = np.random.SeedSequence(cfg.seed).spawn(2)
+    initial = sample_initial(cfg, stats, p_fast, np.random.default_rng(a))
+    expected = transport_ensemble(initial, IntegratorConfig(), stats, p_fast, p_fast.flight_time,
+                                  rng=np.random.default_rng(b))
+    assert result.density_distance_baseline is not None  # the baseline draw ran
+    for field in dataclasses.fields(EnsembleResult):
+        got, want = getattr(result, field.name), getattr(expected, field.name)
+        assert type(got) is type(want), field.name
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), \
+            field.name
 
 
 def test_seed_determinism(p_fast):
@@ -238,9 +258,10 @@ def test_tight_com_selection_forces_opposite_sides(p_slow):
 
 def test_mirrored_ensembles(p_fast):
     # integrating the negated release of every pair mirrors each endpoint
-    from pairslit import PairConfiguration, sample_initial
+    from pairslit import PairConfiguration
 
-    initial = sample_initial(SamplerConfig(n_pairs=12, seed=26), SpinStatistics.BOSON, p_fast)
+    initial = sample_initial(SamplerConfig(n_pairs=12, seed=26), SpinStatistics.BOSON, p_fast,
+                             np.random.default_rng(26))
     for y1, y2 in initial.tolist():
         c = PairConfiguration(0.0, y1, 0.0, y2, 0.0)
         neg = PairConfiguration(0.0, -y1, 0.0, -y2, 0.0)

@@ -50,28 +50,29 @@ def test_config_reports_every_bad_field():
 
 def test_config_takes_numpy_integers(p_fast):
     cfg = SamplerConfig(n_pairs=np.int64(3), seed=np.uint32(4))
-    assert sample_initial(cfg, SpinStatistics.BOSON, p_fast).shape == (3, 2)
+    assert sample_initial(cfg, SpinStatistics.BOSON, p_fast,
+                          np.random.default_rng(cfg.seed)).shape == (3, 2)
 
 
 def test_seed_determinism(p_fast, stats):
     cfg = SamplerConfig(method="exact_rejection", n_pairs=64, seed=99)
-    a = sample_initial(cfg, stats, p_fast)
-    b = sample_initial(cfg, stats, p_fast)
+    a = sample_initial(cfg, stats, p_fast, np.random.default_rng(cfg.seed))
+    b = sample_initial(cfg, stats, p_fast, np.random.default_rng(cfg.seed))
     np.testing.assert_array_equal(a, b)
-    c = sample_initial(dataclasses.replace(cfg, seed=100), stats, p_fast)
+    c = sample_initial(dataclasses.replace(cfg, seed=100), stats, p_fast, np.random.default_rng(100))
     assert not np.array_equal(a, c)
 
 
 def test_initial_configurations_at_release(p_fast, stats):
     # released at x = 0, t = 0: only the transverse positions are drawn
-    ys = sample_initial(SamplerConfig(n_pairs=16, seed=1), stats, p_fast)
+    ys = sample_initial(SamplerConfig(n_pairs=16, seed=1), stats, p_fast, np.random.default_rng(1))
     assert ys.shape == (16, 2) and ys.dtype == np.float64
     assert np.isfinite(ys).all()
 
 
 def test_independent_gaussian_moments(p_fast, stats):
     cfg = SamplerConfig(method="independent_gaussian", n_pairs=4000, seed=4)
-    ys = sample_initial(cfg, stats, p_fast)
+    ys = sample_initial(cfg, stats, p_fast, np.random.default_rng(cfg.seed))
     se = p_fast.sigma0 / math.sqrt(4000)
     assert ys[:, 0].mean() == pytest.approx(p_fast.Y, abs=4 * se)
     assert ys[:, 1].mean() == pytest.approx(-p_fast.Y, abs=4 * se)
@@ -84,7 +85,7 @@ def test_exact_rejection_marginal_moments(p_fast, stats):
     # mean 0, variance Y^2 + sigma0^2
     n = 20000
     cfg = SamplerConfig(method="exact_rejection", n_pairs=n, seed=5)
-    ys = sample_initial(cfg, stats, p_fast)
+    ys = sample_initial(cfg, stats, p_fast, np.random.default_rng(cfg.seed))
     spread = math.sqrt(p_fast.Y**2 + p_fast.sigma0**2)
     assert ys.mean() == pytest.approx(0.0, abs=4 * spread / math.sqrt(2 * n))
     assert ys[:, 0].var(ddof=1) == pytest.approx(spread**2, rel=0.05)
@@ -95,7 +96,7 @@ def test_exact_rejection_marginal_moments(p_fast, stats):
 def test_exact_rejection_com_spread(p_fast, stats):
     n = 20000
     cfg = SamplerConfig(method="exact_rejection", n_pairs=n, seed=6)
-    ys = sample_initial(cfg, stats, p_fast)
+    ys = sample_initial(cfg, stats, p_fast, np.random.default_rng(cfg.seed))
     com_rms = math.sqrt(np.mean((0.5 * (ys[:, 0] + ys[:, 1])) ** 2))
     assert com_rms == pytest.approx(p_fast.sigma0 / math.sqrt(2), rel=0.03)
 
@@ -104,9 +105,11 @@ def test_exact_vs_independent_indistinguishable_at_wide_separation(p_fast, stats
     # with the slits five widths apart the interference correction to the
     # product form is ~exp(-25); a two-sample test cannot tell them apart
     n = 4000
-    a = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=7), stats, p_fast)
+    a = sample_initial(SamplerConfig(method="exact_rejection", n_pairs=n, seed=7), stats, p_fast,
+                       np.random.default_rng(7))
     b = sample_initial(
-        SamplerConfig(method="independent_gaussian", n_pairs=n, seed=8), stats, p_fast
+        SamplerConfig(method="independent_gaussian", n_pairs=n, seed=8), stats, p_fast,
+        np.random.default_rng(8),
     )
     # upper/lower assignment is randomized in the exact sampler; compare the
     # ordered pair (max, min) which is assignment-free
@@ -130,6 +133,7 @@ def test_fermion_pairs_never_coincide(p_fast):
         SamplerConfig(method="exact_rejection", n_pairs=2000, seed=9),
         SpinStatistics.FERMION,
         p_fast,
+        np.random.default_rng(9),
     )
     assert np.min(np.abs(ys[:, 0] - ys[:, 1])) > 0.0
 

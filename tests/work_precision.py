@@ -66,7 +66,8 @@ def measure(tol, regime, stats, pairs, seed):
     evals, worst_inner, open_pairs, end_errors = 0, 0.0, 0, [np.zeros(0)]
     for k, start in enumerate(range(0, pairs, _CHUNK)):
         n = min(_CHUNK, pairs - start)
-        initial = sample_initial(SamplerConfig("exact_rejection", n, seed + k), stats, p)
+        initial = sample_initial(SamplerConfig("exact_rejection", n, seed + k), stats, p,
+                                 np.random.default_rng(seed + k))
         (table, count, status), used = counted_run(initial, t_end, cfg, stats, p)
         evals += used
         dense, _, dense_status = integrate_pairs(initial, t_end, cfg, stats, p, times)
