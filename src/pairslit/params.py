@@ -76,7 +76,8 @@ class PhysicalParams:
                 f"Y must be at most {_MAX_BETA:.4g} sigma0, got {self.beta:.4g} sigma0"
             )
         # Extreme inputs can underflow or overflow the derived time scales
-        # (tau's product gives 0 or inf, never an error); the integrator
+        # (each product starts from a float, so it gives 0 or inf, never an
+        # error; an int field's exact product may not convert); the integrator
         # divides by tau and splits flight_time / tau into sample times,
         # which a subnormal span has too few floats for.
         tau = self.tau
@@ -95,7 +96,8 @@ class PhysicalParams:
     @property
     def tau(self) -> float:
         """Natural spreading time 2 m sigma0^2 / hbar (s)."""
-        return 2.0 * self.m * (self.sigma0 * self.sigma0) / self.hbar
+        s = float(self.sigma0)
+        return 2.0 * self.m * (s * s) / self.hbar
 
     @property
     def beta(self) -> float:
@@ -105,12 +107,12 @@ class PhysicalParams:
     @property
     def x_speed(self) -> float:
         """Longitudinal speed hbar kx / m (m/s)."""
-        return self.hbar * self.kx / self.m
+        return float(self.hbar) * self.kx / self.m
 
     @property
     def flight_time(self) -> float:
         """Time to cross the distance L at the longitudinal speed (s)."""
-        return self.L * self.m / (self.hbar * self.kx)
+        return float(self.L) * self.m / (float(self.hbar) * self.kx)
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,22 @@ def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys, sect
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("keys, refusal", [
+    (("sigma0",), "params.tau must be finite and > 0, got inf"),
+    (("L", "m"), "params.flight_time must be finite and >= "),
+    (("hbar", "kx"), "params.flight_time must be finite and >= "),
+], ids=("sigma0", "L-m", "hbar-kx"))
+def test_integers_whose_exact_product_overflows_are_a_config_error(tmp_path, capsys, keys, refusal):
+    # each is a float, but their exact int product would not convert to one
+    big = "1" + "0" * 200
+    path = tmp_path / "big.json"
+    path.write_text('{"params": {%s}}' % ", ".join(f'"{key}": {big}' for key in keys))
+    assert run_main(tmp_path, "custom", "--config", str(path), "--n-pairs", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {refusal}")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_successive_main_calls_see_only_their_own_arguments(tmp_path, monkeypatch):
     # the parser is built once per process and reused by every main call
     assert _build_parser() is _build_parser()
