@@ -4,14 +4,15 @@ Usage:
     python3 scripts/run_all_scenarios.py [--root RUNS_DIR] [--seed SEED]
 
 Each scenario writes trajectory CSVs plus summary.json into
-RUNS_DIR/<scenario>/. The script prints one line per scenario and exits
-nonzero if any scenario does. The configs pass the same validator as the
-CLI's flags, so a negative seed prints its config error and exits 1 before
-any scenario runs.
+RUNS_DIR/<scenario>/ through the CLI's run_scenario, which prints the
+scenario's own lines, or one "error:" line on stderr when the run fails.
+The script then prints "<scenario>: exit <code>", goes on with the next
+scenario and exits with the worst code. The configs pass the same validator
+as the CLI's flags, so a negative seed prints its config error and exits 1
+before any scenario runs.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -39,19 +40,9 @@ def main(argv=None) -> int:
         return 1
     worst = 0
     for cfg in configs:
-        name = cfg.scenario
         code = run_scenario(cfg)
+        print(f"{cfg.scenario}: exit {code}")
         worst = max(worst, code)
-        summary_path = root / name / "summary.json"
-        note = ""
-        if summary_path.exists():
-            summary = json.loads(summary_path.read_text())
-            done = summary.get("n_completed")
-            if done is not None:
-                note = f" ({done}/{cfg.sampler.n_pairs} trajectories)"
-            elif "all_passed" in summary:
-                note = f" (all_passed={summary['all_passed']})"
-        print(f"{name}: exit {code}{note} -> {root / name}")
     return worst
 
 

@@ -8,9 +8,9 @@ settings everywhere, except those a scenario's run does not read, and the
 physics for the custom scenario. Each flag sets one config key (_FLAGS), wins
 over the file's value and is validated with the file by validate_config.
 
-Exit codes: 0 success; 1 configuration problem, or an error that ends the
-run (such as an array too large to allocate); 2 runtime failure (abort
-fraction above threshold, or a failed four-slit property check).
+Exit codes: 0 success; 1 a configuration problem or an error that ends the run
+(an unwritable output path, an array too large to allocate), with nothing on
+stdout; 2 a failed gate (abort fraction above threshold, a failed four-slit check).
 """
 
 from __future__ import annotations
@@ -435,65 +435,70 @@ def _write_summary(out: Path, cfg: ScenarioConfig, fields: dict) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Run one scenario, write artifacts, and return the process exit code."""
+    """Run one validated scenario, write its files, print its lines and return the exit code.
+
+    The record (summary.json's fields, stdout lines, any reason for exit 2) is
+    built before anything is written or printed. Exit 2 prints the reason on stderr;
+    a PairslitError, OSError or MemoryError prints one "error:" line there and exits 1.
+    """
     out = Path(cfg.output_dir)
-    if cfg.scenario == "four-slit-check":
-        return _run_four_slit_check(cfg, out)
-
     spec = _SCENARIOS[cfg.scenario]
-    t_end = cfg.params.flight_time
-    sample_times = np.linspace(0.0, t_end, spec.n_times)
-    # Pinned releases skip the sampler; everything after sampling is shared.
-    if spec.releases is None:
-        result = run_ensemble(cfg.sampler, cfg.integrator, cfg.stats, cfg.params, t_end,
-                              sample_times=sample_times)
-    else:
-        # three pairs, too few to score, so the baseline draw never runs
-        result = transport_ensemble(spec.releases(cfg.params), cfg.integrator, cfg.stats,
-                                    cfg.params, t_end, sample_times=sample_times,
-                                    rng=np.random.default_rng(cfg.sampler.seed))
-
-    out.mkdir(parents=True, exist_ok=True)
-    files = int(np.count_nonzero(result.sample_count))
-    width = max(3, len(str(files - 1)))
-    _write_trajectory_csvs([out / f"trajectory_{i:0{width}d}.csv" for i in range(files)],
-                           result.samples, result.sample_count, cfg.params.x_speed)
-    same_side = result.same_side_fraction
-    aborted, n_requested = result.aborted_count, result.n_requested
-    _write_summary(out, cfg, {
-        "n_requested": n_requested,
-        "n_completed": result.n_completed,
-        "aborted_count": aborted,
-        "same_side_fraction": None if math.isnan(same_side) else same_side,
-        "delta_y0_estimate": result.delta_y0_estimate,
-        "density_distance": result.density_distance,
-        "density_distance_baseline": result.density_distance_baseline,
-    })
-    print(f"{cfg.scenario}: {result.n_completed}/{n_requested} trajectories completed, "
-          f"{aborted} aborted, output in {out}")
-    if aborted > _ABORT_THRESHOLD * n_requested:
-        print(f"abort fraction {aborted / n_requested:.2%} exceeds {_ABORT_THRESHOLD:.1%}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _run_four_slit_check(cfg: ScenarioConfig, out: Path) -> int:
-    """Print and record fourslit.property_report; exit 2 if a check failed."""
+    # run_ensemble seeds its own streams; the other runs draw from this generator
     rng = np.random.default_rng(cfg.sampler.seed)
-    checks = property_report(cfg.params, cfg.integrator, rng)
-    all_ok = all(ok for _, ok, _ in checks)
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})" for name, ok, detail in checks]
-    print("\n".join(lines))
-    report = {
-        "checks": [
-            {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
-        ],
-        "all_passed": all_ok,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    _write_summary(out, cfg, report)
-    return 0 if all_ok else 2
+    result = None  # the ensemble whose trajectories become the CSVs
+    try:
+        if cfg.scenario == "four-slit-check":
+            checks = property_report(cfg.params, cfg.integrator, rng)
+            failed = sum(not ok for _, ok, _ in checks)
+            fields = {"checks": [{"name": name, "passed": ok, "detail": detail}
+                                 for name, ok, detail in checks], "all_passed": not failed}
+            lines = [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
+                     for name, ok, detail in checks]
+            failure = f"{failed} of {len(checks)} four-slit checks failed" if failed else None
+        else:
+            t_end = cfg.params.flight_time
+            sample_times = np.linspace(0.0, t_end, spec.n_times)
+            # Pinned releases skip the sampler; everything after sampling is shared.
+            if spec.releases is None:
+                result = run_ensemble(cfg.sampler, cfg.integrator, cfg.stats, cfg.params, t_end,
+                                      sample_times=sample_times)
+            else:
+                # three pairs, too few to score, so the baseline draw never runs
+                result = transport_ensemble(spec.releases(cfg.params), cfg.integrator, cfg.stats,
+                                            cfg.params, t_end, sample_times=sample_times, rng=rng)
+            same_side = result.same_side_fraction
+            aborted, n_requested = result.aborted_count, result.n_requested
+            fields = {
+                "n_requested": n_requested,
+                "n_completed": result.n_completed,
+                "aborted_count": aborted,
+                "same_side_fraction": None if math.isnan(same_side) else same_side,
+                "delta_y0_estimate": result.delta_y0_estimate,
+                "density_distance": result.density_distance,
+                "density_distance_baseline": result.density_distance_baseline,
+            }
+            lines = [f"{cfg.scenario}: {result.n_completed}/{n_requested} trajectories completed, "
+                     f"{aborted} aborted, output in {out}"]
+            failure = (f"abort fraction {aborted / n_requested:.2%} exceeds {_ABORT_THRESHOLD:.1%}"
+                       if aborted > _ABORT_THRESHOLD * n_requested else None)
+
+        out.mkdir(parents=True, exist_ok=True)
+        if result is not None:
+            files = int(np.count_nonzero(result.sample_count))
+            width = max(3, len(str(files - 1)))
+            paths = [out / f"trajectory_{i:0{width}d}.csv" for i in range(files)]
+            _write_trajectory_csvs(paths, result.samples, result.sample_count, cfg.params.x_speed)
+        _write_summary(out, cfg, fields)
+        print("\n".join(lines))
+    except (PairslitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return 0 if failure is None else 2
 
 
 @functools.cache
@@ -514,9 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse argv and validate its config (bad ones exit 1), then return run_scenario's code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; fold that into the config-error code.
         return 0 if exc.code in (0, None) else 1
@@ -527,14 +532,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    try:
-        return run_scenario(cfg)
-    except (PairslitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy names the array it could not allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+    return run_scenario(cfg)
 
 
 if __name__ == "__main__":

@@ -528,7 +528,7 @@ def test_four_slit_check_fails_when_a_pair_is_not_integrated(tmp_path, capsys, i
     assert run_main(tmp_path, "four-slit-check", "--config", path) == 2
     out, err = capsys.readouterr()
     assert "FAIL  mapped trajectories" in out and "2 of 2 pairs could not be integrated" in out
-    assert "Traceback" not in err
+    assert err == "2 of 5 four-slit checks failed\n"
     text = (tmp_path / "out" / "summary.json").read_text()
     assert json.loads(text, parse_constant=_refuse_nan)["all_passed"] is False
 
@@ -575,14 +575,15 @@ def test_pair_count_too_large_to_allocate_is_an_error(tmp_path, capsys, source):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scenario", ["fig4a", "four-slit-check"])
 @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
-def test_output_path_that_cannot_be_a_directory_is_an_error(tmp_path, capsys, under):
+def test_output_path_that_cannot_be_a_directory_is_an_error(tmp_path, capsys, under, scenario):
     # the run's mkdir raises an OSError (File exists, Not a directory), which
-    # main reports in one line
+    # run_scenario reports in one line, before the run prints anything
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = blocker / "out" if under else blocker
-    assert main(["fig4a", "--out", str(out)]) == 1
+    assert main([scenario, "--out", str(out)]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith("error: ") and str(out) in err
@@ -791,16 +792,34 @@ def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scenario_script_refuses_a_bad_seed(tmp_path, capsys):
-    # the script's configs pass the CLI's validator before any scenario runs
+def load_scenario_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_scenarios.py"
     spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--root", str(tmp_path / "runs"), "--seed", "-1"]) == 1
+    return script
+
+
+def test_scenario_script_refuses_a_bad_seed(tmp_path, capsys):
+    # the script's configs pass the CLI's validator before any scenario runs
+    assert load_scenario_script().main(["--root", str(tmp_path / "runs"), "--seed", "-1"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "config error: --seed: sampler.seed must be >= 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_script_reports_errors_and_goes_on(tmp_path, capsys):
+    # every scenario's output directory would lie under a regular file
+    root = tmp_path / "runs"
+    root.write_text("")
+    assert load_scenario_script().main(["--root", str(root)]) == 1
+    out, err = capsys.readouterr()
+    names = [name for name in SCENARIOS if name != "custom"]
+    assert out == "".join(f"{name}: exit 1\n" for name in names)
+    lines = err.splitlines()
+    assert len(lines) == len(names) and "Traceback" not in err
+    for line, name in zip(lines, names):
+        assert line.startswith("error: ") and str(root / name) in line
 
 
 def test_run_that_fails_creates_no_output_directory(tmp_path, capsys):
